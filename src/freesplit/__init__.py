@@ -3,8 +3,9 @@
 Exact combinatorial kernels (words, graph maps, Stallings folds, the
 Whitehead algorithm), lamination approximations, marked graph pairs, the
 integer displacement projection, and a classifier with machine-checkable
-witnesses.  All values are immutable after construction and every
-operation is a pure function; nothing uses randomness.
+witnesses.  Values are immutable after construction, except that
+``estimate_M`` sets a projection context's constant once; operations are
+otherwise pure functions, and nothing uses randomness.
 """
 
 from .config import Config, load_config
@@ -15,7 +16,7 @@ from .automorphisms import (BasisMap, abelianization, apply_map,
                             compose_maps, identity_map, invert_map,
                             outer_equal)
 from .graphs import (Filtration, Graph, GraphMap, MarkedGraph, Stratum,
-                     TransitionMatrix, canonical_circuit, compose, graph_map,
+                     TransitionMatrix, compose, graph_map,
                      identity_graph_map, invert_rose_map,
                      is_invariant_subgraph, is_nielsen, iterate, map_circuit,
                      map_path, marked_rose, outer_equal_maps,

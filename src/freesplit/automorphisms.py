@@ -61,7 +61,8 @@ def is_signed_basis(bm: BasisMap) -> bool:
 
 def _generates_whole_group(bm: BasisMap) -> bool:
     # n words generate F_n iff they generate freely; checked by folding the
-    # wedge of loops and asking for the based rose.
+    # wedge of loops and asking for the based rose.  Imported here because
+    # factors imports this module: the one import that breaks the cycle.
     from .factors import folds_to_rose
 
     return folds_to_rose(bm, len(bm))

@@ -10,6 +10,7 @@ outcome and carries the failing stage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .automorphisms import compose_maps, identity_map, outer_equal
@@ -18,14 +19,24 @@ from .errors import InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
 from .graphs import (GraphMap, MarkedGraph, compose, identity_graph_map,
                      is_invariant_subgraph, strata)
-from .laminations import (lamination_approx, lamination_fills,
-                          laminations_jointly_fill)
+from .laminations import (LaminationApprox, lamination_approx,
+                          lamination_fills, laminations_jointly_fill)
 from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
                     splitting_of_pair, validate_pair)
 from .whitehead import FILLS, UNKNOWN
-from .wproj import (build_context, default_m_samples, displacement_table,
-                    estimate_M)
-from .words import FWD, canonical_cyclic, slot
+from .wproj import (WContext, build_context, default_m_samples,
+                    displacement_table, estimate_M)
+from .words import FWD, canonical_cyclic, invert, is_fwd, slot
+
+
+@dataclass(frozen=True)
+class LoxodromicCertificate:
+    """The objects behind a Loxodromic verdict, kept for in-process reuse:
+    the W context with its constant set, and the certifying displacement
+    table as returned by :func:`displacement_table`."""
+
+    ctx: WContext
+    displacement: dict
 
 
 @dataclass(frozen=True)
@@ -36,6 +47,9 @@ class Classification:
     stage: str | None = None  # failing stage when Unknown
     power: int = 1
     notes: dict = field(default_factory=dict)
+    # never serialized: reports read the certificate instead of rebuilding it
+    _certificate: LoxodromicCertificate | None = field(
+        default=None, repr=False, compare=False)
 
     def to_json(self) -> dict:
         return {
@@ -86,8 +100,6 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
 
 def _rotationless_power(f: GraphMap, cfg: Config) -> int:
     """Least power killing the finite permutation actions of the map."""
-    import math
-
     periods = [1]
     g = f.source
     for v in g.vertices:
@@ -110,9 +122,7 @@ def _rotationless_power(f: GraphMap, cfg: Config) -> int:
             nxt = single.get(slot(cur))
             if nxt is None:
                 break
-            from .words import invert as _inv, is_fwd as _is_fwd
-
-            cur = nxt if _is_fwd(cur) else _inv(nxt)
+            cur = nxt if is_fwd(cur) else invert(nxt)
             if cur in seen:
                 if cur == FWD[s]:
                     periods.append(step)
@@ -134,18 +144,12 @@ def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
     """
     induced = mg.induced_rose_map(f)
     verdict, _ = outer_equal(induced, identity_map(mg.rank), cfg.outer_budget)
-    candidates = []
-    g = mg.graph
-    for cls in g.natural_classes:
-        h = frozenset(range(g.n_edges)) - cls
-        try:
-            candidates.append(validate_pair(mg, h))
-        except InvalidInput:
-            continue
+    candidates = _coordinate_pairs(mg)
     if verdict == "Equal":
+        identity = identity_graph_map(mg.graph)
         for pair in candidates:
             target = remark_pair(pair, f)
-            rel = pair_relation_check(identity_graph_map(g), pair, target,
+            rel = pair_relation_check(identity, pair, target,
                                       cfg.outer_budget)
             if rel.holds:
                 return splitting_of_pair(pair), rel
@@ -156,6 +160,18 @@ def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
         if rel.holds:
             return splitting_of_pair(pair), rel
     raise NotApplicable("no invariant one-edge splitting was exhibited")
+
+
+def _coordinate_pairs(mg: MarkedGraph) -> list[MarkedGraphPair]:
+    """Validated one-edge pairs collapsing all but one natural class."""
+    g = mg.graph
+    out = []
+    for cls in g.natural_classes:
+        try:
+            out.append(validate_pair(mg, frozenset(range(g.n_edges)) - cls))
+        except InvalidInput:
+            continue
+    return out
 
 
 @dataclass(frozen=True)
@@ -269,9 +285,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
     if spec.stub:
         raise InvalidInput("stub fixtures cannot be classified")
     mg, f = spec.mg, spec.f
-    notes: dict = {"budgets": {"iterate_cap": cfg.iterate_cap,
-                               "outer_budget": cfg.outer_budget,
-                               "whitehead_max_moves": cfg.whitehead_max_moves}}
+    notes: dict = {}
 
     p_inner = _inner_power(mg, f, cfg)
     if p_inner is not None:
@@ -302,8 +316,14 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
     notes["eg_strata"] = len(eg)
     notes["lamination_verdicts"] = [v.kind for v in verdicts]
 
-    if any(v.kind == FILLS for v in verdicts):
-        return _loxodromic_witness(spec, mg, fp, cfg, radius, p, notes)
+    filling = next((lam for lam, v in zip(lams, verdicts)
+                    if v.kind == FILLS), None)
+    if filling is not None:
+        f_inv = spec.maps.get("f_inv")
+        if f_inv is not None and p > 1:
+            f_inv = _power_map(f_inv, p)
+        return _loxodromic_witness(mg, fp, f_inv, filling, cfg, radius, p,
+                                   notes)
 
     if any(v.kind == UNKNOWN for v in verdicts):
         return Classification("Unknown", stage="lamination_fills",
@@ -340,29 +360,24 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
         power=p, notes=notes)
 
 
-def _coordinate_splittings(mg: MarkedGraph):
-    g = mg.graph
-    out = []
-    for cls in g.natural_classes:
-        h = frozenset(range(g.n_edges)) - cls
-        try:
-            out.append(splitting_of_pair(validate_pair(mg, h)))
-        except InvalidInput:
-            continue
-    return out
-
-
-def _loxodromic_witness(spec, mg, fp, cfg, radius, p, notes) -> Classification:
+def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap,
+                        f_inv: GraphMap | None, lam: LaminationApprox,
+                        cfg: Config, radius: int, p: int,
+                        notes: dict) -> Classification:
     try:
-        ctx = build_context(mg, fp, spec.maps.get("f_inv"), cfg)
+        ctx = build_context(mg, fp, f_inv, cfg, lam_plus=lam)
     except InvalidInput as exc:
         return Classification("Unknown", stage=f"build_context: {exc}",
                               power=p, notes=notes)
-    splittings = _coordinate_splittings(mg)
+    splittings = [splitting_of_pair(pair) for pair in _coordinate_pairs(mg)]
     if not splittings:
         return Classification("Unknown", stage="no coordinate splitting",
                               power=p, notes=notes)
-    estimate_M(ctx, default_m_samples(ctx, splittings[:2]))
+    try:
+        estimate_M(ctx, default_m_samples(ctx, splittings[:2]))
+    except NotApplicable:
+        return Classification("Unknown", stage="estimate_M", power=p,
+                              notes=notes)
     for s in splittings:
         try:
             table = displacement_table(ctx, s, radius)
@@ -376,6 +391,7 @@ def _loxodromic_witness(spec, mg, fp, cfg, radius, p, notes) -> Classification:
                  "raw_spot_checks": table["raw_spot_checks"],
                  "distance_rate_lower_bound":
                      table["distance_rate_lower_bound"]},
-                power=p, notes=notes)
+                power=p, notes=notes,
+                _certificate=LoxodromicCertificate(ctx, table))
     return Classification("Unknown", stage="displacement witness",
                           power=p, notes=notes)

@@ -12,19 +12,17 @@ import argparse
 import pathlib
 import sys
 
-from .classify import (_coordinate_splittings, _power_map,
-                       bounded_path_witness, classify)
+from .classify import bounded_path_witness, classify
 from .config import load_config
 from .errors import (BudgetExhausted, FixtureInvalid, InvalidInput,
                      NotApplicable, NumericalTolerance)
-from .fixtures import fixture, fixture_names
+from .fixtures import ExampleSpec, fixture, fixture_names
 from .graphs import parse_marked_graph, strata
 from .laminations import lamination_approx
 from .pairs import one_edge_splitting
 from .reports import dump_report, make_report
 from .whitehead import fills
-from .wproj import (build_context, default_m_samples, displacement_table,
-                    divergence_check, estimate_M, w_of)
+from .wproj import build_context, divergence_check, w_of
 
 
 def _common(p: argparse.ArgumentParser):
@@ -60,8 +58,6 @@ def _load_spec(args, cfg):
         mg, endo, _ = parse_marked_graph(text)
         if endo is None:
             raise InvalidInput("input file carries no MAP section")
-        from .fixtures import ExampleSpec
-
         return ExampleSpec(pathlib.Path(args.input).stem, mg, {"f": endo}, None)
     raise InvalidInput("provide --fixture NAME or --input FILE")
 
@@ -161,16 +157,13 @@ def cmd_report(args) -> int:
     spec = _load_spec(args, cfg)
     result = classify(spec, cfg, power=args.power)
     results = {"classification": result.to_json()}
-    if result.verdict == "Loxodromic":
-        ctx = build_context(spec.mg, _power_map(spec.f, result.power),
-                            spec.maps.get("f_inv"), cfg)
-        splittings = _coordinate_splittings(spec.mg)
-        estimate_M(ctx, default_m_samples(ctx, splittings[:2]))
-        results["m_hat"] = ctx.m_hat
-        results["displacement"] = displacement_table(ctx, splittings[0], 4)
+    cert = result._certificate
+    if cert is not None:
+        results["m_hat"] = cert.ctx.m_hat
+        results["displacement"] = cert.displacement
         if "psi" in spec.maps:
             results["divergence"] = divergence_check(
-                ctx, spec.mg.induced_rose_map(spec.maps["psi"]),
+                cert.ctx, spec.mg.induced_rose_map(spec.maps["psi"]),
                 one_edge_splitting(spec.mg, spec.params["splitting_h"]))
     report = make_report("report", {"name": spec.name}, results,
                          verdict=result.verdict)

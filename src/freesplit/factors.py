@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+from .automorphisms import apply_map
 from .errors import InvalidInput
 from .words import (BWD, FWD, canonical_cyclic, invert, is_fwd, reduce_word,
                     slot)
@@ -390,8 +391,6 @@ def whole_group(rank: int) -> FreeFactorSystem:
 
 def apply_basis_map_to_ffs(bm, ffs: FreeFactorSystem) -> FreeFactorSystem:
     """Image of a factor system under an automorphism given by basis images."""
-    from .automorphisms import apply_map
-
     comps = []
     for c in ffs.components:
         gens = [apply_map(bm, w) for w in c.basis_words()]

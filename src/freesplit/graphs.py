@@ -17,6 +17,7 @@ from . import words
 from .automorphisms import BasisMap, apply_map, identity_map, invert_map, outer_equal
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NumericalTolerance
+from .factors import FreeFactorSystem, _dedupe, fold
 from .words import BWD, FWD, invert, is_fwd, reduce_word, slot
 
 
@@ -297,8 +298,6 @@ class MarkedGraph:
 def subgraph_factor_system(mg: MarkedGraph, edge_slots):
     """Free factor system of the noncontractible components of a subgraph,
     transported to the abstract basis through the marking."""
-    from .factors import FreeFactorSystem, _dedupe, fold
-
     g = mg.graph
     comps = []
     for comp in g.subgraph_components(edge_slots):
@@ -432,11 +431,6 @@ class GraphMap:
     def is_endo(self) -> bool:
         return self.source is self.target
 
-    def image_of(self, name_or_char: str) -> str:
-        ch = name_or_char if len(name_or_char) == 1 and name_or_char in self.img \
-            else FWD[self.source.slot_of[name_or_char]]
-        return self.img[ch]
-
 
 def identity_graph_map(g: Graph) -> GraphMap:
     return GraphMap(g, g, {v: v for v in g.vertices},
@@ -458,13 +452,6 @@ def rose_map(mg: MarkedGraph, images_by_name) -> GraphMap:
     return graph_map(g, g, {v: v for v in g.vertices}, images_by_name)
 
 
-def basis_map_on_rose(mg: MarkedGraph, bm: BasisMap) -> GraphMap:
-    """Realize an abstract basis map as a graph map on a marked rose."""
-    g = mg.graph
-    images = tuple(mg.rose_to_path(w) for w in bm)
-    return GraphMap(g, g, {v: v for v in g.vertices}, images)
-
-
 # ---------------------------------------------------------------------------
 # Path calculus
 
@@ -480,13 +467,6 @@ def map_path(f: GraphMap, path: str) -> str:
     f.source.check_path(path)
     img = f.img
     return reduce_word("".join(img[ch] for ch in path))
-
-
-def canonical_circuit(graph: Graph, path: str) -> str:
-    if not graph.is_closed(path):
-        raise InvalidInput("not a closed path")
-    graph.check_path(path)
-    return words.canonical_cyclic(path)
 
 
 def map_circuit(f: GraphMap, circuit: str) -> str:

@@ -10,10 +10,12 @@ depths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
+from .factors import carries
 from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, iterate,
                      map_circuit, map_path, minimal_invariant_superset,
                      pf_eigenvalue, strata, subgraph_factor_system,
@@ -21,8 +23,6 @@ from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, iterate,
 from .whitehead import PROPER, UNKNOWN, FillsVerdict, fills
 from .words import (FWD, canonical_cyclic, cyclic_contains, invert,
                     path_contains)
-
-import math
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,6 @@ def lamination_fills(lam: LaminationApprox, cfg: Config = DEFAULT) -> FillsVerdi
         witness = subgraph_factor_system(lam.mg, hull)
         if witness.components and witness.is_proper:
             classes = _segment_classes(lam, lam.depth)
-            from .factors import carries
-
             if all(carries(witness, c) for c in classes):
                 return FillsVerdict(PROPER, witness=witness,
                                     reason="proper invariant subgraph")
@@ -241,8 +239,6 @@ def laminations_jointly_fill(lams, cfg: Config = DEFAULT) -> FillsVerdict:
         if witness.components and witness.is_proper:
             classes = sorted({c for lam in lams
                               for c in _segment_classes(lam, lam.depth)})
-            from .factors import carries
-
             if all(carries(witness, c) for c in classes):
                 return FillsVerdict(PROPER, witness=witness,
                                     reason="proper invariant subgraph")

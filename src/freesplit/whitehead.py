@@ -316,70 +316,86 @@ def _letter_partition(rank: int, comps):
     return sorted(groups.values(), key=min)
 
 
-def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
-    """Whitehead criterion: minimize, then read the Whitehead graph."""
+@dataclass(frozen=True)
+class _Analysis:
+    """Shared opening of :func:`fills` and :func:`free_factor_support`.
+
+    ``kind`` is FILLS or UNKNOWN when the Whitehead graph at the minimum
+    decides, PROPER when its letter groups split the classes.
+    """
+
+    kind: str
+    reason: str = ""
+    minimized: tuple[str, ...] = ()
+    move_log: tuple = ()
+    letter_groups: tuple = ()
+    summary: dict = field(default_factory=dict)
+
+
+def _whitehead_analysis(classes, rank: int, cfg: Config) -> _Analysis:
+    """Minimize, read the Whitehead graph, apply the all-letters and
+    cut-vertex tests."""
     try:
-        minimized, total, log = whitehead_minimize(classes, rank, cfg)
+        minimized, _, log = whitehead_minimize(classes, rank, cfg)
     except BudgetExhausted as exc:
-        return FillsVerdict(UNKNOWN, reason=str(exc))
+        return _Analysis(UNKNOWN, reason=str(exc))
     adj, used = whitehead_graph(rank, minimized)
     comps = _components(adj, used)
     letter_groups = _letter_partition(rank, comps)
+    letters = {u % rank for u in used}
     summary = {
         "components": len(comps),
-        "letters_used": len({u % rank for u in used}),
+        "letters_used": len(letters),
         "letter_groups": [sorted(g) for g in letter_groups],
     }
-    all_letters = len({u % rank for u in used}) == rank
-    if all_letters and len(comps) == 1:
+    kind, reason = PROPER, ""
+    if len(letters) == rank and len(comps) == 1:
         if _has_cut_vertex(adj, used):
-            return FillsVerdict(UNKNOWN, reason="cut vertex at minimum",
-                                minimized=minimized, move_log=tuple(log),
-                                graph_summary=summary)
-        return FillsVerdict(FILLS, minimized=minimized, move_log=tuple(log),
-                            graph_summary=summary)
-    if len(letter_groups) == 1 and all_letters:
-        return FillsVerdict(UNKNOWN, reason="crossed disconnection at minimum",
-                            minimized=minimized, move_log=tuple(log),
-                            graph_summary=summary)
-    back = inverse_log_map(log, rank)
+            kind, reason = UNKNOWN, "cut vertex at minimum"
+        else:
+            kind = FILLS
+    elif len(letters) == rank and len(letter_groups) == 1:
+        kind, reason = UNKNOWN, "crossed disconnection at minimum"
+    return _Analysis(kind, reason, minimized, tuple(log),
+                     tuple(letter_groups), summary)
+
+
+def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
+    """Whitehead criterion: minimize, then read the Whitehead graph."""
+    a = _whitehead_analysis(classes, rank, cfg)
+    if a.kind != PROPER:
+        return FillsVerdict(a.kind, reason=a.reason, minimized=a.minimized,
+                            move_log=a.move_log, graph_summary=a.summary)
+    back = inverse_log_map(a.move_log, rank)
     comps_out = []
-    for group in letter_groups:
+    for group in a.letter_groups:
         gens = [apply_map(back, FWD[g]) for g in sorted(group)]
         comps_out.append(fold(rank, gens))
     witness = FreeFactorSystem(rank, _dedupe(tuple(comps_out)))
     for w in classes:
         if not carries(witness, canonical_cyclic(w)):
             return FillsVerdict(UNKNOWN, reason="witness failed carry check",
-                                minimized=minimized, move_log=tuple(log),
-                                graph_summary=summary)
-    return FillsVerdict(PROPER, witness=witness, minimized=minimized,
-                        move_log=tuple(log), graph_summary=summary)
+                                minimized=a.minimized, move_log=a.move_log,
+                                graph_summary=a.summary)
+    return FillsVerdict(PROPER, witness=witness, minimized=a.minimized,
+                        move_log=a.move_log, graph_summary=a.summary)
 
 
 def free_factor_support(classes, rank: int, cfg: Config = DEFAULT):
     """Smallest free factor system carrying all classes, or None (unknown)."""
-    try:
-        minimized, total, log = whitehead_minimize(classes, rank, cfg)
-    except BudgetExhausted:
-        return None
-    adj, used = whitehead_graph(rank, minimized)
-    comps = _components(adj, used)
-    letter_groups = _letter_partition(rank, comps)
-    all_letters = len({u % rank for u in used}) == rank
-    if all_letters and len(comps) == 1:
-        if _has_cut_vertex(adj, used):
-            return None
+    a = _whitehead_analysis(classes, rank, cfg)
+    if a.kind == FILLS:
         return whole_group(rank)
-    if all_letters and len(letter_groups) == 1:
+    if a.kind == UNKNOWN:
         return None
-    back = inverse_log_map(log, rank)
+    letter_groups = a.letter_groups
+    back = inverse_log_map(a.move_log, rank)
     group_of = {}
     for i, group in enumerate(letter_groups):
         for g in group:
             group_of[g] = i
     buckets: list[list[str]] = [[] for _ in letter_groups]
-    for w in minimized:
+    for w in a.minimized:
         gs = {FWD.index(ch) if ch in FWD[:rank] else BWD.index(ch) for ch in w}
         owners = {group_of[g] for g in gs}
         if len(owners) != 1:

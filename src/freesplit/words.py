@@ -33,14 +33,6 @@ def sort_key(word: str) -> str:
     return word.translate(_SORT)
 
 
-def fwd(slot: int) -> str:
-    return FWD[slot]
-
-
-def bwd(slot: int) -> str:
-    return BWD[slot]
-
-
 def slot(ch: str) -> int:
     """Slot index of an oriented letter."""
     return _SLOT[ch]
@@ -48,10 +40,6 @@ def slot(ch: str) -> int:
 
 def is_fwd(ch: str) -> bool:
     return ch in _SLOT and FWD[_SLOT[ch]] == ch
-
-
-def inv_char(ch: str) -> str:
-    return _INV[ch]
 
 
 def invert(word: str) -> str:
@@ -148,14 +136,6 @@ def path_contains(path: str, segment: str) -> bool:
 def count_crossings(path: str, sl: int) -> int:
     """Number of times ``path`` crosses slot ``sl`` in either direction."""
     return path.count(FWD[sl]) + path.count(BWD[sl])
-
-
-def letters_used(words) -> set[int]:
-    used: set[int] = set()
-    for w in words:
-        for ch in w:
-            used.add(_SLOT[ch])
-    return used
 
 
 def parse_word(tokens, names: dict[str, int]) -> str:

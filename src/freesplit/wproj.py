@@ -14,7 +14,7 @@ theoretical one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .automorphisms import (BasisMap, apply_map, compose_maps, identity_map,
                             invert_map, outer_equal)
@@ -71,18 +71,18 @@ class WContext:
 
 def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
                   cfg: Config = DEFAULT,
-                  params: AttractionParams | None = None) -> WContext:
-    """Assemble the projection context for a map with a filling lamination."""
+                  params: AttractionParams | None = None,
+                  lam_plus: LaminationApprox | None = None) -> WContext:
+    """Assemble the projection context for a map with a filling lamination.
+
+    ``lam_plus`` is a filling lamination of ``f`` the caller has already
+    certified; without it the first filling one is searched for.
+    """
     params = params or AttractionParams(
         seg_len=cfg.seg_len, horizon_fwd=cfg.horizon_fwd,
         horizon_bwd=cfg.horizon_bwd, stability=cfg.stability)
-    filt = strata(f, cfg)
-    lam_plus = None
-    for idx in filt.eg_strata():
-        lam = lamination_approx(mg, f, idx, cfg, filt)
-        if lamination_fills(lam, cfg).kind == FILLS:
-            lam_plus = lam
-            break
+    if lam_plus is None:
+        lam_plus = _filling_lamination(mg, f, cfg)
     if lam_plus is None:
         raise InvalidInput("no certified filling lamination for this map")
 
@@ -97,13 +97,7 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
     if verdict != "Equal":
         raise InvalidInput("supplied inverse does not invert the map")
 
-    filt_inv = strata(f_inv, cfg)
-    lam_minus = None
-    for idx in filt_inv.eg_strata():
-        lam = lamination_approx(mg, f_inv, idx, cfg, filt_inv)
-        if lamination_fills(lam, cfg).kind == FILLS:
-            lam_minus = lam
-            break
+    lam_minus = _filling_lamination(mg, f_inv, cfg)
     if lam_minus is None:
         raise InvalidInput("no certified filling lamination for the inverse")
 
@@ -115,6 +109,17 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
             raise InvalidInput("defining segment lost in transport")
     return WContext(mg, f, f_inv, fwd, bwd, lam_plus, lam_minus,
                     seg_plus, seg_minus, params, cfg.cand_len, cfg)
+
+
+def _filling_lamination(mg: MarkedGraph, f: GraphMap,
+                        cfg: Config) -> LaminationApprox | None:
+    """Lamination of the first EG stratum of f that certifiably fills."""
+    filt = strata(f, cfg)
+    for idx in filt.eg_strata():
+        lam = lamination_approx(mg, f, idx, cfg, filt)
+        if lamination_fills(lam, cfg).kind == FILLS:
+            return lam
+    return None
 
 
 def _rose_segment(mg: MarkedGraph, lam: LaminationApprox, seg_len: int) -> str:
@@ -378,9 +383,7 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
     exact integer law; raw re-enumeration at spot translations cross-checks
     the sample minimum within the empirical constant.
     """
-    import dataclasses
-
-    ctx = dataclasses.replace(ctx, forward_checks=False)
+    ctx = replace(ctx, forward_checks=False)
     base = candidate_classes(s.elliptic, ctx.cand_len, ctx.cfg.cand_cap)
     if not base:
         raise NotApplicable("no candidates for the elliptic system")
@@ -428,10 +431,8 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
 
 def lipschitz_check(ctx: WContext, splitting_pairs) -> dict:
     """|W(S1) - W(S2)| against 8 * M-hat over verified adjacent pairs."""
-    import dataclasses
-
     m_hat = ctx.require_m()
-    ctx = dataclasses.replace(ctx, forward_checks=False)
+    ctx = replace(ctx, forward_checks=False)
     rows = []
     violations = 0
     max_ratio = 0.0
@@ -472,10 +473,8 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
     automorphism should move with exact unit slope.  Candidates whose
     transports outgrow the caps are dropped (recorded).
     """
-    import dataclasses
-
     m_hat = ctx.require_m()
-    ctx = dataclasses.replace(
+    ctx = replace(
         ctx, cfg=ctx.cfg.with_overrides(iterate_cap=orbit_cap),
         forward_checks=False)
     base = candidate_classes(t.elliptic, ctx.cand_len, ctx.cfg.cand_cap)

@@ -5,11 +5,14 @@ import sys
 
 import pytest
 
+from freesplit import cli
+from freesplit.automorphisms import invert_map
 from freesplit.classify import (bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
-from freesplit.graphs import identity_graph_map, marked_rose, rose_map
+from freesplit.graphs import (identity_graph_map, marked_rose,
+                              realize_rose_endo, rose_map)
 
 
 class TestRank2Classify:
@@ -101,6 +104,33 @@ class TestClassify:
                                {"f": spec.maps["theta"]}, None)
         c = classify(gen_spec)
         assert c.verdict == "PeriodicVertex"
+
+
+class TestLoxodromicBranch:
+    # loxodromic rank-2 maps whose sample groups give no two defined phases
+    @pytest.mark.parametrize("bm", [("b", "Abb"), ("B", "abb"), ("Baa", "a")])
+    def test_estimate_m_failure_is_unknown(self, bm):
+        mg = marked_rose(2)
+        spec = ExampleSpec("tail", mg, {"f": realize_rose_endo(mg, bm)}, None)
+        c = classify(spec)
+        assert c.verdict == "Unknown"
+        assert c.stage == "estimate_M"
+
+    def test_power_with_supplied_inverse(self):
+        spec = fixture("rank2_tr3")
+        f_inv = realize_rose_endo(
+            spec.mg, invert_map(spec.mg.induced_rose_map(spec.f)))
+        with_inv = ExampleSpec(spec.name, spec.mg,
+                               {**spec.maps, "f_inv": f_inv}, spec.expected)
+        c = classify(with_inv, power=2)
+        assert c.verdict == "Loxodromic"
+        assert c.power == 2
+
+    def test_certificate_not_serialized(self):
+        c = classify(fixture("rank2_tr3"))
+        assert c.verdict == "Loxodromic"
+        assert c._certificate.ctx.m_hat == c.witness["m_hat"]
+        assert "_certificate" not in json.dumps(c.to_json())
 
 
 class TestFixtureCatalog:
@@ -206,6 +236,13 @@ class TestCLI:
         assert res.returncode == 0
         with open(os.path.join(GOLDEN, "rank2_tr3_classify.json")) as fh:
             assert json.loads(res.stdout) == json.load(fh)
+
+    def test_report_command(self, capsys):
+        assert cli.main(["report", "--fixture", "rank2_tr3", "--json"]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        witness = results["classification"]["witness"]
+        assert results["m_hat"] == witness["m_hat"]
+        assert results["displacement"]["table"] == witness["table"]
 
     def test_golden_fixture_list(self):
         res = run_cli("fixtures", "--json")

@@ -39,6 +39,13 @@ class TestBuildContext:
         ctx2 = build_context(mg, f, f_inv)
         assert ctx2.seg_plus and ctx2.seg_minus
 
+    def test_certified_lamination_reused(self, filling_spec, filling_ctx):
+        ctx = build_context(filling_spec.mg, filling_spec.f,
+                            lam_plus=filling_ctx.lam_plus)
+        assert ctx.lam_plus is filling_ctx.lam_plus
+        assert (ctx.seg_plus, ctx.seg_minus) == \
+            (filling_ctx.seg_plus, filling_ctx.seg_minus)
+
     def test_bad_inverse_rejected(self, filling_spec):
         mg, f = filling_spec.mg, filling_spec.f
         with pytest.raises(InvalidInput):
