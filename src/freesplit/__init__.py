@@ -28,10 +28,9 @@ from .factors import (CoreGraph, FreeFactorSystem, carries, co_edge_number,
                       fold, meet, whole_group)
 from .whitehead import (FillsVerdict, fills, free_factor_support,
                         whitehead_minimize)
-from .laminations import (AttractionParams, LaminationApprox, leaf_segment,
-                          lamination_approx, lamination_fills,
-                          laminations_jointly_fill, pf_estimate,
-                          weakly_attracted)
+from .laminations import (LaminationApprox, leaf_segment, lamination_approx,
+                          lamination_fills, laminations_jointly_fill,
+                          pf_estimate, weakly_attracted)
 from .pairs import (MarkedGraphPair, OneEdgeSplitting, adjacent,
                     elliptic_system, equivalent_one_edge, faces,
                     fs_distance_upper, one_edge_splitting,

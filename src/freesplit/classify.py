@@ -28,6 +28,9 @@ from .wproj import (WContext, build_context, default_m_samples,
                     displacement_table, estimate_M)
 from .words import FWD, canonical_cyclic, invert, is_fwd, slot
 
+DISPLACEMENT_RADIUS = 4  # translations tabulated on each side of W
+CHAIN_K = 1  # power of the map in the BoundedOrbits chain witness
+
 
 @dataclass(frozen=True)
 class LoxodromicCertificate:
@@ -144,22 +147,15 @@ def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
     """
     induced = mg.induced_rose_map(f)
     verdict, _ = outer_equal(induced, identity_map(mg.rank), cfg.outer_budget)
-    candidates = _coordinate_pairs(mg)
-    if verdict == "Equal":
-        identity = identity_graph_map(mg.graph)
-        for pair in candidates:
-            target = remark_pair(pair, f)
-            rel = pair_relation_check(identity, pair, target,
-                                      cfg.outer_budget)
-            if rel.holds:
-                return splitting_of_pair(pair), rel
-        raise NotApplicable("inner map but no coordinate pair verified")
-    for pair in candidates:
+    inner = verdict == "Equal"
+    relation = identity_graph_map(mg.graph) if inner else f
+    for pair in _coordinate_pairs(mg):
         target = remark_pair(pair, f)
-        rel = pair_relation_check(f, pair, target, cfg.outer_budget)
+        rel = pair_relation_check(relation, pair, target, cfg.outer_budget)
         if rel.holds:
             return splitting_of_pair(pair), rel
-    raise NotApplicable("no invariant one-edge splitting was exhibited")
+    raise NotApplicable("inner map but no coordinate pair verified" if inner
+                        else "no invariant one-edge splitting was exhibited")
 
 
 def _coordinate_pairs(mg: MarkedGraph) -> list[MarkedGraphPair]:
@@ -279,8 +275,8 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
         arrows=arrows, k=k)
 
 
-def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
-             radius: int = 4, chain_k: int = 1) -> Classification:
+def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
+             power: int | None = None) -> Classification:
     """Run the full pipeline on a loaded example."""
     if spec.stub:
         raise InvalidInput("stub fixtures cannot be classified")
@@ -322,8 +318,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
         f_inv = spec.maps.get("f_inv")
         if f_inv is not None and p > 1:
             f_inv = _power_map(f_inv, p)
-        return _loxodromic_witness(mg, fp, f_inv, filling, cfg, radius, p,
-                                   notes)
+        return _loxodromic_witness(mg, fp, f_inv, filling, cfg, p, notes)
 
     if any(v.kind == UNKNOWN for v in verdicts):
         return Classification("Unknown", stage="lamination_fills",
@@ -343,7 +338,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
         witness: dict = {"kind": "by-theorem"}
         kind = "by-theorem"
         if spec.decomposition:
-            chain = bounded_path_witness(spec, chain_k, cfg)
+            chain = bounded_path_witness(spec, CHAIN_K, cfg)
             witness = chain.to_json()
             kind = "length-4-chain"
         return Classification("BoundedOrbits", kind, witness, power=p,
@@ -362,8 +357,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT, power: int | None = None,
 
 def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap,
                         f_inv: GraphMap | None, lam: LaminationApprox,
-                        cfg: Config, radius: int, p: int,
-                        notes: dict) -> Classification:
+                        cfg: Config, p: int, notes: dict) -> Classification:
     try:
         ctx = build_context(mg, fp, f_inv, cfg, lam_plus=lam)
     except InvalidInput as exc:
@@ -380,7 +374,7 @@ def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap,
                               notes=notes)
     for s in splittings:
         try:
-            table = displacement_table(ctx, s, radius)
+            table = displacement_table(ctx, s, DISPLACEMENT_RADIUS)
         except NotApplicable:
             continue
         if table["slope_exact"] and table["raw_within_m_hat"]:

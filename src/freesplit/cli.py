@@ -40,9 +40,9 @@ def _common(p: argparse.ArgumentParser):
 def _load_cfg(args):
     cfg = load_config(args.config) if args.config else load_config()
     over = {}
-    if args.seg_len:
+    if args.seg_len is not None:
         over["seg_len"] = args.seg_len
-    if args.horizon:
+    if args.horizon is not None:
         over["horizon_fwd"] = args.horizon
         over["horizon_bwd"] = args.horizon
     if args.budget:

@@ -2,7 +2,9 @@
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints/floats; no randomness anywhere.
+plain ints/floats; no randomness anywhere.  A segment length below 1, or
+horizons shorter than the stability margin, raise InvalidInput on
+construction.
 """
 
 from __future__ import annotations
@@ -39,11 +41,15 @@ class Config:
     # conjugacy/outer-equality search
     outer_budget: int = 4000
     # blow-up searches in the splitting complex
-    blowup_word_cap: int = 32
     bfs_depth_cap: int = 6
     # classifier
     power_cap: int = 12
-    fills_depth_cap: int = 6
+
+    def __post_init__(self):
+        if self.seg_len < 1:
+            raise InvalidInput("defining segment length must be >= 1")
+        if not (min(self.horizon_fwd, self.horizon_bwd) >= self.stability >= 1):
+            raise InvalidInput("horizons >= stability >= 1 required")
 
     def with_overrides(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

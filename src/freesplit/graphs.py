@@ -478,16 +478,16 @@ def map_circuit(f: GraphMap, circuit: str) -> str:
     return words.canonical_cyclic("".join(img[ch] for ch in circuit))
 
 
-def iterate(f: GraphMap, path: str, k: int, cap: int = DEFAULT.iterate_cap,
-            cyclic: bool = False) -> str:
+def iterate(f: GraphMap, path: str, k: int,
+            cap: int = DEFAULT.iterate_cap) -> str:
     """k-fold tightened image, with a letter cap against exponential growth."""
     if k < 0:
         raise InvalidInput("nonnegative iteration count required")
     if not f.is_endo():
         raise InvalidInput("iteration requires an endomorphism")
-    cur = words.canonical_cyclic(path) if cyclic else reduce_word(path)
+    cur = reduce_word(path)
     for _ in range(k):
-        cur = map_circuit(f, cur) if cyclic else map_path(f, cur)
+        cur = map_path(f, cur)
         if len(cur) > cap:
             raise BudgetExhausted(f"iterate exceeded {cap} letters")
     return cur

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
@@ -21,22 +22,8 @@ from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, iterate,
                      pf_eigenvalue, strata, subgraph_factor_system,
                      transition_matrix)
 from .whitehead import PROPER, UNKNOWN, FillsVerdict, fills
-from .words import (FWD, canonical_cyclic, cyclic_contains, invert,
-                    path_contains)
-
-
-@dataclass(frozen=True)
-class AttractionParams:
-    seg_len: int = DEFAULT.seg_len
-    horizon_fwd: int = DEFAULT.horizon_fwd
-    horizon_bwd: int = DEFAULT.horizon_bwd
-    stability: int = DEFAULT.stability
-
-    def __post_init__(self):
-        if self.seg_len < 1:
-            raise InvalidInput("defining segment length must be >= 1")
-        if not (min(self.horizon_fwd, self.horizon_bwd) >= self.stability >= 1):
-            raise InvalidInput("horizons >= stability >= 1 required")
+from .words import (FWD, canonical_cyclic, count_crossings, cyclic_contains,
+                    invert, path_contains)
 
 
 @dataclass(frozen=True)
@@ -59,16 +46,19 @@ class LaminationApprox:
             return None
         return g[-1] / g[-2]
 
+    @cached_property
+    def closure_classes(self) -> tuple[str, ...]:
+        """Basis class of the closed-up segment at each depth 1..depth."""
+        return tuple(
+            canonical_cyclic(self.mg.path_to_rose(close_path(self.mg, seg)))
+            for seg in self.segments[1:])
+
 
 def leaf_segment(f: GraphMap, edge: str | int, k: int,
                  cfg: Config = DEFAULT) -> str:
     """Tightened k-fold image of a single edge."""
     s = edge if isinstance(edge, int) else f.source.slot_of[edge]
     return iterate(f, FWD[s], k, cap=cfg.iterate_cap)
-
-
-def _stratum_count(stratum, word: str) -> int:
-    return sum(word.count(FWD[s]) + word.count(invert(FWD[s])) for s in stratum)
 
 
 def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
@@ -86,14 +76,11 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
         if (len(segs[-1]) >= cfg.lam_len_target
                 and len(segs) >= 3):
             break
-        try:
-            nxt = map_path(f, segs[-1])
-        except Exception:
-            break
+        nxt = map_path(f, segs[-1])
         if len(nxt) > cfg.iterate_cap:
             break
         segs.append(nxt)
-        counts.append(_stratum_count(st.slots, nxt))
+        counts.append(sum(count_crossings(nxt, s) for s in st.slots))
     if len(segs) < 2:
         raise BudgetExhausted("could not grow any leaf segment within budget")
     return LaminationApprox(mg, f, stratum_index, st.slots, seed,
@@ -130,11 +117,34 @@ def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
 # Weak attraction
 
 
+def _window_start(member, limit: int, floor: int, s: int) -> int | None:
+    """Start of the first window [t, t+s] of members with t+s <= limit,
+    pushed down while membership holds but never below ``floor``.
+
+    ``member(t)`` is None when the iterate at t is past the length cap,
+    which raises BudgetExhausted.  None when no window opens by ``limit``.
+    """
+    def test(t: int) -> bool:
+        m = member(t)
+        if m is None:
+            raise BudgetExhausted("iterates exceeded the length cap")
+        return m
+
+    run = 0
+    for t in range(limit + 1):
+        run = run + 1 if test(t) else 0
+        if run > s:
+            start = t - s
+            while start > floor and test(start - 1):
+                start -= 1
+            return start
+    return None
+
+
 @dataclass(frozen=True)
 class AttractionVerdict:
     attracted: bool
     index: int | None = None
-    checked: int = 0
 
     @property
     def kind(self) -> str:
@@ -142,7 +152,6 @@ class AttractionVerdict:
 
 
 def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
-                     params: AttractionParams,
                      cfg: Config = DEFAULT) -> AttractionVerdict:
     """Scan forward iterates of a circuit for the defining segment.
 
@@ -150,36 +159,23 @@ def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
     the forward horizon; BudgetExhausted when the length cap strikes before
     the question is settled.
     """
-    seg = defining_segment(lam, params.seg_len)
-    cur = canonical_cyclic(circuit)
-    mem: list[bool] = []
-    for j in range(params.horizon_fwd + 1):
-        mem.append(cyclic_contains(cur, seg))
-        i = len(mem) - 1 - params.stability
-        if i >= 0 and all(mem[i:]):
-            return AttractionVerdict(True, i, checked=len(mem))
-        if j < params.horizon_fwd:
-            nxt = map_circuit(f, cur)
+    seg = defining_segment(lam, cfg.seg_len)
+    orbit = [canonical_cyclic(circuit)]
+
+    def member(j: int) -> bool | None:
+        while len(orbit) <= j:
+            nxt = map_circuit(f, orbit[-1])
             if len(nxt) > cfg.iterate_cap:
-                raise BudgetExhausted(
-                    "iterates exceeded the length cap before the horizon")
-            cur = nxt
-    return AttractionVerdict(False, None, checked=len(mem))
+                return None
+            orbit.append(nxt)
+        return cyclic_contains(orbit[j], seg)
+
+    i = _window_start(member, cfg.horizon_fwd, 0, cfg.stability)
+    return AttractionVerdict(i is not None, i)
 
 
 # ---------------------------------------------------------------------------
 # Filling certificates
-
-
-def _segment_classes(lam: LaminationApprox, depth: int) -> list[str]:
-    """Closures of the leaf segments at depths 1..depth, as basis classes."""
-    out = []
-    for k in range(1, depth + 1):
-        loop = close_path(lam.mg, lam.segments[k])
-        cls = canonical_cyclic(lam.mg.path_to_rose(loop))
-        if cls:
-            out.append(cls)
-    return sorted(set(out))
 
 
 def _verdict_key(v: FillsVerdict):
@@ -212,23 +208,24 @@ def lamination_fills(lam: LaminationApprox, cfg: Config = DEFAULT) -> FillsVerdi
     """
     if lam.depth < 2:
         return FillsVerdict(UNKNOWN, reason="needs at least two depths")
-    hull = minimal_invariant_superset(lam.f, lam.stratum)
-    if len(hull) < lam.mg.graph.n_edges:
-        witness = subgraph_factor_system(lam.mg, hull)
-        if witness.components and witness.is_proper:
-            classes = _segment_classes(lam, lam.depth)
-            if all(carries(witness, c) for c in classes):
-                return FillsVerdict(PROPER, witness=witness,
-                                    reason="proper invariant subgraph")
-    per_depth = [_segment_classes(lam, k) for k in range(1, lam.depth + 1)]
-    return _stabilized_fills(per_depth, lam.mg.rank, cfg)
+    return laminations_jointly_fill([lam], cfg)
+
+
+def _classes_to_depth(lams, depth: int) -> list[str]:
+    """Sorted union of the nonempty closure classes at depths 1..depth."""
+    return sorted({c for lam in lams for c in lam.closure_classes[:depth] if c})
 
 
 def laminations_jointly_fill(lams, cfg: Config = DEFAULT) -> FillsVerdict:
-    """fills() on the union of all laminations' accumulated closures."""
+    """fills() on the union of all laminations' accumulated closures.
+
+    The negative certificate and the stabilized support are those of
+    :func:`lamination_fills`, taken over every lamination at once.
+    """
     if not lams:
         raise InvalidInput("nonempty list of laminations required")
     mg = lams[0].mg
+    max_depth = max(lam.depth for lam in lams)
     hull: set[int] = set()
     for lam in lams:
         if lam.mg is not mg:
@@ -237,17 +234,11 @@ def laminations_jointly_fill(lams, cfg: Config = DEFAULT) -> FillsVerdict:
     if len(hull) < mg.graph.n_edges:
         witness = subgraph_factor_system(mg, frozenset(hull))
         if witness.components and witness.is_proper:
-            classes = sorted({c for lam in lams
-                              for c in _segment_classes(lam, lam.depth)})
-            if all(carries(witness, c) for c in classes):
+            if all(carries(witness, c)
+                   for c in _classes_to_depth(lams, max_depth)):
                 return FillsVerdict(PROPER, witness=witness,
                                     reason="proper invariant subgraph")
-    max_depth = max(lam.depth for lam in lams)
-    lists = []
-    for k in range(1, max_depth + 1):
-        step = sorted({c for lam in lams
-                       for c in _segment_classes(lam, min(k, lam.depth))})
-        lists.append(step)
+    lists = [_classes_to_depth(lams, k) for k in range(1, max_depth + 1)]
     return _stabilized_fills(lists, mg.rank, cfg)
 
 
@@ -261,10 +252,11 @@ def pf_estimate(g: GraphMap, lam: LaminationApprox,
     if g.source is not lam.f.source or not g.is_endo():
         raise InvalidInput("map must be an endomorphism of the lamination graph")
     seg = lam.segments[depth if depth is not None else lam.depth]
-    before = _stratum_count(lam.stratum, seg)
+    before = sum(count_crossings(seg, s) for s in lam.stratum)
     if before == 0:
         raise InvalidInput("segment does not cross the stratum")
-    after = _stratum_count(lam.stratum, map_path(g, seg))
+    image = map_path(g, seg)
+    after = sum(count_crossings(image, s) for s in lam.stratum)
     if after == 0:
         raise InvalidInput("image does not cross the stratum")
     return math.log(after / before)

@@ -14,6 +14,7 @@ theoretical one.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 
 from .automorphisms import (BasisMap, apply_map, compose_maps, identity_map,
@@ -23,9 +24,8 @@ from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .factors import (FreeFactorSystem, apply_basis_map_to_ffs,
                       enumerate_classes)
 from .graphs import GraphMap, MarkedGraph, realize_rose_endo, strata
-from .laminations import (AttractionParams, LaminationApprox,
-                          defining_segment, lamination_approx,
-                          lamination_fills)
+from .laminations import (LaminationApprox, _window_start, defining_segment,
+                          lamination_approx, lamination_fills)
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
 from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce,
@@ -52,7 +52,6 @@ class WContext:
     lam_minus: LaminationApprox
     seg_plus: str  # defining segment of the attracting side, basis letters
     seg_minus: str
-    params: AttractionParams
     cand_len: int
     cfg: Config
     m_hat: int | None = None
@@ -71,16 +70,12 @@ class WContext:
 
 def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
                   cfg: Config = DEFAULT,
-                  params: AttractionParams | None = None,
                   lam_plus: LaminationApprox | None = None) -> WContext:
     """Assemble the projection context for a map with a filling lamination.
 
     ``lam_plus`` is a filling lamination of ``f`` the caller has already
     certified; without it the first filling one is searched for.
     """
-    params = params or AttractionParams(
-        seg_len=cfg.seg_len, horizon_fwd=cfg.horizon_fwd,
-        horizon_bwd=cfg.horizon_bwd, stability=cfg.stability)
     if lam_plus is None:
         lam_plus = _filling_lamination(mg, f, cfg)
     if lam_plus is None:
@@ -101,14 +96,14 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
     if lam_minus is None:
         raise InvalidInput("no certified filling lamination for the inverse")
 
-    seg_plus = _rose_segment(mg, lam_plus, params.seg_len)
-    seg_minus = _rose_segment(mg, lam_minus, params.seg_len)
+    seg_plus = _rose_segment(mg, lam_plus, cfg.seg_len)
+    seg_minus = _rose_segment(mg, lam_minus, cfg.seg_len)
     for seg, lam in ((seg_plus, lam_plus), (seg_minus, lam_minus)):
         deep = mg.path_to_rose(lam.deepest())
         if not path_contains(deep, seg):
             raise InvalidInput("defining segment lost in transport")
     return WContext(mg, f, f_inv, fwd, bwd, lam_plus, lam_minus,
-                    seg_plus, seg_minus, params, cfg.cand_len, cfg)
+                    seg_plus, seg_minus, cfg.cand_len, cfg)
 
 
 def _filling_lamination(mg: MarkedGraph, f: GraphMap,
@@ -151,8 +146,6 @@ class WResult:
     value: int | None = None
     fwd_entry: int | None = None
     forward_ok: bool | None = None
-    horizon_bwd_reached: int = 0
-    horizon_fwd_reached: int = 0
 
     @property
     def defined(self) -> bool:
@@ -193,74 +186,40 @@ def w_of(ctx: WContext, cyclic: str) -> WResult:
 
     NotDefined (the nonattraction proxy) when the full backward horizon is
     scanned without such a window; BudgetExhausted when the length cap cut
-    a scan short instead.
+    a scan short, or the window reaches back past the forward horizon.
+    The forward entry is the same scan along forward iterates inside the
+    attracting neighborhood, None when it is cut short the same way.
     """
     c = cyclic_reduce(cyclic)
-    p = ctx.params
-    back = _LazyOrbit(c, ctx.bwd, p.horizon_bwd, ctx.cfg.iterate_cap)
-    fore = _LazyOrbit(c, ctx.fwd, p.horizon_fwd, ctx.cfg.iterate_cap)
+    cfg = ctx.cfg
+    back = _LazyOrbit(c, ctx.bwd, cfg.horizon_bwd, cfg.iterate_cap)
+    fore = _LazyOrbit(c, ctx.fwd, cfg.horizon_fwd, cfg.iterate_cap)
 
-    def word_at(t: int) -> str | None:
-        return back.get(t) if t >= 0 else fore.get(-t)
+    def inside(t: int, side: str) -> bool | None:
+        """Membership of the class at backward time t (forward time -t)."""
+        word = back.get(t) if t >= 0 else fore.get(-t)
+        return None if word is None else in_U(ctx, word, side)
 
-    mems: list[bool] = []
-    for t in range(p.horizon_bwd + 1):
-        word = word_at(t)
-        if word is None:
-            return WResult(BUDGET, horizon_bwd_reached=t - 1)
-        mems.append(in_U(ctx, word, "-"))
-        start = t - p.stability
-        if start < 0 or not all(mems[start:]):
-            continue
-        # a window holds; push its start as low as the memberships stay true
-        t2 = start - 1
-        while True:
-            if t2 < -p.horizon_fwd:
-                return WResult(BUDGET, horizon_bwd_reached=t)
-            w2 = word_at(t2)
-            if w2 is None:
-                return WResult(BUDGET, horizon_bwd_reached=t)
-            if not in_U(ctx, w2, "-"):
-                w = t2 + 1
-                break
-            t2 -= 1
-        entry = _forward_entry(ctx, word_at) if ctx.forward_checks else None
-        ok = None
-        if entry is not None and ctx.m_hat is not None:
-            ok = entry <= -w + ctx.m_hat
-        return WResult(DEFINED, w, entry, ok, t, len(fore.words) - 1)
-    return WResult(NOT_DEFINED, horizon_bwd_reached=p.horizon_bwd,
-                   horizon_fwd_reached=len(fore.words) - 1)
-
-
-def _forward_entry(ctx: WContext, word_at) -> int | None:
-    """Smallest entry index with a stability window inside the attracting
-    neighborhood along forward iterates; None when not found in budget.
-
-    ``word_at(t)`` returns the class at backward time t, so the class at
-    forward time i is ``word_at(-i)``.
-    """
-    p = ctx.params
-    mems: list[bool] = []
-    for i in range(p.horizon_fwd + 1):
-        word = word_at(-i)
-        if word is None:
-            return None
-        mems.append(in_U(ctx, word, "+"))
-        start = i - p.stability
-        if start < 0 or not all(mems[start:]):
-            continue
-        i2 = start - 1
-        while True:
-            if i2 < -p.horizon_bwd:
-                return None
-            w2 = word_at(-i2)
-            if w2 is None:
-                return None
-            if not in_U(ctx, w2, "+"):
-                return i2 + 1
-            i2 -= 1
-    return None
+    try:
+        w = _window_start(lambda t: inside(t, "-"), cfg.horizon_bwd,
+                          -cfg.horizon_fwd, cfg.stability)
+    except BudgetExhausted:
+        return WResult(BUDGET)
+    if w is None:
+        return WResult(NOT_DEFINED)
+    if w == -cfg.horizon_fwd:
+        return WResult(BUDGET)
+    entry = None
+    if ctx.forward_checks:
+        with suppress(BudgetExhausted):
+            entry = _window_start(lambda i: inside(-i, "+"), cfg.horizon_fwd,
+                                  -cfg.horizon_bwd, cfg.stability)
+        if entry == -cfg.horizon_bwd:
+            entry = None
+    ok = None
+    if entry is not None and ctx.m_hat is not None:
+        ok = entry <= -w + ctx.m_hat
+    return WResult(DEFINED, w, entry, ok)
 
 
 def translate_class(ctx: WContext, cyclic: str, m: int) -> str:

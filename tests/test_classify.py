@@ -195,6 +195,13 @@ class TestCLI:
         res = run_cli("classify", "--fixture", "nope")
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("flag", [("--horizon", "2"), ("--horizon", "0"),
+                                      ("--seg-len", "0")])
+    def test_invalid_neighbourhood_exit_code(self, flag, capsys):
+        argv = ["classify", "--fixture", "filling_reducible", *flag]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_distance_command(self):
         res = run_cli("distance", "--fixture", "bdd_no_periodic", "--k", "1",
                       "--json")

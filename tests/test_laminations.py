@@ -5,10 +5,9 @@ import pytest
 from freesplit.config import Config
 from freesplit.errors import InvalidInput
 from freesplit.graphs import compose, identity_graph_map, strata
-from freesplit.laminations import (AttractionParams, growth_certified,
-                                   lamination_approx, lamination_fills,
-                                   laminations_jointly_fill, leaf_segment,
-                                   pf_estimate, weakly_attracted)
+from freesplit.laminations import (growth_certified, lamination_approx,
+                                   lamination_fills, laminations_jointly_fill,
+                                   leaf_segment, pf_estimate, weakly_attracted)
 from freesplit.whitehead import FILLS, PROPER, UNKNOWN
 
 
@@ -79,14 +78,14 @@ class TestWeakAttraction:
     def test_growing_class_attracted(self, lam, filling_spec):
         g = filling_spec.mg.graph
         res = weakly_attracted(filling_spec.f, g.parse_path("A"), lam,
-                               AttractionParams())
+                               Config())
         assert res.attracted
 
     def test_fixed_class_not_attracted(self, lam, filling_spec):
         g = filling_spec.mg.graph
         res = weakly_attracted(filling_spec.f,
                                g.parse_path(filling_spec.params["sigma"]),
-                               lam, AttractionParams())
+                               lam, Config())
         assert not res.attracted
         assert res.kind == "NotWithinHorizon"
 
@@ -94,13 +93,13 @@ class TestWeakAttraction:
         from freesplit.graphs import close_path
 
         loop = close_path(filling_spec.mg, lam.deepest())
-        res = weakly_attracted(filling_spec.f, loop, lam, AttractionParams())
+        res = weakly_attracted(filling_spec.f, loop, lam, Config())
         assert res.attracted and res.index == 0
 
     def test_monotone_in_horizon(self, lam, filling_spec):
         g = filling_spec.mg.graph
-        small = AttractionParams(horizon_fwd=10, horizon_bwd=10)
-        big = AttractionParams(horizon_fwd=20, horizon_bwd=20)
+        small = Config(horizon_fwd=10, horizon_bwd=10)
+        big = Config(horizon_fwd=20, horizon_bwd=20)
         r1 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, small)
         r2 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, big)
         assert r1.attracted and r2.attracted and r1.index == r2.index

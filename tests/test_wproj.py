@@ -19,8 +19,8 @@ def rose_class(spec, tokens):
 
 class TestBuildContext:
     def test_filling_fixture(self, filling_ctx):
-        assert len(filling_ctx.seg_plus) == filling_ctx.params.seg_len
-        assert len(filling_ctx.seg_minus) == filling_ctx.params.seg_len
+        assert len(filling_ctx.seg_plus) == filling_ctx.cfg.seg_len
+        assert len(filling_ctx.seg_minus) == filling_ctx.cfg.seg_len
         assert filling_ctx.seg_plus != filling_ctx.seg_minus
 
     def test_no_eg_stratum_rejected(self):
@@ -91,15 +91,13 @@ class TestWOf:
     def test_stable_under_horizon_doubling(self, filling_ctx, filling_spec):
         import dataclasses
 
-        from freesplit.laminations import AttractionParams
-
         c = rose_class(filling_spec, "A")
         v1 = w_of(filling_ctx, c).value
-        p = filling_ctx.params
+        p = filling_ctx.cfg
         doubled = dataclasses.replace(
             filling_ctx,
-            params=AttractionParams(p.seg_len, p.horizon_fwd * 2,
-                                    p.horizon_bwd * 2, p.stability))
+            cfg=p.with_overrides(horizon_fwd=p.horizon_fwd * 2,
+                                 horizon_bwd=p.horizon_bwd * 2))
         assert w_of(doubled, c).value == v1
 
 
