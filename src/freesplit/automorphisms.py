@@ -10,7 +10,8 @@ procedure for equality in the outer automorphism group.
 from __future__ import annotations
 
 from .errors import BudgetExhausted, InvalidInput
-from .words import FWD, BWD, invert, is_fwd, reduce_word, slot
+from .words import (FWD, BWD, image_table, invert, is_fwd, reduce_images,
+                    reduce_word, slot)
 
 BasisMap = tuple[str, ...]
 
@@ -20,16 +21,13 @@ def identity_map(rank: int) -> BasisMap:
 
 
 def _image_table(bm: BasisMap) -> dict[str, str]:
-    table = {}
-    for i, w in enumerate(bm):
-        table[FWD[i]] = w
-        table[BWD[i]] = invert(w)
-    return table
+    # The images are reduced once here, as reduce_images requires.
+    return image_table([reduce_word(w) for w in bm])
 
 
 def apply_map(bm: BasisMap, word: str) -> str:
-    table = _image_table(bm)
-    return reduce_word("".join(table[ch] for ch in word))
+    """Reduced image of ``word``."""
+    return reduce_images(_image_table(bm), word)
 
 
 def compose_maps(f: BasisMap, g: BasisMap) -> BasisMap:
@@ -37,7 +35,7 @@ def compose_maps(f: BasisMap, g: BasisMap) -> BasisMap:
     if len(f) != len(g):
         raise InvalidInput("rank mismatch in composition")
     table = _image_table(f)
-    return tuple(reduce_word("".join(table[ch] for ch in w)) for w in g)
+    return tuple(reduce_images(table, w) for w in g)
 
 
 def abelianization(bm: BasisMap) -> tuple[tuple[int, ...], ...]:

@@ -66,7 +66,11 @@ class Classification:
 
 
 def rank2_classify(matrix) -> str:
-    """Trace test for rank two: loxodromic iff |trace| exceeds 2."""
+    """Trace test for rank two on the abelianization in GL2(Z).
+
+    Loxodromic iff the matrix is hyperbolic: |trace| > 2 for determinant
+    +1, trace != 0 for determinant -1.
+    """
     if (len(matrix) != 2 or any(len(r) != 2 for r in matrix)
             or any(not isinstance(v, int) for r in matrix for v in r)):
         raise InvalidInput("a 2x2 integer matrix is required")
@@ -74,7 +78,8 @@ def rank2_classify(matrix) -> str:
     if det not in (1, -1):
         raise InvalidInput("determinant must be +1 or -1")
     trace = matrix[0][0] + matrix[1][1]
-    return "Loxodromic" if abs(trace) > 2 else "NotLoxodromic"
+    hyperbolic = abs(trace) > 2 if det == 1 else trace != 0
+    return "Loxodromic" if hyperbolic else "NotLoxodromic"
 
 
 def _power_map(f: GraphMap, p: int) -> GraphMap:

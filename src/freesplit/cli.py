@@ -45,7 +45,7 @@ def _load_cfg(args):
     if args.horizon is not None:
         over["horizon_fwd"] = args.horizon
         over["horizon_bwd"] = args.horizon
-    if args.budget:
+    if args.budget is not None:
         over["outer_budget"] = args.budget
     return cfg.with_overrides(**over) if over else cfg
 

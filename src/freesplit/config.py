@@ -2,9 +2,9 @@
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints/floats; no randomness anywhere.  A segment length below 1, or
-horizons shorter than the stability margin, raise InvalidInput on
-construction.
+plain ints/floats; no randomness anywhere.  A segment length or outer
+budget below 1, or horizons shorter than the stability margin, raise
+InvalidInput on construction.
 """
 
 from __future__ import annotations
@@ -50,6 +50,8 @@ class Config:
             raise InvalidInput("defining segment length must be >= 1")
         if not (min(self.horizon_fwd, self.horizon_bwd) >= self.stability >= 1):
             raise InvalidInput("horizons >= stability >= 1 required")
+        if self.outer_budget < 1:
+            raise InvalidInput("outer budget must be >= 1")
 
     def with_overrides(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

@@ -18,7 +18,8 @@ from .automorphisms import BasisMap, apply_map, identity_map, invert_map, outer_
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NumericalTolerance
 from .factors import FreeFactorSystem, _dedupe, fold
-from .words import BWD, FWD, invert, is_fwd, reduce_word, slot
+from .words import (BWD, FWD, image_table, invert, is_fwd, reduce_images,
+                    reduce_word, slot)
 
 
 class Graph:
@@ -207,7 +208,8 @@ class MarkedGraph:
             raise InvalidInput("marking rank does not match graph rank")
         self._budget = budget
         self._inv_factory = inv_factory
-        self._marking_inv = tuple(marking_inv) if marking_inv is not None else None
+        self._marking_inv = (tuple(reduce_word(w) for w in marking_inv)
+                             if marking_inv is not None else None)
 
     @property
     def marking_inv(self):
@@ -249,17 +251,10 @@ class MarkedGraph:
 
     def path_to_rose(self, path: str) -> str:
         """Abstract basis word of a path, via the stored marking inverse."""
-        return reduce_word("".join(
-            self.marking_inv[slot(ch)] if is_fwd(ch)
-            else invert(self.marking_inv[slot(ch)])
-            for ch in path
-        ))
+        return reduce_images(image_table(self.marking_inv), path)
 
     def rose_to_path(self, word: str) -> str:
-        return reduce_word("".join(
-            self.marking[slot(ch)] if is_fwd(ch) else invert(self.marking[slot(ch)])
-            for ch in word
-        ))
+        return reduce_images(image_table(self.marking), word)
 
     def circuit_to_rose_class(self, circuit: str) -> str:
         return words.canonical_cyclic(self.path_to_rose(circuit))
@@ -419,14 +414,7 @@ class GraphMap:
                 raise InvalidInput(
                     f"trivial image of edge {self.source.edge_names[s]} "
                     "needs equal vertex images")
-        object.__setattr__(self, "img", self._image_table())
-
-    def _image_table(self):
-        table = {}
-        for s, w in enumerate(self.edge_images):
-            table[FWD[s]] = w
-            table[BWD[s]] = invert(w)
-        return table
+        object.__setattr__(self, "img", image_table(self.edge_images))
 
     def is_endo(self) -> bool:
         return self.source is self.target
@@ -465,8 +453,7 @@ def tighten(graph: Graph, path: str) -> str:
 def map_path(f: GraphMap, path: str) -> str:
     """Tightened image of a path (the # operation)."""
     f.source.check_path(path)
-    img = f.img
-    return reduce_word("".join(img[ch] for ch in path))
+    return reduce_images(f.img, path)
 
 
 def map_circuit(f: GraphMap, circuit: str) -> str:
@@ -474,8 +461,7 @@ def map_circuit(f: GraphMap, circuit: str) -> str:
     if not f.source.is_closed(circuit):
         raise InvalidInput("not a closed path")
     f.source.check_path(circuit)
-    img = f.img
-    return words.canonical_cyclic("".join(img[ch] for ch in circuit))
+    return words.canonical_cyclic(reduce_images(f.img, circuit))
 
 
 def iterate(f: GraphMap, path: str, k: int,

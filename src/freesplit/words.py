@@ -61,18 +61,74 @@ def reduce_word(word: str) -> str:
     return "".join(out)
 
 
+def image_table(images) -> dict[str, str]:
+    """Letter-to-image table of a map given by the images of slots 0..n-1."""
+    table = {}
+    for i, w in enumerate(images):
+        table[FWD[i]] = w
+        table[BWD[i]] = invert(w)
+    return table
+
+
+def reduce_images(images: dict[str, str], word: str) -> str:
+    """Free reduction of the concatenated images of the letters of ``word``.
+
+    Equals ``reduce_word("".join(images[ch] for ch in word))`` whenever every
+    image is reduced; ``word`` itself need not be.  The reduced prefix is
+    kept as a stack of image pieces.  An image whose first letter does not
+    cancel the last letter of the stack is pushed whole; otherwise it
+    cancels from its front against the top piece, trimming or popping it,
+    and its uncancelled rest is pushed.  So the Python loop runs once per
+    letter of ``word`` and once per cancelled letter, not once per output
+    letter.
+    """
+    inv = _INV
+    # the last letter of the stack that the image of ch would cancel
+    stop = {ch: inv[img[0]] if img else None for ch, img in images.items()}
+    stack: list[str] = []
+    push = stack.append
+    last = ""
+    for ch in word:
+        img = images[ch]
+        if stop[ch] != last:
+            if img:
+                push(img)
+                last = img[-1]
+            continue
+        i, n = 0, len(img)
+        while stack and i < n:
+            top = stack[-1]
+            j = len(top)
+            while j and i < n and top[j - 1] == inv[img[i]]:
+                j -= 1
+                i += 1
+            if j:
+                if j < len(top):
+                    stack[-1] = top[:j]
+                break
+            stack.pop()
+        if i < n:
+            push(img[i:] if i else img)
+        last = stack[-1][-1] if stack else ""
+    return "".join(stack)
+
+
 def is_reduced(word: str) -> bool:
     return all(word[i + 1] != _INV[word[i]] for i in range(len(word) - 1))
 
 
-def cyclic_reduce(word: str) -> str:
-    """Cyclically reduced form: reduce, then strip cancelling end pairs."""
-    w = reduce_word(word)
+def strip_cyclic(w: str) -> str:
+    """Cyclically reduced form of a reduced word: strip cancelling end pairs."""
     i, j = 0, len(w)
     while j - i >= 2 and w[j - 1] == _INV[w[i]]:
         i += 1
         j -= 1
     return w[i:j]
+
+
+def cyclic_reduce(word: str) -> str:
+    """Cyclically reduced form: reduce, then strip cancelling end pairs."""
+    return strip_cyclic(reduce_word(word))
 
 
 def _least_rotation(s: str) -> int:

@@ -29,7 +29,7 @@ from .laminations import (LaminationApprox, _window_start, defining_segment,
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
 from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce,
-                    path_contains, sort_key)
+                    path_contains, sort_key, strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
 DEFINED = "Defined"
@@ -172,7 +172,7 @@ class _LazyOrbit:
         if t > self.horizon:
             return None
         while len(self.words) <= t and not self.dead:
-            nxt = cyclic_reduce(apply_map(self.bm, self.words[-1]))
+            nxt = strip_cyclic(apply_map(self.bm, self.words[-1]))
             if len(nxt) > self.cap:
                 self.dead = True
                 break
@@ -226,7 +226,7 @@ def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
     bm = ctx.fwd if m >= 0 else ctx.bwd
     cur = cyclic_reduce(cyclic)
     for _ in range(abs(m)):
-        cur = cyclic_reduce(apply_map(bm, cur))
+        cur = strip_cyclic(apply_map(bm, cur))
         if len(cur) > ctx.cfg.iterate_cap:
             raise BudgetExhausted("translated class exceeded the length cap")
     return canonical_cyclic(cur) if len(cur) < 10_000 else cur
@@ -452,7 +452,7 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
         for c, w in alive.items():
             moved = apply_map(psi, w)
             if len(moved) <= transport_cap:
-                nxt[c] = cyclic_reduce(moved)
+                nxt[c] = strip_cyclic(moved)
         alive = nxt
     phi_table = {}
     for k in range(phi_range + 1):

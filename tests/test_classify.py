@@ -25,6 +25,15 @@ class TestRank2Classify:
     def test_trace_zero(self):
         assert rank2_classify([[0, -1], [1, 0]]) == "NotLoxodromic"
 
+    @pytest.mark.parametrize("matrix, verdict", [
+        ([[1, 1], [1, 0]], "Loxodromic"),
+        ([[2, 1], [1, 0]], "Loxodromic"),
+        ([[0, 1], [1, 0]], "NotLoxodromic"),
+    ])
+    def test_determinant_minus_one(self, matrix, verdict):
+        # det -1 is hyperbolic exactly when the trace is nonzero
+        assert rank2_classify(matrix) == verdict
+
     def test_bad_determinant(self):
         with pytest.raises(InvalidInput):
             rank2_classify([[2, 0], [0, 1]])
@@ -199,6 +208,12 @@ class TestCLI:
                                       ("--seg-len", "0")])
     def test_invalid_neighbourhood_exit_code(self, flag, capsys):
         argv = ["classify", "--fixture", "filling_reducible", *flag]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("budget", ["0", "-5"])
+    def test_invalid_budget_exit_code(self, budget, capsys):
+        argv = ["classify", "--fixture", "rank2_tr3", "--budget", budget]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -42,6 +42,10 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             load_config(env={"FREESPLIT_SEG_LEN": "0"})
 
+    def test_invalid_outer_budget_rejected_on_load(self):
+        with pytest.raises(InvalidInput):
+            load_config(env={"FREESPLIT_OUTER_BUDGET": "0"})
+
     def test_with_overrides(self):
         cfg = Config().with_overrides(cand_len=6)
         assert cfg.cand_len == 6 and Config().cand_len != 6

@@ -3,8 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInput
 from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_contains,
-                             cyclic_reduce, invert, is_reduced, parse_word,
-                             print_word, reduce_word, sort_key)
+                             cyclic_reduce, image_table, invert, is_reduced,
+                             parse_word, print_word, reduce_images,
+                             reduce_word, sort_key)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -50,6 +51,28 @@ class TestReduce:
     def test_inverse_involution(self, w):
         assert invert(invert(w)) == w
         assert reduce_word(w + invert(w)) == ""
+
+
+@st.composite
+def table_and_word(draw):
+    """Reduced (possibly empty) images of a rank 1-3 basis, and a word."""
+    rank = draw(st.integers(1, 3))
+    images = [reduce_word(draw(words_strategy(rank, 6))) for _ in range(rank)]
+    return image_table(images), draw(words_strategy(rank, 12))
+
+
+class TestReduceImages:
+    def test_cancellation_spans_images(self):
+        t = image_table([x + y, Y + z])
+        assert reduce_images(t, x + y) == x + z
+        assert reduce_images(t, x + X) == ""
+
+    @settings(max_examples=150, deadline=None)
+    @given(table_and_word())
+    def test_matches_reduced_concatenation(self, tw):
+        table, w = tw
+        assert reduce_images(table, w) == \
+            reduce_word("".join(table[ch] for ch in w))
 
 
 class TestCanonicalCyclic:
