@@ -9,6 +9,8 @@ procedure for equality in the outer automorphism group.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .errors import BudgetExhausted, InvalidInput
 from .words import (FWD, BWD, image_table, invert, is_fwd, reduce_images,
                     reduce_word, slot)
@@ -20,21 +22,23 @@ def identity_map(rank: int) -> BasisMap:
     return tuple(FWD[i] for i in range(rank))
 
 
+@lru_cache(maxsize=64)
 def _image_table(bm: BasisMap) -> dict[str, str]:
-    # The images are reduced once here, as reduce_images requires.
+    # The images are reduced once per map, as reduce_images requires; an
+    # orbit applies one map many times.  Callers must not mutate the table.
     return image_table([reduce_word(w) for w in bm])
 
 
 def apply_map(bm: BasisMap, word: str) -> str:
     """Reduced image of ``word``."""
-    return reduce_images(_image_table(bm), word)
+    return reduce_images(_image_table(tuple(bm)), word)
 
 
 def compose_maps(f: BasisMap, g: BasisMap) -> BasisMap:
     """Composition f after g: x maps to f(g(x))."""
     if len(f) != len(g):
         raise InvalidInput("rank mismatch in composition")
-    table = _image_table(f)
+    table = _image_table(tuple(f))
     return tuple(reduce_images(table, w) for w in g)
 
 

@@ -5,6 +5,10 @@ letters of the ambient free group, immersing into the rose; it stands for
 the conjugacy class of the subgroup its loops generate.  Folding is
 Stallings' algorithm; carrying, meets (fiber products) and co-edge
 numbers are computed directly on the graphs.
+
+The two connectivity routines every graph of the package shares live here
+too: :func:`partition` (connected classes) and :func:`tree_loops` (BFS
+spanning-tree paths and the basis loops off the tree).
 """
 
 from __future__ import annotations
@@ -16,6 +20,60 @@ from .automorphisms import apply_map
 from .errors import InvalidInput
 from .words import (BWD, FWD, canonical_cyclic, invert, is_fwd, reduce_word,
                     slot)
+
+
+def partition(items, links) -> list[frozenset]:
+    """Classes of ``items`` under the equivalence generated by ``links``.
+
+    Each link is an iterable of items that belong to one class.  Classes
+    are sorted by their least member, so the result depends neither on the
+    order of the links nor on set order.
+    """
+    root = {x: x for x in items}
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for link in links:
+        first = None
+        for x in link:
+            r = find(x)
+            if first is None:
+                first = r
+            elif r != first:
+                root[r] = first
+    classes: dict = {}
+    for x in root:
+        classes.setdefault(find(x), set()).add(x)
+    return sorted(map(frozenset, classes.values()), key=min)
+
+
+def tree_loops(edges, root):
+    """BFS spanning tree of distinct labelled edges ``(slot, init, term)``.
+
+    Returns ``(paths, loops)``: ``paths`` maps each vertex reached from
+    ``root`` to its tree path; ``loops`` maps each reached edge off the
+    tree, in the order given, to the reduced loop at ``root`` through it.
+    Vertices are visited first in, first out, and each one scans the edges
+    in the order given, forward before backward.
+    """
+    paths = {root: ""}
+    queue = [root]
+    tree = set()
+    for v in queue:
+        for e in edges:
+            lab, a, b = e
+            for ch, x, y in ((FWD[lab], a, b), (BWD[lab], b, a)):
+                if x == v and y not in paths:
+                    paths[y] = paths[v] + ch
+                    tree.add(e)
+                    queue.append(y)
+    loops = {e: reduce_word(paths[e[1]] + FWD[e[0]] + invert(paths[e[2]]))
+             for e in edges if e not in tree and e[1] in paths}
+    return paths, loops
 
 
 class CoreGraph:
@@ -116,23 +174,7 @@ class CoreGraph:
     def basis_words(self, base: int = 0) -> list[str]:
         """Words (in ambient letters) of a free basis of the represented
         subgroup, read off a spanning tree at ``base``."""
-        tree = {base: ""}
-        queue = [base]
-        tree_edges = set()
-        while queue:
-            v = queue.pop(0)
-            for lab, a, b in self.edges:
-                for ch, x, y in ((FWD[lab], a, b), (BWD[lab], b, a)):
-                    if x == v and y not in tree:
-                        tree[y] = tree[v] + ch
-                        tree_edges.add((lab, a, b))
-                        queue.append(y)
-        out = []
-        for lab, a, b in self.edges:
-            if (lab, a, b) in tree_edges:
-                continue
-            out.append(reduce_word(tree[a] + FWD[lab] + invert(tree[b])))
-        return out
+        return list(tree_loops(self.edges, base)[1].values())
 
 
 def _fold(rank: int, raw_edges, base=None):
@@ -188,28 +230,30 @@ def _trim(edges, protect=None):
                  if a not in drop and b not in drop}
 
 
+def _wedge(gens) -> list[tuple[int, int, int]]:
+    """Edges of the wedge of loops at vertex 0 spelling the given words."""
+    raw = []
+    fresh = 1
+    for w in gens:
+        prev = 0
+        for i, ch in enumerate(w):
+            if i == len(w) - 1:
+                nxt = 0
+            else:
+                fresh += 1
+                nxt = fresh
+            raw.append((slot(ch), prev, nxt) if is_fwd(ch)
+                       else (slot(ch), nxt, prev))
+            prev = nxt
+    return raw
+
+
 def fold(rank: int, generators) -> CoreGraph:
     """Folded core of the subgroup generated by the given reduced words."""
     gens = [reduce_word(w) for w in generators]
     if any(not w for w in gens):
         raise InvalidInput("trivial generator")
-    raw = []
-    fresh = [1]
-
-    def new_vertex():
-        fresh[0] += 1
-        return fresh[0]
-
-    for w in gens:
-        prev = 0
-        for i, ch in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else new_vertex()
-            if is_fwd(ch):
-                raw.append((slot(ch), prev, nxt))
-            else:
-                raw.append((slot(ch), nxt, prev))
-            prev = nxt
-    edges, _ = _fold(rank, raw, base=0)
+    edges, _ = _fold(rank, _wedge(gens), base=0)
     edges = _trim(edges)
     if not edges:
         raise InvalidInput("generators collapse to the trivial subgroup")
@@ -221,20 +265,7 @@ def folds_to_rose(basis_images, rank: int) -> bool:
     gens = [reduce_word(w) for w in basis_images]
     if any(not w for w in gens):
         return False
-    raw = []
-    fresh = [1]
-    for w in gens:
-        prev = 0
-        for i, ch in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else fresh[0] + 1
-            if i != len(w) - 1:
-                fresh[0] += 1
-            if is_fwd(ch):
-                raw.append((slot(ch), prev, nxt))
-            else:
-                raw.append((slot(ch), nxt, prev))
-            prev = nxt
-    edges, root = _fold(rank, raw, base=0)
+    edges, root = _fold(rank, _wedge(gens), base=0)
     edges = _trim(edges, protect=root)
     verts = {v for _, a, b in edges for v in (a, b)}
     return (
@@ -343,38 +374,15 @@ def meet(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
                     if lab == lab2:
                         edges.append((lab, a * c2.n_vertices + a2,
                                       b * c2.n_vertices + b2))
-            comps.extend(_nontrivial_components(rank, edges))
+            # trimmed of its trees, every vertex component carries a loop;
+            # CoreGraph numbers vertices in set order, which the set copy
+            # made by the second _trim fixes
+            edges = _trim(edges)
+            verts = {v for _, a, b in edges for v in (a, b)}
+            for comp in partition(verts, ((a, b) for _, a, b in edges)):
+                comps.append(CoreGraph(
+                    rank, _trim({e for e in edges if e[1] in comp})))
     return FreeFactorSystem(rank, _dedupe(tuple(comps)))
-
-
-def _nontrivial_components(rank: int, edges) -> list[CoreGraph]:
-    edges = _trim(edges)
-    if not edges:
-        return []
-    adj: dict[int, set[int]] = {}
-    for lab, a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    out = []
-    remaining = set(adj)
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        remaining -= comp
-        sub = {(lab, a, b) for lab, a, b in edges if a in comp}
-        sub = _trim(sub)
-        if sub:
-            core = CoreGraph(rank, sub)
-            if core.graph_rank >= 1:
-                out.append(core)
-    return out
 
 
 def co_edge_number(ffs: FreeFactorSystem) -> int:

@@ -17,7 +17,7 @@ from . import words
 from .automorphisms import BasisMap, apply_map, identity_map, invert_map, outer_equal
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NumericalTolerance
-from .factors import FreeFactorSystem, _dedupe, fold
+from .factors import FreeFactorSystem, _dedupe, fold, partition, tree_loops
 from .words import (BWD, FWD, image_table, invert, is_fwd, reduce_images,
                     reduce_word, slot)
 
@@ -86,65 +86,33 @@ class Graph:
     def print_path(self, word: str) -> str:
         return words.print_word(word, list(self.edge_names))
 
+    def edges_of(self, slots) -> list[tuple[int, str, str]]:
+        """``(slot, init, term)`` of each slot, as :func:`tree_loops` takes."""
+        return [(s, self._init[s], self._term[s]) for s in slots]
+
+    def _incident(self, slots) -> dict[str, list[int]]:
+        """Vertex -> the slots touching it, a loop listed twice (valence)."""
+        at: dict[str, list[int]] = {}
+        for s in slots:
+            at.setdefault(self._init[s], []).append(s)
+            at.setdefault(self._term[s], []).append(s)
+        return at
+
     @cached_property
     def natural_classes(self) -> tuple[frozenset[int], ...]:
         """Partition of edge slots into natural edges (chains through
         valence-2 vertices).  A circle component forms one class."""
-        parent = list(range(self.n_edges))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for v in self.vertices:
-            if self.valence(v) != 2:
-                continue
-            incident = [s for s in range(self.n_edges)
-                        if self._init[s] == v or self._term[s] == v]
-            for s in incident[1:]:
-                parent[find(incident[0])] = find(s)
-        groups: dict[int, set[int]] = {}
-        for s in range(self.n_edges):
-            groups.setdefault(find(s), set()).add(s)
-        return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+        at = self._incident(range(self.n_edges))
+        return tuple(partition(range(self.n_edges),
+                               (ss for ss in at.values() if len(ss) == 2)))
 
     def natural_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.valence(v) != 2)
 
-    def subgraph_components(self, slots) -> list[set[int]]:
+    def subgraph_components(self, slots) -> list[frozenset[int]]:
         """Connected components of the subgraph spanned by ``slots``."""
         slots = set(slots)
-        comp: list[set[int]] = []
-        remaining = set(slots)
-        while remaining:
-            seed = min(remaining)
-            stack = [seed]
-            cur = set()
-            verts: set[str] = set()
-            while stack:
-                s = stack.pop()
-                if s in cur:
-                    continue
-                cur.add(s)
-                verts.update((self._init[s], self._term[s]))
-                stack.extend(
-                    t for t in remaining - cur
-                    if self._init[t] in verts or self._term[t] in verts
-                )
-            # grow until vertex-stable
-            changed = True
-            while changed:
-                changed = False
-                for t in list(remaining - cur):
-                    if self._init[t] in verts or self._term[t] in verts:
-                        cur.add(t)
-                        verts.update((self._init[t], self._term[t]))
-                        changed = True
-            comp.append(cur)
-            remaining -= cur
-        return comp
+        return partition(slots, self._incident(slots).values())
 
     def component_has_cycle(self, comp_slots) -> bool:
         verts = set()
@@ -152,25 +120,6 @@ class Graph:
             verts.add(self._init[s])
             verts.add(self._term[s])
         return len(comp_slots) >= len(verts)  # E >= V means a cycle
-
-    def spanning_tree(self, base: str) -> dict[str, str]:
-        """BFS tree: vertex -> reduced edge path from ``base``."""
-        paths = {base: ""}
-        frontier = [base]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for s in range(self.n_edges):
-                    for ch in (FWD[s], BWD[s]):
-                        if self.init_of(ch) == v:
-                            w = self.term_of(ch)
-                            if w not in paths:
-                                paths[w] = paths[v] + ch
-                                nxt.append(w)
-            frontier = nxt
-        if len(paths) != len(self.vertices):
-            raise InvalidInput("graph is not connected")
-        return paths
 
 
 def rose(rank: int, names=None) -> Graph:
@@ -222,12 +171,18 @@ class MarkedGraph:
                     self._compute_marking_inverse(self._budget))
         return self._marking_inv
 
+    @cached_property
+    def tree(self) -> tuple[dict[str, str], dict]:
+        """:func:`tree_loops` of the whole graph at the base."""
+        g = self.graph
+        paths, loops = tree_loops(g.edges_of(range(g.n_edges)), self.base)
+        if len(paths) != len(g.vertices):
+            raise InvalidInput("graph is not connected")
+        return paths, loops
+
     def _compute_marking_inverse(self, budget: int):
         g = self.graph
-        tree = g.spanning_tree(self.base)
-        tree_chars = {w[-1] for w in tree.values() if w}
-        tree_slots = {slot(ch) for ch in tree_chars}
-        cotree = [s for s in range(g.n_edges) if s not in tree_slots]
+        cotree = [s for s, _, _ in self.tree[1]]
         if len(cotree) != self.rank:
             raise InvalidInput("graph rank does not match marking rank")
         loop_index = {s: i for i, s in enumerate(cotree)}
@@ -236,10 +191,9 @@ class MarkedGraph:
             # rewrite a loop at base as an abstract word in the cotree loops
             out = []
             for ch in path:
-                s = slot(ch)
-                if s in tree_slots:
-                    continue
-                out.append(FWD[loop_index[s]] if is_fwd(ch) else BWD[loop_index[s]])
+                i = loop_index.get(slot(ch))
+                if i is not None:
+                    out.append(FWD[i] if is_fwd(ch) else BWD[i])
             return reduce_word("".join(out))
 
         rho_hat: BasisMap = tuple(to_loops(w) for w in self.marking)
@@ -298,40 +252,13 @@ def subgraph_factor_system(mg: MarkedGraph, edge_slots):
     for comp in g.subgraph_components(edge_slots):
         if not g.component_has_cycle(comp):
             continue
-        loops = _component_loops(g, comp)
-        gens = [mg.path_to_rose(w) for w in loops]
+        edges = g.edges_of(sorted(comp))
+        _, loops = tree_loops(edges, min(v for _, a, b in edges for v in (a, b)))
+        gens = [mg.path_to_rose(w) for w in loops.values()]
         gens = [w for w in gens if w]
         if gens:
             comps.append(fold(mg.rank, gens))
     return FreeFactorSystem(mg.rank, _dedupe(tuple(comps)))
-
-
-def _component_loops(g: Graph, comp_slots) -> list[str]:
-    """Free basis loops of a subgraph component via a spanning tree."""
-    comp_slots = sorted(comp_slots)
-    verts = set()
-    for s in comp_slots:
-        verts.add(g._init[s])
-        verts.add(g._term[s])
-    root = min(verts)
-    tree = {root: ""}
-    queue = [root]
-    tree_slots = set()
-    while queue:
-        v = queue.pop(0)
-        for s in comp_slots:
-            for ch in (FWD[s], BWD[s]):
-                if g.init_of(ch) == v and g.term_of(ch) not in tree:
-                    tree[g.term_of(ch)] = tree[v] + ch
-                    tree_slots.add(s)
-                    queue.append(g.term_of(ch))
-    loops = []
-    for s in comp_slots:
-        if s in tree_slots:
-            continue
-        loops.append(reduce_word(
-            tree[g._init[s]] + FWD[s] + invert(tree[g._term[s]])))
-    return loops
 
 
 def close_path(mg: MarkedGraph, path: str) -> str:
@@ -339,7 +266,7 @@ def close_path(mg: MarkedGraph, path: str) -> str:
     g = mg.graph
     if g.is_closed(path):
         return path
-    tree = g.spanning_tree(mg.base)
+    tree = mg.tree[0]
     back = invert(tree[g.term_of(path[-1])]) + tree[g.init_of(path[0])]
     return reduce_word(path + back)
 

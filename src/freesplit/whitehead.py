@@ -17,7 +17,8 @@ import numpy as np
 from .automorphisms import BasisMap, apply_map, compose_maps, identity_map
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
-from .factors import FreeFactorSystem, _dedupe, carries, fold, whole_group
+from .factors import (FreeFactorSystem, _dedupe, carries, fold, partition,
+                      whole_group)
 from .words import BWD, FWD, canonical_cyclic, invert, sort_key
 
 FILLS = "Fills"
@@ -67,18 +68,7 @@ class Move:
 
 
 def apply_move(move: Move, rank: int, cyclic_word: str) -> str:
-    table = {}
-    m, mi = move.multiplier, invert(move.multiplier)
-    for g in range(rank):
-        img = FWD[g]
-        if FWD[g] != m and BWD[g] != m:
-            if g in move.left:
-                img = mi + img
-            if g in move.right:
-                img = img + m
-        table[FWD[g]] = img
-        table[BWD[g]] = invert(img)
-    return canonical_cyclic("".join(table[ch] for ch in cyclic_word))
+    return canonical_cyclic(apply_map(move.basis_map(rank), cyclic_word))
 
 
 def _pair_counts(rank: int, classes) -> tuple[np.ndarray, np.ndarray]:
@@ -233,39 +223,10 @@ def whitehead_graph(rank: int, classes):
     return adj, used
 
 
-def _components(adj, used):
-    comps = []
-    remaining = set(used)
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        stack = [seed]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in remaining and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        comps.append(comp)
-        remaining -= comp
-    return comps
-
-
 def _has_cut_vertex(adj, verts) -> bool:
-    verts = sorted(verts)
-    if len(verts) <= 2:
-        return False
     for v in verts:
-        rest = [u for u in verts if u != v]
-        seen = {rest[0]}
-        stack = [rest[0]]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w != v and w in rest and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) < len(rest):
+        rest = verts - {v}
+        if len(partition(rest, ({u} | adj[u] - {v} for u in rest))) > 1:
             return True
     return False
 
@@ -288,32 +249,6 @@ class FillsVerdict:
             "graph_summary": dict(self.graph_summary),
             "witness_ranks": list(self.witness.ranks) if self.witness else None,
         }
-
-
-def _letter_partition(rank: int, comps):
-    """Merge Whitehead-graph components through shared letters."""
-    parent = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
-    comp_of = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = i
-    for g in range(rank):
-        if g in comp_of and rank + g in comp_of:
-            a, b = find(comp_of[g]), find(comp_of[rank + g])
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-    groups: dict[int, set[int]] = {}
-    for g in range(rank):
-        if g in comp_of:
-            groups.setdefault(find(comp_of[g]), set()).add(g)
-    return sorted(groups.values(), key=min)
 
 
 @dataclass(frozen=True)
@@ -340,9 +275,10 @@ def _whitehead_analysis(classes, rank: int, cfg: Config) -> _Analysis:
     except BudgetExhausted as exc:
         return _Analysis(UNKNOWN, reason=str(exc))
     adj, used = whitehead_graph(rank, minimized)
-    comps = _components(adj, used)
-    letter_groups = _letter_partition(rank, comps)
+    comps = partition(used, ({u} | adj[u] for u in used))
+    # components sharing a letter, in either orientation, merge
     letters = {u % rank for u in used}
+    letter_groups = partition(letters, ({u % rank for u in c} for c in comps))
     summary = {
         "components": len(comps),
         "letters_used": len(letters),

@@ -52,7 +52,6 @@ class WContext:
     lam_minus: LaminationApprox
     seg_plus: str  # defining segment of the attracting side, basis letters
     seg_minus: str
-    cand_len: int
     cfg: Config
     m_hat: int | None = None
     forward_checks: bool = True  # compute the forward-entry cross-check
@@ -103,7 +102,7 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
         if not path_contains(deep, seg):
             raise InvalidInput("defining segment lost in transport")
     return WContext(mg, f, f_inv, fwd, bwd, lam_plus, lam_minus,
-                    seg_plus, seg_minus, cfg.cand_len, cfg)
+                    seg_plus, seg_minus, cfg)
 
 
 def _filling_lamination(mg: MarkedGraph, f: GraphMap,
@@ -259,7 +258,7 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
              candidates=None) -> WValue:
     """Minimum orbit phase over candidate classes carried by the system."""
     if candidates is None:
-        candidates = candidate_classes(ffs, ctx.cand_len, ctx.cfg.cand_cap)
+        candidates = candidate_classes(ffs, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     best = None
     n_def = n_budget = 0
     fwd_ok = True
@@ -317,7 +316,7 @@ def default_m_samples(ctx: WContext, splittings) -> list[list[str]]:
     """Sample groups: each splitting's candidates plus their translates."""
     groups = []
     for s in splittings:
-        cands = candidate_classes(s.elliptic, ctx.cand_len, ctx.cfg.cand_cap)
+        cands = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
         groups.append(list(cands))
         shifted = []
         for c in cands[: max(2, len(cands) // 4)]:
@@ -343,7 +342,7 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
     the sample minimum within the empirical constant.
     """
     ctx = replace(ctx, forward_checks=False)
-    base = candidate_classes(s.elliptic, ctx.cand_len, ctx.cfg.cand_cap)
+    base = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     if not base:
         raise NotApplicable("no candidates for the elliptic system")
     table = {}
@@ -436,7 +435,7 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
     ctx = replace(
         ctx, cfg=ctx.cfg.with_overrides(iterate_cap=orbit_cap),
         forward_checks=False)
-    base = candidate_classes(t.elliptic, ctx.cand_len, ctx.cfg.cand_cap)
+    base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     psi_table: dict[int, int | None] = {}
     dropped: dict[int, int] = {}
     alive = {c: c for c in base}

@@ -97,7 +97,7 @@ def test_criterion_2_bounded_orbits_example(bdd_spec):
 def test_criterion_3_w_laws_exact(filling_ctx, filling_spec):
     mg = filling_spec.mg
     s = one_edge_splitting(mg, ["X", "Y", "Z", "A"])
-    cands = candidate_classes(s.elliptic, filling_ctx.cand_len,
+    cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
                               filling_ctx.cfg.cand_cap)
     sample = [c for c in cands if w_of(filling_ctx, c).defined][:6]
     assert sample, "no defined sample classes"

@@ -182,9 +182,10 @@ class TestFixtureCatalog:
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     cmd = [sys.executable, "-m", "freesplit.cli", *argv]
-    return subprocess.run(cmd, capture_output=True, text=True, timeout=300)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=300,
+                          env=env)
 
 
 class TestCLI:
@@ -265,6 +266,17 @@ class TestCLI:
         witness = results["classification"]["witness"]
         assert results["m_hat"] == witness["m_hat"]
         assert results["displacement"]["table"] == witness["table"]
+
+    @pytest.mark.parametrize("name", ["bdd_no_periodic", "filling_reducible"])
+    def test_report_independent_of_hash_seed(self, name):
+        # set or hash order must not leak into the output
+        outs = []
+        for seed in ("0", "1"):
+            res = run_cli("report", "--fixture", name, "--json",
+                          env={**os.environ, "PYTHONHASHSEED": seed})
+            assert res.returncode == 0, res.stderr
+            outs.append(res.stdout)
+        assert outs[0] and outs[0] == outs[1]
 
     def test_golden_fixture_list(self):
         res = run_cli("fixtures", "--json")

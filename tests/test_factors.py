@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInput
 from freesplit.factors import (carries, co_edge_number, enumerate_classes,
                                ffs_carried, ffs_from_generators, fold,
-                               folds_to_rose, meet, subgroup_carried,
-                               whole_group)
-from freesplit.words import BWD, FWD, canonical_cyclic
+                               folds_to_rose, meet, partition,
+                               subgroup_carried, tree_loops, whole_group)
+from freesplit.words import BWD, FWD, canonical_cyclic, reduce_word
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -36,6 +37,76 @@ class TestFold:
         assert folds_to_rose((x + y, y), 2)
         assert not folds_to_rose((x + y + X, y), 2)
         assert not folds_to_rose((x, x + x), 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                          min_size=1, max_size=8).map("".join),
+                 min_size=1, max_size=3))))
+    def test_basis_words_fold_back(self, case):
+        rank, gens = case
+        gens = [w for w in map(reduce_word, gens) if w]
+        if not gens:
+            return
+        core = fold(rank, gens)
+        again = fold(rank, core.basis_words())
+        assert again.canonical_key == core.canonical_key
+        assert len(core.basis_words()) == core.graph_rank
+
+
+class TestPartition:
+    def test_classes_sorted_by_least_member(self):
+        got = partition([5, 3, 1, 4, 2], [(5, 1), (4,), (3, 2)])
+        assert got == [frozenset({1, 5}), frozenset({2, 3}), frozenset({4})]
+
+    def test_links_merge_transitively(self):
+        got = partition(range(6), [[0, 2, 4], [], [4, 5], [5, 5]])
+        assert got == [frozenset({0, 2, 4, 5}), frozenset({1}),
+                       frozenset({3})]
+
+    def test_empty(self):
+        assert partition([], []) == []
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 11), max_size=3), max_size=8))
+    def test_is_the_generated_equivalence(self, links):
+        items = range(12)
+        got = partition(items, links)
+        assert sorted(x for c in got for x in c) == list(items)
+        assert [min(c) for c in got] == sorted(min(c) for c in got)
+        assert partition(items, [link[::-1] for link in reversed(links)]) == got
+        cls = {x: c for c in got for x in c}
+        for link in links:
+            assert len({cls[x] for x in link}) <= 1
+        # no coarser than needed: each class is connected through the links
+        for c in got:
+            reach = {min(c)}
+            for _ in c:
+                reach |= {x for link in links if reach & set(link)
+                          for x in link}
+            assert reach == c
+
+
+class TestTreeLoops:
+    def test_theta(self):
+        # three edges from vertex 0 to vertex 1
+        edges = [(0, 0, 1), (1, 0, 1), (2, 0, 1)]
+        paths, loops = tree_loops(edges, 0)
+        assert paths == {0: "", 1: x}
+        assert loops == {(1, 0, 1): y + X, (2, 0, 1): z + X}
+
+    def test_first_in_first_out(self):
+        # a square 0-1-2-3-0 rooted at 0: vertices 1 and 3 are queued in
+        # that order, so 2 hangs off 1; a stack would hang it off 3
+        edges = [(0, 0, 1), (1, 1, 2), (2, 3, 2), (3, 3, 0)]
+        paths, loops = tree_loops(edges, 0)
+        assert paths == {0: "", 1: x, 3: BWD[3], 2: x + y}
+        assert loops == {(2, 3, 2): reduce_word(BWD[3] + z + Y + X)}
+
+    def test_unreached_edges_ignored(self):
+        paths, loops = tree_loops([(0, 0, 0), (1, 5, 5)], 0)
+        assert paths == {0: ""} and loops == {(0, 0, 0): x}
 
 
 class TestCarries:

@@ -8,7 +8,7 @@ from freesplit.graphs import (Graph, TransitionMatrix, compose,
                               identity_graph_map, is_invariant_subgraph,
                               is_nielsen, iterate, map_circuit, map_path,
                               parse_marked_graph, pf_eigenvalue,
-                              print_marked_graph, strata, tighten,
+                              print_marked_graph, rose, strata, tighten,
                               transition_matrix)
 from freesplit.words import FWD, canonical_cyclic
 
@@ -280,6 +280,37 @@ class TestSerialization:
         mg, g, f = frd
         mg2, _, _ = parse_marked_graph(print_marked_graph(mg))
         assert mg2.validate_marking()
+
+
+class TestConnectivity:
+    def test_loop_counts_twice_towards_valence(self):
+        # u carries a loop and one more edge: valence 3, so not natural
+        g = Graph(["u", "v"], [("a", "u", "v"), ("b", "v", "v"),
+                               ("c", "u", "u")])
+        assert g.natural_classes == tuple(frozenset({s}) for s in range(3))
+
+    @pytest.mark.parametrize("rank", [1, 3])
+    def test_rose_natural_edges(self, rank):
+        # the rank-1 rose's vertex has valence 2 but carries a single loop
+        assert rose(rank).natural_classes == tuple(
+            frozenset({s}) for s in range(rank))
+
+    def test_subdivided_edges_merge(self):
+        # a theta graph with one arc subdivided at w, plus a loop at u
+        g = Graph(["u", "v", "w"], [("a", "u", "w"), ("b", "w", "v"),
+                                    ("c", "u", "v"), ("d", "v", "u"),
+                                    ("e", "u", "u")])
+        assert g.natural_classes == (frozenset({0, 1}), frozenset({2}),
+                                     frozenset({3}), frozenset({4}))
+
+    def test_subgraph_components(self):
+        g = Graph(["u", "v", "w"], [("a", "u", "w"), ("b", "w", "v"),
+                                    ("c", "u", "v"), ("d", "v", "v"),
+                                    ("e", "u", "u")])
+        assert g.subgraph_components([4, 0, 3]) == [frozenset({0, 4}),
+                                                    frozenset({3})]
+        assert g.subgraph_components([3, 1, 4, 0]) == [frozenset({0, 1, 3, 4})]
+        assert g.subgraph_components([]) == []
 
 
 class TestMarking:

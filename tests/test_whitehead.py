@@ -1,11 +1,13 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from freesplit.automorphisms import apply_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
-from freesplit.whitehead import (FILLS, PROPER, Move, apply_move, fills,
-                                 free_factor_support, replay_move_log,
+from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, apply_move,
+                                 fills, free_factor_support, replay_move_log,
                                  whitehead_minimize)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert
 
@@ -43,7 +45,38 @@ def orbit_min_length(word, rank, start_cap=None):
     return best
 
 
+@st.composite
+def class_sets(draw, max_len=8):
+    """A rank 2-3 and one to three nontrivial cyclic classes."""
+    rank = draw(st.integers(2, 3))
+    letters = FWD[:rank] + BWD[:rank]
+    words = draw(st.lists(st.lists(st.sampled_from(letters), min_size=1,
+                                   max_size=max_len).map("".join),
+                          min_size=1, max_size=3))
+    classes = [c for c in map(canonical_cyclic, words) if c]
+    return rank, classes or [x]
+
+
+@st.composite
+def automorphisms(draw, rank):
+    """A product of Whitehead moves, as a basis map."""
+    moves = list(all_moves(rank))
+    bm = tuple(FWD[:rank])
+    for mv in draw(st.lists(st.sampled_from(moves), max_size=4)):
+        bm = tuple(apply_map(mv.basis_map(rank), w) for w in bm)
+    return bm
+
+
 class TestMinimize:
+    @settings(max_examples=100, deadline=None)
+    @given(class_sets())
+    def test_never_increases_total_length(self, case):
+        rank, classes = case
+        m, total, log = whitehead_minimize(classes, rank)
+        assert total == sum(len(w) for w in m)
+        assert total <= sum(len(w) for w in set(classes))
+        assert replay_move_log(classes, rank, log) == m
+
     def test_single_letter(self):
         m, total, log = whitehead_minimize([x], 2)
         assert m == (x,) and total == 1 and log == []
@@ -123,6 +156,15 @@ class TestFills:
             assert (a.witness is None) == (b.witness is None)
             if a.witness is not None:
                 assert a.witness == b.witness
+
+    @settings(max_examples=60, deadline=None)
+    @given(class_sets(max_len=6).flatmap(
+        lambda case: st.tuples(st.just(case), automorphisms(case[0]))))
+    def test_kind_invariant_under_automorphisms(self, case_and_map):
+        (rank, classes), bm = case_and_map
+        moved = [canonical_cyclic(apply_map(bm, w)) for w in classes]
+        kinds = {fills(classes, rank).kind, fills(moved, rank).kind}
+        assert len(kinds - {UNKNOWN}) <= 1, (classes, bm)
 
 
 class TestSupport:

@@ -145,7 +145,7 @@ class TestWOfSystems:
     def test_translated_system_shifts(self, filling_ctx, filling_spec):
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         base = W_of_splitting(filling_ctx, s).value
-        cands = candidate_classes(s.elliptic, filling_ctx.cand_len,
+        cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
                                   filling_ctx.cfg.cand_cap)
         for m in (1, 2):
             moved = [translate_class(filling_ctx, c, -m) for c in cands]
@@ -160,7 +160,7 @@ class TestWOfSystems:
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         base = W_of_splitting(filling_ctx, s).value
         moved = remark_splitting(s, filling_spec.f)
-        cands = candidate_classes(s.elliptic, filling_ctx.cand_len,
+        cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
                                   filling_ctx.cfg.cand_cap)
         transported = [translate_class(filling_ctx, c, -1) for c in cands]
         val = W_of_ffs(filling_ctx, moved.elliptic, candidates=transported)
