@@ -16,6 +16,7 @@ from .classify import bounded_path_witness, classify
 from .config import load_config
 from .errors import (BudgetExhausted, FixtureInvalid, InvalidInput,
                      NotApplicable, NumericalTolerance)
+from .factors import folds_to_rose
 from .fixtures import ExampleSpec, fixture, fixture_names
 from .graphs import parse_marked_graph, strata
 from .laminations import lamination_approx
@@ -58,6 +59,9 @@ def _load_spec(args, cfg):
         mg, endo, _ = parse_marked_graph(text)
         if endo is None:
             raise InvalidInput("input file carries no MAP section")
+        if not folds_to_rose(mg.induced_rose_map(endo), mg.rank):
+            raise InvalidInput("map is not a homotopy equivalence: its basis "
+                               "images do not generate the free group")
         return ExampleSpec(pathlib.Path(args.input).stem, mg, {"f": endo}, None)
     raise InvalidInput("provide --fixture NAME or --input FILE")
 

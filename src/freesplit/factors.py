@@ -456,28 +456,38 @@ def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int | None = Non
     On rose realizations an arc is a single letter, so this is exactly
     "cyclic words of length <= max_len"; on stretched realizations the
     long generator loops still appear as short arc words.  Deterministic:
-    canonical forms deduped, sorted by (length, word).
+    canonical forms deduped, sorted by (arcs crossed, length, word).
+
+    Closed walks grow from every anchor one arc per level, so the level at
+    which a class first closes is the fewest arcs it crosses.  Once a
+    complete level leaves at least ``cap`` classes, every later class
+    sorts after all of them, so the deeper levels are never built.
     """
     found: dict[str, int] = {}
+    frontiers = []  # per anchor: [anchor, arcs by start vertex, open walks]
     for comp in ffs.components:
         arcs, anchors = _natural_arcs(comp)
-        directed = []
+        out: dict[int, list] = {}
         for word, a, b, i in arcs:
-            directed.append((word, a, b, i))
-            directed.append((invert(word), b, a, -i))
-        for start in anchors:
-            stack = [(start, "", 0, 0)]
-            while stack:
-                v, word, last_id, used = stack.pop()
-                if word and v == start:
-                    cls = canonical_cyclic(word)
-                    if cls and (cls not in found or used < found[cls]):
-                        found[cls] = used
-                if used >= max_len:
-                    continue
-                for aw, a, b, i in directed:
-                    if a != v or i == -last_id:
+            out.setdefault(a, []).append((word, b, i))
+            out.setdefault(b, []).append((invert(word), a, -i))
+        frontiers += [[start, out, [(start, "", 0)]] for start in anchors]
+    for used in range(1, max_len + 1):
+        for frontier in frontiers:
+            start, out, walks = frontier
+            grown = []
+            for v, word, last_id in walks:
+                for aw, b, i in out.get(v, ()):
+                    if i == -last_id:
                         continue
-                    stack.append((b, word + aw, i, used + 1))
+                    walk = word + aw
+                    if b == start:
+                        cls = canonical_cyclic(walk)
+                        if cls and cls not in found:
+                            found[cls] = used
+                    grown.append((b, walk, i))
+            frontier[2] = grown
+        if cap and len(found) >= cap:
+            break
     ordered = sorted(found, key=lambda w: (found[w], len(w), w))
     return ordered[:cap] if cap else ordered

@@ -19,8 +19,7 @@ from .errors import BudgetExhausted, InvalidInput
 from .factors import carries
 from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, iterate,
                      map_circuit, map_path, minimal_invariant_superset,
-                     pf_eigenvalue, strata, subgraph_factor_system,
-                     transition_matrix)
+                     strata, subgraph_factor_system)
 from .whitehead import PROPER, UNKNOWN, FillsVerdict, fills
 from .words import (FWD, canonical_cyclic, count_crossings, cyclic_contains,
                     invert, path_contains)
@@ -85,15 +84,6 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
         raise BudgetExhausted("could not grow any leaf segment within budget")
     return LaminationApprox(mg, f, stratum_index, st.slots, seed,
                             tuple(segs), len(segs) - 1, tuple(counts))
-
-
-def growth_certified(lam: LaminationApprox, cfg: Config = DEFAULT,
-                     rel_tol: float = 0.35) -> bool:
-    """Loose check that stratum-edge counts grow like the block's Perron root."""
-    tm = transition_matrix(lam.f).block(sorted(lam.stratum))
-    rho = pf_eigenvalue(tm, cfg)
-    r = lam.growth_ratio()
-    return r is not None and r > 1.0 and abs(r - rho) <= rel_tol * rho
 
 
 def defining_segment(lam: LaminationApprox, seg_len: int) -> str:

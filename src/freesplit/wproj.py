@@ -28,7 +28,7 @@ from .laminations import (LaminationApprox, _window_start, defining_segment,
                           lamination_approx, lamination_fills)
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
-from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce,
+from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce, invert,
                     path_contains, sort_key, strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
@@ -55,6 +55,8 @@ class WContext:
     cfg: Config
     m_hat: int | None = None
     forward_checks: bool = True  # compute the forward-entry cross-check
+    # Lip(fwd) * Lip(bwd) when the two are exact inverses (see _orbit_step)
+    cancellation_bound: int | None = None
     notes: dict = field(default_factory=dict)
 
     @property
@@ -86,10 +88,13 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
         f_inv = realize_rose_endo(mg, bwd)
     else:
         bwd = mg.induced_rose_map(f_inv)
-    verdict, _ = outer_equal(compose_maps(fwd, bwd), identity_map(mg.rank),
-                             cfg.outer_budget)
+    composed = compose_maps(fwd, bwd)
+    verdict, _ = outer_equal(composed, identity_map(mg.rank), cfg.outer_budget)
     if verdict != "Equal":
         raise InvalidInput("supplied inverse does not invert the map")
+    bound = None
+    if composed == identity_map(mg.rank):
+        bound = max(map(len, fwd)) * max(map(len, bwd))
 
     lam_minus = _filling_lamination(mg, f_inv, cfg)
     if lam_minus is None:
@@ -102,7 +107,7 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
         if not path_contains(deep, seg):
             raise InvalidInput("defining segment lost in transport")
     return WContext(mg, f, f_inv, fwd, bwd, lam_plus, lam_minus,
-                    seg_plus, seg_minus, cfg)
+                    seg_plus, seg_minus, cfg, cancellation_bound=bound)
 
 
 def _filling_lamination(mg: MarkedGraph, f: GraphMap,
@@ -151,14 +156,69 @@ class WResult:
         return self.status == DEFINED
 
 
+# An orbit step that may outgrow the cap maps its word in at most this many
+# pieces, testing the length after each: more pieces can stop sooner, but
+# each one copies the image built so far once more.
+_STEP_CHUNKS = 8
+
+
+def _orbit_step(bm: BasisMap, w: str, cap: int,
+                bound: int | None) -> str | None:
+    """Cyclically reduced image of the cyclically reduced word ``w``, or
+    None when that image is longer than ``cap``.
+
+    With ``bound`` = C = Lip(f) Lip(f^-1), Lip the longest basis image of
+    an automorphism f and of its exact inverse, the image of a long ``w``
+    is built from at most ``_STEP_CHUNKS`` consecutive pieces of ``w``,
+    and the step stops, dead, as soon as the reduced image of a prefix p
+    of ``w`` is longer than cap + 3C.  Why that is safe:
+
+    * Bounded cancellation (Cooper): if uv is reduced, at most C letters
+      cancel between f(u) and f(v).  Walk the Cayley tree geodesic from 1
+      to f(uv) and apply f^-1: consecutive vertices move at most Lip(f^-1)
+      apart and the walk runs from 1 to uv, so it passes within Lip(f^-1)
+      of u; applying f again puts f(u) within C of [1, f(uv)].
+    * Let g = f(w).  As ``w`` is cyclically reduced, 1 and p lie on the
+      axis of w, between w^-k and w^k for every k; so 1 and f(p) lie
+      within C of [g^-k, g^k].  For k large that geodesic leaves the axis
+      of g only at its two far ends, so 1 and f(p) are within C of the
+      axis.  And f(p) lies within C of [1, g], so its projection lies
+      within C of the axis segment from the projection of 1 to that of g,
+      whose length is ||g||, the length of the cyclic reduction of g.
+    * Together: ||g|| >= |f(p)| - C - C - C, so |f(p)| > cap + 3C forces
+      ||g|| > cap.
+
+    Each reduced piece is glued onto the prefix by cancelling at its one
+    junction, so the result equals the whole-word image.  Without a bound,
+    or when len(w) Lip(f) cannot exceed ``cap``, the word is mapped whole.
+    """
+    if bound is None or len(w) * max(map(len, bm)) <= cap:
+        img = apply_map(bm, w)
+    else:
+        size = -(-len(w) // _STEP_CHUNKS)
+        img = ""
+        for i in range(0, len(w), size):
+            piece = apply_map(bm, w[i:i + size])
+            k, n = 0, min(len(img), len(piece))
+            while k < n and img[-1 - k] == invert(piece[k]):
+                k += 1
+            img = img[:len(img) - k] + piece[k:]
+            if len(img) > cap + 3 * bound:
+                return None
+    img = strip_cyclic(img)
+    return img if len(img) <= cap else None
+
+
 class _LazyOrbit:
     """Iterates of a class under one basis map, grown on demand."""
 
-    def __init__(self, start: str, bm: BasisMap, horizon: int, cap: int):
+    def __init__(self, start: str, bm: BasisMap, horizon: int, cap: int,
+                 bound: int | None):
         self.words = [start]
         self.bm = bm
         self.horizon = horizon
         self.cap = cap
+        self.bound = bound
         self.dead = False
 
     def get(self, t: int) -> str | None:
@@ -171,8 +231,8 @@ class _LazyOrbit:
         if t > self.horizon:
             return None
         while len(self.words) <= t and not self.dead:
-            nxt = strip_cyclic(apply_map(self.bm, self.words[-1]))
-            if len(nxt) > self.cap:
+            nxt = _orbit_step(self.bm, self.words[-1], self.cap, self.bound)
+            if nxt is None:
                 self.dead = True
                 break
             self.words.append(nxt)
@@ -191,8 +251,10 @@ def w_of(ctx: WContext, cyclic: str) -> WResult:
     """
     c = cyclic_reduce(cyclic)
     cfg = ctx.cfg
-    back = _LazyOrbit(c, ctx.bwd, cfg.horizon_bwd, cfg.iterate_cap)
-    fore = _LazyOrbit(c, ctx.fwd, cfg.horizon_fwd, cfg.iterate_cap)
+    back = _LazyOrbit(c, ctx.bwd, cfg.horizon_bwd, cfg.iterate_cap,
+                      ctx.cancellation_bound)
+    fore = _LazyOrbit(c, ctx.fwd, cfg.horizon_fwd, cfg.iterate_cap,
+                      ctx.cancellation_bound)
 
     def inside(t: int, side: str) -> bool | None:
         """Membership of the class at backward time t (forward time -t)."""
@@ -225,8 +287,8 @@ def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
     bm = ctx.fwd if m >= 0 else ctx.bwd
     cur = cyclic_reduce(cyclic)
     for _ in range(abs(m)):
-        cur = strip_cyclic(apply_map(bm, cur))
-        if len(cur) > ctx.cfg.iterate_cap:
+        cur = _orbit_step(bm, cur, ctx.cfg.iterate_cap, ctx.cancellation_bound)
+        if cur is None:
             raise BudgetExhausted("translated class exceeded the length cap")
     return canonical_cyclic(cur) if len(cur) < 10_000 else cur
 

@@ -12,7 +12,8 @@ from freesplit.classify import (bounded_path_witness, classify,
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (identity_graph_map, marked_rose,
-                              realize_rose_endo, rose_map)
+                              print_marked_graph, realize_rose_endo, rose_map)
+from freesplit.words import FWD
 
 
 class TestRank2Classify:
@@ -286,11 +287,20 @@ class TestCLI:
 
 class TestSerializationCLIRoundTrip:
     def test_input_file_classify(self, tmp_path, filling_spec):
-        from freesplit.graphs import print_marked_graph
-
         path = tmp_path / "map.txt"
         path.write_text(print_marked_graph(filling_spec.mg, filling_spec.f),
                         encoding="utf-8")
         res = run_cli("classify", "--input", str(path))
         assert res.returncode == 0
         assert "Loxodromic" in res.stdout
+
+    def test_input_not_homotopy_equivalence_rejected(self, tmp_path, capsys):
+        # x1 -> x1 x2 x1 x2, x2 -> x2 x1: the images generate a proper subgroup
+        mg = marked_rose(2)
+        x, y = FWD[0], FWD[1]
+        endo = realize_rose_endo(mg, (x + y + x + y, y + x))
+        path = tmp_path / "map.txt"
+        path.write_text(print_marked_graph(mg, endo), encoding="utf-8")
+        assert cli.main(["classify", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "homotopy equivalence" in err

@@ -2,11 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInput
-from freesplit.factors import (carries, co_edge_number, enumerate_classes,
-                               ffs_carried, ffs_from_generators, fold,
-                               folds_to_rose, meet, partition,
-                               subgroup_carried, tree_loops, whole_group)
-from freesplit.words import BWD, FWD, canonical_cyclic, reduce_word
+from freesplit.factors import (_natural_arcs, carries, co_edge_number,
+                               enumerate_classes, ffs_carried,
+                               ffs_from_generators, fold, folds_to_rose, meet,
+                               partition, subgroup_carried, tree_loops,
+                               whole_group)
+from freesplit.words import BWD, FWD, canonical_cyclic, invert, reduce_word
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -218,6 +219,53 @@ class TestEnumerateClasses:
         ffs = ffs_from_generators(2, [long_word])
         got = enumerate_classes(ffs, 2)
         assert canonical_cyclic(long_word) in got
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                                   min_size=1, max_size=5).map("".join),
+                          min_size=1, max_size=3),
+                 min_size=1, max_size=2),
+        st.integers(0, 4),
+        st.sampled_from([None, 1, 5, 24, 200]))))
+    def test_matches_depth_first_reference(self, case):
+        rank, components, max_len, cap = case
+        components = [[w for w in map(reduce_word, gens) if w]
+                      for gens in components]
+        if not all(components):
+            return
+        ffs = ffs_from_generators(rank, *components)
+        assert enumerate_classes(ffs, max_len, cap) == \
+            _enumerate_classes_dfs(ffs, max_len, cap)
+
+
+def _enumerate_classes_dfs(ffs, max_len, cap=None):
+    """Reference enumeration: every closed walk of at most max_len natural
+    arcs, depth first, each class kept at the fewest arcs it crosses."""
+    found: dict[str, int] = {}
+    for comp in ffs.components:
+        arcs, anchors = _natural_arcs(comp)
+        directed = []
+        for word, a, b, i in arcs:
+            directed.append((word, a, b, i))
+            directed.append((invert(word), b, a, -i))
+        for start in anchors:
+            stack = [(start, "", 0, 0)]
+            while stack:
+                v, word, last_id, used = stack.pop()
+                if word and v == start:
+                    cls = canonical_cyclic(word)
+                    if cls and (cls not in found or used < found[cls]):
+                        found[cls] = used
+                if used >= max_len:
+                    continue
+                for aw, a, b, i in directed:
+                    if a != v or i == -last_id:
+                        continue
+                    stack.append((b, word + aw, i, used + 1))
+    ordered = sorted(found, key=lambda w: (found[w], len(w), w))
+    return ordered[:cap] if cap else ordered
 
 
 class TestCanonicalForm:

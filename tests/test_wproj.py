@@ -1,15 +1,21 @@
-import pytest
+from dataclasses import replace
 
-from freesplit.errors import InvalidInput, NotApplicable
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from freesplit.automorphisms import apply_map, compose_maps, identity_map
+from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators
 from freesplit.fixtures import fixture
-from freesplit.graphs import close_path, marked_rose, rose_map
+from freesplit.graphs import close_path, marked_rose, realize_rose_endo, rose_map
 from freesplit.pairs import one_edge_splitting, sibling_splittings, validate_pair
-from freesplit.wproj import (W_of_ffs, W_of_splitting, build_context,
-                             candidate_classes, default_m_samples,
-                             displacement_table, divergence_check, estimate_M,
-                             in_U, lipschitz_check, translate_class, w_of)
-from freesplit.words import FWD, canonical_cyclic
+from freesplit.wproj import (W_of_ffs, W_of_splitting, _orbit_step,
+                             build_context, candidate_classes,
+                             default_m_samples, displacement_table,
+                             divergence_check, estimate_M, in_U,
+                             lipschitz_check, translate_class, w_of)
+from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_reduce,
+                             reduce_word, strip_cyclic)
 
 
 def rose_class(spec, tokens):
@@ -99,6 +105,120 @@ class TestWOf:
             cfg=p.with_overrides(horizon_fwd=p.horizon_fwd * 2,
                                  horizon_bwd=p.horizon_bwd * 2))
         assert w_of(doubled, c).value == v1
+
+
+def nielsen_pairs(rank):
+    """Nielsen generators of Aut(F_rank), each with its exact inverse."""
+    def images(changes):
+        imgs = list(identity_map(rank))
+        for i, w in changes.items():
+            imgs[i] = w
+        return tuple(imgs)
+
+    pairs = []
+    for i in range(rank):
+        flip = images({i: BWD[i]})
+        pairs.append((flip, flip))
+        for j in range(rank):
+            if i != j:
+                swap = images({i: FWD[j], j: FWD[i]})
+                pairs += [(swap, swap),
+                          (images({i: FWD[i] + FWD[j]}),
+                           images({i: FWD[i] + BWD[j]})),
+                          (images({i: FWD[j] + FWD[i]}),
+                           images({i: BWD[j] + FWD[i]}))]
+    return pairs
+
+
+@st.composite
+def automorphism_and_word(draw):
+    """(f, exact inverse of f, a reduced word) for f a product of Nielsen
+    generators of rank 2 or 3."""
+    rank = draw(st.integers(2, 3))
+    pairs = nielsen_pairs(rank)
+    f = g = identity_map(rank)
+    for k in draw(st.lists(st.integers(0, len(pairs) - 1), min_size=1,
+                           max_size=8)):
+        f = compose_maps(f, pairs[k][0])
+        g = compose_maps(pairs[k][1], g)
+    word = draw(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                         max_size=40).map("".join))
+    return f, g, reduce_word(word)
+
+
+def lip_product(f, g):
+    return max(map(len, f)) * max(map(len, g))
+
+
+class TestBoundedCancellation:
+    @settings(max_examples=150, deadline=None)
+    @given(automorphism_and_word(), st.integers(0, 40))
+    def test_cancellation_at_most_bound(self, case, cut):
+        f, g, word = case
+        assert compose_maps(f, g) == identity_map(len(f))
+        u, v = word[:cut], word[cut:]
+        fu, fv = apply_map(f, u), apply_map(f, v)
+        cancelled = (len(fu) + len(fv) - len(reduce_word(fu + fv))) // 2
+        assert cancelled <= lip_product(f, g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(automorphism_and_word(), st.integers(0, 400))
+    def test_early_stop_matches_whole_word(self, case, cap):
+        f, g, word = case
+        w = strip_cyclic(word)
+        whole = strip_cyclic(apply_map(f, w))
+        expected = whole if len(whole) <= cap else None
+        assert _orbit_step(f, w, cap, lip_product(f, g)) == expected
+        assert _orbit_step(f, w, cap, None) == expected
+
+
+@pytest.fixture(scope="module")
+def early_stop_cases(filling_spec, filling_ctx):
+    """Contexts with a cancellation bound, each with classes to iterate:
+    filling_reducible and the rank-2 sweep maps x1 -> x1' x2, x2 -> x2 x1' x2
+    and x1 -> x2' x1', x2 -> x2 x1 x2."""
+    mg = marked_rose(2)
+    cases = [(filling_ctx, [rose_class(filling_spec, "A"),
+                            rose_class(filling_spec, ["A", "B"])])]
+    for bm in ((BWD[0] + FWD[1], FWD[1] + BWD[0] + FWD[1]),
+               (BWD[1] + BWD[0], FWD[1] + FWD[0] + FWD[1])):
+        ctx = build_context(mg, realize_rose_endo(mg, bm))
+        cases.append((ctx, [FWD[0], FWD[0] + FWD[1]]))
+    return cases
+
+
+def iterate_lengths(bm, c, limit):
+    lengths, w = [], cyclic_reduce(c)
+    while len(lengths) < 40:
+        w = strip_cyclic(apply_map(bm, w))
+        if len(w) > limit:
+            break
+        lengths.append(len(w))
+    return lengths
+
+
+def translated(ctx, c, m):
+    try:
+        return translate_class(ctx, c, m)
+    except BudgetExhausted:
+        return None
+
+
+class TestEarlyStopOrbits:
+    def test_same_results_as_whole_word_orbits(self, early_stop_cases):
+        for ctx, classes in early_stop_cases:
+            assert ctx.cancellation_bound is not None
+            for c in classes:
+                for bm, sign in ((ctx.bwd, -1), (ctx.fwd, 1)):
+                    lengths = iterate_lengths(bm, c, 20_000)
+                    for cap in {n - d for n in lengths for d in (0, 1)}:
+                        capped = replace(
+                            ctx, cfg=ctx.cfg.with_overrides(iterate_cap=cap))
+                        whole = replace(capped, cancellation_bound=None)
+                        assert w_of(capped, c) == w_of(whole, c)
+                        m = sign * (len(lengths) + 1)
+                        assert translated(capped, c, m) == \
+                            translated(whole, c, m)
 
 
 class TestCandidates:
