@@ -80,15 +80,15 @@ class CoreGraph:
     """Connected folded graph over the rank-n rose basis.
 
     Edges are (label_slot, init_vertex, term_vertex) with integer vertices.
-    Vertices are renumbered 0..V-1 on construction, deterministic in the
-    input order.
+    Vertices are renumbered 0..V-1 on construction, in the order they
+    first occur in the sorted edges, so the numbering depends on the edge
+    set alone, not on how it was built.
     """
 
-    def __init__(self, rank: int, edges, keep_vertices=None):
+    def __init__(self, rank: int, edges):
         self.rank = rank
         order: dict[int, int] = {}
-        for v in keep_vertices or ():
-            order.setdefault(v, len(order))
+        edges = sorted(edges)
         for lab, a, b in edges:
             order.setdefault(a, len(order))
             order.setdefault(b, len(order))
@@ -178,8 +178,16 @@ class CoreGraph:
 
 
 def _fold(rank: int, raw_edges, base=None):
-    """Stallings folding with union-find; returns (edges, root_of_base)."""
-    parent = {}
+    """Stallings folding; returns (edges, root_of_base).
+
+    Each vertex class, named by its least member, keeps one target per
+    out-label (slot, direction); a second target for a label is a pending
+    identification.  Identifying two classes moves the out-labels of the
+    larger name onto the smaller, which may queue more, so no edge is
+    rescanned.  Only forced identifications are made, so the folded graph
+    does not depend on the order in which they are made.
+    """
+    parent: dict[int, int] = {}
 
     def find(x):
         while parent.get(x, x) != x:
@@ -187,31 +195,31 @@ def _fold(rank: int, raw_edges, base=None):
             x = parent[x]
         return x
 
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
+    out: dict[int, dict[tuple[int, bool], int]] = {}
+    pending = []
 
-    edges = set(raw_edges)
-    changed = True
-    while changed:
-        changed = False
-        seen: dict[tuple[int, int, bool], int] = {}
-        for lab, a, b in sorted(edges):
-            ra, rb = find(a), find(b)
-            key_out = (ra, lab, True)
-            key_in = (rb, lab, False)
-            if key_out in seen and seen[key_out] != rb:
-                union(seen[key_out], rb)
-                changed = True
-                break
-            if key_in in seen and seen[key_in] != ra:
-                union(seen[key_in], ra)
-                changed = True
-                break
-            seen[key_out] = rb
-            seen[key_in] = ra
-        edges = {(lab, find(a), find(b)) for lab, a, b in edges}
+    def attach(v, label, w):
+        labels = out.setdefault(v, {})
+        if label in labels:
+            pending.append((labels[label], w))
+        else:
+            labels[label] = w
+
+    raw_edges = list(raw_edges)
+    for lab, a, b in raw_edges:
+        attach(a, (lab, True), b)
+        attach(b, (lab, False), a)
+    while pending:
+        x, y = pending.pop()
+        rx, ry = find(x), find(y)
+        if rx == ry:
+            continue
+        if rx > ry:
+            rx, ry = ry, rx
+        parent[ry] = rx
+        for label, w in out.pop(ry, {}).items():
+            attach(rx, label, w)
+    edges = {(lab, find(a), find(b)) for lab, a, b in raw_edges}
     return edges, (find(base) if base is not None else None)
 
 
@@ -374,14 +382,12 @@ def meet(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
                     if lab == lab2:
                         edges.append((lab, a * c2.n_vertices + a2,
                                       b * c2.n_vertices + b2))
-            # trimmed of its trees, every vertex component carries a loop;
-            # CoreGraph numbers vertices in set order, which the set copy
-            # made by the second _trim fixes
+            # trimmed of its trees, every vertex component carries a loop
             edges = _trim(edges)
             verts = {v for _, a, b in edges for v in (a, b)}
             for comp in partition(verts, ((a, b) for _, a, b in edges)):
-                comps.append(CoreGraph(
-                    rank, _trim({e for e in edges if e[1] in comp})))
+                comps.append(CoreGraph(rank,
+                                       [e for e in edges if e[1] in comp]))
     return FreeFactorSystem(rank, _dedupe(tuple(comps)))
 
 

@@ -2,7 +2,13 @@
 
 Total cyclic length of a set of conjugacy classes is driven to a local
 minimum by Whitehead moves (a local minimum is global for this length
-function), scored in O(1) per move from the cyclic adjacency counts.
+function).  For one multiplier, the length change of a move is a
+submodular quadratic in its per-letter bits, read off the cyclic
+adjacency counts, so one s-t minimum cut minimizes it exactly (Roig,
+Ventura and Weil, IJAC 2007).  The nodes reachable from the source after
+a max flow are the least minimizer: minimizers are closed under bitwise
+AND, so it lies below every other one, and it is the move an enumeration
+of all 4^(n-1) bit assignments in increasing order keeps first.
 The minimized set fills iff its Whitehead graph is connected on a full
 letter set; otherwise the letter partition yields a proper free factor
 system, transported back through the inverted move log.
@@ -10,9 +16,8 @@ system, transported back through the inverted move log.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .automorphisms import BasisMap, apply_map, compose_maps, identity_map
 from .config import DEFAULT, Config
@@ -71,85 +76,125 @@ def apply_move(move: Move, rank: int, cyclic_word: str) -> str:
     return canonical_cyclic(apply_map(move.basis_map(rank), cyclic_word))
 
 
-def _pair_counts(rank: int, classes) -> tuple[np.ndarray, np.ndarray]:
+def _pair_counts(rank: int, classes) -> tuple[list[list[int]], list[int]]:
     """Cyclic adjacency counts P[u][v] and occurrence counts, oriented
     letters indexed fwd slots then bwd slots."""
+    col = {**{FWD[g]: g for g in range(rank)},
+           **{BWD[g]: rank + g for g in range(rank)}}
     dim = 2 * rank
-    P = np.zeros((dim, dim), dtype=np.int64)
-    occ = np.zeros(dim, dtype=np.int64)
-
-    def col(ch):
-        return (FWD.index(ch) if ch in FWD[:rank] else rank + BWD.index(ch))
-
+    P = [[0] * dim for _ in range(dim)]
+    occ = [0] * dim
+    pairs: Counter = Counter()
     for w in classes:
-        if not w:
-            continue
-        idxs = [col(ch) for ch in w]
-        for i, u in enumerate(idxs):
-            occ[u] += 1
-            P[u][idxs[(i + 1) % len(idxs)]] += 1
+        pairs.update(zip(w, w[1:] + w[:1]))
+    for (a, b), k in pairs.items():
+        u = col[a]
+        occ[u] += k
+        P[u][col[b]] += k
     return P, occ
 
 
-_combo_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _min_cut(cap) -> tuple[int, list[int]]:
+    """Edmonds–Karp max flow from node 0 to node 1 of a capacity matrix.
 
-
-def _combos(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """All (left, right) bit assignments over k letters as 0/1 matrices."""
-    if k not in _combo_cache:
-        n = 4**k
-        rows = np.arange(n)
-        left = np.zeros((n, k), dtype=np.int64)
-        right = np.zeros((n, k), dtype=np.int64)
-        for j in range(k):
-            digit = (rows // (4**j)) % 4
-            left[:, j] = digit % 2
-            right[:, j] = digit // 2
-        _combo_cache[k] = (left, right)
-    return _combo_cache[k]
+    ``cap`` becomes the residual matrix.  Returns the flow value and the
+    nodes reachable from 0 in the residual graph: the least source side of
+    a minimum cut.
+    """
+    nodes = range(len(cap))
+    flow = 0
+    while True:
+        prev = [-1] * len(cap)
+        prev[0] = 0
+        queue = [0]
+        for u in queue:
+            row = cap[u]
+            for v in nodes:
+                if row[v] and prev[v] < 0:
+                    prev[v] = u
+                    queue.append(v)
+        if prev[1] < 0:
+            return flow, queue
+        path = []
+        v = 1
+        while v:
+            path.append((prev[v], v))
+            v = prev[v]
+        push = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= push
+            cap[v][u] += push
+        flow += push
 
 
 def _best_move(rank: int, classes) -> tuple[int, Move | None]:
-    """Most reducing Whitehead move (first in fixed enumeration order)."""
+    """Most reducing Whitehead move, by one minimum cut per multiplier m.
+
+    With bits l_g, r_g on every other letter g, the length change is
+
+        sum_g occ(g±)(l_g + r_g)  -  2 sum_{u,v} P[u][v] e(u) b(v),
+
+    where e(u) says that the image of u ends in m and b(v) that the image
+    of v begins with m^-1 (e(m) = b(m^-1) = 1, e(m^-1) = b(m) = 0).  Every
+    pair coefficient is nonpositive, so the cut with "bit = 1 iff source
+    side" minimizes it.  Ties between multipliers go to the least
+    resulting class set.
+    """
     P, occ = _pair_counts(rank, classes)
-    occ2 = occ[:rank] + occ[rank:]
+    dim = 2 * rank
+    pairs = [(u, v, 2 * P[u][v]) for u in range(dim) for v in range(dim)
+             if P[u][v]]
     best_delta = 0
     best: list[Move] = []
     for p in range(rank):
         others = [g for g in range(rank) if g != p]
         if not others:
             continue
-        left, right = _combos(len(others))
-        occ_sub = occ2[others]
-        lin = left @ occ_sub + right @ occ_sub
-        for ch in (FWD[p], BWD[p]):
-            dim = 2 * rank
-            R = np.zeros((left.shape[0], dim), dtype=np.int64)
-            L = np.zeros((left.shape[0], dim), dtype=np.int64)
-            for j, g in enumerate(others):
-                R[:, g] = right[:, j]
-                R[:, rank + g] = left[:, j]
-                L[:, g] = left[:, j]
-                L[:, rank + g] = right[:, j]
-            m_col = p if ch == FWD[p] else rank + p
-            mi_col = rank + p if ch == FWD[p] else p
-            R[:, m_col] = 1
-            L[:, mi_col] = 1
-            quad = ((R @ P) * L).sum(axis=1)
-            delta = lin - 2 * quad
-            i = int(np.argmin(delta))
-            d = int(delta[i])
-            if d < best_delta:
-                best_delta = d
-                best = [Move(ch, frozenset(others[j] for j in range(len(others))
-                                           if left[i][j]),
-                             frozenset(others[j] for j in range(len(others))
-                                       if right[i][j]))]
-            elif d == best_delta and d < 0:
-                best.append(Move(ch, frozenset(others[j] for j in range(len(others))
-                                               if left[i][j]),
-                                 frozenset(others[j] for j in range(len(others))
-                                           if right[i][j])))
+        # node 0 = s, which also stands for the constant bit 1; node 1 = t;
+        # nodes 2 + 2j and 3 + 2j = left and right bit of others[j]
+        size = 2 + 2 * len(others)
+        ends: list[int | None] = [None] * dim
+        begins: list[int | None] = [None] * dim
+        lin0 = [0] * size
+        for j, g in enumerate(others):
+            left, right = 2 + 2 * j, 3 + 2 * j
+            ends[g], ends[rank + g] = right, left
+            begins[g], begins[rank + g] = left, right
+            lin0[left] = lin0[right] = occ[g] + occ[rank + g]
+        for ch, m_col, mi_col in ((FWD[p], p, rank + p), (BWD[p], rank + p, p)):
+            ends[m_col], ends[mi_col] = 0, None
+            begins[m_col], begins[mi_col] = None, 0
+            lin = lin0[:]
+            cap = [[0] * size for _ in range(size)]
+            for u, v, w in pairs:
+                a, b = ends[u], begins[v]
+                if a is None or b is None:
+                    continue
+                # -w x_a x_b = -w x_a + w x_a (1 - x_b): edge a -> b
+                lin[a] -= w
+                if a != b:
+                    cap[a][b] += w
+            # a x_i costs a on edge i -> t if a > 0, else a + |a| (1 - x_i)
+            # with |a| on edge s -> i; lin[0] collects the constant terms
+            delta = lin[0]
+            for i in range(2, size):
+                if lin[i] > 0:
+                    cap[i][1] += lin[i]
+                elif lin[i] < 0:
+                    delta += lin[i]
+                    cap[0][i] -= lin[i]
+            flow, side = _min_cut(cap)
+            delta += flow
+            if delta >= 0 or delta > best_delta:
+                continue
+            chosen = set(side)
+            move = Move(ch, frozenset(g for j, g in enumerate(others)
+                                      if 2 + 2 * j in chosen),
+                        frozenset(g for j, g in enumerate(others)
+                                  if 3 + 2 * j in chosen))
+            if delta < best_delta:
+                best_delta, best = delta, []
+            best.append(move)
     if not best:
         return 0, None
     if len(best) == 1:

@@ -2,11 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInput
-from freesplit.factors import (_natural_arcs, carries, co_edge_number,
-                               enumerate_classes, ffs_carried,
-                               ffs_from_generators, fold, folds_to_rose, meet,
-                               partition, subgroup_carried, tree_loops,
-                               whole_group)
+from freesplit.factors import (CoreGraph, _fold, _natural_arcs, _wedge,
+                               carries, co_edge_number, enumerate_classes,
+                               ffs_carried, ffs_from_generators, fold,
+                               folds_to_rose, meet, partition,
+                               subgroup_carried, tree_loops, whole_group)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert, reduce_word
 
 x, y, z = FWD[0], FWD[1], FWD[2]
@@ -54,6 +54,76 @@ class TestFold:
         again = fold(rank, core.basis_words())
         assert again.canonical_key == core.canonical_key
         assert len(core.basis_words()) == core.graph_rank
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, 7),
+                           st.integers(0, 7)), max_size=14),
+        st.none() | st.integers(0, 7))))
+    def test_worklist_fold_matches_rescan(self, case):
+        rank, edges, base = case
+        assert _fold(rank, edges, base) == _fold_rescan(rank, edges, base)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda rank: st.lists(
+        st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                 min_size=1, max_size=10).map(reduce_word),
+        min_size=1, max_size=4).map(lambda gens: (rank, gens))))
+    def test_worklist_fold_matches_rescan_on_wedges(self, case):
+        rank, gens = case
+        gens = [w for w in gens if w]
+        if not gens:
+            return
+        raw = _wedge(gens + [invert(w) + w[:3] for w in gens])
+        assert _fold(rank, raw, 0) == _fold_rescan(rank, raw, 0)
+
+    def test_core_graph_numbering_ignores_edge_order(self):
+        edges = sorted(_fold(2, _wedge([x + x + y, y + X + y, x + y + X]),
+                             base=0)[0])
+        graphs = [CoreGraph(2, order) for order in
+                  (edges, edges[::-1], edges[1:] + edges[:1], set(edges))]
+        assert len({g.edges for g in graphs}) == 1
+        assert len({tuple(g.basis_words()) for g in graphs}) == 1
+
+
+def _fold_rescan(rank, raw_edges, base=None):
+    """Reference Stallings fold: rescan every edge in sorted order after
+    each identification, merging into the least vertex."""
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            parent[x] = parent.get(parent[x], parent[x])
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    edges = set(raw_edges)
+    changed = True
+    while changed:
+        changed = False
+        seen: dict[tuple[int, int, bool], int] = {}
+        for lab, a, b in sorted(edges):
+            ra, rb = find(a), find(b)
+            key_out = (ra, lab, True)
+            key_in = (rb, lab, False)
+            if key_out in seen and seen[key_out] != rb:
+                union(seen[key_out], rb)
+                changed = True
+                break
+            if key_in in seen and seen[key_in] != ra:
+                union(seen[key_in], ra)
+                changed = True
+                break
+            seen[key_out] = rb
+            seen[key_in] = ra
+        edges = {(lab, find(a), find(b)) for lab, a, b in edges}
+    return edges, (find(base) if base is not None else None)
 
 
 class TestPartition:

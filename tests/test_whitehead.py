@@ -1,15 +1,18 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit import whitehead
 from freesplit.automorphisms import apply_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
-from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, apply_move,
-                                 fills, free_factor_support, replay_move_log,
+from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
+                                 _pair_counts, apply_move, fills,
+                                 free_factor_support, replay_move_log,
                                  whitehead_minimize)
-from freesplit.words import BWD, FWD, canonical_cyclic, invert
+from freesplit.words import BWD, FWD, canonical_cyclic, invert, sort_key
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -65,6 +68,98 @@ def automorphisms(draw, rank):
     for mv in draw(st.lists(st.sampled_from(moves), max_size=4)):
         bm = tuple(apply_map(mv.basis_map(rank), w) for w in bm)
     return bm
+
+
+def _best_move_enumerated(rank, classes):
+    """Reference move search: score every (left, right) bit assignment of
+    every multiplier, keep the first row of least length change."""
+    P, occ = map(np.array, _pair_counts(rank, classes))
+    occ2 = occ[:rank] + occ[rank:]
+    dim = 2 * rank
+    best_delta = 0
+    best = []
+    for p in range(rank):
+        others = [g for g in range(rank) if g != p]
+        if not others:
+            continue
+        k = len(others)
+        # row i sets bits l_j + 2 r_j = base-4 digit j of i
+        digits = (np.arange(4**k)[:, None] // 4 ** np.arange(k)) % 4
+        left, right = digits % 2, digits // 2
+        lin = left @ occ2[others] + right @ occ2[others]
+        for ch, m_col, mi_col in ((FWD[p], p, rank + p), (BWD[p], rank + p, p)):
+            R = np.zeros((4**k, dim), dtype=np.int64)
+            L = np.zeros((4**k, dim), dtype=np.int64)
+            for j, g in enumerate(others):
+                R[:, g], R[:, rank + g] = right[:, j], left[:, j]
+                L[:, g], L[:, rank + g] = left[:, j], right[:, j]
+            R[:, m_col] = 1
+            L[:, mi_col] = 1
+            delta = lin - 2 * ((R @ P) * L).sum(axis=1)
+            i = int(np.argmin(delta))
+            d = int(delta[i])
+            if d >= 0 or d > best_delta:
+                continue
+            if d < best_delta:
+                best_delta, best = d, []
+            best.append(Move(ch, frozenset(g for j, g in enumerate(others)
+                                           if left[i][j]),
+                             frozenset(g for j, g in enumerate(others)
+                                       if right[i][j])))
+    if not best:
+        return 0, None
+    if len(best) == 1:
+        return best_delta, best[0]
+    scored = []
+    for mv in best[:32]:
+        result = tuple(sorted((apply_move(mv, rank, w) for w in classes),
+                              key=sort_key))
+        scored.append((tuple(sort_key(w) for w in result), mv))
+    scored.sort(key=lambda t: t[0])
+    return best_delta, scored[0][1]
+
+
+# Starting class sets of the Whitehead fills test of bdd_no_periodic(3) and
+# bdd_no_periodic(4), on roses of rank 7 and 8.
+BDD_RANK7 = ["aabbccedaabbccE", "aabbccgfaabbccG"]
+BDD_RANK8 = ["aabbccddfeaabbccddF", "aabbccddhgaabbccddH"]
+
+
+class TestBestMove:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                          min_size=1, max_size=12).map("".join),
+                 min_size=1, max_size=4))))
+    def test_min_cut_matches_enumeration(self, case):
+        rank, words = case
+        classes = sorted({c for c in map(canonical_cyclic, words) if c},
+                         key=sort_key) or [x]
+        assert _best_move(rank, classes) == _best_move_enumerated(rank, classes)
+
+    @pytest.mark.parametrize("rank, classes, every",
+                             [(7, BDD_RANK7, 1), (8, BDD_RANK8, 6)])
+    def test_bdd_no_periodic_trajectories(self, monkeypatch, rank, classes,
+                                          every):
+        # every step of the minimization at rank 7, every sixth at rank 8
+        steps = []
+
+        def recorded(r, cur):
+            got = _best_move(r, cur)
+            steps.append((list(cur), got))
+            return got
+
+        monkeypatch.setattr(whitehead, "_best_move", recorded)
+        _, total, log = whitehead_minimize(classes, rank)
+        assert total == 2 and len(log) == len(steps) - 1
+        for cur, got in steps[::every] + steps[-1:]:
+            assert got == _best_move_enumerated(rank, cur)
+
+    def test_ties_go_to_least_resulting_class_set(self):
+        # x y: four multipliers each reach length 1
+        delta, move = _best_move(2, [x + y])
+        assert delta == -1 and move == _best_move_enumerated(2, [x + y])[1]
 
 
 class TestMinimize:
