@@ -19,7 +19,7 @@ from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NumericalTolerance
 from .factors import FreeFactorSystem, _dedupe, fold, partition, tree_loops
 from .words import (BWD, FWD, image_table, invert, is_fwd, reduce_images,
-                    reduce_word, slot)
+                    reduce_word, slot, stop_table)
 
 
 class Graph:
@@ -203,12 +203,26 @@ class MarkedGraph:
             inv[s] = rho_hat_inv[loop_index[s]]
         return inv
 
+    @cached_property
+    def _to_rose(self) -> tuple[dict, dict]:
+        """Image and stop tables of the marking inverse, built on first use."""
+        images = image_table(self.marking_inv)
+        return images, stop_table(images)
+
+    @cached_property
+    def _to_path(self) -> tuple[dict, dict]:
+        """Image and stop tables of the marking."""
+        images = image_table(self.marking)
+        return images, stop_table(images)
+
     def path_to_rose(self, path: str) -> str:
         """Abstract basis word of a path, via the stored marking inverse."""
-        return reduce_images(image_table(self.marking_inv), path)
+        images, stop = self._to_rose
+        return reduce_images(images, path, stop)
 
     def rose_to_path(self, word: str) -> str:
-        return reduce_images(image_table(self.marking), word)
+        images, stop = self._to_path
+        return reduce_images(images, word, stop)
 
     def circuit_to_rose_class(self, circuit: str) -> str:
         return words.canonical_cyclic(self.path_to_rose(circuit))
@@ -342,6 +356,7 @@ class GraphMap:
                     f"trivial image of edge {self.source.edge_names[s]} "
                     "needs equal vertex images")
         object.__setattr__(self, "img", image_table(self.edge_images))
+        object.__setattr__(self, "stop", stop_table(self.img))
 
     def is_endo(self) -> bool:
         return self.source is self.target
@@ -380,7 +395,7 @@ def tighten(graph: Graph, path: str) -> str:
 def map_path(f: GraphMap, path: str) -> str:
     """Tightened image of a path (the # operation)."""
     f.source.check_path(path)
-    return reduce_images(f.img, path)
+    return reduce_images(f.img, path, f.stop)
 
 
 def map_circuit(f: GraphMap, circuit: str) -> str:
@@ -388,7 +403,7 @@ def map_circuit(f: GraphMap, circuit: str) -> str:
     if not f.source.is_closed(circuit):
         raise InvalidInput("not a closed path")
     f.source.check_path(circuit)
-    return words.canonical_cyclic(reduce_images(f.img, circuit))
+    return words.canonical_cyclic(reduce_images(f.img, circuit, f.stop))
 
 
 def iterate(f: GraphMap, path: str, k: int,

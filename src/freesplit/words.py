@@ -70,27 +70,38 @@ def image_table(images) -> dict[str, str]:
     return table
 
 
-def reduce_images(images: dict[str, str], word: str) -> str:
-    """Free reduction of the concatenated images of the letters of ``word``.
+def stop_table(images: dict[str, str]) -> dict[str, str | None]:
+    """For each key of ``images``, the letter on top of the reduced prefix
+    that its image would cancel first: the inverse of the image's first
+    letter, None for an empty image.  Built once per table, not per call."""
+    inv = _INV
+    return {key: inv[img[0]] if img else None for key, img in images.items()}
 
-    Equals ``reduce_word("".join(images[ch] for ch in word))`` whenever every
-    image is reduced; ``word`` itself need not be.  The reduced prefix is
-    kept as a stack of image pieces.  An image whose first letter does not
-    cancel the last letter of the stack is pushed whole; otherwise it
-    cancels from its front against the top piece, trimming or popping it,
-    and its uncancelled rest is pushed.  So the Python loop runs once per
-    letter of ``word`` and once per cancelled letter, not once per output
+
+def reduce_images(images: dict[str, str], word, stop=None) -> str:
+    """Free reduction of the concatenated images of the keys of ``word``.
+
+    ``word`` is a string of letters or a list of blocks of letters, any
+    sequence of keys of ``images``; ``stop`` is ``stop_table(images)``,
+    built here when not given.  Equals
+    ``reduce_word("".join(images[key] for key in word))`` whenever every
+    image is reduced; the letters of ``word`` need not be.  The reduced
+    prefix is kept as a stack of image pieces.  An image whose first letter
+    does not cancel the last letter of the stack is pushed whole; otherwise
+    it cancels from its front against the top piece, trimming or popping
+    it, and its uncancelled rest is pushed.  So the Python loop runs once
+    per key of ``word`` and once per cancelled letter, not once per output
     letter.
     """
     inv = _INV
-    # the last letter of the stack that the image of ch would cancel
-    stop = {ch: inv[img[0]] if img else None for ch, img in images.items()}
+    if stop is None:
+        stop = stop_table(images)
     stack: list[str] = []
     push = stack.append
     last = ""
-    for ch in word:
-        img = images[ch]
-        if stop[ch] != last:
+    for key in word:
+        img = images[key]
+        if stop[key] != last:
             if img:
                 push(img)
                 last = img[-1]
@@ -111,6 +122,17 @@ def reduce_images(images: dict[str, str], word: str) -> str:
             push(img[i:] if i else img)
         last = stack[-1][-1] if stack else ""
     return "".join(stack)
+
+
+def junction(u: str, v: str) -> int:
+    """Letters cancelling from each side when the reduced words ``u`` and
+    ``v`` are concatenated: ``reduce_word(u + v)`` is
+    ``u[:len(u) - k] + v[k:]``."""
+    inv = _INV
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == inv[v[k]]:
+        k += 1
+    return k
 
 
 def is_reduced(word: str) -> bool:

@@ -28,8 +28,8 @@ from .laminations import (LaminationApprox, _window_start, defining_segment,
                           lamination_approx, lamination_fills)
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
-from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce, invert,
-                    path_contains, sort_key, strip_cyclic)
+from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce,
+                    junction, path_contains, sort_key, strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
 DEFINED = "Defined"
@@ -191,6 +191,8 @@ def _orbit_step(bm: BasisMap, w: str, cap: int,
     Each reduced piece is glued onto the prefix by cancelling at its one
     junction, so the result equals the whole-word image.  Without a bound,
     or when len(w) Lip(f) cannot exceed ``cap``, the word is mapped whole.
+    Either way ``apply_map`` maps a piece or word of two blocks or more
+    block by block through the map's memo of block images.
     """
     if bound is None or len(w) * max(map(len, bm)) <= cap:
         img = apply_map(bm, w)
@@ -199,9 +201,7 @@ def _orbit_step(bm: BasisMap, w: str, cap: int,
         img = ""
         for i in range(0, len(w), size):
             piece = apply_map(bm, w[i:i + size])
-            k, n = 0, min(len(img), len(piece))
-            while k < n and img[-1 - k] == invert(piece[k]):
-                k += 1
+            k = junction(img, piece)
             img = img[:len(img) - k] + piece[k:]
             if len(img) > cap + 3 * bound:
                 return None

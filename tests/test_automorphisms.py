@@ -1,12 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit.automorphisms import (DISTINCT, EQUAL, abelianization,
+import freesplit.automorphisms as automorphisms_mod
+from freesplit.automorphisms import (DISTINCT, EQUAL, _BLOCK, _apply_move,
+                                     _elementary_moves, _gain, _map_tables,
+                                     _nielsen_reduce, abelianization,
                                      apply_map, compose_maps, identity_map,
-                                     invert_map, outer_equal)
-from freesplit.errors import InvalidInput
-from freesplit.words import (BWD, FWD, cyclic_reduce, invert, reduce_word,
-                             strip_cyclic)
+                                     invert_map, is_signed_basis, outer_equal)
+from freesplit.errors import BudgetExhausted, InvalidInput
+from freesplit.words import (BWD, FWD, cyclic_reduce, image_table, invert,
+                             reduce_word, strip_cyclic)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -39,12 +42,16 @@ def _nielsen_generators(rank):
     return gens
 
 
+def _generators(rank):
+    return [(BWD[0],)] if rank == 1 else _nielsen_generators(rank)
+
+
 @st.composite
-def automorphisms(draw):
-    rank = draw(st.integers(2, 3))
+def automorphisms(draw, min_rank=2, max_rank=3, max_moves=6):
+    rank = draw(st.integers(min_rank, max_rank))
     bm = identity_map(rank)
-    for g in draw(st.lists(st.sampled_from(_nielsen_generators(rank)),
-                           max_size=6)):
+    for g in draw(st.lists(st.sampled_from(_generators(rank)),
+                           max_size=max_moves)):
         bm = compose_maps(g, bm)
     return bm
 
@@ -121,3 +128,200 @@ class TestApplyMapProperties:
     def test_inverse_composed_is_outer_identity(self, bm):
         comp = compose_maps(invert_map(bm), bm)
         assert outer_equal(comp, identity_map(len(bm)))[0] == EQUAL
+
+
+# ---------------------------------------------------------------------------
+# Block-wise map application
+
+
+def letter_image(bm, w):
+    """Reference: free reduction of the concatenated letter images."""
+    table = image_table(bm)
+    return reduce_word("".join(table[ch] for ch in w))
+
+
+def long_word(rank, n):
+    """A word of exactly n letters, random or periodic (so that its blocks
+    repeat), not necessarily reduced."""
+    letters = FWD[:rank] + BWD[:rank]
+    random_word = st.lists(st.sampled_from(letters), min_size=n,
+                           max_size=n).map("".join)
+    periodic = st.lists(st.sampled_from(letters), min_size=1,
+                        max_size=7).map(lambda u: ("".join(u) * n)[:n])
+    return st.one_of(random_word, periodic)
+
+
+@st.composite
+def endo_and_long_word(draw):
+    """A rank 1-4 basis map (images unreduced, maybe empty) and a word of
+    about one, two or three block lengths."""
+    rank = draw(st.integers(1, 4))
+    bm = tuple(draw(words_strategy(rank, 5)) for _ in range(rank))
+    n = draw(st.sampled_from([k * _BLOCK + d for k in (1, 2, 3)
+                              for d in (-1, 0, 1)]))
+    return bm, draw(long_word(rank, n))
+
+
+@st.composite
+def automorphism_and_long_word(draw):
+    """A rank 1-4 automorphism, its inverse and a reduced word of several
+    blocks."""
+    bm = draw(automorphisms(1, 4, 8))
+    n = draw(st.integers(2 * _BLOCK, 6 * _BLOCK))
+    return bm, invert_map(bm), reduce_word(draw(long_word(len(bm), n)))
+
+
+def memo_letters(bm):
+    t = _map_tables(tuple(bm))
+    return sum(len(k) + len(v) for k, v in t.images.items() if len(k) > 1)
+
+
+class TestBlockMemo:
+    @settings(max_examples=200, deadline=None)
+    @given(endo_and_long_word())
+    def test_matches_letter_images(self, case):
+        bm, w = case
+        expected = letter_image(bm, w)
+        assert apply_map(bm, w) == expected
+        assert apply_map(bm, w) == expected  # now from the memo
+
+    @settings(max_examples=100, deadline=None)
+    @given(automorphism_and_long_word())
+    def test_inverse_round_trip(self, case):
+        bm, inv, w = case
+        assert apply_map(bm, apply_map(inv, w)) == w
+        assert apply_map(inv, apply_map(bm, w)) == w
+
+    @settings(max_examples=100, deadline=None)
+    @given(endo_and_long_word(), automorphism_and_long_word())
+    def test_tiny_memo_cap(self, case, auto):
+        cap = 3 * _BLOCK
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(automorphisms_mod, "_MEMO_LETTERS", cap)
+            _map_tables.cache_clear()
+            try:
+                bm, w = case
+                f, inv, u = auto
+                for _ in range(2):
+                    assert apply_map(bm, w) == letter_image(bm, w)
+                    assert apply_map(f, apply_map(inv, u)) == u
+                    for m in (bm, f, inv):
+                        assert memo_letters(m) <= cap
+            finally:
+                _map_tables.cache_clear()
+
+    def test_blocks_repeat(self):
+        bm = (x + Y, y + x + Y)
+        w = (x + y + y) * (3 * _BLOCK)
+        assert apply_map(bm, w) == letter_image(bm, w)
+        t = _map_tables(bm)
+        assert 0 < memo_letters(bm) < len(w)
+        assert len([k for k in t.images if len(k) > 1]) <= 4
+
+
+# ---------------------------------------------------------------------------
+# Nielsen move scoring, against the reference that builds every word
+
+
+def _apply_move_reference(tup, move):
+    i, j, side, sign = move
+    other = tup[j] if sign == 1 else invert(tup[j])
+    return reduce_word(tup[i] + other if side == "R" else other + tup[i])
+
+
+def _escape_plateau_reference(tup, n, budget):
+    seen = {tuple(tup)}
+    frontier = [([], list(tup))]
+    for _ in range(2):
+        nxt = []
+        for prefix, state in frontier:
+            for move in _elementary_moves(n):
+                new_word = _apply_move_reference(state, move)
+                if len(new_word) != len(state[move[0]]):
+                    continue
+                cand = list(state)
+                cand[move[0]] = new_word
+                key = tuple(cand)
+                if key in seen:
+                    continue
+                seen.add(key)
+                if len(seen) > budget:
+                    return None
+                seq = prefix + [move]
+                for move2 in _elementary_moves(n):
+                    reduced = _apply_move_reference(cand, move2)
+                    if len(reduced) < len(cand[move2[0]]):
+                        cand[move2[0]] = reduced
+                        return seq + [move2], cand
+                nxt.append((seq, cand))
+        frontier = nxt
+    return None
+
+
+def _nielsen_reduce_reference(tup, budget):
+    n = len(tup)
+    moves = []
+    steps = 0
+    while not is_signed_basis(tuple(tup)):
+        if steps > budget:
+            raise BudgetExhausted("Nielsen reduction exceeded budget")
+        steps += 1
+        best = None
+        for move in _elementary_moves(n):
+            new = _apply_move_reference(tup, move)
+            gain = len(tup[move[0]]) - len(new)
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (gain, move, new)
+        if best is not None:
+            _, move, new = best
+            tup[move[0]] = new
+            moves.append(move)
+            continue
+        plateau = _escape_plateau_reference(tup, n, budget)
+        if plateau is None:
+            raise BudgetExhausted("Nielsen reduction stalled")
+        moves.extend(plateau[0])
+        tup = plateau[1]
+    return moves, tuple(tup)
+
+
+@st.composite
+def reduced_tuple(draw):
+    rank = draw(st.integers(2, 4))
+    return [reduce_word(draw(words_strategy(rank, 12))) for _ in range(rank)]
+
+
+class TestNielsenScoring:
+    @settings(max_examples=200, deadline=None)
+    @given(reduced_tuple())
+    def test_gain_is_length_drop(self, tup):
+        for move in _elementary_moves(len(tup)):
+            ref = _apply_move_reference(tup, move)
+            assert _apply_move(tup, move) == ref
+            assert _gain(tup, move) == len(tup[move[0]]) - len(ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(automorphisms(2, 4, 12))
+    def test_same_moves_as_reference(self, bm):
+        assert _nielsen_reduce(list(bm), 4000) == \
+            _nielsen_reduce_reference(list(bm), 4000)
+
+    @pytest.mark.parametrize("bm", [
+        (X + Z, y + Z, y + x + z),
+        (y + y + z + X + Y, y + y + z, X + z),
+        (z + X, x + y + y + z + y + x + y, z + y),
+    ])
+    def test_plateau_moves(self, bm, monkeypatch):
+        # no single move shortens these tuples at some step
+        plateaus = []
+        escape = automorphisms_mod._escape_plateau
+
+        def counted(*args):
+            plateaus.append(args)
+            return escape(*args)
+
+        monkeypatch.setattr(automorphisms_mod, "_escape_plateau", counted)
+        assert _nielsen_reduce(list(bm), 4000) == \
+            _nielsen_reduce_reference(list(bm), 4000)
+        assert plateaus
+        assert compose_maps(invert_map(bm), bm) == identity_map(3)

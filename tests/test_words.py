@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from freesplit.errors import InvalidInput
 from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_contains,
                              cyclic_reduce, image_table, invert, is_reduced,
-                             parse_word, print_word, reduce_images,
+                             junction, parse_word, print_word, reduce_images,
                              reduce_word, sort_key)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
@@ -73,6 +73,15 @@ class TestReduceImages:
         table, w = tw
         assert reduce_images(table, w) == \
             reduce_word("".join(table[ch] for ch in w))
+
+
+class TestJunction:
+    @settings(max_examples=150, deadline=None)
+    @given(words_strategy(), words_strategy())
+    def test_cancellation_at_the_junction(self, u, v):
+        u, v = reduce_word(u), reduce_word(v)
+        k = junction(u, v)
+        assert reduce_word(u + v) == u[:len(u) - k] + v[k:]
 
 
 class TestCanonicalCyclic:

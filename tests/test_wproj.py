@@ -3,7 +3,9 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit.automorphisms import apply_map, compose_maps, identity_map
+import freesplit.automorphisms as automorphisms_mod
+from freesplit.automorphisms import (apply_map, compose_maps, identity_map,
+                                     invert_map)
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators
 from freesplit.fixtures import fixture
@@ -219,6 +221,32 @@ class TestEarlyStopOrbits:
                         m = sign * (len(lengths) + 1)
                         assert translated(capped, c, m) == \
                             translated(whole, c, m)
+
+
+def orbit(bm, w, steps, cap, bound):
+    words = [w]
+    while len(words) <= steps and words[-1] is not None:
+        words.append(_orbit_step(bm, words[-1], cap, bound))
+    return words
+
+
+class TestBlockwiseOrbits:
+    # sweep080: x1 -> x1' x2, x2 -> x2 x1' x2; sweep096: x1 -> x2' x1',
+    # x2 -> x2 x1 x2; forward and backward orbits of two classes each
+    @pytest.mark.parametrize("bm", [(BWD[0] + FWD[1], FWD[1] + BWD[0] + FWD[1]),
+                                    (BWD[1] + BWD[0], FWD[1] + FWD[0] + FWD[1])])
+    def test_same_orbits_letter_by_letter(self, bm, monkeypatch):
+        inv = invert_map(bm)
+        bound = lip_product(bm, inv)
+        cases = [(f, c) for f in (bm, inv)
+                 for c in (FWD[0], FWD[0] + FWD[1])]
+        blockwise = [orbit(f, c, 40, 20_000, b) for f, c in cases
+                     for b in (bound, None)]
+        assert all(len(o[-2]) > 2_000 for o in blockwise)
+        monkeypatch.setattr(automorphisms_mod, "_BLOCK", 10 ** 9)
+        letterwise = [orbit(f, c, 40, 20_000, b) for f, c in cases
+                      for b in (bound, None)]
+        assert blockwise == letterwise
 
 
 class TestCandidates:
