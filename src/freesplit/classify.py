@@ -26,7 +26,7 @@ from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
 from .whitehead import FILLS, UNKNOWN
 from .wproj import (WContext, build_context, default_m_samples,
                     displacement_table, estimate_M)
-from .words import FWD, canonical_cyclic, invert, is_fwd, slot
+from .words import BWD, FWD, invert, is_fwd, slot, strip_cyclic
 
 DISPLACEMENT_RADIUS = 4  # translations tabulated on each side of W
 CHAIN_K = 1  # power of the map in the BoundedOrbits chain witness
@@ -90,7 +90,14 @@ def _power_map(f: GraphMap, p: int) -> GraphMap:
 
 
 def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
-    """Least p with the p-th power inner, or None; cheap cyclic screen first."""
+    """Least p with the p-th power inner, or None.
+
+    Two cheap screens come before the conjugator search of ``outer_equal``.
+    A power with an image over 10,000 letters ends the search.  An inner
+    power maps every basis letter to a conjugate of itself, so each image
+    must cyclically reduce to that letter; the screen also passes its
+    inverse, which ``outer_equal`` then rejects.
+    """
     basis = identity_map(mg.rank)
     step = mg.induced_rose_map(f)
     cur = basis
@@ -98,7 +105,11 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
         cur = compose_maps(step, cur)
         if max(len(w) for w in cur) > 10_000:
             return None
-        if all(canonical_cyclic(cur[i]) == canonical_cyclic(FWD[i])
+        # The screen is canonical_cyclic(w) == canonical_cyclic(FWD[i]),
+        # which holds exactly when w cyclically reduces to FWD[i] or BWD[i].
+        # compose_maps returns reduced words, so strip_cyclic is their
+        # cyclic reduction, and no rotation of a long image is searched.
+        if all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
                for i in range(mg.rank)):
             verdict, _ = outer_equal(cur, basis, cfg.outer_budget)
             if verdict == "Equal":

@@ -142,21 +142,31 @@ class CoreGraph:
         """Canonical string up to basepoint-free isomorphism.
 
         BFS relabeling from each vertex; the lexicographically least
-        serialization wins.  Quadratic, fine at desk scale.
+        serialization wins.  A root is dropped as soon as its serialization
+        sorts after the best one so far, so a losing root costs only the
+        rows up to its first difference.
         """
         best = None
         for root in range(self.n_vertices):
-            sig = self._bfs_signature(root)
-            if best is None or sig < best:
+            sig = self._bfs_signature(root, best)
+            if sig is not None:
                 best = sig
         return best or ""
 
-    def _bfs_signature(self, root: int) -> str:
+    def _bfs_signature(self, root: int, best: str | None) -> str | None:
+        """Serialization of the BFS relabeling from ``root``, built row by
+        row; None once it is known to sort after ``best``.
+
+        While the rows so far equal the prefix of ``best``, each new row is
+        compared with the next slice of ``best``: a greater row means the
+        whole key sorts after ``best``, a lesser one that it sorts before,
+        so comparing stops.
+        """
         number = {root: 0}
         queue = [root]
-        rows = []
-        while queue:
-            v = queue.pop(0)
+        pieces = []
+        pos = 0  # length of the serialization so far, while it ties best
+        for v in queue:  # the queue grows while it is walked
             row = []
             for lab in range(self.rank):
                 for ch in (FWD[lab], BWD[lab]):
@@ -168,8 +178,16 @@ class CoreGraph:
                         number[w] = len(number)
                         queue.append(w)
                     row.append(f"{ch}{number[w]}")
-            rows.append(",".join(row))
-        return ";".join(rows)
+            piece = (";" if pieces else "") + ",".join(row)
+            pieces.append(piece)
+            if best is not None:
+                ahead = best[pos:pos + len(piece)]
+                if piece > ahead:
+                    return None
+                if piece < ahead:
+                    best = None
+                pos += len(piece)
+        return "".join(pieces)
 
     def basis_words(self, base: int = 0) -> list[str]:
         """Words (in ambient letters) of a free basis of the represented

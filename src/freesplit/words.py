@@ -154,25 +154,44 @@ def cyclic_reduce(word: str) -> str:
 
 
 def _least_rotation(s: str) -> int:
-    """Booth's algorithm: index of the least rotation, linear time."""
-    n = len(s)
-    d = s + s
-    f = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        sj = d[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != d[k + i + 1]:
-            if sj < d[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != d[k + i + 1]:
-            if sj < d[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k % n
+    """Index of a least rotation of the nonempty string ``s``.
+
+    The search runs on the primitive root ``u`` of ``s``: ``s`` is a power
+    of ``u``, so a rotation of ``u`` by ``i`` is one of ``s``.  Write
+    ``R_i`` for the infinite periodic word read from position ``i`` of
+    ``u``; its order is that of the rotations.  The candidates start as the
+    positions of the least letter.  Each round at least doubles ``span``
+    (at most ``len(u)``) and keeps the candidates whose ``span``-letter
+    slice of ``u + u`` is least, compared at C speed.  It then drops every
+    candidate ``j`` at most ``span`` past the candidate ``i`` before it.
+    The two share their first ``span >= j - i`` letters, which start with
+    ``v = u[i:j]``, so ``R_i = v R_j`` and ``R_j = v R_k`` with
+    ``k = j + (j - i)``.  Hence ``R_j < R_i`` implies ``R_k < R_j``, and
+    ``R_j`` is never the least.  Survivors are more than ``span`` apart,
+    so the next round slices O(``len(u)``) letters, also when it stretches
+    ``span`` to ``4 len(u) // len(cands)`` to settle few candidates in few
+    rounds.  There are at most ``log2 len(u)`` rounds, on runs and
+    periodic words too; rotations of ``u`` are distinct, so at
+    ``span == len(u)`` one candidate is left.
+    """
+    p = (s + s).find(s, 1)
+    u = s[:p]
+    d = u + u
+    first = min(u)
+    cands = []
+    i = u.find(first)
+    while i != -1:
+        cands.append(i)
+        i = u.find(first, i + 1)
+    span = 1
+    while len(cands) > 1:
+        span = min(max(2 * span, 4 * p // len(cands)), p)
+        slices = [d[i:i + span] for i in cands]
+        least = min(slices)
+        keep = [i for i, sl in zip(cands, slices) if sl == least]
+        cands = [keep[0]] + [j for i, j in zip(keep, keep[1:])
+                             if j - i > span]
+    return cands[0]
 
 
 def canonical_cyclic(word: str) -> str:
@@ -181,19 +200,21 @@ def canonical_cyclic(word: str) -> str:
     Least string (slot-major order, forward before backward) among all
     rotations of the cyclically reduced word and of its inverse.
     Identifies a class with its inverse; callers that care about
-    orientation keep it separately.
+    orientation keep it separately.  The least rotation of each is found
+    by :func:`_least_rotation`, which compares slices of the translated
+    word rather than looping over its letters.
     """
     w = cyclic_reduce(word)
     if not w:
         return ""
     t = sort_key(w)
     i = _least_rotation(t)
-    best = w[i:] + w[:i]
     wi = invert(w)
     ti = sort_key(wi)
     j = _least_rotation(ti)
-    best_inv = wi[j:] + wi[:j]
-    return best if sort_key(best) <= sort_key(best_inv) else best_inv
+    if t[i:] + t[:i] <= ti[j:] + ti[:j]:
+        return w[i:] + w[:i]
+    return wi[j:] + wi[:j]
 
 
 def cyclic_contains(cyclic: str, segment: str) -> bool:

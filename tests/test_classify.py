@@ -6,14 +6,17 @@ import sys
 import pytest
 
 from freesplit import cli
-from freesplit.automorphisms import invert_map
+from freesplit.automorphisms import (abelianization, compose_maps,
+                                     identity_map, invert_map)
 from freesplit.classify import (bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (identity_graph_map, marked_rose,
                               print_marked_graph, realize_rose_endo, rose_map)
-from freesplit.words import FWD
+from freesplit.words import BWD, FWD
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 class TestRank2Classify:
@@ -42,6 +45,49 @@ class TestRank2Classify:
     def test_bad_shape(self):
         with pytest.raises(InvalidInput):
             rank2_classify([[1, 0, 0], [0, 1, 0]])
+
+
+def rank2_products(max_length):
+    """Distinct rank-2 basis maps that are products of at most
+    ``max_length`` of x1<->x2, x1 -> x1^-1 and x1 -> x1 x2, breadth first
+    from the identity."""
+    x, y, X = FWD[0], FWD[1], BWD[0]
+    gens = ((y, x), (X, y), (x + y, y))
+    order = [identity_map(2)]
+    seen = set(order)
+    frontier = order[:]
+    for _ in range(max_length):
+        nxt = []
+        for bm in frontier:
+            for gen in gens:
+                prod = compose_maps(gen, bm)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        order += nxt
+        frontier = nxt
+    return order
+
+
+class TestRank2Sweep:
+    """Every product of at most four rank-2 generators, classified."""
+
+    def test_sweep_matches_oracle_and_golden(self):
+        with open(os.path.join(GOLDEN, "rank2_sweep4_classify.json")) as fh:
+            golden = json.load(fh)
+        maps = rank2_products(4)
+        assert len(maps) == 67
+        mg = marked_rose(2)
+        got = {}
+        for bm in maps:
+            c = classify(ExampleSpec("sweep", mg,
+                                     {"f": realize_rose_endo(mg, bm)}, None))
+            oracle = rank2_classify(abelianization(bm))
+            if c.verdict != "Unknown":
+                assert (c.verdict == "Loxodromic") == \
+                    (oracle == "Loxodromic"), bm
+            got["/".join(bm)] = [c.verdict, c.witness_kind, c.stage, c.power]
+        assert got == golden
 
 
 class TestPeriodicWitness:
@@ -178,9 +224,6 @@ class TestFixtureCatalog:
 
     def test_bdd_decomposition_keys(self, bdd_spec):
         assert set(bdd_spec.decomposition) == {"K1", "K2", "J2", "J3"}
-
-
-GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def run_cli(*argv, env=None):

@@ -338,6 +338,32 @@ def _enumerate_classes_dfs(ffs, max_len, cap=None):
     return ordered[:cap] if cap else ordered
 
 
+def _canonical_key_full(core):
+    """Reference key: the full BFS serialization from every root, least
+    one wins."""
+    sigs = []
+    for root in range(core.n_vertices):
+        number = {root: 0}
+        queue = [root]
+        rows = []
+        while queue:
+            v = queue.pop(0)
+            row = []
+            for lab in range(core.rank):
+                for ch in (FWD[lab], BWD[lab]):
+                    w = core.step(v, ch)
+                    if w is None:
+                        row.append(".")
+                        continue
+                    if w not in number:
+                        number[w] = len(number)
+                        queue.append(w)
+                    row.append(f"{ch}{number[w]}")
+            rows.append(",".join(row))
+        sigs.append(";".join(rows))
+    return min(sigs)
+
+
 class TestCanonicalForm:
     def test_conjugate_generators_same_core(self):
         a = fold(2, [x + y])
@@ -346,3 +372,30 @@ class TestCanonicalForm:
 
     def test_distinct_subgroups_differ(self):
         assert fold(2, [x]).canonical_key != fold(2, [y]).canonical_key
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda rank: st.lists(
+        st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                 min_size=1, max_size=10).map(reduce_word),
+        min_size=1, max_size=4).map(lambda gens: (rank, gens))))
+    def test_early_abort_key_matches_full_key(self, case):
+        rank, gens = case
+        gens = [w for w in gens if w]
+        if not gens:
+            return
+        core = fold(rank, gens)
+        assert core.canonical_key == _canonical_key_full(core)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, 7),
+                           st.integers(0, 7)), min_size=1, max_size=14),
+        st.permutations(range(8)))))
+    def test_early_abort_key_on_folded_edge_sets(self, case):
+        rank, edges, perm = case
+        core = CoreGraph(rank, _fold(rank, edges)[0])
+        assert core.canonical_key == _canonical_key_full(core)
+        relabeled = CoreGraph(rank, [(lab, perm[a], perm[b])
+                                     for lab, a, b in core.edges])
+        assert relabeled.canonical_key == core.canonical_key

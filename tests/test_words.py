@@ -1,11 +1,13 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInput
-from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_contains,
-                             cyclic_reduce, image_table, invert, is_reduced,
-                             junction, parse_word, print_word, reduce_images,
-                             reduce_word, sort_key)
+from freesplit.words import (BWD, FWD, _least_rotation, canonical_cyclic,
+                             cyclic_contains, cyclic_reduce, image_table,
+                             invert, is_reduced, junction, parse_word,
+                             print_word, reduce_images, reduce_word, sort_key)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -23,9 +25,51 @@ def brute_canonical(word: str) -> str:
     return min(cands, key=sort_key)
 
 
-def words_strategy(rank=3, max_len=8):
+def words_strategy(rank=3, max_len=8, min_len=0):
     letters = list(FWD[:rank] + BWD[:rank])
-    return st.lists(st.sampled_from(letters), max_size=max_len).map("".join)
+    return st.lists(st.sampled_from(letters), min_size=min_len,
+                    max_size=max_len).map("".join)
+
+
+def _least_rotation_booth(s: str) -> int:
+    """Reference: Booth's algorithm (IPL 1980), index of the least
+    rotation in linear time, one letter at a time."""
+    n = len(s)
+    d = s + s
+    f = [-1] * (2 * n)
+    k = 0
+    for j in range(1, 2 * n):
+        sj = d[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != d[k + i + 1]:
+            if sj < d[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != d[k + i + 1]:
+            if sj < d[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k % n
+
+
+def rotation(s: str, i: int) -> str:
+    return s[i:] + s[:i]
+
+
+def fibonacci_word(n: int) -> str:
+    a, b = "a", "ab"
+    while len(b) < n:
+        a, b = b, b + a
+    return b[:n]
+
+
+def thue_morse_word(n: int) -> str:
+    t = "a"
+    while len(t) < n:
+        t += t.translate(str.maketrans("ab", "ba"))
+    return t[:n]
 
 
 class TestReduce:
@@ -109,6 +153,50 @@ class TestCanonicalCyclic:
     def test_idempotent(self, w):
         c = canonical_cyclic(w)
         assert canonical_cyclic(c) == c
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda rank: words_strategy(rank, 16)))
+    def test_invariant_under_rotation_and_inversion(self, w):
+        c = canonical_cyclic(w)
+        r = cyclic_reduce(w)
+        for i in range(len(r)):
+            assert canonical_cyclic(rotation(r, i)) == c
+            assert canonical_cyclic(invert(rotation(r, i))) == c
+
+
+class TestLeastRotation:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
+        words_strategy(rank, 24, min_len=1), st.integers(1, 5))))
+    def test_matches_booth_on_words_and_powers(self, case):
+        u, k = case
+        for s in (sort_key(u), sort_key(u * k)):
+            assert rotation(s, _least_rotation(s)) == \
+                rotation(s, _least_rotation_booth(s))
+
+    @pytest.mark.parametrize("alphabet, max_len", [("ab", 12), ("abc", 7)])
+    def test_matches_brute_force_on_every_short_word(self, alphabet, max_len):
+        for n in range(1, max_len + 1):
+            for letters in itertools.product(alphabet, repeat=n):
+                s = "".join(letters)
+                assert rotation(s, _least_rotation(s)) == \
+                    min(rotation(s, i) for i in range(n)), s
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 100_000])
+    @pytest.mark.parametrize("family", [
+        lambda n: "a" * (n - 1) + "b",
+        lambda n: "b" * (n - 1) + "a",
+        lambda n: ("ab" * n)[:n],
+        lambda n: ("aaab" * n)[:n],
+        lambda n: ("a" * 9 + "b") * (n // 10) + "a" * (n % 10),
+        fibonacci_word,
+        thue_morse_word,
+    ], ids=["a^n b", "b^n a", "(ab)^n", "(a^3 b)^m", "(a^9 b)^m a^r",
+            "fibonacci", "thue-morse"])
+    def test_matches_booth_on_hard_families(self, family, n):
+        s = family(n)
+        assert rotation(s, _least_rotation(s)) == \
+            rotation(s, _least_rotation_booth(s))
 
 
 class TestContainment:
