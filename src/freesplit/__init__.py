@@ -16,29 +16,26 @@ from .automorphisms import (BasisMap, abelianization, apply_map,
                             compose_maps, identity_map, invert_map,
                             outer_equal)
 from .graphs import (Filtration, Graph, GraphMap, MarkedGraph, Stratum,
-                     TransitionMatrix, compose, graph_map,
-                     identity_graph_map, invert_rose_map,
+                     TransitionMatrix, compose, graph_map, identity_graph_map,
                      is_invariant_subgraph, is_nielsen, iterate, map_circuit,
-                     map_path, marked_rose, outer_equal_maps,
-                     parse_marked_graph, pf_eigenvalue, print_marked_graph,
-                     rose, rose_map, strata, subgraph_factor_system, tighten,
-                     transition_matrix)
+                     map_path, marked_rose, parse_marked_graph, pf_eigenvalue,
+                     print_marked_graph, rose, rose_map, strata,
+                     subgraph_factor_system, transition_matrix)
 from .factors import (CoreGraph, FreeFactorSystem, carries, co_edge_number,
                       enumerate_classes, ffs_carried, ffs_from_generators,
                       fold, meet, whole_group)
 from .whitehead import (FillsVerdict, fills, free_factor_support,
                         whitehead_minimize)
-from .laminations import (LaminationApprox, leaf_segment, lamination_approx,
+from .laminations import (LaminationApprox, lamination_approx,
                           lamination_fills, laminations_jointly_fill,
                           pf_estimate, weakly_attracted)
 from .pairs import (MarkedGraphPair, OneEdgeSplitting, adjacent,
                     elliptic_system, equivalent_one_edge, faces,
-                    fs_distance_upper, one_edge_splitting,
-                    pair_relation_check, remark_pair, remark_splitting,
-                    splitting_of_pair, validate_pair)
+                    one_edge_splitting, pair_relation_check, remark_pair,
+                    remark_splitting, splitting_of_pair, validate_pair)
 from .wproj import (WContext, WValue, build_context, candidate_classes,
                     displacement_table, divergence_check, estimate_M,
-                    in_U, lipschitz_check, w_of, W_of_ffs, W_of_splitting)
+                    in_U, lipschitz_check, w_of, W_of_ffs)
 from .fixtures import ExampleSpec, fixture, fixture_names
 from .classify import (Classification, bounded_path_witness, classify,
                        periodic_vertex_witness, rank2_classify)

@@ -12,8 +12,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .errors import BudgetExhausted, InvalidInput
+from .factors import folds_to_rose
 from .words import (FWD, BWD, image_table, invert, is_fwd, junction,
-                    reduce_images, reduce_word, slot, stop_table)
+                    primitive_root, reduce_images, reduce_word, slot,
+                    stop_table, strip_cyclic)
 
 BasisMap = tuple[str, ...]
 
@@ -127,15 +129,6 @@ def is_signed_basis(bm: BasisMap) -> bool:
     return sorted(slots) == list(range(len(bm)))
 
 
-def _generates_whole_group(bm: BasisMap) -> bool:
-    # n words generate F_n iff they generate freely; checked by folding the
-    # wedge of loops and asking for the based rose.  Imported here because
-    # factors imports this module: the one import that breaks the cycle.
-    from .factors import folds_to_rose
-
-    return folds_to_rose(bm, len(bm))
-
-
 # ---------------------------------------------------------------------------
 # Inversion by Nielsen reduction
 
@@ -191,7 +184,9 @@ def invert_map(bm: BasisMap, budget: int = 4000) -> BasisMap:
         raise InvalidInput("trivial basis image; not an automorphism")
     if is_signed_basis(bm):
         return _invert_signed_basis(bm)
-    if not _generates_whole_group(bm):
+    # n words generate F_n iff they generate freely: fold their wedge of
+    # loops and ask for the based rose.
+    if not folds_to_rose(bm, len(bm)):
         raise InvalidInput("basis images do not generate; not an automorphism")
 
     moves, rho = _nielsen_reduce([reduce_word(w) for w in bm], budget)
@@ -277,24 +272,6 @@ DISTINCT = "Distinct"
 UNKNOWN = "Unknown"
 
 
-def _peel(word: str) -> tuple[str, str]:
-    """Split reduced word as p * core * p^-1 with core cyclically reduced."""
-    i, j = 0, len(word)
-    while j - i >= 2 and word[j - 1] == invert(word[i]):
-        i += 1
-        j -= 1
-    return word[:i], word[i:j]
-
-
-def _root(word: str) -> str:
-    """Smallest γ with word = γ^d."""
-    n = len(word)
-    for p in range(1, n + 1):
-        if n % p == 0 and word == word[:p] * (n // p):
-            return word[:p]
-    return word
-
-
 def outer_equal(f: BasisMap, g: BasisMap, budget: int = 4000):
     """Decide equality of f, g in the outer automorphism group.
 
@@ -318,11 +295,14 @@ def outer_equal(f: BasisMap, g: BasisMap, budget: int = 4000):
     if anchor is None:
         return (EQUAL, "") if f == g else (UNKNOWN, None)
 
-    p, alpha = _peel(f[anchor])
-    q, beta = _peel(g[anchor])
+    # f[anchor] = p alpha p^-1 and g[anchor] = q beta q^-1, with alpha and
+    # beta cyclically reduced
+    alpha, beta = strip_cyclic(f[anchor]), strip_cyclic(g[anchor])
+    p = f[anchor][:(len(f[anchor]) - len(alpha)) // 2]
+    q = g[anchor][:(len(g[anchor]) - len(beta)) // 2]
     if len(alpha) != len(beta):
         return DISTINCT, None
-    gamma = _root(beta)
+    gamma = primitive_root(beta)
     doubled = beta + beta
     rotations = [k for k in range(len(beta)) if doubled[k : k + len(beta)] == alpha]
     if not rotations:

@@ -55,7 +55,10 @@ def _load_spec(args, cfg):
     if args.fixture:
         return fixture(args.fixture, cfg=cfg)
     if args.input:
-        text = pathlib.Path(args.input).read_text(encoding="utf-8")
+        try:
+            text = pathlib.Path(args.input).read_text(encoding="utf-8")
+        except OSError as exc:
+            raise InvalidInput(f"cannot read input file: {exc}") from exc
         mg, endo, _ = parse_marked_graph(text)
         if endo is None:
             raise InvalidInput("input file carries no MAP section")
@@ -115,7 +118,10 @@ def cmd_leaf(args) -> int:
     eg = filt.eg_strata()
     if not eg:
         raise InvalidInput("map has no exponential stratum")
-    idx = eg[args.stratum] if args.stratum < len(eg) else eg[0]
+    if not 0 <= args.stratum < len(eg):
+        raise InvalidInput(f"--stratum must be in 0..{len(eg) - 1}, the map's "
+                           f"{len(eg)} exponential strata")
+    idx = eg[args.stratum]
     lam = lamination_approx(spec.mg, spec.f, idx, cfg, filt)
     segs = {k: spec.mg.graph.print_path(s) for k, s in
             enumerate(lam.segments[: args.depth + 1])}
@@ -218,7 +224,6 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("fixtures", help="list the fixture catalog")
-    p.add_argument("--list", action="store_true")
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_fixtures)

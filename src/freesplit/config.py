@@ -40,8 +40,6 @@ class Config:
     eg_threshold: float = 1.0 + 1e-9
     # conjugacy/outer-equality search
     outer_budget: int = 4000
-    # blow-up searches in the splitting complex
-    bfs_depth_cap: int = 6
     # classifier
     power_cap: int = 12
 
@@ -72,15 +70,19 @@ def load_config(path: str | None = None, env: dict | None = None) -> Config:
     """Defaults, overridden by a config file, overridden by environment."""
     values = {}
     if path:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise InvalidInput(f"bad config line: {line!r}")
-                key, _, raw = line.partition("=")
-                values[key.strip()] = _coerce(key.strip(), raw.strip())
+        try:
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        except OSError as exc:
+            raise InvalidInput(f"cannot read config file: {exc}") from exc
+        for line in lines:
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise InvalidInput(f"bad config line: {line!r}")
+            key, _, raw = line.partition("=")
+            values[key.strip()] = _coerce(key.strip(), raw.strip())
     env = os.environ if env is None else env
     for field in dataclasses.fields(Config):
         raw = env.get(ENV_PREFIX + field.name.upper())

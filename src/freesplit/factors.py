@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .automorphisms import apply_map
 from .errors import InvalidInput
 from .words import (BWD, FWD, canonical_cyclic, invert, is_fwd, reduce_word,
                     slot)
@@ -120,22 +119,11 @@ class CoreGraph:
                 return False
         return v == start
 
-    def lifts_path(self, word: str, start: int) -> bool:
-        v = start
-        for ch in word:
-            v = self._out.get((v, ch))
-            if v is None:
-                return False
-        return True
-
     def carries_class(self, cyclic: str) -> bool:
         """True if the cyclic word lifts to a closed loop somewhere."""
         if not cyclic:
             return True
         return any(self.lifts_closed(cyclic, v) for v in range(self.n_vertices))
-
-    def carries_path(self, word: str) -> bool:
-        return any(self.lifts_path(word, v) for v in range(self.n_vertices))
 
     @cached_property
     def canonical_key(self) -> str:
@@ -364,10 +352,6 @@ def carries(ffs: FreeFactorSystem, cyclic: str) -> bool:
     return any(c.carries_class(cyclic) for c in ffs.components)
 
 
-def carries_path(ffs: FreeFactorSystem, word: str) -> bool:
-    return any(c.carries_path(word) for c in ffs.components)
-
-
 def subgroup_carried(inner: CoreGraph, outer: CoreGraph) -> bool:
     """True iff the subgroup of ``inner`` is conjugate into ``outer``.
 
@@ -381,13 +365,17 @@ def subgroup_carried(inner: CoreGraph, outer: CoreGraph) -> bool:
 
 
 def ffs_carried(f1: FreeFactorSystem, f2: FreeFactorSystem) -> bool:
+    """The order F1 ⊏ F2 on free factor systems: each component of F1 is
+    conjugate into a component of F2."""
     return all(
         any(subgroup_carried(a, b) for b in f2.components) for a in f1.components
     )
 
 
 def meet(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
-    """Fiber product of the core immersions; nontrivial components only."""
+    """The meet F1 ∧ F2, the largest free factor system carried by both
+    (their nontrivial pairwise intersections up to conjugacy), read off the
+    fiber product of the core immersions."""
     if f1.ambient_rank != f2.ambient_rank:
         raise InvalidInput("factor systems over different ranks")
     rank = f1.ambient_rank
@@ -410,7 +398,10 @@ def meet(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
 
 
 def co_edge_number(ffs: FreeFactorSystem) -> int:
-    """(n - sum of ranks) + (number of components - 1) for a proper system."""
+    """Co-edge number of a proper system F: the fewest edges outside H of
+    a marked graph pair (G, H) whose subgraph H carries F, which is
+    (n - sum of ranks) + (number of components - 1).  It is 1 exactly for
+    the elliptic system of a one-edge splitting."""
     if not ffs.is_proper:
         raise InvalidInput("co-edge number requires a proper factor system")
     n = ffs.ambient_rank
@@ -419,15 +410,6 @@ def co_edge_number(ffs: FreeFactorSystem) -> int:
 
 def whole_group(rank: int) -> FreeFactorSystem:
     return ffs_from_generators(rank, [FWD[i] for i in range(rank)])
-
-
-def apply_basis_map_to_ffs(bm, ffs: FreeFactorSystem) -> FreeFactorSystem:
-    """Image of a factor system under an automorphism given by basis images."""
-    comps = []
-    for c in ffs.components:
-        gens = [apply_map(bm, w) for w in c.basis_words()]
-        comps.append(fold(ffs.ambient_rank, gens))
-    return FreeFactorSystem(ffs.ambient_rank, _dedupe(tuple(comps)))
 
 
 def _natural_arcs(comp: CoreGraph):

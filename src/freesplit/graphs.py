@@ -140,7 +140,7 @@ class MarkedGraph:
     """
 
     def __init__(self, graph: Graph, base: str, marking, marking_inv=None,
-                 budget: int = DEFAULT.outer_budget, inv_factory=None):
+                 inv_factory=None):
         self.graph = graph
         self.base = base
         self.marking = tuple(reduce_word(w) for w in marking)
@@ -155,7 +155,6 @@ class MarkedGraph:
         euler_rank = graph.n_edges - len(graph.vertices) + 1
         if euler_rank != self.rank:
             raise InvalidInput("marking rank does not match graph rank")
-        self._budget = budget
         self._inv_factory = inv_factory
         self._marking_inv = (tuple(reduce_word(w) for w in marking_inv)
                              if marking_inv is not None else None)
@@ -167,8 +166,7 @@ class MarkedGraph:
             if self._inv_factory is not None:
                 self._marking_inv = tuple(self._inv_factory())
             else:
-                self._marking_inv = tuple(
-                    self._compute_marking_inverse(self._budget))
+                self._marking_inv = tuple(self._compute_marking_inverse())
         return self._marking_inv
 
     @cached_property
@@ -180,7 +178,7 @@ class MarkedGraph:
             raise InvalidInput("graph is not connected")
         return paths, loops
 
-    def _compute_marking_inverse(self, budget: int):
+    def _compute_marking_inverse(self):
         g = self.graph
         cotree = [s for s, _, _ in self.tree[1]]
         if len(cotree) != self.rank:
@@ -197,7 +195,7 @@ class MarkedGraph:
             return reduce_word("".join(out))
 
         rho_hat: BasisMap = tuple(to_loops(w) for w in self.marking)
-        rho_hat_inv = invert_map(rho_hat, budget)
+        rho_hat_inv = invert_map(rho_hat, DEFAULT.outer_budget)
         inv = [""] * g.n_edges
         for s in cotree:
             inv[s] = rho_hat_inv[loop_index[s]]
@@ -283,19 +281,6 @@ def close_path(mg: MarkedGraph, path: str) -> str:
     tree = mg.tree[0]
     back = invert(tree[g.term_of(path[-1])]) + tree[g.init_of(path[0])]
     return reduce_word(path + back)
-
-
-def outer_equal_maps(mg: MarkedGraph, f: GraphMap, g: GraphMap,
-                     budget: int = DEFAULT.outer_budget):
-    """Decide whether two endomorphisms represent the same outer class."""
-    return outer_equal(mg.induced_rose_map(f), mg.induced_rose_map(g), budget)
-
-
-def invert_rose_map(mg: MarkedGraph, f: GraphMap,
-                    budget: int = DEFAULT.outer_budget) -> GraphMap:
-    """A graph map representing the inverse outer automorphism."""
-    bm = invert_map(mg.induced_rose_map(f), budget)
-    return realize_rose_endo(mg, bm)
 
 
 def realize_rose_endo(mg: MarkedGraph, bm: BasisMap) -> GraphMap:
@@ -386,12 +371,6 @@ def rose_map(mg: MarkedGraph, images_by_name) -> GraphMap:
 # Path calculus
 
 
-def tighten(graph: Graph, path: str) -> str:
-    """Reduced form of an endpoint-compatible edge path."""
-    graph.check_path(path)
-    return reduce_word(path)
-
-
 def map_path(f: GraphMap, path: str) -> str:
     """Tightened image of a path (the # operation)."""
     f.source.check_path(path)
@@ -431,7 +410,9 @@ def compose(f: GraphMap, g: GraphMap) -> GraphMap:
 
 
 def is_nielsen(f: GraphMap, path: str) -> bool:
-    """True when the tightened image of ``path`` equals ``path``."""
+    """Nielsen path test: the tightened image of ``path`` is ``path``,
+    endpoints fixed.  Acceptance criterion 7 checks that the linear
+    example's generators fix its loops."""
     if not f.is_endo():
         raise InvalidInput("Nielsen check requires an endomorphism")
     path = reduce_word(path)
@@ -513,12 +494,6 @@ class Stratum:
 class Filtration:
     graph: Graph
     strata: tuple[Stratum, ...]
-
-    def subgraph_upto(self, i: int) -> frozenset[int]:
-        got: set[int] = set()
-        for st in self.strata[: i + 1]:
-            got |= st.slots
-        return frozenset(got)
 
     def eg_strata(self):
         return [i for i, st in enumerate(self.strata) if st.label == "EG"]
@@ -714,11 +689,14 @@ def parse_marked_graph(text: str):
     if "VERTICES" not in saw or "EDGES" not in saw or "MARKING" not in saw:
         raise InvalidInput("missing required section")
     graph = Graph(vertices, edges)
-    marking = [""] * len(marking_rows)
+    if not marking_rows:
+        raise InvalidInput("MARKING section has no rows")
+    marking = [None] * len(marking_rows)
     for key, toks in marking_rows:
-        if not key.startswith("x"):
-            raise InvalidInput(f"bad basis letter {key!r}")
-        idx = int(key[1:]) - 1
+        idx = int(key[1:]) - 1 if key[1:].isdecimal() and key[0] == "x" else -1
+        if not 0 <= idx < len(marking) or marking[idx] is not None:
+            raise InvalidInput(f"bad basis letter {key!r}: the MARKING rows "
+                               f"must name x1..x{len(marking)} once each")
         if not toks:
             raise InvalidInput("marking images must be nonempty")
         marking[idx] = graph.parse_path(toks)
@@ -728,6 +706,8 @@ def parse_marked_graph(text: str):
     if "MAP" in saw:
         images = {}
         for key, toks in map_rows:
+            if key not in graph.slot_of or key in images:
+                raise InvalidInput(f"MAP row for unknown or repeated edge {key!r}")
             images[key] = graph.parse_path(toks) if toks else ""
         for name in graph.edge_names:
             if name not in images:
@@ -745,5 +725,7 @@ def parse_marked_graph(text: str):
                         tuple(images[n] for n in graph.edge_names))
     h_slots = None
     if "H" in saw:
+        if not set(h_names) <= set(graph.slot_of):
+            raise InvalidInput("H section names an unknown edge")
         h_slots = frozenset(graph.slot_of[n] for n in h_names)
     return mg, endo, h_slots

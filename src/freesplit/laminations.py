@@ -17,7 +17,7 @@ from functools import cached_property
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
 from .factors import carries
-from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, iterate,
+from .graphs import (Filtration, GraphMap, MarkedGraph, close_path,
                      map_circuit, map_path, minimal_invariant_superset,
                      strata, subgraph_factor_system)
 from .whitehead import PROPER, UNKNOWN, FillsVerdict, fills
@@ -39,25 +39,12 @@ class LaminationApprox:
     def deepest(self) -> str:
         return self.segments[-1]
 
-    def growth_ratio(self) -> float | None:
-        g = self.stratum_growth
-        if len(g) < 2 or g[-2] == 0:
-            return None
-        return g[-1] / g[-2]
-
     @cached_property
     def closure_classes(self) -> tuple[str, ...]:
         """Basis class of the closed-up segment at each depth 1..depth."""
         return tuple(
             canonical_cyclic(self.mg.path_to_rose(close_path(self.mg, seg)))
             for seg in self.segments[1:])
-
-
-def leaf_segment(f: GraphMap, edge: str | int, k: int,
-                 cfg: Config = DEFAULT) -> str:
-    """Tightened k-fold image of a single edge."""
-    s = edge if isinstance(edge, int) else f.source.slot_of[edge]
-    return iterate(f, FWD[s], k, cap=cfg.iterate_cap)
 
 
 def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
@@ -143,7 +130,9 @@ class AttractionVerdict:
 
 def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
                      cfg: Config = DEFAULT) -> AttractionVerdict:
-    """Scan forward iterates of a circuit for the defining segment.
+    """Weak attraction of a circuit to the lamination: scan its forward
+    iterates for the defining leaf segment, the concrete attracting
+    neighborhood of the generic leaf.
 
     Attracted(i) when containment holds on [i, i+s]; NotWithinHorizon after
     the forward horizon; BudgetExhausted when the length cap strikes before
@@ -238,7 +227,10 @@ def laminations_jointly_fill(lams, cfg: Config = DEFAULT) -> FillsVerdict:
 
 def pf_estimate(g: GraphMap, lam: LaminationApprox,
                 depth: int | None = None) -> float:
-    """log of the stratum-edge expansion of a deep leaf segment under g."""
+    """Log of the expansion factor of g on the lamination: how much g
+    stretches the stratum edges of a deep leaf segment.  Acceptance
+    criterion 7 checks that it is 0 for the generators of the linear
+    example's stabilizer."""
     if g.source is not lam.f.source or not g.is_endo():
         raise InvalidInput("map must be an endomorphism of the lamination graph")
     seg = lam.segments[depth if depth is not None else lam.depth]

@@ -1,4 +1,4 @@
-"""Marked graph pairs, one-edge splittings, faces, and distance bounds.
+"""Marked graph pairs, one-edge splittings, faces and adjacency.
 
 A pair (G, H) is a marked graph with a natural subgraph whose components
 are noncontractible (H may be empty); collapsing H gives a free splitting
@@ -129,6 +129,9 @@ def remark_pair(pair: MarkedGraphPair, f: GraphMap) -> MarkedGraphPair:
 
 
 def remark_splitting(s: OneEdgeSplitting, f: GraphMap) -> OneEdgeSplitting:
+    """The action of the outer automorphism of ``f`` on one-edge
+    splittings: the marking precomposed by ``f``.  Acceptance criterion 4
+    moves sibling pairs along the orbit with it."""
     return splitting_of_pair(remark_pair(s.pair, f))
 
 
@@ -267,7 +270,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair, p2: MarkedGraphPair,
 
 
 # ---------------------------------------------------------------------------
-# Adjacency by common co-edge-2 refinement, and distance bounds
+# Adjacency by common co-edge-2 refinement
 
 
 @dataclass(frozen=True)
@@ -312,91 +315,8 @@ def adjacent(s1: OneEdgeSplitting, s2: OneEdgeSplitting,
 
 
 def sibling_splittings(pair: MarkedGraphPair):
-    """The one-edge collapses of a co-edge-2 pair."""
+    """The two one-edge collapses of a co-edge-2 pair: adjacent vertices
+    of the free splitting complex, as acceptance criterion 4 takes them."""
     if pair.co_edge != 2:
         raise InvalidInput("co-edge 2 required")
     return [splitting_of_pair(fp) for fp in faces(pair)]
-
-
-def fs_distance_upper(start, goal, cfg: Config = DEFAULT,
-                      hint_maps=(), node_cap: int = 2000):
-    """BFS upper bound on the distance in the subdivided splitting complex.
-
-    Moves are face relations (H shrinks or grows within one marked graph);
-    hint maps merge vertices when the relation check holds along them.
-    Returns the path length, or None when nothing is found within budget.
-    """
-    start_pair = start.pair if isinstance(start, OneEdgeSplitting) else start
-    goal_pair = goal.pair if isinstance(goal, OneEdgeSplitting) else goal
-
-    parent: dict[str, str] = {}
-
-    def find(k: str) -> str:
-        while parent.get(k, k) != k:
-            parent[k] = parent.get(parent[k], parent[k])
-            k = parent[k]
-        return k
-
-    def union(a: str, b: str):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    pairs_by_key: dict[str, MarkedGraphPair] = {}
-
-    def register(pair: MarkedGraphPair) -> str:
-        key = pair.serialize()
-        if key in pairs_by_key:
-            return find(key)
-        pairs_by_key[key] = pair
-        for h in hint_maps:
-            if h.source is pair.graph:
-                try:
-                    other = remark_pair(pair, h)
-                except InvalidInput:
-                    continue
-                ok = pair_relation_check(h, pair, other)
-                if ok.holds:
-                    okey = other.serialize()
-                    pairs_by_key.setdefault(okey, other)
-                    union(key, okey)
-        return find(key)
-
-    def neighbors(pair: MarkedGraphPair):
-        g = pair.graph
-        h_classes = [cls for cls in g.natural_classes if cls <= pair.h_slots]
-        out = []
-        if pair.co_edge >= 2:
-            out.extend(faces(pair))
-        for r in range(len(h_classes)):
-            for combo in itertools.combinations(h_classes, r):
-                h2 = frozenset().union(*combo) if combo else frozenset()
-                try:
-                    out.append(validate_pair(pair.mg, h2))
-                except InvalidInput:
-                    continue
-        return out
-
-    src = register(start_pair)
-    dst = register(goal_pair)
-    if find(src) == find(dst):
-        return 0
-    dist = {find(src): 0}
-    frontier = [find(src)]
-    while frontier and len(pairs_by_key) < node_cap:
-        nxt = []
-        for key in frontier:
-            d = dist[key]
-            if d >= cfg.bfs_depth_cap:
-                continue
-            reps = [p for k, p in list(pairs_by_key.items()) if find(k) == key]
-            for rep in reps:
-                for nb in neighbors(rep):
-                    nkey = register(nb)
-                    if nkey not in dist:
-                        dist[nkey] = d + 1
-                        nxt.append(nkey)
-                    if nkey == find(dst):
-                        return dist[nkey]
-        frontier = nxt
-    return None

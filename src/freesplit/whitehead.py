@@ -229,13 +229,6 @@ def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
     raise BudgetExhausted("Whitehead minimization exceeded move budget")
 
 
-def replay_move_log(classes, rank: int, log) -> tuple[str, ...]:
-    cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
-    for mv in log:
-        cur = sorted({apply_move(mv, rank, w) for w in cur}, key=sort_key)
-    return tuple(cur)
-
-
 def inverse_log_map(log, rank: int) -> BasisMap:
     """Basis map undoing a move log (original = map(minimized), classwise)."""
     acc = identity_map(rank)

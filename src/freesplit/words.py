@@ -135,10 +135,6 @@ def junction(u: str, v: str) -> int:
     return k
 
 
-def is_reduced(word: str) -> bool:
-    return all(word[i + 1] != _INV[word[i]] for i in range(len(word) - 1))
-
-
 def strip_cyclic(w: str) -> str:
     """Cyclically reduced form of a reduced word: strip cancelling end pairs."""
     i, j = 0, len(w)
@@ -151,6 +147,13 @@ def strip_cyclic(w: str) -> str:
 def cyclic_reduce(word: str) -> str:
     """Cyclically reduced form: reduce, then strip cancelling end pairs."""
     return strip_cyclic(reduce_word(word))
+
+
+def primitive_root(s: str) -> str:
+    """Shortest ``u`` with ``s == u * d`` for some ``d``: the least ``p >= 1``
+    at which ``s`` occurs in ``s + s`` is its least period dividing
+    ``len(s)``."""
+    return s[:(s + s).find(s, 1)]
 
 
 def _least_rotation(s: str) -> int:
@@ -174,8 +177,8 @@ def _least_rotation(s: str) -> int:
     periodic words too; rotations of ``u`` are distinct, so at
     ``span == len(u)`` one candidate is left.
     """
-    p = (s + s).find(s, 1)
-    u = s[:p]
+    u = primitive_root(s)
+    p = len(u)
     d = u + u
     first = min(u)
     cands = []

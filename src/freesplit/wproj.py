@@ -15,14 +15,13 @@ theoretical one.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .automorphisms import (BasisMap, apply_map, compose_maps, identity_map,
                             invert_map, outer_equal)
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
-from .factors import (FreeFactorSystem, apply_basis_map_to_ffs,
-                      enumerate_classes)
+from .factors import FreeFactorSystem, _dedupe, enumerate_classes, fold
 from .graphs import GraphMap, MarkedGraph, realize_rose_endo, strata
 from .laminations import (LaminationApprox, _window_start, defining_segment,
                           lamination_approx, lamination_fills)
@@ -54,10 +53,8 @@ class WContext:
     seg_minus: str
     cfg: Config
     m_hat: int | None = None
-    forward_checks: bool = True  # compute the forward-entry cross-check
     # Lip(fwd) * Lip(bwd) when the two are exact inverses (see _orbit_step)
     cancellation_bound: int | None = None
-    notes: dict = field(default_factory=dict)
 
     @property
     def rank(self) -> int:
@@ -149,7 +146,6 @@ class WResult:
     status: str  # Defined | NotDefined | BudgetExhausted
     value: int | None = None
     fwd_entry: int | None = None
-    forward_ok: bool | None = None
 
     @property
     def defined(self) -> bool:
@@ -239,15 +235,16 @@ class _LazyOrbit:
         return self.words[t] if t < len(self.words) else None
 
 
-def w_of(ctx: WContext, cyclic: str) -> WResult:
+def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     """Smallest w with the backward iterates on [w, w+s] inside the
     repelling neighborhood (s the stability margin).
 
     NotDefined (the nonattraction proxy) when the full backward horizon is
     scanned without such a window; BudgetExhausted when the length cap cut
     a scan short, or the window reaches back past the forward horizon.
-    The forward entry is the same scan along forward iterates inside the
-    attracting neighborhood, None when it is cut short the same way.
+    With ``forward`` the forward entry is the same scan along forward
+    iterates inside the attracting neighborhood, None when it is cut short
+    the same way or not asked for.
     """
     c = cyclic_reduce(cyclic)
     cfg = ctx.cfg
@@ -271,16 +268,13 @@ def w_of(ctx: WContext, cyclic: str) -> WResult:
     if w == -cfg.horizon_fwd:
         return WResult(BUDGET)
     entry = None
-    if ctx.forward_checks:
+    if forward:
         with suppress(BudgetExhausted):
             entry = _window_start(lambda i: inside(-i, "+"), cfg.horizon_fwd,
                                   -cfg.horizon_bwd, cfg.stability)
         if entry == -cfg.horizon_bwd:
             entry = None
-    ok = None
-    if entry is not None and ctx.m_hat is not None:
-        ok = entry <= -w + ctx.m_hat
-    return WResult(DEFINED, w, entry, ok)
+    return WResult(DEFINED, w, entry)
 
 
 def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
@@ -312,7 +306,6 @@ class WValue:
     n_candidates: int
     n_defined: int
     n_budget: int
-    forward_ok: bool | None = None
     note: str = "sample minimum; true minimum within the empirical constant"
 
 
@@ -323,28 +316,19 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
         candidates = candidate_classes(ffs, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     best = None
     n_def = n_budget = 0
-    fwd_ok = True
     for c in candidates:
-        res = w_of(ctx, c)
+        res = w_of(ctx, c, forward=False)
         if res.status == BUDGET:
             n_budget += 1
             continue
         if not res.defined:
             continue
         n_def += 1
-        if res.forward_ok is False:
-            fwd_ok = False
         if best is None or (res.value, sort_key(c)) < (best[0], sort_key(best[1])):
             best = (res.value, c)
     if best is None:
         raise NotApplicable("no candidate class has a defined orbit phase")
-    return WValue(best[0], best[1], len(candidates), n_def, n_budget,
-                  None if ctx.m_hat is None else fwd_ok)
-
-
-def W_of_splitting(ctx: WContext, s: OneEdgeSplitting,
-                   candidates=None) -> WValue:
-    return W_of_ffs(ctx, s.elliptic, candidates)
+    return WValue(best[0], best[1], len(candidates), n_def, n_budget)
 
 
 def estimate_M(ctx: WContext, samples) -> int:
@@ -370,7 +354,6 @@ def estimate_M(ctx: WContext, samples) -> int:
         raise NotApplicable("no sample group produced two defined phases")
     m_hat = max([1] + spreads + lags)
     ctx.m_hat = int(m_hat)
-    ctx.notes["m_hat_samples"] = len(samples)
     return ctx.m_hat
 
 
@@ -395,6 +378,15 @@ def default_m_samples(ctx: WContext, splittings) -> list[list[str]]:
 # Displacement, Lipschitz, divergence reports
 
 
+def apply_basis_map_to_ffs(bm: BasisMap, ffs: FreeFactorSystem) -> FreeFactorSystem:
+    """Image of a factor system under an automorphism given by basis images."""
+    comps = []
+    for c in ffs.components:
+        gens = [apply_map(bm, w) for w in c.basis_words()]
+        comps.append(fold(ffs.ambient_rank, gens))
+    return FreeFactorSystem(ffs.ambient_rank, _dedupe(tuple(comps)))
+
+
 def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
                        raw_checks=(2, -2)) -> dict:
     """W of the splitting translated through [-radius, radius].
@@ -403,7 +395,6 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
     exact integer law; raw re-enumeration at spot translations cross-checks
     the sample minimum within the empirical constant.
     """
-    ctx = replace(ctx, forward_checks=False)
     base = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     if not base:
         raise NotApplicable("no candidates for the elliptic system")
@@ -450,17 +441,18 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
 
 
 def lipschitz_check(ctx: WContext, splitting_pairs) -> dict:
-    """|W(S1) - W(S2)| against 8 * M-hat over verified adjacent pairs."""
+    """Coarse Lipschitz law of W on the free splitting complex: adjacent
+    one-edge splittings S1, S2 have |W(S1) - W(S2)| <= 8 * M-hat.
+    Acceptance criterion 4 checks it on translated sibling pairs."""
     m_hat = ctx.require_m()
-    ctx = replace(ctx, forward_checks=False)
     rows = []
     violations = 0
     max_ratio = 0.0
     skipped = 0
     for s1, s2 in splitting_pairs:
         try:
-            w1 = W_of_splitting(ctx, s1)
-            w2 = W_of_splitting(ctx, s2)
+            w1 = W_of_ffs(ctx, s1.elliptic)
+            w2 = W_of_ffs(ctx, s2.elliptic)
         except NotApplicable:
             skipped += 1
             continue
@@ -494,9 +486,7 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
     transports outgrow the caps are dropped (recorded).
     """
     m_hat = ctx.require_m()
-    ctx = replace(
-        ctx, cfg=ctx.cfg.with_overrides(iterate_cap=orbit_cap),
-        forward_checks=False)
+    ctx = replace(ctx, cfg=ctx.cfg.with_overrides(iterate_cap=orbit_cap))
     base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     psi_table: dict[int, int | None] = {}
     dropped: dict[int, int] = {}

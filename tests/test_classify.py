@@ -18,6 +18,10 @@ from freesplit.words import BWD, FWD
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
+# A rank-2 rose with the shear x1 -> x1 x2, in the text format.
+ROSE2_SHEAR = ("VERTICES\nv\nEDGES\nx1 v v\nx2 v v\n"
+               "MARKING\nx1 x1\nx2 x2\nMAP\nx1 x1 x2\nx2 x2\n")
+
 
 class TestRank2Classify:
     def test_trace_three(self):
@@ -234,7 +238,7 @@ def run_cli(*argv, env=None):
 
 class TestCLI:
     def test_fixtures_list(self):
-        res = run_cli("fixtures", "--list")
+        res = run_cli("fixtures")
         assert res.returncode == 0
         assert "filling_reducible" in res.stdout
 
@@ -282,6 +286,13 @@ class TestCLI:
         assert res.returncode == 0
         payload = json.loads(res.stdout)
         assert payload["results"]["seed"] == "A"
+
+    @pytest.mark.parametrize("stratum", ["1", "7", "-1"])
+    def test_leaf_stratum_out_of_range(self, stratum, capsys):
+        # filling_reducible has exactly one exponential stratum
+        argv = ["leaf", "--fixture", "filling_reducible", "--stratum", stratum]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_w_command(self):
         res = run_cli("w", "--fixture", "filling_reducible", "--word", "A",
@@ -347,3 +358,33 @@ class TestSerializationCLIRoundTrip:
         assert cli.main(["classify", "--input", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "homotopy equivalence" in err
+
+    def test_input_file_text_format(self, tmp_path, capsys):
+        path = tmp_path / "map.txt"
+        path.write_text(ROSE2_SHEAR, encoding="utf-8")
+        assert cli.main(["classify", "--input", str(path)]) == 0
+        assert "PeriodicVertex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,config", [
+        (ROSE2_SHEAR.replace("x2 x2\nMAP", "x3 x2\nMAP"), None),
+        (ROSE2_SHEAR.replace("x2 x2\nMAP", "xq x2\nMAP"), None),
+        (ROSE2_SHEAR.replace("x1 x1\nx2 x2\nMAP", "x0 x1\nx2 x2\nMAP"), None),
+        (ROSE2_SHEAR.replace("x1 x1\nx2 x2\nMAP", "x2 x1\nx2 x2\nMAP"), None),
+        (ROSE2_SHEAR.replace("x1 x1\nx2 x2\n", ""), None),
+        (ROSE2_SHEAR + "c x1\n", None),
+        (ROSE2_SHEAR + "x1 x1\n", None),
+        (ROSE2_SHEAR + "H\nc\n", None),
+        (None, None),
+        (ROSE2_SHEAR, "missing.cfg"),
+    ], ids=["marking_x3", "marking_xq", "marking_x0", "marking_twice",
+            "marking_empty", "map_unknown_edge", "map_row_twice", "h_unknown_edge",
+            "missing_input", "missing_config"])
+    def test_malformed_input_rejected(self, tmp_path, capsys, text, config):
+        path = tmp_path / "map.txt"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        argv = ["classify", "--input", str(path)]
+        if config:
+            argv += ["--config", str(tmp_path / config)]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

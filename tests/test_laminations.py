@@ -4,11 +4,12 @@ import pytest
 
 from freesplit.config import Config
 from freesplit.errors import InvalidInput
-from freesplit.graphs import compose, identity_graph_map, strata
+from freesplit.graphs import compose, identity_graph_map, iterate, strata
 from freesplit.laminations import (lamination_approx, lamination_fills,
-                                   laminations_jointly_fill, leaf_segment,
-                                   pf_estimate, weakly_attracted)
+                                   laminations_jointly_fill, pf_estimate,
+                                   weakly_attracted)
 from freesplit.whitehead import FILLS, PROPER, UNKNOWN
+from freesplit.words import FWD
 
 
 @pytest.fixture(scope="module")
@@ -22,16 +23,18 @@ class TestLeafSegments:
     def test_first_image(self, filling_spec):
         g = filling_spec.mg.graph
         sigma = filling_spec.params["sigma"]
-        got = leaf_segment(filling_spec.f, "B", 1)
+        got = iterate(filling_spec.f, FWD[g.slot_of["B"]], 1)
         assert got == g.parse_path(f"B {sigma} A {sigma} B' {sigma} B")
 
     def test_depth_zero(self, filling_spec):
         g = filling_spec.mg.graph
-        assert leaf_segment(filling_spec.f, "B", 0) == g.parse_path("B")
+        assert iterate(filling_spec.f, FWD[g.slot_of["B"]], 0) == \
+            g.parse_path("B")
 
     def test_nested(self, filling_spec):
-        s1 = leaf_segment(filling_spec.f, "B", 1)
-        s2 = leaf_segment(filling_spec.f, "B", 2)
+        b = FWD[filling_spec.mg.graph.slot_of["B"]]
+        s1 = iterate(filling_spec.f, b, 1)
+        s2 = iterate(filling_spec.f, b, 2)
         assert s2.startswith(s1)
 
 
@@ -56,7 +59,8 @@ class TestApprox:
                                  filt.eg_strata()[0], cfg, filt)
         assert len(deep.deepest()) >= 10_000
         rho = 2 + math.sqrt(3)
-        assert abs(deep.growth_ratio() - rho) <= 0.01 * rho
+        growth = deep.stratum_growth
+        assert abs(growth[-1] / growth[-2] - rho) <= 0.01 * rho
 
     def test_non_eg_stratum_rejected(self, filling_spec):
         filt = strata(filling_spec.f)

@@ -7,7 +7,7 @@ from freesplit.factors import ffs_from_generators
 from freesplit.graphs import (Graph, MarkedGraph, graph_map,
                               identity_graph_map, marked_rose)
 from freesplit.pairs import (adjacent, elliptic_system, equivalent_one_edge,
-                             faces, fs_distance_upper, one_edge_splitting,
+                             faces, one_edge_splitting,
                              pair_relation_check, remark_pair,
                              remark_splitting, sibling_splittings,
                              splitting_of_pair, validate_pair)
@@ -201,7 +201,7 @@ class TestRemark:
 
     def test_elliptic_transforms_by_inverse(self, filling_spec):
         from freesplit.automorphisms import invert_map
-        from freesplit.factors import apply_basis_map_to_ffs
+        from freesplit.wproj import apply_basis_map_to_ffs
 
         mg, f = filling_spec.mg, filling_spec.f
         s = one_edge_splitting(mg, ["X", "Y", "Z", "A"])
@@ -245,26 +245,3 @@ class TestAdjacency:
                (equivalent_one_edge(got[0], s2)
                 and equivalent_one_edge(got[1], s1))
 
-
-class TestDistance:
-    def test_zero(self, filling_spec):
-        s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        assert fs_distance_upper(s, s) == 0
-
-    def test_siblings_at_two(self, filling_spec):
-        pair = validate_pair(filling_spec.mg, ["X", "Y", "Z"])
-        s1, s2 = sibling_splittings(pair)
-        assert fs_distance_upper(s1, s2) == 2
-
-    def test_bdd_chain_at_most_four(self, bdd_spec):
-        from freesplit.classify import _power_map
-
-        k = 1
-        f = bdd_spec.maps["f"]
-        f1k = _power_map(bdd_spec.maps["f1"], k)
-        f2k = _power_map(bdd_spec.maps["f2"], k)
-        fk = _power_map(f, k)
-        p = validate_pair(bdd_spec.mg, bdd_spec.decomposition["J3"])
-        d = fs_distance_upper(p, remark_pair(p, fk),
-                              hint_maps=[f1k, f2k, fk])
-        assert d is not None and d <= 4

@@ -10,12 +10,19 @@ from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
                                  _pair_counts, apply_move, fills,
-                                 free_factor_support, replay_move_log,
-                                 whitehead_minimize)
+                                 free_factor_support, whitehead_minimize)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert, sort_key
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
+
+
+def replay_move_log(classes, rank, log):
+    """The class set a move log takes ``classes`` to."""
+    cur = {canonical_cyclic(w) for w in classes}
+    for mv in log:
+        cur = {apply_move(mv, rank, w) for w in cur}
+    return tuple(sorted(cur, key=sort_key))
 
 
 def all_moves(rank):

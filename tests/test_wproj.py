@@ -11,7 +11,7 @@ from freesplit.factors import ffs_from_generators
 from freesplit.fixtures import fixture
 from freesplit.graphs import close_path, marked_rose, realize_rose_endo, rose_map
 from freesplit.pairs import one_edge_splitting, sibling_splittings, validate_pair
-from freesplit.wproj import (W_of_ffs, W_of_splitting, _orbit_step,
+from freesplit.wproj import (W_of_ffs, _orbit_step,
                              build_context, candidate_classes,
                              default_m_samples, displacement_table,
                              divergence_check, estimate_M, in_U,
@@ -268,7 +268,7 @@ class TestCandidates:
 class TestWOfSystems:
     def test_splitting_value(self, filling_ctx, filling_spec):
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        val = W_of_splitting(filling_ctx, s)
+        val = W_of_ffs(filling_ctx, s.elliptic)
         assert val.n_defined >= 1
         # the witness crosses the growing petal (either orientation)
         from freesplit.words import invert
@@ -292,7 +292,7 @@ class TestWOfSystems:
 
     def test_translated_system_shifts(self, filling_ctx, filling_spec):
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        base = W_of_splitting(filling_ctx, s).value
+        base = W_of_ffs(filling_ctx, s.elliptic).value
         cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
                                   filling_ctx.cfg.cand_cap)
         for m in (1, 2):
@@ -306,7 +306,7 @@ class TestWOfSystems:
         from freesplit.pairs import remark_splitting
 
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        base = W_of_splitting(filling_ctx, s).value
+        base = W_of_ffs(filling_ctx, s.elliptic).value
         moved = remark_splitting(s, filling_spec.f)
         cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
                                   filling_ctx.cfg.cand_cap)
@@ -357,14 +357,10 @@ class TestDisplacement:
 
 class TestWitnessSoundness:
     def test_rate_lower_bound_reported(self, filling_ctx, filling_spec):
-        from freesplit.pairs import fs_distance_upper
-
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         rep = displacement_table(filling_ctx, s, 2)
         assert rep["distance_rate_lower_bound"] == \
             1.0 / (8 * filling_ctx.m_hat)
-        # at translation zero both bounds exist and agree trivially
-        assert fs_distance_upper(s, s) == 0
 
 
 class TestLipschitz:
