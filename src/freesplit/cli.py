@@ -9,6 +9,7 @@ verdicts including Unknown; nonzero means a usage or input error.
 from __future__ import annotations
 
 import argparse
+import os
 import pathlib
 import sys
 
@@ -230,7 +231,16 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        status = args.fn(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout early, as `freesplit fixtures | head -3`
+        # does; point stdout at devnull so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (InvalidInput, FixtureInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,9 @@ Stallings' algorithm; carrying, meets (fiber products) and co-edge
 numbers are computed directly on the graphs.
 
 The two connectivity routines every graph of the package shares live here
-too: :func:`partition` (connected classes) and :func:`tree_loops` (BFS
-spanning-tree paths and the basis loops off the tree).
+too: :func:`partition` (connected classes: also the strata of a graph map,
+as edges each in the other's invariant closure) and :func:`tree_loops`
+(BFS spanning-tree paths and the basis loops off the tree).
 """
 
 from __future__ import annotations

@@ -500,44 +500,34 @@ class Filtration:
 
 
 def strata(f: GraphMap, cfg: Config = DEFAULT) -> Filtration:
-    """Invariant filtration from the condensation of the edge-transition
-    digraph, with growth labels read off the diagonal blocks."""
+    """Invariant filtration, with growth labels read off the diagonal blocks.
+
+    Two edges share a stratum when each lies in the other's invariant
+    closure (:func:`minimal_invariant_superset`); :func:`partition` groups
+    them.  The strata are placed bottom up: each time, the one with the
+    least slot whose closure lies in the strata already placed plus itself.
+    """
     if not f.is_endo():
         raise InvalidInput("strata requires an endomorphism")
     tm = transition_matrix(f)
     n = f.source.n_edges
-    succ = [set() for _ in range(n)]  # e maps over e'
-    for e in range(n):
-        for ep in range(n):
-            if tm.matrix[ep][e]:
-                succ[e].add(ep)
-    comps = _scc(succ)
-    comp_of = {}
-    for idx, comp in enumerate(comps):
-        for s in comp:
-            comp_of[s] = idx
-    deps = [set() for _ in comps]  # component -> components it maps over
-    for e in range(n):
-        for ep in succ[e]:
-            if comp_of[e] != comp_of[ep]:
-                deps[comp_of[e]].add(comp_of[ep])
+    reach = [minimal_invariant_superset(f, (e,)) for e in range(n)]
+    comps = partition(range(n), ({d for d in reach[e] if e in reach[d]}
+                                 for e in range(n)))
+    placed: set[int] = set()
     order = []
-    placed = set()
-    while len(order) < len(comps):
-        ready = [i for i in range(len(comps))
-                 if i not in placed and deps[i] <= placed]
-        nxt = min(ready, key=lambda i: min(comps[i]))
+    while comps:
+        nxt = next(c for c in comps
+                   if all(reach[e] <= placed | c for e in c))
+        comps.remove(nxt)
+        placed |= nxt
         order.append(nxt)
-        placed.add(nxt)
     out = []
-    for idx in order:
-        slots_ = frozenset(comps[idx])
+    for slots_ in order:
         block = tm.block(slots_)
-        if len(slots_) == 1:
-            (s,) = slots_
-            if block.matrix[0][0] == 0:
-                out.append(Stratum(slots_, "ZERO"))
-                continue
+        if len(slots_) == 1 and block.matrix[0][0] == 0:
+            out.append(Stratum(slots_, "ZERO"))
+            continue
         rho = pf_eigenvalue(block, cfg)
         if rho > cfg.eg_threshold:
             label = "EG"
@@ -546,8 +536,8 @@ def strata(f: GraphMap, cfg: Config = DEFAULT) -> Filtration:
         else:
             label = "NEG"
         out.append(Stratum(slots_, label))
-    # Pointwise-fixed components of the transition digraph commute with the
-    # filtration, so runs of FIXED strata are lumped into one.
+    # Pointwise-fixed strata commute with the filtration, so runs of FIXED
+    # strata are lumped into one.
     merged: list[Stratum] = []
     for st in out:
         if merged and st.label == "FIXED" and merged[-1].label == "FIXED":
@@ -557,65 +547,13 @@ def strata(f: GraphMap, cfg: Config = DEFAULT) -> Filtration:
     return Filtration(f.source, tuple(merged))
 
 
-def _scc(succ) -> list[set[int]]:
-    """Tarjan strongly connected components, iterative, deterministic."""
-    n = len(succ)
-    index = [0] * n
-    low = [0] * n
-    on_stack = [False] * n
-    visited = [False] * n
-    stack: list[int] = []
-    comps: list[set[int]] = []
-    counter = [1]
-    for root in range(n):
-        if visited[root]:
-            continue
-        work = [(root, iter(sorted(succ[root])))]
-        visited[root] = True
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if not visited[w]:
-                    visited[w] = True
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(sorted(succ[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.add(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-    return comps
-
-
 def minimal_invariant_superset(f: GraphMap, edge_slots) -> frozenset[int]:
     """Smallest f-invariant edge set containing ``edge_slots``."""
     got = set(edge_slots)
     frontier = list(got)
     while frontier:
         s = frontier.pop()
-        for ch in f.edge_images[s]:
+        for ch in set(f.edge_images[s]):
             t = slot(ch)
             if t not in got:
                 got.add(t)

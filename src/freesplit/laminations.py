@@ -157,12 +157,6 @@ def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
 # Filling certificates
 
 
-def _verdict_key(v: FillsVerdict):
-    if v.kind == PROPER:
-        return (PROPER, v.witness.canonical_key())
-    return (v.kind,)
-
-
 def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict:
     """fills() on accumulated class sets; accept two consecutive agreements."""
     prev: FillsVerdict | None = None
@@ -171,7 +165,7 @@ def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict
             continue
         cur = fills(sorted(classes), rank, cfg)
         if prev is not None and cur.kind != UNKNOWN \
-                and _verdict_key(prev) == _verdict_key(cur):
+                and (prev.kind, prev.witness) == (cur.kind, cur.witness):
             return cur
         prev = cur
     return FillsVerdict(UNKNOWN, reason="verdict did not stabilize")

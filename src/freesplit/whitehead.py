@@ -11,13 +11,17 @@ AND, so it lies below every other one, and it is the move an enumeration
 of all 4^(n-1) bit assignments in increasing order keeps first.
 The minimized set fills iff its Whitehead graph is connected on a full
 letter set; otherwise the letter partition yields a proper free factor
-system, transported back through the inverted move log.
+system, transported back through the inverted move log.  :func:`fills`
+is the one reading of the graph; :func:`free_factor_support` takes its
+verdict and witness and only checks each letter group's part of the
+graph, which is already at its own minimum.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import partial
 
 from .automorphisms import BasisMap, apply_map, compose_maps, identity_map
 from .config import DEFAULT, Config
@@ -289,29 +293,18 @@ class FillsVerdict:
         }
 
 
-@dataclass(frozen=True)
-class _Analysis:
-    """Shared opening of :func:`fills` and :func:`free_factor_support`.
+def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
+    """Whitehead criterion: minimize, then read the Whitehead graph.
 
-    ``kind`` is FILLS or UNKNOWN when the Whitehead graph at the minimum
-    decides, PROPER when its letter groups split the classes.
+    Fills when the graph at the minimum is connected on every letter with
+    no cut vertex; Unknown on a cut vertex or a crossed disconnection;
+    otherwise the letter groups, transported back through the inverted
+    move log, are a proper free factor system carrying the classes.
     """
-
-    kind: str
-    reason: str = ""
-    minimized: tuple[str, ...] = ()
-    move_log: tuple = ()
-    letter_groups: tuple = ()
-    summary: dict = field(default_factory=dict)
-
-
-def _whitehead_analysis(classes, rank: int, cfg: Config) -> _Analysis:
-    """Minimize, read the Whitehead graph, apply the all-letters and
-    cut-vertex tests."""
     try:
         minimized, _, log = whitehead_minimize(classes, rank, cfg)
     except BudgetExhausted as exc:
-        return _Analysis(UNKNOWN, reason=str(exc))
+        return FillsVerdict(UNKNOWN, reason=str(exc))
     adj, used = whitehead_graph(rank, minimized)
     comps = partition(used, ({u} | adj[u] for u in used))
     # components sharing a letter, in either orientation, merge
@@ -322,78 +315,41 @@ def _whitehead_analysis(classes, rank: int, cfg: Config) -> _Analysis:
         "letters_used": len(letters),
         "letter_groups": [sorted(g) for g in letter_groups],
     }
-    kind, reason = PROPER, ""
+    verdict = partial(FillsVerdict, minimized=minimized, move_log=tuple(log),
+                      graph_summary=summary)
     if len(letters) == rank and len(comps) == 1:
         if _has_cut_vertex(adj, used):
-            kind, reason = UNKNOWN, "cut vertex at minimum"
-        else:
-            kind = FILLS
-    elif len(letters) == rank and len(letter_groups) == 1:
-        kind, reason = UNKNOWN, "crossed disconnection at minimum"
-    return _Analysis(kind, reason, minimized, tuple(log),
-                     tuple(letter_groups), summary)
-
-
-def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
-    """Whitehead criterion: minimize, then read the Whitehead graph."""
-    a = _whitehead_analysis(classes, rank, cfg)
-    if a.kind != PROPER:
-        return FillsVerdict(a.kind, reason=a.reason, minimized=a.minimized,
-                            move_log=a.move_log, graph_summary=a.summary)
-    back = inverse_log_map(a.move_log, rank)
-    comps_out = []
-    for group in a.letter_groups:
-        gens = [apply_map(back, FWD[g]) for g in sorted(group)]
-        comps_out.append(fold(rank, gens))
-    witness = FreeFactorSystem(rank, _dedupe(tuple(comps_out)))
-    for w in classes:
-        if not carries(witness, canonical_cyclic(w)):
-            return FillsVerdict(UNKNOWN, reason="witness failed carry check",
-                                minimized=a.minimized, move_log=a.move_log,
-                                graph_summary=a.summary)
-    return FillsVerdict(PROPER, witness=witness, minimized=a.minimized,
-                        move_log=a.move_log, graph_summary=a.summary)
+            return verdict(UNKNOWN, reason="cut vertex at minimum")
+        return verdict(FILLS)
+    if len(letters) == rank and len(letter_groups) == 1:
+        return verdict(UNKNOWN, reason="crossed disconnection at minimum")
+    back = inverse_log_map(log, rank)
+    witness = FreeFactorSystem(rank, _dedupe(tuple(
+        fold(rank, [apply_map(back, FWD[g]) for g in sorted(group)])
+        for group in letter_groups)))
+    if not all(carries(witness, canonical_cyclic(w)) for w in classes):
+        return verdict(UNKNOWN, reason="witness failed carry check")
+    return verdict(PROPER, witness=witness)
 
 
 def free_factor_support(classes, rank: int, cfg: Config = DEFAULT):
-    """Smallest free factor system carrying all classes, or None (unknown)."""
-    a = _whitehead_analysis(classes, rank, cfg)
-    if a.kind == FILLS:
+    """Smallest free factor system carrying all classes, or None (unknown).
+
+    Whole group when :func:`fills` says Fills.  For a proper verdict the
+    minimized classes split along the letter groups, each already at its
+    own minimum, so a group's part of the Whitehead graph decides it: a
+    connected part without a cut vertex fills the group's factor, and
+    anything else leaves the support unknown.
+    """
+    verdict = fills(classes, rank, cfg)
+    if verdict.kind == FILLS:
         return whole_group(rank)
-    if a.kind == UNKNOWN:
+    if verdict.kind == UNKNOWN:
         return None
-    letter_groups = a.letter_groups
-    back = inverse_log_map(a.move_log, rank)
-    group_of = {}
-    for i, group in enumerate(letter_groups):
-        for g in group:
-            group_of[g] = i
-    buckets: list[list[str]] = [[] for _ in letter_groups]
-    for w in a.minimized:
-        gs = {FWD.index(ch) if ch in FWD[:rank] else BWD.index(ch) for ch in w}
-        owners = {group_of[g] for g in gs}
-        if len(owners) != 1:
+    adj, _ = whitehead_graph(rank, verdict.minimized)
+    for group in verdict.graph_summary["letter_groups"]:
+        verts = set(group) | {g + rank for g in group}
+        if len(partition(verts, ({u} | adj[u] for u in verts))) > 1 \
+                or _has_cut_vertex(adj, verts):
             return None
-        buckets[owners.pop()].append(w)
-    comps_out = []
-    for group, bucket in zip(letter_groups, buckets):
-        if not bucket:
-            continue
-        sub_rank = len(group)
-        ordered = sorted(group)
-        down = str.maketrans(
-            {**{FWD[g]: FWD[i] for i, g in enumerate(ordered)},
-             **{BWD[g]: BWD[i] for i, g in enumerate(ordered)}})
-        up = str.maketrans(
-            {**{FWD[i]: FWD[g] for i, g in enumerate(ordered)},
-             **{BWD[i]: BWD[g] for i, g in enumerate(ordered)}})
-        sub = free_factor_support([w.translate(down) for w in bucket],
-                                  sub_rank, cfg)
-        if sub is None:
-            return None
-        for comp in sub.components:
-            gens = [apply_map(back, bw.translate(up)) for bw in comp.basis_words()]
-            comps_out.append(fold(rank, gens))
-    if not comps_out:
-        return None
-    return FreeFactorSystem(rank, _dedupe(tuple(comps_out)))
+    return verdict.witness

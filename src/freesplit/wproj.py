@@ -306,12 +306,12 @@ class WValue:
     n_candidates: int
     n_defined: int
     n_budget: int
-    note: str = "sample minimum; true minimum within the empirical constant"
 
 
 def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
              candidates=None) -> WValue:
-    """Minimum orbit phase over candidate classes carried by the system."""
+    """Minimum orbit phase over candidate classes carried by the system:
+    a sample minimum, within the empirical constant of the true one."""
     if candidates is None:
         candidates = candidate_classes(ffs, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     best = None

@@ -242,6 +242,21 @@ class TestCLI:
         assert res.returncode == 0
         assert "filling_reducible" in res.stdout
 
+    @pytest.mark.parametrize("argv", [("fixtures",), ("fixtures", "--json"),
+                                      ("classify", "--fixture", "rank2_tr3")])
+    def test_closed_stdout_exits_quietly(self, argv):
+        # the reader is gone before the first write, as after `| head -3`
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            res = subprocess.run([sys.executable, "-m", "freesplit.cli", *argv],
+                                 stdout=write_end, stderr=subprocess.PIPE,
+                                 text=True, timeout=300)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 0
+        assert res.stderr == ""
+
     def test_classify_json(self):
         res = run_cli("classify", "--fixture", "rank2_tr2_shear", "--json")
         assert res.returncode == 0

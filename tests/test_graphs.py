@@ -4,13 +4,38 @@ import pytest
 
 from freesplit.config import Config
 from freesplit.errors import BudgetExhausted, InvalidInput, NumericalTolerance
+from freesplit.fixtures import fixture, fixture_names
 from freesplit.graphs import (Graph, TransitionMatrix, compose,
                               identity_graph_map, is_invariant_subgraph,
                               is_nielsen, iterate, map_circuit, map_path,
+                              marked_rose, minimal_invariant_superset,
                               parse_marked_graph, pf_eigenvalue,
-                              print_marked_graph, rose, strata,
-                              transition_matrix)
+                              print_marked_graph, realize_rose_endo, rose,
+                              strata, transition_matrix)
 from freesplit.words import FWD, canonical_cyclic, reduce_word
+from test_classify import rank2_products
+
+# Reducible rose automorphisms of rank 3 and 4 (a = x1, b = x2, ...;
+# capitals are inverses): invariant lower factors under EG, NEG and
+# FIXED tops, parallel EG strata and permutation strata.
+REDUCIBLE_ROSES = [
+    ("ab", "bab", "ca"),
+    ("a", "ba", "cb"),
+    ("b", "a", "acb"),
+    ("ab", "bab", "Cb"),
+    ("a", "bca", "cbc"),
+    ("b", "ab", "cd", "dcd"),
+    ("a", "ba", "cb", "dca"),
+    ("ab", "bab", "ac", "cdb"),
+    ("b", "ba", "c", "dcB"),
+    ("a", "bc", "c", "Dab"),
+    ("a", "b", "cda", "dcd"),
+    ("a", "ab", "cdb", "dcd"),
+    ("b", "a", "cda", "dcdB"),
+]
+FILTRATION_CASES = ([("fixture", name) for name in fixture_names()]
+                    + [("rank2", bm) for bm in rank2_products(5)]
+                    + [("rose", bm) for bm in REDUCIBLE_ROSES])
 
 
 @pytest.fixture(scope="module")
@@ -221,13 +246,23 @@ class TestStrata:
             rho = pf_eigenvalue(block)
             assert (st.label == "EG") == (rho > 1 + 1e-9)
 
-    def test_invariance_of_filtration(self, frd):
-        mg, g, f = frd
-        filt = strata(f)
-        upto = set()
-        for st in filt.strata:
-            upto |= st.slots
-            assert is_invariant_subgraph(f, upto)
+    @pytest.mark.parametrize("case", FILTRATION_CASES,
+                             ids=lambda c: f"{c[0]}-{','.join(c[1])}"
+                             if c[0] != "fixture" else c[1])
+    def test_invariance_of_filtration(self, case):
+        kind, arg = case
+        if kind == "fixture":
+            maps = [f for f in fixture(arg).maps.values() if f.is_endo()]
+        else:
+            maps = [realize_rose_endo(marked_rose(len(arg)), arg)]
+        for f in maps:
+            upto = set()
+            for st in strata(f).strata:
+                upto |= st.slots
+                assert is_invariant_subgraph(f, upto)
+                if st.label != "FIXED":
+                    for e in st.slots:
+                        assert st.slots <= minimal_invariant_superset(f, (e,))
 
 
 class TestNielsen:

@@ -287,3 +287,20 @@ class TestSupport:
     def test_mixed(self):
         got = free_factor_support([x + y, z], 3)
         assert got == ffs_from_generators(3, [x + y], [z])
+
+    def test_agrees_with_fills_on_short_rank3_sets(self):
+        """Every set of one or two canonical cyclic words of length <= 3."""
+        letters = FWD[:3] + BWD[:3]
+        words = sorted({canonical_cyclic("".join(t)) for n in (1, 2, 3)
+                        for t in itertools.product(letters, repeat=n)} - {""},
+                       key=sort_key)
+        sets = [[w] for w in words] + [list(p) for p in
+                                       itertools.combinations(words, 2)]
+        for classes in sets:
+            got = free_factor_support(classes, 3)
+            whole = fills(classes, 3).kind == FILLS
+            assert (got == whole_group(3)) == whole, classes
+            if not whole:
+                assert got is None or got.is_proper, classes
+            if got is not None:
+                assert all(carries(got, w) for w in classes), classes
