@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .config import DEFAULT
 from .errors import BudgetExhausted, InvalidInput
 from .factors import folds_to_rose
 from .words import (FWD, BWD, image_table, invert, is_fwd, junction,
@@ -173,7 +174,7 @@ def _move_basis_map(n: int, move) -> BasisMap:
     return tuple(images)
 
 
-def invert_map(bm: BasisMap, budget: int = 4000) -> BasisMap:
+def invert_map(bm: BasisMap, budget: int = DEFAULT.outer_budget) -> BasisMap:
     """Inverse automorphism via greedy Nielsen reduction of the image tuple.
 
     Raises InvalidInput when the images do not define an automorphism
@@ -272,7 +273,7 @@ DISTINCT = "Distinct"
 UNKNOWN = "Unknown"
 
 
-def outer_equal(f: BasisMap, g: BasisMap, budget: int = 4000):
+def outer_equal(f: BasisMap, g: BasisMap, budget: int = DEFAULT.outer_budget):
     """Decide equality of f, g in the outer automorphism group.
 
     Returns (verdict, conjugator): verdict is EQUAL with a witness word u

@@ -18,7 +18,7 @@ from .config import DEFAULT, Config
 from .errors import InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
 from .graphs import (GraphMap, MarkedGraph, compose, identity_graph_map,
-                     is_invariant_subgraph, strata)
+                     is_invariant_subgraph, restricted_map, strata)
 from .laminations import (LaminationApprox, lamination_approx,
                           lamination_fills, laminations_jointly_fill)
 from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
@@ -242,10 +242,8 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
     if not j3 <= (k1 & j2):
         raise InvalidInput("inner subgraph must sit inside the intersection")
 
-    f1 = GraphMap(g, g, dict(f.vertex_map), tuple(
-        f.edge_images[s] if s in k1 else FWD[s] for s in range(g.n_edges)))
-    f2 = GraphMap(g, g, dict(f.vertex_map), tuple(
-        f.edge_images[s] if s not in k1 else FWD[s] for s in range(g.n_edges)))
+    f1 = restricted_map(f, k1)
+    f2 = restricted_map(f, frozenset(range(g.n_edges)) - k1)
     if compose(f2, f1).edge_images != f.edge_images:
         raise InvalidInput("restricted maps do not compose to the map")
     f1k, f2k, fk = (_power_map(m, k) for m in (f1, f2, f))
@@ -317,7 +315,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
     fp = _power_map(f, p) if p > 1 else f
     notes["power"] = p
 
-    filt = strata(fp, cfg)
+    filt = strata(fp)
     eg = filt.eg_strata()
     lams = []
     verdicts = []

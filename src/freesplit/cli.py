@@ -15,8 +15,7 @@ import sys
 
 from .classify import bounded_path_witness, classify
 from .config import load_config
-from .errors import (BudgetExhausted, FixtureInvalid, InvalidInput,
-                     NotApplicable, NumericalTolerance)
+from .errors import BudgetExhausted, FixtureInvalid, InvalidInput, NotApplicable
 from .factors import folds_to_rose
 from .fixtures import ExampleSpec, fixture, fixture_names
 from .graphs import parse_marked_graph, strata
@@ -115,7 +114,7 @@ def cmd_w(args) -> int:
 def cmd_leaf(args) -> int:
     cfg = _load_cfg(args)
     spec = _load_spec(args, cfg)
-    filt = strata(spec.f, cfg)
+    filt = strata(spec.f)
     eg = filt.eg_strata()
     if not eg:
         raise InvalidInput("map has no exponential stratum")
@@ -244,7 +243,7 @@ def main(argv=None) -> int:
     except (InvalidInput, FixtureInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExhausted, NumericalTolerance, NotApplicable) as exc:
+    except (BudgetExhausted, NotApplicable) as exc:
         print(f"budget: {exc}", file=sys.stderr)
         return 3
 

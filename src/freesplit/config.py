@@ -37,7 +37,6 @@ class Config:
     # Perron-Frobenius estimation
     pf_tol: float = 1e-9
     pf_iter_cap: int = 10**5
-    eg_threshold: float = 1.0 + 1e-9
     # conjugacy/outer-equality search
     outer_budget: int = 4000
     # classifier

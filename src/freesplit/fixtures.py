@@ -13,7 +13,7 @@ from .automorphisms import abelianization, invert_map
 from .config import DEFAULT, Config
 from .errors import FixtureInvalid, InvalidInput
 from .graphs import (GraphMap, MarkedGraph, compose, is_invariant_subgraph,
-                     map_path, marked_rose, rose_map, strata)
+                     map_path, marked_rose, restricted_map, rose_map, strata)
 from .whitehead import FILLS, fills
 from .words import BWD, FWD, invert, is_fwd, reduce_word, slot
 
@@ -82,7 +82,7 @@ def filling_reducible(m: int = 3, sigma: str | None = None,
     images["A"] = f"A {sigma_tokens} B' {sigma_tokens} B"
     images["B"] = f"B {sigma_tokens} A {sigma_tokens} B' {sigma_tokens} B"
     f = rose_map(mg, images)
-    filt = strata(f, cfg)
+    filt = strata(f)
     labels = [(tuple(sorted(st.slots)), st.label) for st in filt.strata]
     g1_slots = tuple(sorted(g.slot_of[n] for n in g1))
     ab_slots = tuple(sorted((g.slot_of["A"], g.slot_of["B"])))
@@ -120,14 +120,14 @@ def bdd_no_periodic(m: int = 3, sigma: str | None = None,
     k2 = g1_slots | {slots["A2"], slots["B2"]}
     decomposition = {"K1": k1, "K2": k2, "J2": k2, "J3": g1_slots}
 
-    filt = strata(f, cfg)
+    filt = strata(f)
     eg = [st.slots for st in filt.strata if st.label == "EG"]
     _require(len(eg) == 2, f"expected two exponential strata, got {len(eg)}")
     _require(is_invariant_subgraph(f, k1) and is_invariant_subgraph(f, k2),
              "declared subgraphs are not invariant")
     _check_sigma_fills(mg, g1, g.parse_path(sigma_tokens), cfg)
-    f1 = _restricted_map(f, k1)
-    f2 = _restricted_map(f, frozenset(range(g.n_edges)) - k1)
+    f1 = restricted_map(f, k1)
+    f2 = restricted_map(f, frozenset(range(g.n_edges)) - k1)
     _require(compose(f2, f1).edge_images == f.edge_images,
              "the two restricted maps do not compose to the map")
     return ExampleSpec(
@@ -138,15 +138,6 @@ def bdd_no_periodic(m: int = 3, sigma: str | None = None,
         decomposition=decomposition,
         notes="jointly filling lamination pair, no single one fills",
     )
-
-
-def _restricted_map(f: GraphMap, support: frozenset) -> GraphMap:
-    """Agree with f on ``support`` edges, identity elsewhere."""
-    g = f.source
-    images = tuple(
-        f.edge_images[s] if s in support else FWD[s] for s in range(g.n_edges)
-    )
-    return GraphMap(g, g, dict(f.vertex_map), images)
 
 
 def linear_example(i: int = 1, j: int = 1, w: str | None = None,

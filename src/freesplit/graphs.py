@@ -4,8 +4,8 @@ Edges of a graph are totally ordered by name; oriented edges are single
 characters of the internal alphabet (slot = rank of the edge name), so
 edge paths are strings and the word machinery of :mod:`words` applies
 directly.  A marking is a homotopy equivalence from the rank-n rose,
-stored as basis-letter loops together with a homotopy-inverse edge
-assignment over the abstract basis alphabet.
+stored as basis-letter loops; its homotopy-inverse edge assignment over
+the abstract basis alphabet is computed from them on first use.
 """
 
 from __future__ import annotations
@@ -136,11 +136,11 @@ class MarkedGraph:
 
     ``marking[i]`` is the image loop (at ``base``) of basis letter i;
     ``marking_inv[s]`` is an abstract basis word for edge slot s, chosen so
-    that marking_inv after marking induces an inner automorphism.
+    that marking_inv after marking induces an inner automorphism.  It is
+    computed on first use, for remarked graphs as for any other.
     """
 
-    def __init__(self, graph: Graph, base: str, marking, marking_inv=None,
-                 inv_factory=None):
+    def __init__(self, graph: Graph, base: str, marking):
         self.graph = graph
         self.base = base
         self.marking = tuple(reduce_word(w) for w in marking)
@@ -155,19 +155,6 @@ class MarkedGraph:
         euler_rank = graph.n_edges - len(graph.vertices) + 1
         if euler_rank != self.rank:
             raise InvalidInput("marking rank does not match graph rank")
-        self._inv_factory = inv_factory
-        self._marking_inv = (tuple(reduce_word(w) for w in marking_inv)
-                             if marking_inv is not None else None)
-
-    @property
-    def marking_inv(self):
-        """Edge words over the abstract basis; computed on first use."""
-        if self._marking_inv is None:
-            if self._inv_factory is not None:
-                self._marking_inv = tuple(self._inv_factory())
-            else:
-                self._marking_inv = tuple(self._compute_marking_inverse())
-        return self._marking_inv
 
     @cached_property
     def tree(self) -> tuple[dict[str, str], dict]:
@@ -178,28 +165,33 @@ class MarkedGraph:
             raise InvalidInput("graph is not connected")
         return paths, loops
 
-    def _compute_marking_inverse(self):
-        g = self.graph
-        cotree = [s for s, _, _ in self.tree[1]]
-        if len(cotree) != self.rank:
-            raise InvalidInput("graph rank does not match marking rank")
-        loop_index = {s: i for i, s in enumerate(cotree)}
+    @cached_property
+    def _cotree_index(self) -> dict[int, int]:
+        """Slot of each edge off the spanning tree -> its loop's letter."""
+        return {s: i for i, (s, _, _) in enumerate(self.tree[1])}
 
-        def to_loops(path: str) -> str:
-            # rewrite a loop at base as an abstract word in the cotree loops
-            out = []
-            for ch in path:
-                i = loop_index.get(slot(ch))
-                if i is not None:
-                    out.append(FWD[i] if is_fwd(ch) else BWD[i])
-            return reduce_word("".join(out))
+    def loop_word(self, path: str) -> str:
+        """A loop as a reduced word in the cotree loops: letter i is the
+        i-th edge off the spanning tree; tree edges read as nothing.  A loop
+        at another vertex reads as its conjugate along the tree path."""
+        index = self._cotree_index
+        out = []
+        for ch in path:
+            i = index.get(slot(ch))
+            if i is not None:
+                out.append(FWD[i] if is_fwd(ch) else BWD[i])
+        return reduce_word("".join(out))
 
-        rho_hat: BasisMap = tuple(to_loops(w) for w in self.marking)
+    @cached_property
+    def marking_inv(self) -> tuple[str, ...]:
+        """Edge words over the abstract basis: the inverse of the marking
+        read in the cotree loops, on cotree edges; empty on tree edges."""
+        rho_hat: BasisMap = tuple(self.loop_word(w) for w in self.marking)
         rho_hat_inv = invert_map(rho_hat, DEFAULT.outer_budget)
-        inv = [""] * g.n_edges
-        for s in cotree:
-            inv[s] = rho_hat_inv[loop_index[s]]
-        return inv
+        inv = [""] * self.graph.n_edges
+        for s, i in self._cotree_index.items():
+            inv[s] = rho_hat_inv[i]
+        return tuple(inv)
 
     @cached_property
     def _to_rose(self) -> tuple[dict, dict]:
@@ -233,21 +225,14 @@ class MarkedGraph:
     def remark(self, f: "GraphMap") -> "MarkedGraph":
         """New marked graph with marking precomposed with ``f``.
 
-        The homotopy-inverse edge words are set up lazily: they need a
-        Nielsen inversion of the induced automorphism, which most remarked
-        graphs (e.g. search nodes compared only structurally) never use.
+        Its marking inverse is computed from the new marking on first use,
+        as for any marked graph; most remarked graphs (e.g. pair-relation
+        targets, which are read in their own loops) never need it.
         """
         if f.source is not self.graph or f.target is not self.graph:
             raise InvalidInput("remarking requires an endomorphism of the graph")
         new_marking = tuple(map_path(f, w) for w in self.marking)
-
-        def factory():
-            induced = self.induced_rose_map(f)
-            inv = invert_map(induced)
-            return tuple(apply_map(inv, w) for w in self.marking_inv)
-
-        return MarkedGraph(self.graph, f.vertex_map[self.base], new_marking,
-                           inv_factory=factory)
+        return MarkedGraph(self.graph, f.vertex_map[self.base], new_marking)
 
     def induced_rose_map(self, f: "GraphMap") -> BasisMap:
         """Basis map of the outer automorphism represented by ``f``."""
@@ -301,11 +286,7 @@ def realize_rose_endo(mg: MarkedGraph, bm: BasisMap) -> GraphMap:
 def marked_rose(rank: int, names=None) -> MarkedGraph:
     names = list(names) if names else [f"x{i + 1}" for i in range(rank)]
     g = rose(rank, names)
-    marking = [FWD[g.slot_of[n]] for n in names]
-    inv = [""] * rank
-    for i, n in enumerate(names):
-        inv[g.slot_of[n]] = FWD[i]
-    return MarkedGraph(g, "v", marking, marking_inv=inv)
+    return MarkedGraph(g, "v", [FWD[g.slot_of[n]] for n in names])
 
 
 # ---------------------------------------------------------------------------
@@ -424,6 +405,13 @@ def is_nielsen(f: GraphMap, path: str) -> bool:
     return map_path(f, path) == path
 
 
+def restricted_map(f: GraphMap, support) -> GraphMap:
+    """Endomorphism agreeing with f on ``support`` edges, identity elsewhere."""
+    g = f.source
+    return GraphMap(g, g, dict(f.vertex_map), tuple(
+        f.edge_images[s] if s in support else FWD[s] for s in range(g.n_edges)))
+
+
 def is_invariant_subgraph(f: GraphMap, edge_slots) -> bool:
     keep = set(edge_slots)
     for s in keep:
@@ -499,43 +487,45 @@ class Filtration:
         return [i for i, st in enumerate(self.strata) if st.label == "EG"]
 
 
-def strata(f: GraphMap, cfg: Config = DEFAULT) -> Filtration:
-    """Invariant filtration, with growth labels read off the diagonal blocks.
+def strata(f: GraphMap) -> Filtration:
+    """Invariant filtration, with growth labels counted from the images.
 
     Two edges share a stratum when each lies in the other's invariant
     closure (:func:`minimal_invariant_superset`); :func:`partition` groups
     them.  The strata are placed bottom up: each time, the one with the
     least slot whose closure lies in the strata already placed plus itself.
+
+    So each stratum's transition block is irreducible, and an irreducible
+    nonnegative integer block has Perron root above 1 exactly when it is
+    not a permutation matrix: when the images of the stratum's edges cross
+    the stratum more times than it has edges.  That count labels the
+    stratum EG, ZERO (a single edge not crossing itself), or else FIXED
+    (every edge its own image) or NEG.
     """
     if not f.is_endo():
         raise InvalidInput("strata requires an endomorphism")
-    tm = transition_matrix(f)
     n = f.source.n_edges
     reach = [minimal_invariant_superset(f, (e,)) for e in range(n)]
     comps = partition(range(n), ({d for d in reach[e] if e in reach[d]}
                                  for e in range(n)))
     placed: set[int] = set()
-    order = []
+    out = []
     while comps:
         nxt = next(c for c in comps
                    if all(reach[e] <= placed | c for e in c))
         comps.remove(nxt)
         placed |= nxt
-        order.append(nxt)
-    out = []
-    for slots_ in order:
-        block = tm.block(slots_)
-        if len(slots_) == 1 and block.matrix[0][0] == 0:
-            out.append(Stratum(slots_, "ZERO"))
-            continue
-        rho = pf_eigenvalue(block, cfg)
-        if rho > cfg.eg_threshold:
+        crossings = sum(words.count_crossings(f.edge_images[s], t)
+                        for s in nxt for t in nxt)
+        if crossings == 0:
+            label = "ZERO"
+        elif crossings > len(nxt):
             label = "EG"
-        elif all(f.edge_images[s] == FWD[s] for s in slots_):
+        elif all(f.edge_images[s] == FWD[s] for s in nxt):
             label = "FIXED"
         else:
             label = "NEG"
-        out.append(Stratum(slots_, label))
+        out.append(Stratum(nxt, label))
     # Pointwise-fixed strata commute with the filtration, so runs of FIXED
     # strata are lumped into one.
     merged: list[Stratum] = []

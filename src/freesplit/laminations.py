@@ -22,7 +22,7 @@ from .graphs import (Filtration, GraphMap, MarkedGraph, close_path,
                      strata, subgraph_factor_system)
 from .whitehead import PROPER, UNKNOWN, FillsVerdict, fills
 from .words import (FWD, canonical_cyclic, count_crossings, cyclic_contains,
-                    invert, path_contains)
+                    invert)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
                       cfg: Config = DEFAULT,
                       filtration: Filtration | None = None) -> LaminationApprox:
     """Iterated-seed approximation of the lamination of an EG stratum."""
-    filtration = filtration or strata(f, cfg)
+    filtration = filtration or strata(f)
     st = filtration.strata[stratum_index]
     if st.label != "EG":
         raise InvalidInput(f"stratum {stratum_index} is {st.label}, not EG")
@@ -84,10 +84,7 @@ def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
     positions = [i for i, ch in enumerate(deep) if ch in (seed_fwd, seed_bwd)]
     center = min(positions, key=lambda i: abs(i - mid)) if positions else mid
     start = max(0, min(center - seg_len // 2, len(deep) - seg_len))
-    seg = deep[start : start + seg_len]
-    if not path_contains(deep, seg):
-        raise InvalidInput("defining segment does not occur in its own leaf")
-    return seg
+    return deep[start : start + seg_len]
 
 
 # ---------------------------------------------------------------------------

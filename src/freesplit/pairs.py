@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .automorphisms import identity_map, outer_equal
+from .automorphisms import outer_equal
 from .config import DEFAULT, Config
 from .errors import InvalidInput
 from .factors import FreeFactorSystem
@@ -200,7 +200,10 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair, p2: MarkedGraphPair,
                         budget: int = DEFAULT.outer_budget) -> RelationResult:
     """Check the defining relation between pairs along the map ``h``.
 
-    Clause 1: h preserves markings (outer equality through the markings).
+    Clause 1: h preserves markings: h after the first marking equals the
+    second marking in the outer automorphism group, both read as words in
+    the target graph's cotree loops (:meth:`MarkedGraph.loop_word`), so no
+    marking is inverted.
     Clause 2: h gives a bijection of natural vertices off the subgraphs.
     Clause 3: h carries H into H', and each complement natural edge maps
     to flank * edge * flank with flanks trivial or in H'.
@@ -259,8 +262,9 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair, p2: MarkedGraphPair,
     if seen_targets != complement2:
         return RelationResult(FAILS, 3, "complement edges not bijective")
 
-    induced = tuple(p2.mg.path_to_rose(map_path(h, w)) for w in p1.mg.marking)
-    verdict, _ = outer_equal(induced, identity_map(p1.mg.rank), budget)
+    carried = tuple(p2.mg.loop_word(map_path(h, w)) for w in p1.mg.marking)
+    marked = tuple(p2.mg.loop_word(w) for w in p2.mg.marking)
+    verdict, _ = outer_equal(carried, marked, budget)
     if verdict == "Unknown":
         return RelationResult(REL_UNKNOWN, detail="marking check hit budget")
     if verdict != "Equal":

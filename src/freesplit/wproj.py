@@ -110,7 +110,7 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
 def _filling_lamination(mg: MarkedGraph, f: GraphMap,
                         cfg: Config) -> LaminationApprox | None:
     """Lamination of the first EG stratum of f that certifiably fills."""
-    filt = strata(f, cfg)
+    filt = strata(f)
     for idx in filt.eg_strata():
         lam = lamination_approx(mg, f, idx, cfg, filt)
         if lamination_fills(lam, cfg).kind == FILLS:

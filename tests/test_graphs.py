@@ -38,6 +38,19 @@ FILTRATION_CASES = ([("fixture", name) for name in fixture_names()]
                     + [("rose", bm) for bm in REDUCIBLE_ROSES])
 
 
+def _case_id(case):
+    kind, arg = case
+    return arg if kind == "fixture" else f"{kind}-{','.join(arg)}"
+
+
+def _case_maps(case):
+    """The endomorphisms of a filtration case."""
+    kind, arg = case
+    if kind == "fixture":
+        return [f for f in fixture(arg).maps.values() if f.is_endo()]
+    return [realize_rose_endo(marked_rose(len(arg)), arg)]
+
+
 @pytest.fixture(scope="module")
 def frd(filling_spec):
     mg = filling_spec.mg
@@ -235,27 +248,25 @@ class TestStrata:
         assert len(filt.strata) == 1
         assert filt.strata[0].label == "FIXED"
 
-    def test_eg_iff_pf_above_threshold(self, bdd_spec):
-        f = bdd_spec.f
-        tm = transition_matrix(f)
-        for st in strata(f).strata:
-            block = tm.block(sorted(st.slots))
-            if len(st.slots) == 1 and block.matrix[0][0] == 0:
-                assert st.label == "ZERO"
-                continue
-            rho = pf_eigenvalue(block)
-            assert (st.label == "EG") == (rho > 1 + 1e-9)
+    @pytest.mark.parametrize("case", FILTRATION_CASES, ids=_case_id)
+    def test_eg_iff_pf_above_threshold(self, case):
+        # the crossing count agrees with the Perron root of the block,
+        # computed by power iteration, on every stratum and pure power
+        for f in _case_maps(case):
+            for g in (f, compose(f, f)):
+                tm = transition_matrix(g)
+                for st in strata(g).strata:
+                    block = tm.block(sorted(st.slots))
+                    if len(st.slots) == 1 and block.matrix[0][0] == 0:
+                        assert st.label == "ZERO"
+                        continue
+                    assert st.label != "ZERO"
+                    rho = pf_eigenvalue(block)
+                    assert (st.label == "EG") == (rho > 1 + 1e-9)
 
-    @pytest.mark.parametrize("case", FILTRATION_CASES,
-                             ids=lambda c: f"{c[0]}-{','.join(c[1])}"
-                             if c[0] != "fixture" else c[1])
+    @pytest.mark.parametrize("case", FILTRATION_CASES, ids=_case_id)
     def test_invariance_of_filtration(self, case):
-        kind, arg = case
-        if kind == "fixture":
-            maps = [f for f in fixture(arg).maps.values() if f.is_endo()]
-        else:
-            maps = [realize_rose_endo(marked_rose(len(arg)), arg)]
-        for f in maps:
+        for f in _case_maps(case):
             upto = set()
             for st in strata(f).strata:
                 upto |= st.slots
@@ -354,6 +365,18 @@ class TestMarking:
     def test_marking_inverse_round_trip(self, frd):
         mg, g, f = frd
         assert mg.validate_marking()
+
+    @pytest.mark.parametrize("names", [["x1", "x2", "x3"], ["c", "a", "b"],
+                                       ["B", "A", "Y", "X", "Z"],
+                                       ["x7", "x2", "x10", "x1"]])
+    def test_rose_inverse_is_the_name_permutation(self, names):
+        # the computed inverse sends the edge named names[i] to letter i,
+        # as the rose's hand-written inverse did
+        mg = marked_rose(len(names), names)
+        by_hand = [""] * len(names)
+        for i, n in enumerate(names):
+            by_hand[mg.graph.slot_of[n]] = FWD[i]
+        assert mg.marking_inv == tuple(by_hand)
 
     def test_remark_twice_is_composed(self, frd):
         mg, g, f = frd

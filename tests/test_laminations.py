@@ -54,7 +54,7 @@ class TestApprox:
 
     def test_growth_matches_perron_root(self, filling_spec):
         cfg = Config(lam_len_target=15_000, lam_depth_cap=12)
-        filt = strata(filling_spec.f, cfg)
+        filt = strata(filling_spec.f)
         deep = lamination_approx(filling_spec.mg, filling_spec.f,
                                  filt.eg_strata()[0], cfg, filt)
         assert len(deep.deepest()) >= 10_000
@@ -168,7 +168,7 @@ class TestPFEstimate:
 
     def test_defining_map_estimates_log_perron(self, filling_spec):
         cfg = Config(lam_len_target=15_000, lam_depth_cap=12)
-        filt = strata(filling_spec.f, cfg)
+        filt = strata(filling_spec.f)
         deep = lamination_approx(filling_spec.mg, filling_spec.f,
                                  filt.eg_strata()[0], cfg, filt)
         target = math.log(2 + math.sqrt(3))
@@ -177,7 +177,7 @@ class TestPFEstimate:
 
     def test_square_doubles(self, filling_spec):
         cfg = Config(lam_len_target=15_000, lam_depth_cap=12)
-        filt = strata(filling_spec.f, cfg)
+        filt = strata(filling_spec.f)
         deep = lamination_approx(filling_spec.mg, filling_spec.f,
                                  filt.eg_strata()[0], cfg, filt)
         one = pf_estimate(filling_spec.f, deep)

@@ -2,16 +2,21 @@ import itertools
 
 import pytest
 
+from freesplit.automorphisms import (apply_map, identity_map, invert_map,
+                                     outer_equal)
+from freesplit.classify import _power_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import ffs_from_generators
 from freesplit.graphs import (Graph, MarkedGraph, graph_map,
-                              identity_graph_map, marked_rose)
+                              identity_graph_map, map_path, marked_rose,
+                              realize_rose_endo, rose_map)
 from freesplit.pairs import (adjacent, elliptic_system, equivalent_one_edge,
                              faces, one_edge_splitting,
                              pair_relation_check, remark_pair,
                              remark_splitting, sibling_splittings,
                              splitting_of_pair, validate_pair)
 from freesplit.words import FWD
+from test_classify import rank2_products
 
 
 def dumbbell_marked():
@@ -158,8 +163,6 @@ class TestPairRelation:
         assert res.holds
 
     def test_bdd_core_equality(self, bdd_spec):
-        from freesplit.classify import _power_map
-
         for k in (1, 2):
             f1k = _power_map(bdd_spec.maps["f1"], k)
             pair = validate_pair(bdd_spec.mg, bdd_spec.decomposition["K1"])
@@ -182,6 +185,62 @@ class TestPairRelation:
                 from freesplit.words import slot
 
                 assert slot(ch) in pair.h_slots
+
+    def test_clause_one_mutant(self):
+        # x2 -> x2 x2 keeps H = {x2} and the complement edge x1 in place,
+        # so only the marking clause can reject it
+        mg = marked_rose(2)
+        pair = validate_pair(mg, ["x2"])
+        h = rose_map(mg, {"x1": "x1", "x2": "x2 x2"})
+        res = pair_relation_check(h, pair, pair)
+        assert res.status == "FailsClause" and res.clause == 1
+
+    def test_clause_one_matches_nielsen_reference(self, bdd_spec):
+        """Clause 1 read in the target's loops agrees with the former
+        check through the target's remarked marking inverse."""
+        cases = []  # (h, p1, p2, base pair of p2, map p2 is remarked by)
+        mg2 = marked_rose(2)
+        for bm in rank2_products(4):
+            f = realize_rose_endo(mg2, bm)
+            for pair in (validate_pair(mg2, ["x1"]),
+                         validate_pair(mg2, ["x2"])):
+                moved = remark_pair(pair, f)
+                for h in (f, identity_graph_map(mg2.graph)):
+                    cases.append((h, pair, moved, pair, f))
+        mg, dec = bdd_spec.mg, bdd_spec.decomposition
+        ident = identity_graph_map(mg.graph)
+        p_j3, p_k1, p_j2 = (validate_pair(mg, dec[k])
+                            for k in ("J3", "K1", "J2"))
+        for k in (0, 1, 2):
+            f1k, f2k, fk = (_power_map(m, k) for m in (
+                bdd_spec.maps["f1"], bdd_spec.maps["f2"], bdd_spec.f))
+            v2b, v3 = remark_pair(p_k1, f1k), remark_pair(p_j3, f1k)
+            v4, v4b = remark_pair(p_j2, f1k), remark_pair(p_j2, fk)
+            v5 = remark_pair(p_j3, fk)
+            cases += [(ident, p_j3, p_k1, p_k1, None),
+                      (f1k, p_k1, v2b, p_k1, f1k),
+                      (ident, v3, v2b, p_k1, f1k),
+                      (ident, v3, v4, p_j2, f1k),
+                      (f2k, v4, v4b, p_j2, fk),
+                      (ident, v5, v4b, p_j2, fk)]
+        seen = set()
+        for h, p1, p2, base, f in cases:
+            inv = base.mg.marking_inv
+            if f is not None:
+                nielsen = invert_map(base.mg.induced_rose_map(f))
+                inv = tuple(apply_map(nielsen, w) for w in inv)
+            images = [map_path(h, w) for w in p1.mg.marking]
+            old = outer_equal(tuple(apply_map(inv, w) for w in images),
+                              identity_map(p1.mg.rank))[0]
+            new = outer_equal(
+                tuple(p2.mg.loop_word(w) for w in images),
+                tuple(p2.mg.loop_word(w) for w in p2.mg.marking))[0]
+            assert old == new
+            res = pair_relation_check(h, p1, p2)
+            if res.status != "FailsClause" or res.clause == 1:
+                assert res.holds == (new == "Equal")
+            seen.add(new)
+        assert seen == {"Equal", "Distinct"}
 
 
 class TestRemark:
@@ -210,7 +269,7 @@ class TestRemark:
         assert moved.elliptic == apply_basis_map_to_ffs(bwd, s.elliptic)
 
     def test_right_action_with_distinct_maps(self, filling_spec):
-        from freesplit.graphs import compose, rose_map
+        from freesplit.graphs import compose
 
         mg, f = filling_spec.mg, filling_spec.f
         swap = rose_map(mg, {"X": "Y", "Y": "X", "Z": "Z",
