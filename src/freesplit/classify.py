@@ -30,6 +30,9 @@ from .words import BWD, FWD, invert, is_fwd, slot, strip_cyclic
 
 DISPLACEMENT_RADIUS = 4  # translations tabulated on each side of W
 CHAIN_K = 1  # power of the map in the BoundedOrbits chain witness
+# A longer power image ends the inner-power search: EG images grow
+# geometrically, and such a power is inner only by a conjugator of 5,000+.
+INNER_POWER_MAX_LETTERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -93,17 +96,17 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
     """Least p with the p-th power inner, or None.
 
     Two cheap screens come before the conjugator search of ``outer_equal``.
-    A power with an image over 10,000 letters ends the search.  An inner
-    power maps every basis letter to a conjugate of itself, so each image
-    must cyclically reduce to that letter; the screen also passes its
-    inverse, which ``outer_equal`` then rejects.
+    A power with an image over ``INNER_POWER_MAX_LETTERS`` ends the search.
+    An inner power maps every basis letter to a conjugate of itself, so
+    each image must cyclically reduce to that letter; the screen also
+    passes its inverse, which ``outer_equal`` then rejects.
     """
     basis = identity_map(mg.rank)
     step = mg.induced_rose_map(f)
     cur = basis
     for p in range(1, cfg.power_cap + 1):
         cur = compose_maps(step, cur)
-        if max(len(w) for w in cur) > 10_000:
+        if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
             return None
         # The screen is canonical_cyclic(w) == canonical_cyclic(FWD[i]),
         # which holds exactly when w cyclically reduces to FWD[i] or BWD[i].
@@ -299,17 +302,8 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
 
     p_inner = _inner_power(mg, f, cfg)
     if p_inner is not None:
-        fp = _power_map(f, p_inner)
-        try:
-            s, rel = periodic_vertex_witness(mg, fp, cfg)
-        except NotApplicable:
-            return Classification("Unknown", stage="periodic_vertex_witness",
-                                  power=p_inner, notes=notes)
-        return Classification(
-            "PeriodicVertex", "invariant-splitting",
-            {"splitting": s.serialize(), "relation": rel.status,
-             "inner_power": p_inner},
-            power=p_inner, notes=notes)
+        return _periodic_vertex(mg, _power_map(f, p_inner), cfg, p_inner,
+                                notes, inner_power=True)
 
     p = power if power is not None else _rotationless_power(f, cfg)
     fp = _power_map(f, p) if p > 1 else f
@@ -358,15 +352,22 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
         return Classification("BoundedOrbits", kind, witness, power=p,
                               notes=notes)
 
+    return _periodic_vertex(mg, fp, cfg, p, notes)
+
+
+def _periodic_vertex(mg: MarkedGraph, fp: GraphMap, cfg: Config, p: int,
+                     notes: dict, inner_power: bool = False) -> Classification:
+    """PeriodicVertex on an invariant splitting of fp = f^p, or Unknown."""
     try:
         s, rel = periodic_vertex_witness(mg, fp, cfg)
     except NotApplicable:
         return Classification("Unknown", stage="periodic_vertex_witness",
                               power=p, notes=notes)
-    return Classification(
-        "PeriodicVertex", "invariant-splitting",
-        {"splitting": s.serialize(), "relation": rel.status},
-        power=p, notes=notes)
+    witness = {"splitting": s.serialize(), "relation": rel.status}
+    if inner_power:
+        witness["inner_power"] = p
+    return Classification("PeriodicVertex", "invariant-splitting", witness,
+                          power=p, notes=notes)
 
 
 def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap,

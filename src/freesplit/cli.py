@@ -44,8 +44,7 @@ def _load_cfg(args):
     if args.seg_len is not None:
         over["seg_len"] = args.seg_len
     if args.horizon is not None:
-        over["horizon_fwd"] = args.horizon
-        over["horizon_bwd"] = args.horizon
+        over["horizon"] = args.horizon
     if args.budget is not None:
         over["outer_budget"] = args.budget
     return cfg.with_overrides(**over) if over else cfg

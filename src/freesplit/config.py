@@ -1,10 +1,11 @@
-"""Runtime configuration: budgets, horizons, tolerances.
+"""Runtime configuration: budgets, the horizon, caps.
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints/floats; no randomness anywhere.  A segment length or outer
-budget below 1, or horizons shorter than the stability margin, raise
-InvalidInput on construction.
+plain ints; no randomness anywhere.  A segment length or outer budget
+below 1, or a horizon shorter than the stability margin, raise
+InvalidInput on construction.  Limits no caller varies are module
+constants where they are used, not fields here.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ class Config:
     iterate_cap: int = 10**6  # max letters in an intermediate path
     # attracting-neighborhood data
     seg_len: int = 64  # defining segment length L
-    horizon_fwd: int = 40  # h+
-    horizon_bwd: int = 40  # h-
+    horizon: int = 40  # iterates scanned forward and backward
     stability: int = 3  # margin s
     lam_depth_cap: int = 8  # max depth for lamination approximations
     lam_len_target: int = 512  # grow segments at least this long if allowed
@@ -32,11 +32,7 @@ class Config:
     cand_len: int = 4  # max cyclic length of candidate classes
     cand_cap: int = 24  # max number of candidates per factor system
     # Whitehead machinery
-    whitehead_max_moves: int = 10**5
     whitehead_max_letters: int = 10**4
-    # Perron-Frobenius estimation
-    pf_tol: float = 1e-9
-    pf_iter_cap: int = 10**5
     # conjugacy/outer-equality search
     outer_budget: int = 4000
     # classifier
@@ -45,8 +41,8 @@ class Config:
     def __post_init__(self):
         if self.seg_len < 1:
             raise InvalidInput("defining segment length must be >= 1")
-        if not (min(self.horizon_fwd, self.horizon_bwd) >= self.stability >= 1):
-            raise InvalidInput("horizons >= stability >= 1 required")
+        if not self.horizon >= self.stability >= 1:
+            raise InvalidInput("horizon >= stability >= 1 required")
         if self.outer_budget < 1:
             raise InvalidInput("outer budget must be >= 1")
 
@@ -58,9 +54,8 @@ def _coerce(name: str, raw: str):
     field = {f.name: f for f in dataclasses.fields(Config)}.get(name)
     if field is None:
         raise InvalidInput(f"unknown config key {name!r}")
-    kind = type(field.default)
     try:
-        return kind(raw)
+        return int(raw)
     except ValueError as exc:
         raise InvalidInput(f"bad value for {name}: {raw!r}") from exc
 

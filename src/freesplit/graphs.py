@@ -15,7 +15,7 @@ from functools import cached_property
 
 from . import words
 from .automorphisms import BasisMap, apply_map, identity_map, invert_map, outer_equal
-from .config import DEFAULT, Config
+from .config import DEFAULT
 from .errors import BudgetExhausted, InvalidInput, NumericalTolerance
 from .factors import FreeFactorSystem, _dedupe, fold, partition, tree_loops
 from .words import (BWD, FWD, image_table, invert, is_fwd, reduce_images,
@@ -448,11 +448,13 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
     )
 
 
-def pf_eigenvalue(tm: TransitionMatrix, cfg: Config = DEFAULT) -> float:
+def pf_eigenvalue(tm: TransitionMatrix, *, tol: float = 1e-9,
+                 iter_cap: int = 10**5) -> float:
     """Perron root of an irreducible nonnegative integer block.
 
     Power iteration on M + I with Collatz-Wielandt bounds; the shift makes
-    the iteration primitive so permutation blocks converge too.
+    the iteration primitive so permutation blocks converge too.  The
+    reference that :func:`strata`'s exact count is tested against.
     """
     m = tm.matrix
     n = len(m)
@@ -461,13 +463,13 @@ def pf_eigenvalue(tm: TransitionMatrix, cfg: Config = DEFAULT) -> float:
     if n == 1:
         return float(m[0][0])
     v = [1.0] * n
-    for _ in range(cfg.pf_iter_cap):
+    for _ in range(iter_cap):
         w = [sum(m[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
         ratios = [w[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)
         scale = max(w)
         v = [x / scale for x in w]
-        if hi - lo <= cfg.pf_tol * 1e-2:
+        if hi - lo <= tol * 1e-2:
             return (lo + hi) / 2.0 - 1.0
     raise NumericalTolerance("power iteration did not converge")
 

@@ -132,7 +132,7 @@ def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
     neighborhood of the generic leaf.
 
     Attracted(i) when containment holds on [i, i+s]; NotWithinHorizon after
-    the forward horizon; BudgetExhausted when the length cap strikes before
+    ``horizon`` iterates; BudgetExhausted when the length cap strikes before
     the question is settled.
     """
     seg = defining_segment(lam, cfg.seg_len)
@@ -146,7 +146,7 @@ def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
             orbit.append(nxt)
         return cyclic_contains(orbit[j], seg)
 
-    i = _window_start(member, cfg.horizon_fwd, 0, cfg.stability)
+    i = _window_start(member, cfg.horizon, 0, cfg.stability)
     return AttractionVerdict(i is not None, i)
 
 

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .automorphisms import outer_equal
-from .config import DEFAULT, Config
+from .config import DEFAULT
 from .errors import InvalidInput
 from .factors import FreeFactorSystem
 from .graphs import (GraphMap, MarkedGraph, map_path, print_marked_graph,
@@ -284,8 +284,7 @@ class AdjacencyResult:
     detail: str = ""
 
 
-def adjacent(s1: OneEdgeSplitting, s2: OneEdgeSplitting,
-             cfg: Config = DEFAULT) -> AdjacencyResult:
+def adjacent(s1: OneEdgeSplitting, s2: OneEdgeSplitting) -> AdjacencyResult:
     """Search co-edge-2 pairs on either underlying graph whose two one-edge
     collapses are the given splittings."""
     if equivalent_one_edge(s1, s2):

@@ -216,7 +216,8 @@ def _best_move(rank: int, classes) -> tuple[int, Move | None]:
 def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
     """Reduce total cyclic length to a global minimum.
 
-    Returns (minimized sorted tuple, total length, move log).
+    Returns (minimized sorted tuple, total length, move log); the log is
+    no longer than the starting total, which ``whitehead_max_letters`` caps.
     """
     cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
     if not cur or any(not w for w in cur):
@@ -224,13 +225,13 @@ def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
     if sum(len(w) for w in cur) > cfg.whitehead_max_letters:
         raise BudgetExhausted("class set exceeds letter budget")
     log: list[Move] = []
-    for _ in range(cfg.whitehead_max_moves):
+    # ends: the total falls by at least -delta >= 1 per move, and stays >= 1
+    while True:
         delta, move = _best_move(rank, cur)
         if move is None or delta >= 0:
             return tuple(cur), sum(len(w) for w in cur), log
         cur = sorted({apply_move(move, rank, w) for w in cur}, key=sort_key)
         log.append(move)
-    raise BudgetExhausted("Whitehead minimization exceeded move budget")
 
 
 def inverse_log_map(log, rank: int) -> BasisMap:

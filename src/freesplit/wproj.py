@@ -239,19 +239,19 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     """Smallest w with the backward iterates on [w, w+s] inside the
     repelling neighborhood (s the stability margin).
 
-    NotDefined (the nonattraction proxy) when the full backward horizon is
+    Both scans run over t in [-h, h], h the configured ``horizon``.
+    NotDefined (the nonattraction proxy) when backward times up to h are
     scanned without such a window; BudgetExhausted when the length cap cut
-    a scan short, or the window reaches back past the forward horizon.
-    With ``forward`` the forward entry is the same scan along forward
-    iterates inside the attracting neighborhood, None when it is cut short
-    the same way or not asked for.
+    a scan short, or the window reaches back to forward time h.  With
+    ``forward`` the forward entry is the same scan along forward iterates
+    inside the attracting neighborhood, None when it is cut short the same
+    way or not asked for.
     """
     c = cyclic_reduce(cyclic)
     cfg = ctx.cfg
-    back = _LazyOrbit(c, ctx.bwd, cfg.horizon_bwd, cfg.iterate_cap,
-                      ctx.cancellation_bound)
-    fore = _LazyOrbit(c, ctx.fwd, cfg.horizon_fwd, cfg.iterate_cap,
-                      ctx.cancellation_bound)
+    h = cfg.horizon
+    back = _LazyOrbit(c, ctx.bwd, h, cfg.iterate_cap, ctx.cancellation_bound)
+    fore = _LazyOrbit(c, ctx.fwd, h, cfg.iterate_cap, ctx.cancellation_bound)
 
     def inside(t: int, side: str) -> bool | None:
         """Membership of the class at backward time t (forward time -t)."""
@@ -259,22 +259,26 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
         return None if word is None else in_U(ctx, word, side)
 
     try:
-        w = _window_start(lambda t: inside(t, "-"), cfg.horizon_bwd,
-                          -cfg.horizon_fwd, cfg.stability)
+        w = _window_start(lambda t: inside(t, "-"), h, -h, cfg.stability)
     except BudgetExhausted:
         return WResult(BUDGET)
     if w is None:
         return WResult(NOT_DEFINED)
-    if w == -cfg.horizon_fwd:
+    if w == -h:
         return WResult(BUDGET)
     entry = None
     if forward:
         with suppress(BudgetExhausted):
-            entry = _window_start(lambda i: inside(-i, "+"), cfg.horizon_fwd,
-                                  -cfg.horizon_bwd, cfg.stability)
-        if entry == -cfg.horizon_bwd:
+            entry = _window_start(lambda i: inside(-i, "+"), h, -h,
+                                  cfg.stability)
+        if entry == -h:
             entry = None
     return WResult(DEFINED, w, entry)
+
+
+# Longer translates stay unrotated: w_of reads the doubled word, so no
+# phase depends on the rotation; only short witnesses need canonical form.
+_CANONICAL_MAX = 10_000
 
 
 def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
@@ -284,7 +288,7 @@ def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
         cur = _orbit_step(bm, cur, ctx.cfg.iterate_cap, ctx.cancellation_bound)
         if cur is None:
             raise BudgetExhausted("translated class exceeded the length cap")
-    return canonical_cyclic(cur) if len(cur) < 10_000 else cur
+    return canonical_cyclic(cur) if len(cur) < _CANONICAL_MAX else cur
 
 
 def candidate_classes(ffs: FreeFactorSystem, max_len: int,
@@ -331,6 +335,15 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
     return WValue(best[0], best[1], len(candidates), n_def, n_budget)
 
 
+def _W_or_none(ctx: WContext, ffs: FreeFactorSystem,
+               candidates=None) -> int | None:
+    """W_of_ffs's value, None when no candidate has a defined phase."""
+    try:
+        return W_of_ffs(ctx, ffs, candidates).value
+    except NotApplicable:
+        return None
+
+
 def estimate_M(ctx: WContext, samples) -> int:
     """Empirical constant: max in-sample phase spread and forward-entry lag.
 
@@ -365,10 +378,8 @@ def default_m_samples(ctx: WContext, splittings) -> list[list[str]]:
         groups.append(list(cands))
         shifted = []
         for c in cands[: max(2, len(cands) // 4)]:
-            try:
+            with suppress(BudgetExhausted):
                 shifted.append(translate_class(ctx, c, 1))
-            except BudgetExhausted:
-                continue
         if shifted:
             groups.append(list(cands[: len(shifted)]) + shifted)
     return groups
@@ -387,12 +398,15 @@ def apply_basis_map_to_ffs(bm: BasisMap, ffs: FreeFactorSystem) -> FreeFactorSys
     return FreeFactorSystem(ffs.ambient_rank, _dedupe(tuple(comps)))
 
 
-def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
-                       raw_checks=(2, -2)) -> dict:
+# translations at which displacement_table re-enumerates raw candidates
+RAW_CHECKS = (2, -2)
+
+
+def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
     """W of the splitting translated through [-radius, radius].
 
     Candidates are transported with the translation, making the slope an
-    exact integer law; raw re-enumeration at spot translations cross-checks
+    exact integer law; raw re-enumeration at ``RAW_CHECKS`` cross-checks
     the sample minimum within the empirical constant.
     """
     base = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
@@ -403,27 +417,21 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int,
     for m in range(-radius, radius + 1):
         moved = []
         for c in base:
-            try:
+            with suppress(BudgetExhausted):
                 moved.append(translate_class(ctx, c, -m))
-            except BudgetExhausted:
-                continue
         val = W_of_ffs(ctx, s.elliptic, candidates=moved)
         table[m] = val.value
         witnesses[m] = val.witness
     slope_exact = all(table[m] == table[0] - m for m in table)
     raw = {}
-    for m in raw_checks:
+    for m in RAW_CHECKS:
         if abs(m) > radius:
             continue
         bm = ctx.bwd if m > 0 else ctx.fwd
         ffs_m = s.elliptic
         for _ in range(abs(m)):
             ffs_m = apply_basis_map_to_ffs(bm, ffs_m)
-        try:
-            raw_val = W_of_ffs(ctx, ffs_m)
-            raw[m] = raw_val.value
-        except NotApplicable:
-            raw[m] = None
+        raw[m] = _W_or_none(ctx, ffs_m)
     m_hat = ctx.m_hat
     raw_ok = all(v is None or m_hat is None or abs(v - table[m]) <= m_hat
                  for m, v in raw.items())
@@ -473,53 +481,47 @@ def lipschitz_check(ctx: WContext, splitting_pairs) -> dict:
     }
 
 
+# A psi-iterate longer than this is dropped: w_of scans up to 2 * horizon
+# iterates of a class, so long candidates would dominate the table's cost.
+_DIVERGENCE_EVAL_CAP = 2_000
+# Letter cap for divergence_check's scans and phi translations, in place of
+# iterate_cap (10**6): no one candidate of dozens builds a million letters.
+_DIVERGENCE_ORBIT_CAP = 200_000
+
+
 def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
                      l_max: int = 20, band_search: int = 10,
-                     phi_range: int = 6, transport_cap: int = 20_000,
-                     eval_cap: int = 2_000, orbit_cap: int = 200_000) -> dict:
+                     phi_range: int = 6) -> dict:
     """Orbit of a splitting's system under a second automorphism.
 
     The table of W along psi-iterates is Unbounded on a constant unit
     drift, Bounded when some window of length band_search+1 stays within
     a band of twice the constant; the table along the context's own
-    automorphism should move with exact unit slope.  Candidates whose
-    transports outgrow the caps are dropped (recorded).
+    automorphism should move with exact unit slope.  Candidates follow psi
+    by ``_orbit_step``; one longer than ``_DIVERGENCE_EVAL_CAP`` is dropped
+    for good (recorded).  Only ``_DIVERGENCE_ORBIT_CAP`` bounds phi moves.
     """
     m_hat = ctx.require_m()
-    ctx = replace(ctx, cfg=ctx.cfg.with_overrides(iterate_cap=orbit_cap))
+    ctx = replace(ctx, cfg=ctx.cfg.with_overrides(
+        iterate_cap=_DIVERGENCE_ORBIT_CAP))
     base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     psi_table: dict[int, int | None] = {}
     dropped: dict[int, int] = {}
-    alive = {c: c for c in base}
+    alive = base
     for l in range(l_max + 1):
-        cands = [w for w in alive.values() if len(w) <= eval_cap]
-        dropped[l] = len(base) - len(cands)
-        try:
-            psi_table[l] = W_of_ffs(ctx, t.elliptic, candidates=cands).value \
-                if cands else None
-        except NotApplicable:
-            psi_table[l] = None
-        nxt = {}
-        for c, w in alive.items():
-            moved = apply_map(psi, w)
-            if len(moved) <= transport_cap:
-                nxt[c] = strip_cyclic(moved)
-        alive = nxt
+        if l:
+            steps = (_orbit_step(psi, w, _DIVERGENCE_EVAL_CAP, None)
+                     for w in alive)
+            alive = [w for w in steps if w is not None]
+        dropped[l] = len(base) - len(alive)
+        psi_table[l] = _W_or_none(ctx, t.elliptic, alive) if alive else None
     phi_table = {}
     for k in range(phi_range + 1):
         moved = []
         for c in base:
-            try:
-                mc = translate_class(ctx, c, k)
-            except BudgetExhausted:
-                continue
-            if len(mc) <= transport_cap:
-                moved.append(mc)
-        try:
-            phi_table[k] = W_of_ffs(ctx, t.elliptic, candidates=moved).value \
-                if moved else None
-        except NotApplicable:
-            phi_table[k] = None
+            with suppress(BudgetExhausted):
+                moved.append(translate_class(ctx, c, k))
+        phi_table[k] = _W_or_none(ctx, t.elliptic, moved) if moved else None
     phi_slope = all(
         phi_table[k] is not None and phi_table[k] == phi_table[0] + k
         for k in phi_table)

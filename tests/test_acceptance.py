@@ -110,7 +110,7 @@ def test_criterion_3_w_laws_exact(filling_ctx, filling_spec):
             if w_of(filling_ctx, moved).value != base + m:
                 ok_translation = False
 
-    rep = displacement_table(filling_ctx, s, 5, raw_checks=(2, -2))
+    rep = displacement_table(filling_ctx, s, 5)
     t = rep["table"]
     ok_transport = rep["slope_exact"] and all(
         t[m] == t[0] - m for m in range(-5, 6))

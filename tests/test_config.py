@@ -11,10 +11,10 @@ class TestConfig:
 
     def test_file_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\nseg_len = 32\nhorizon_fwd=13\n")
+        path.write_text("# comment\nseg_len = 32\nhorizon=13\n")
         cfg = load_config(str(path), env={})
-        assert cfg.seg_len == 32 and cfg.horizon_fwd == 13
-        assert cfg.horizon_bwd == Config().horizon_bwd
+        assert cfg.seg_len == 32 and cfg.horizon == 13
+        assert cfg.stability == Config().stability
 
     def test_env_beats_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -22,15 +22,14 @@ class TestConfig:
         cfg = load_config(str(path), env={"FREESPLIT_SEG_LEN": "128"})
         assert cfg.seg_len == 128
 
-    def test_float_field(self):
-        cfg = load_config(env={"FREESPLIT_PF_TOL": "1e-7"})
-        assert cfg.pf_tol == 1e-7
-
     def test_unknown_key_rejected(self, tmp_path):
+        # removed knobs are unknown keys like any other
         path = tmp_path / "run.cfg"
-        path.write_text("no_such_knob=1\n")
-        with pytest.raises(InvalidInput):
-            load_config(str(path), env={})
+        for key in ("no_such_knob", "pf_tol", "pf_iter_cap",
+                    "whitehead_max_moves", "horizon_fwd", "horizon_bwd"):
+            path.write_text(f"{key}=1\n")
+            with pytest.raises(InvalidInput, match=key):
+                load_config(str(path), env={})
 
     def test_bad_value_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

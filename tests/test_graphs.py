@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from freesplit.config import Config
 from freesplit.errors import BudgetExhausted, InvalidInput, NumericalTolerance
 from freesplit.fixtures import fixture, fixture_names
 from freesplit.graphs import (Graph, TransitionMatrix, compose,
@@ -225,7 +224,7 @@ class TestPFEigenvalue:
     def test_iteration_cap(self):
         tm = TransitionMatrix(("a", "b"), ((1, 1), (2, 3)))
         with pytest.raises(NumericalTolerance):
-            pf_eigenvalue(tm, Config(pf_iter_cap=1))
+            pf_eigenvalue(tm, iter_cap=1)
 
 
 class TestStrata:

@@ -101,8 +101,8 @@ class TestWeakAttraction:
 
     def test_monotone_in_horizon(self, lam, filling_spec):
         g = filling_spec.mg.graph
-        small = Config(horizon_fwd=10, horizon_bwd=10)
-        big = Config(horizon_fwd=20, horizon_bwd=20)
+        small = Config(horizon=10)
+        big = Config(horizon=20)
         r1 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, small)
         r2 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, big)
         assert r1.attracted and r2.attracted and r1.index == r2.index

@@ -104,8 +104,7 @@ class TestWOf:
         p = filling_ctx.cfg
         doubled = dataclasses.replace(
             filling_ctx,
-            cfg=p.with_overrides(horizon_fwd=p.horizon_fwd * 2,
-                                 horizon_bwd=p.horizon_bwd * 2))
+            cfg=p.with_overrides(horizon=p.horizon * 2))
         assert w_of(doubled, c).value == v1
 
 
@@ -379,7 +378,40 @@ class TestLipschitz:
         assert rep["pairs"][0]["delta"] <= 2 * filling_ctx.m_hat
 
 
+def psi_tables_reference(ctx, psi, t, l_max):
+    """The psi transport by raw ``apply_map``: images of up to 20,000
+    letters stay alive, those of up to 2,000 are evaluated, under the
+    200,000-letter orbit cap of ``divergence_check``."""
+    ctx = replace(ctx, cfg=ctx.cfg.with_overrides(iterate_cap=200_000))
+    base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
+    table, dropped = {}, {}
+    alive = list(base)
+    for l in range(l_max + 1):
+        cands = [w for w in alive if len(w) <= 2_000]
+        dropped[l] = len(base) - len(cands)
+        try:
+            table[l] = W_of_ffs(ctx, t.elliptic, candidates=cands).value \
+                if cands else None
+        except NotApplicable:
+            table[l] = None
+        images = (apply_map(psi, w) for w in alive)
+        alive = [strip_cyclic(m) for m in images if len(m) <= 20_000]
+    return table, dropped
+
+
 class TestDivergence:
+    def test_psi_transport_matches_raw_reference(self, filling_ctx,
+                                                 filling_spec):
+        t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
+        rep = divergence_check(filling_ctx, filling_ctx.fwd, t, l_max=8)
+        table, dropped = psi_tables_reference(filling_ctx, filling_ctx.fwd,
+                                              t, 8)
+        assert rep["psi_table"] == table
+        assert rep["dropped_candidates"] == dropped
+        # the caps are reached: some candidates drop before the last iterate
+        assert 0 < dropped[8] < len(candidate_classes(
+            t.elliptic, filling_ctx.cfg.cand_len, filling_ctx.cfg.cand_cap))
+
     def test_identity_constant(self, filling_ctx, filling_spec):
         from freesplit.automorphisms import identity_map
 
