@@ -5,10 +5,18 @@ minimum by Whitehead moves (a local minimum is global for this length
 function).  For one multiplier, the length change of a move is a
 submodular quadratic in its per-letter bits, read off the cyclic
 adjacency counts, so one s-t minimum cut minimizes it exactly (Roig,
-Ventura and Weil, IJAC 2007).  The nodes reachable from the source after
-a max flow are the least minimizer: minimizers are closed under bitwise
-AND, so it lies below every other one, and it is the move an enumeration
-of all 4^(n-1) bit assignments in increasing order keeps first.
+Ventura and Weil, IJAC 2007).  Minimizers are closed under bitwise AND
+and OR.  The nodes reachable from the source after a max flow are the
+least minimizer, below every other one, the move an enumeration of all
+4^(n-1) bit assignments in increasing order keeps first; the nodes that
+cannot reach the sink are the greatest.  The move (m^-1, L, R) is
+(m, ∁L, ∁R) followed by conjugation by m, so it gives the same cyclic
+classes and the length change f_{m^-1}(x) = f_m(1 - x): one max flow per
+multiplier letter gives both orientations, the least minimizer for m^-1
+being the complement of the greatest for m.  Length changes do not
+depend on the rotation or orientation of a word, so the iterates stay
+cyclically reduced images under the moves' own letter tables, outside the
+shared map cache, and only the minimum is put in canonical form.
 The minimized set fills iff its Whitehead graph is connected on a full
 letter set; otherwise the letter partition yields a proper free factor
 system, transported back through the inverted move log.  :func:`fills`
@@ -23,12 +31,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .automorphisms import BasisMap, apply_map, compose_maps, identity_map
+from .automorphisms import BasisMap, identity_map
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
 from .factors import (FreeFactorSystem, _dedupe, carries, fold, partition,
                       whole_group)
-from .words import BWD, FWD, canonical_cyclic, invert, sort_key
+from .words import (BWD, FWD, _canonical_reduced, canonical_cyclic,
+                    image_table, invert, reduce_images, sort_key, stop_table,
+                    strip_cyclic)
 
 FILLS = "Fills"
 PROPER = "ProperFactor"
@@ -76,8 +86,27 @@ class Move:
         }
 
 
+def _move_tables(move: Move, rank: int):
+    """Letter and stop tables of a move's basis map for
+    :func:`reduce_images`, kept out of the shared map cache: a move map is
+    applied to one class set and dropped."""
+    table = image_table(move.basis_map(rank))
+    return table, stop_table(table)
+
+
+def _class_images(move: Move, rank: int, words) -> list[str]:
+    """Cyclically reduced images of ``words`` under a move."""
+    table, stop = _move_tables(move, rank)
+    return [strip_cyclic(reduce_images(table, w, stop)) for w in words]
+
+
+def _canonical_set(words) -> tuple[str, ...]:
+    """Canonical forms of cyclically reduced words, in canonical order."""
+    return tuple(sorted(map(_canonical_reduced, words), key=sort_key))
+
+
 def apply_move(move: Move, rank: int, cyclic_word: str) -> str:
-    return canonical_cyclic(apply_map(move.basis_map(rank), cyclic_word))
+    return _canonical_reduced(_class_images(move, rank, [cyclic_word])[0])
 
 
 def _pair_counts(rank: int, classes) -> tuple[list[list[int]], list[int]]:
@@ -98,27 +127,35 @@ def _pair_counts(rank: int, classes) -> tuple[list[list[int]], list[int]]:
     return P, occ
 
 
-def _min_cut(cap) -> tuple[int, list[int]]:
+def _min_cut(cap) -> tuple[int, list[int], list[int]]:
     """Edmonds–Karp max flow from node 0 to node 1 of a capacity matrix.
 
-    ``cap`` becomes the residual matrix.  Returns the flow value and the
-    nodes reachable from 0 in the residual graph: the least source side of
-    a minimum cut.
+    ``cap`` becomes the residual matrix.  Returns the flow value, the nodes
+    reachable from 0 in the residual graph and the nodes that reach 1 in
+    it.  The source sides of the minimum cuts are closed under union and
+    intersection; the first list is the least of them and the complement
+    of the second the greatest, whichever maximum flow was found.  Each
+    augmenting search runs over adjacency lists of the nonzero entries in
+    either direction, built once, and stops once it reaches node 1.
     """
-    nodes = range(len(cap))
+    size = len(cap)
+    adj = [[v for v in range(size) if cap[u][v] or cap[v][u]]
+           for u in range(size)]
     flow = 0
     while True:
-        prev = [-1] * len(cap)
+        prev = [-1] * size
         prev[0] = 0
         queue = [0]
         for u in queue:
             row = cap[u]
-            for v in nodes:
+            for v in adj[u]:
                 if row[v] and prev[v] < 0:
                     prev[v] = u
                     queue.append(v)
+            if prev[1] >= 0:
+                break
         if prev[1] < 0:
-            return flow, queue
+            break
         path = []
         v = 1
         while v:
@@ -129,27 +166,45 @@ def _min_cut(cap) -> tuple[int, list[int]]:
             cap[u][v] -= push
             cap[v][u] += push
         flow += push
+    reach = [False] * size
+    reach[1] = True
+    sink = [1]
+    for v in sink:
+        for u in adj[v]:
+            if cap[u][v] and not reach[u]:
+                reach[u] = True
+                sink.append(u)
+    return flow, queue, sink
 
 
-def _best_move(rank: int, classes) -> tuple[int, Move | None]:
-    """Most reducing Whitehead move, by one minimum cut per multiplier m.
+def _least_moves(rank: int, classes) -> tuple[int, list[tuple[Move, tuple]]]:
+    """Least length change below 0 and the moves reaching it, by one
+    minimum cut per multiplier letter; (0, []) when none shortens.
 
-    With bits l_g, r_g on every other letter g, the length change is
+    With m = x_p and bits l_g, r_g on every other letter g, the length
+    change of the move (m, L, R) is
 
-        sum_g occ(g±)(l_g + r_g)  -  2 sum_{u,v} P[u][v] e(u) b(v),
+        f_m = sum_g occ(g±)(l_g + r_g)  -  2 sum_{u,v} P[u][v] e(u) b(v),
 
     where e(u) says that the image of u ends in m and b(v) that the image
     of v begins with m^-1 (e(m) = b(m^-1) = 1, e(m^-1) = b(m) = 0).  Every
     pair coefficient is nonpositive, so the cut with "bit = 1 iff source
-    side" minimizes it.  Ties between multipliers go to the least
-    resulting class set.
+    side" minimizes it.  The move (m^-1, L, R) is (m, ∁L, ∁R) followed by
+    conjugation by m, so it gives the same cyclic classes and
+    f_{m^-1}(x) = f_m(1 - x): both orientations reach the same least
+    change, and the least minimizer for m^-1 is the complement of the
+    greatest one for m.  So one max flow serves both: its least cut gives
+    the move for m, the complement of its greatest cut the one for m^-1,
+    listed in that order per p.  Each move is tagged with p and its cut in
+    the m orientation, which fix the classes it gives; the two tags of a p
+    are equal when its least and greatest cuts coincide.
     """
     P, occ = _pair_counts(rank, classes)
     dim = 2 * rank
     pairs = [(u, v, 2 * P[u][v]) for u in range(dim) for v in range(dim)
              if P[u][v]]
     best_delta = 0
-    best: list[Move] = []
+    best: list[tuple[Move, tuple]] = []
     for p in range(rank):
         others = [g for g in range(rank) if g != p]
         if not others:
@@ -159,58 +214,86 @@ def _best_move(rank: int, classes) -> tuple[int, Move | None]:
         size = 2 + 2 * len(others)
         ends: list[int | None] = [None] * dim
         begins: list[int | None] = [None] * dim
-        lin0 = [0] * size
+        lin = [0] * size
         for j, g in enumerate(others):
             left, right = 2 + 2 * j, 3 + 2 * j
             ends[g], ends[rank + g] = right, left
             begins[g], begins[rank + g] = left, right
-            lin0[left] = lin0[right] = occ[g] + occ[rank + g]
-        for ch, m_col, mi_col in ((FWD[p], p, rank + p), (BWD[p], rank + p, p)):
-            ends[m_col], ends[mi_col] = 0, None
-            begins[m_col], begins[mi_col] = None, 0
-            lin = lin0[:]
-            cap = [[0] * size for _ in range(size)]
-            for u, v, w in pairs:
-                a, b = ends[u], begins[v]
-                if a is None or b is None:
-                    continue
-                # -w x_a x_b = -w x_a + w x_a (1 - x_b): edge a -> b
-                lin[a] -= w
-                if a != b:
-                    cap[a][b] += w
-            # a x_i costs a on edge i -> t if a > 0, else a + |a| (1 - x_i)
-            # with |a| on edge s -> i; lin[0] collects the constant terms
-            delta = lin[0]
-            for i in range(2, size):
-                if lin[i] > 0:
-                    cap[i][1] += lin[i]
-                elif lin[i] < 0:
-                    delta += lin[i]
-                    cap[0][i] -= lin[i]
-            flow, side = _min_cut(cap)
-            delta += flow
-            if delta >= 0 or delta > best_delta:
+            lin[left] = lin[right] = occ[g] + occ[rank + g]
+        # multiplier m = FWD[p]: its image ends in m, that of m^-1 begins
+        # with m^-1
+        ends[p] = begins[rank + p] = 0
+        cap = [[0] * size for _ in range(size)]
+        for u, v, w in pairs:
+            a, b = ends[u], begins[v]
+            if a is None or b is None:
                 continue
-            chosen = set(side)
+            # -w x_a x_b = -w x_a + w x_a (1 - x_b): edge a -> b
+            lin[a] -= w
+            if a != b:
+                cap[a][b] += w
+        # a x_i costs a on edge i -> t if a > 0, else a + |a| (1 - x_i)
+        # with |a| on edge s -> i; lin[0] collects the constant terms
+        delta = lin[0]
+        for i in range(2, size):
+            if lin[i] > 0:
+                cap[i][1] += lin[i]
+            elif lin[i] < 0:
+                delta += lin[i]
+                cap[0][i] -= lin[i]
+        flow, low, high = _min_cut(cap)
+        delta += flow
+        if delta >= 0 or delta > best_delta:
+            continue
+        if delta < best_delta:
+            best_delta, best = delta, []
+        # the greatest cut in the m orientation is the complement of high
+        least = frozenset(low) - {0}
+        greatest = frozenset(range(2, size)).difference(high)
+        for ch, side, bits in ((FWD[p], least, least),
+                               (BWD[p], greatest, set(high))):
             move = Move(ch, frozenset(g for j, g in enumerate(others)
-                                      if 2 + 2 * j in chosen),
+                                      if 2 + 2 * j in bits),
                         frozenset(g for j, g in enumerate(others)
-                                  if 3 + 2 * j in chosen))
-            if delta < best_delta:
-                best_delta, best = delta, []
-            best.append(move)
+                                  if 3 + 2 * j in bits))
+            best.append((move, (p, side)))
+    return best_delta, best
+
+
+# Tied moves scored per search, in the order found: bounds the scoring work
+# when many multipliers reach the same length change.
+_TIE_CAP = 32
+# The last move that won a scored tie, with the canonical class set it gives:
+# whitehead_minimize takes that set as its next iterate rather than mapping
+# the classes again.  Checked by identity, so a stale entry is never used.
+_last_tie: tuple[Move | None, tuple[str, ...]] = (None, ())
+
+
+def _best_move(rank: int, classes) -> tuple[int, Move | None]:
+    """Most reducing Whitehead move: by :func:`_least_moves`, one max flow
+    per multiplier letter m = x_p; its least cut is the move for m, and the
+    complement of its greatest cut the move for m^-1, which is the m move
+    on the greatest cut followed by conjugation by m.
+
+    Ties go to the least resulting class set.  Each tag (p and the cut in
+    the m orientation) among the first ``_TIE_CAP`` tied moves is scored
+    once; the two orientations of a p with one tag score equal, and the
+    one for m, listed first, wins.
+    """
+    best_delta, best = _least_moves(rank, classes)
     if not best:
         return 0, None
-    if len(best) == 1:
-        return best_delta, best[0]
-    # break ties by the canonical order of the resulting class sets
-    scored = []
-    for mv in best[:32]:
-        result = tuple(sorted((apply_move(mv, rank, w) for w in classes),
-                              key=sort_key))
-        scored.append((tuple(sort_key(w) for w in result), mv))
-    scored.sort(key=lambda t: t[0])
-    return best_delta, scored[0][1]
+    tied = best[:_TIE_CAP]
+    if all(tag == tied[0][1] for _, tag in tied):
+        return best_delta, tied[0][0]
+    images: dict[tuple, tuple[str, ...]] = {}
+    for move, tag in tied:
+        if tag not in images:
+            images[tag] = _canonical_set(_class_images(move, rank, classes))
+    move, tag = min(tied, key=lambda t: tuple(map(sort_key, images[t[1]])))
+    global _last_tie
+    _last_tie = move, images[tag]
+    return best_delta, move
 
 
 def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
@@ -218,6 +301,10 @@ def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
 
     Returns (minimized sorted tuple, total length, move log); the log is
     no longer than the starting total, which ``whitehead_max_letters`` caps.
+    Pair counts, and with them every length change, do not depend on the
+    rotation or orientation of a word, and an automorphism cannot merge
+    distinct classes; so the iterates are the cyclically reduced images,
+    and only the minimum is put in canonical form.
     """
     cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
     if not cur or any(not w for w in cur):
@@ -229,16 +316,21 @@ def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
     while True:
         delta, move = _best_move(rank, cur)
         if move is None or delta >= 0:
-            return tuple(cur), sum(len(w) for w in cur), log
-        cur = sorted({apply_move(move, rank, w) for w in cur}, key=sort_key)
+            break
+        won, images = _last_tie
+        cur = list(images) if won is move else _class_images(move, rank, cur)
         log.append(move)
+    minimized = _canonical_set(cur) if log else tuple(cur)
+    return minimized, sum(len(w) for w in minimized), log
 
 
 def inverse_log_map(log, rank: int) -> BasisMap:
-    """Basis map undoing a move log (original = map(minimized), classwise)."""
+    """Basis map undoing a move log (original = map(minimized), classwise):
+    the inverse moves applied to the basis from the last one back."""
     acc = identity_map(rank)
-    for mv in log:
-        acc = compose_maps(acc, mv.inverse().basis_map(rank))
+    for mv in reversed(log):
+        table, stop = _move_tables(mv.inverse(), rank)
+        acc = tuple(reduce_images(table, w, stop) for w in acc)
     return acc
 
 
@@ -326,7 +418,7 @@ def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
         return verdict(UNKNOWN, reason="crossed disconnection at minimum")
     back = inverse_log_map(log, rank)
     witness = FreeFactorSystem(rank, _dedupe(tuple(
-        fold(rank, [apply_map(back, FWD[g]) for g in sorted(group)])
+        fold(rank, [back[g] for g in sorted(group)])
         for group in letter_groups)))
     if not all(carries(witness, canonical_cyclic(w)) for w in classes):
         return verdict(UNKNOWN, reason="witness failed carry check")

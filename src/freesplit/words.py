@@ -207,7 +207,12 @@ def canonical_cyclic(word: str) -> str:
     by :func:`_least_rotation`, which compares slices of the translated
     word rather than looping over its letters.
     """
-    w = cyclic_reduce(word)
+    return _canonical_reduced(cyclic_reduce(word))
+
+
+def _canonical_reduced(w: str) -> str:
+    """:func:`canonical_cyclic` of a word that is already cyclically
+    reduced, without the free-reduction pass over its letters."""
     if not w:
         return ""
     t = sort_key(w)

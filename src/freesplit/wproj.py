@@ -27,7 +27,7 @@ from .laminations import (LaminationApprox, _window_start, defining_segment,
                           lamination_approx, lamination_fills)
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
-from .words import (canonical_cyclic, cyclic_contains, cyclic_reduce,
+from .words import (_canonical_reduced, cyclic_contains, cyclic_reduce,
                     junction, path_contains, sort_key, strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
@@ -288,7 +288,7 @@ def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
         cur = _orbit_step(bm, cur, ctx.cfg.iterate_cap, ctx.cancellation_bound)
         if cur is None:
             raise BudgetExhausted("translated class exceeded the length cap")
-    return canonical_cyclic(cur) if len(cur) < _CANONICAL_MAX else cur
+    return _canonical_reduced(cur) if len(cur) < _CANONICAL_MAX else cur
 
 
 def candidate_classes(ffs: FreeFactorSystem, max_len: int,
@@ -353,10 +353,14 @@ def estimate_M(ctx: WContext, samples) -> int:
     """
     spreads = []
     lags = []
+    # a translation batch repeats classes of the group before it
+    seen: dict[str, WResult] = {}
     for group in samples:
         values = []
         for c in group:
-            res = w_of(ctx, c)
+            res = seen.get(c)
+            if res is None:
+                res = seen[c] = w_of(ctx, c)
             if res.defined:
                 values.append(res.value)
                 if res.fwd_entry is not None:

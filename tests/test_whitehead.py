@@ -2,15 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freesplit import whitehead
 from freesplit.automorphisms import apply_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
-                                 _pair_counts, apply_move, fills,
-                                 free_factor_support, whitehead_minimize)
+                                 _least_moves, _pair_counts, apply_move,
+                                 fills, free_factor_support,
+                                 whitehead_minimize)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert, sort_key
 
 x, y, z = FWD[0], FWD[1], FWD[2]
@@ -113,6 +114,12 @@ def _best_move_enumerated(rank, classes):
                                            if left[i][j]),
                              frozenset(g for j, g in enumerate(others)
                                        if right[i][j])))
+    return _break_ties(rank, classes, best_delta, best)
+
+
+def _break_ties(rank, classes, best_delta, best):
+    """Reference tie-break: the first of the first 32 moves whose
+    canonical resulting class set is least."""
     if not best:
         return 0, None
     if len(best) == 1:
@@ -124,6 +131,104 @@ def _best_move_enumerated(rank, classes):
         scored.append((tuple(sort_key(w) for w in result), mv))
     scored.sort(key=lambda t: t[0])
     return best_delta, scored[0][1]
+
+
+def _min_cut_matrix(cap):
+    """Reference max flow: Edmonds–Karp scanning whole matrix rows;
+    returns the flow and the nodes reachable from 0 in the residual."""
+    nodes = range(len(cap))
+    flow = 0
+    while True:
+        prev = [-1] * len(cap)
+        prev[0] = 0
+        queue = [0]
+        for u in queue:
+            for v in nodes:
+                if cap[u][v] and prev[v] < 0:
+                    prev[v] = u
+                    queue.append(v)
+        if prev[1] < 0:
+            return flow, queue
+        path = []
+        v = 1
+        while v:
+            path.append((prev[v], v))
+            v = prev[v]
+        push = min(cap[u][v] for u, v in path)
+        for u, v in path:
+            cap[u][v] -= push
+            cap[v][u] += push
+        flow += push
+
+
+def _best_move_two_cuts(rank, classes):
+    """Reference move search with one network and one least cut per
+    orientation of each multiplier; returns the least change below 0 and
+    every move reaching it, in search order."""
+    P, occ = _pair_counts(rank, classes)
+    dim = 2 * rank
+    pairs = [(u, v, 2 * P[u][v]) for u in range(dim) for v in range(dim)
+             if P[u][v]]
+    best_delta = 0
+    best = []
+    for p in range(rank):
+        others = [g for g in range(rank) if g != p]
+        if not others:
+            continue
+        size = 2 + 2 * len(others)
+        ends = [None] * dim
+        begins = [None] * dim
+        lin0 = [0] * size
+        for j, g in enumerate(others):
+            left, right = 2 + 2 * j, 3 + 2 * j
+            ends[g], ends[rank + g] = right, left
+            begins[g], begins[rank + g] = left, right
+            lin0[left] = lin0[right] = occ[g] + occ[rank + g]
+        for ch, m_col, mi_col in ((FWD[p], p, rank + p), (BWD[p], rank + p, p)):
+            ends[m_col], ends[mi_col] = 0, None
+            begins[m_col], begins[mi_col] = None, 0
+            lin = lin0[:]
+            cap = [[0] * size for _ in range(size)]
+            for u, v, w in pairs:
+                a, b = ends[u], begins[v]
+                if a is None or b is None:
+                    continue
+                lin[a] -= w
+                if a != b:
+                    cap[a][b] += w
+            delta = lin[0]
+            for i in range(2, size):
+                if lin[i] > 0:
+                    cap[i][1] += lin[i]
+                elif lin[i] < 0:
+                    delta += lin[i]
+                    cap[0][i] -= lin[i]
+            flow, side = _min_cut_matrix(cap)
+            delta += flow
+            if delta >= 0 or delta > best_delta:
+                continue
+            chosen = set(side)
+            move = Move(ch, frozenset(g for j, g in enumerate(others)
+                                      if 2 + 2 * j in chosen),
+                        frozenset(g for j, g in enumerate(others)
+                                  if 3 + 2 * j in chosen))
+            if delta < best_delta:
+                best_delta, best = delta, []
+            best.append(move)
+    return best_delta, best
+
+
+def _minimize_canonical(classes, rank):
+    """Reference minimizer: two-cut search, canonical form after every
+    move."""
+    cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
+    log = []
+    while True:
+        delta, move = _break_ties(rank, cur, *_best_move_two_cuts(rank, cur))
+        if move is None:
+            return tuple(cur), sum(len(w) for w in cur), log
+        cur = sorted({apply_move(move, rank, w) for w in cur}, key=sort_key)
+        log.append(move)
 
 
 # Starting class sets of the Whitehead fills test of bdd_no_periodic(3) and
@@ -167,6 +272,52 @@ class TestBestMove:
         # x y: four multipliers each reach length 1
         delta, move = _best_move(2, [x + y])
         assert delta == -1 and move == _best_move_enumerated(2, [x + y])[1]
+
+
+class TestOneFlow:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                          min_size=1, max_size=16).map("".join),
+                 min_size=1, max_size=4))))
+    @example((2, [x + y]))
+    @example((7, BDD_RANK7))
+    @example((8, BDD_RANK8))
+    def test_both_orientations_match_two_cuts(self, case):
+        rank, words = case
+        classes = sorted({c for c in map(canonical_cyclic, words) if c},
+                         key=sort_key) or [x]
+        delta, moves = _best_move_two_cuts(rank, classes)
+        got_delta, got = _least_moves(rank, classes)
+        assert (got_delta, [mv for mv, _ in got]) == (delta, moves)
+        assert _best_move(rank, classes) == _break_ties(rank, classes, delta,
+                                                        moves)
+
+    @settings(max_examples=100, deadline=None)
+    @given(class_sets())
+    def test_minimize_matches_canonical_reference(self, case):
+        rank, classes = case
+        assert whitehead_minimize(classes, rank) == \
+            _minimize_canonical(classes, rank)
+
+    @pytest.mark.parametrize("rank, classes", [(7, BDD_RANK7),
+                                               (8, BDD_RANK8)])
+    def test_bdd_no_periodic_matches_canonical_reference(self, rank,
+                                                         classes):
+        assert whitehead_minimize(classes, rank) == \
+            _minimize_canonical(classes, rank)
+
+    def test_equal_orientations_keep_forward_multiplier(self):
+        # x y: y with left bit on x and y^-1 with right bit on x both give
+        # x, the least class set of the tie, with one cut for y
+        delta, got = _least_moves(2, [x + y])
+        fwd, bwd = Move(y, frozenset({0}), frozenset()), \
+            Move(Y, frozenset(), frozenset({0}))
+        tags = dict(got)
+        assert fwd in tags and bwd in tags and tags[fwd] == tags[bwd]
+        assert apply_move(fwd, 2, x + y) == apply_move(bwd, 2, x + y) == x
+        assert _best_move(2, [x + y]) == (delta, fwd) == (-1, fwd)
 
 
 class TestMinimize:
