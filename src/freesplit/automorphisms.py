@@ -9,8 +9,6 @@ procedure for equality in the outer automorphism group.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .config import DEFAULT
 from .errors import BudgetExhausted, InvalidInput
 from .factors import folds_to_rose
@@ -31,22 +29,26 @@ _BLOCK = 64
 _MEMO_LETTERS = 1 << 21
 
 
-class _MapTables:
-    """Image and stop tables of one basis map, for :func:`reduce_images`.
+class MapTables(BasisMap):
+    """A basis map with the tables :func:`reduce_images` reads for it.
 
-    Keyed by the letters and, as a memo, by the blocks of the long words
-    mapped so far: a block has at least ``_BLOCK`` letters, so the keys
-    never clash.  ``room`` is how many more letters (block plus image) the
-    memo may store.  Callers must not mutate the tables.
+    The tuple is the map's reduced images, so it compares and hashes as the
+    plain tuple.  ``images`` and ``stop`` are keyed by the letters and, as a
+    memo, by the blocks of the long words :func:`apply_map` has mapped so
+    far: a block has at least ``_BLOCK`` letters, so the keys never clash.
+    ``room`` is how many more letters (block plus image) the memo may store.
+    The memo lives as long as the map, so wrap a map once where it is
+    applied many times, as an orbit does.  It is the only thing that
+    changes, and it never changes an output; callers must not mutate the
+    tables.
     """
 
-    __slots__ = ("images", "stop", "room")
-
-    def __init__(self, bm: BasisMap):
-        # The images are reduced once per map, as reduce_images requires.
-        self.images = image_table([reduce_word(w) for w in bm])
+    def __new__(cls, bm: BasisMap):
+        self = super().__new__(cls, map(reduce_word, bm))
+        self.images = image_table(self)
         self.stop = stop_table(self.images)
         self.room = _MEMO_LETTERS
+        return self
 
     def store(self, blocks) -> bool:
         """Memoize the reduced images of ``blocks``; False once the memo is
@@ -64,17 +66,16 @@ class _MapTables:
         return True
 
 
-@lru_cache(maxsize=64)
-def _map_tables(bm: BasisMap) -> _MapTables:
-    # One entry per map: an orbit applies one map many times.
-    return _MapTables(bm)
+def _tables(bm: BasisMap) -> MapTables:
+    return bm if isinstance(bm, MapTables) else MapTables(bm)
 
 
 def apply_map(bm: BasisMap, word: str) -> str:
     """Reduced image of ``word``.
 
-    A word shorter than two blocks is reduced letter by letter through the
-    map's letter table.  A longer word is cut into blocks of ``_BLOCK``
+    A plain tuple maps ``word`` letter by letter through tables built for
+    this call, as does a :class:`MapTables` a word shorter than two blocks.
+    A :class:`MapTables` cuts a longer word into blocks of ``_BLOCK``
     letters, the last one taking the remainder; the reduced image of each
     block is looked up in the map's memo (computed by the letter kernel on
     a miss) and the block images are glued by the same kernel, which
@@ -83,16 +84,15 @@ def apply_map(bm: BasisMap, word: str) -> str:
     distinct factors of one length (Pansiot, ICALP 1984), so their blocks
     repeat and each is mapped once.  The memo of a map stops growing at
     ``_MEMO_LETTERS`` stored letters (blocks plus images); after that a
-    word with an unstored block is mapped letter by letter.  Caching never
-    changes an output.  Worst case extra memory, measured on random
-    words: about 2.7 bytes per stored letter, up to 4 when block images are
-    a letter or two long, so at most about 8 MiB per map, for each of the
-    64 maps the cache keeps.  The largest memo the benchmark workloads
-    build holds 1.3M letters in 1.9 MB.
+    word with an unstored block is mapped letter by letter.  Worst case
+    extra memory, measured on random words: about 2.7 bytes per stored
+    letter, up to 4 when block images are a letter or two long, so at most
+    about 8 MiB per map.  The largest memo the benchmark workloads build
+    holds 1.3M letters in 1.9 MB.
     """
-    t = _map_tables(tuple(bm))
+    t = _tables(bm)
     n = len(word)
-    if n < 2 * _BLOCK:
+    if t is not bm or n < 2 * _BLOCK:
         return reduce_images(t.images, word, t.stop)
     last = n - n % _BLOCK - _BLOCK
     blocks = [word[i:i + _BLOCK] for i in range(0, last, _BLOCK)]
@@ -104,10 +104,11 @@ def apply_map(bm: BasisMap, word: str) -> str:
 
 
 def compose_maps(f: BasisMap, g: BasisMap) -> BasisMap:
-    """Composition f after g: x maps to f(g(x))."""
+    """Composition f after g: x maps to f(g(x)); either may be a
+    :class:`MapTables`."""
     if len(f) != len(g):
         raise InvalidInput("rank mismatch in composition")
-    t = _map_tables(tuple(f))
+    t = _tables(f)
     return tuple(reduce_images(t.images, w, t.stop) for w in g)
 
 

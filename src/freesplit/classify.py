@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .automorphisms import compose_maps, identity_map, outer_equal
+from .automorphisms import MapTables, compose_maps, identity_map, outer_equal
 from .config import DEFAULT, Config
 from .errors import InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
@@ -102,7 +102,7 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
     passes its inverse, which ``outer_equal`` then rejects.
     """
     basis = identity_map(mg.rank)
-    step = mg.induced_rose_map(f)
+    step = MapTables(mg.induced_rose_map(f))  # its tables serve every power
     cur = basis
     for p in range(1, cfg.power_cap + 1):
         cur = compose_maps(step, cur)

@@ -2,9 +2,9 @@
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints; no randomness anywhere.  A segment length or outer budget
-below 1, or a horizon shorter than the stability margin, raise
-InvalidInput on construction.  Limits no caller varies are module
+plain ints; no randomness anywhere.  A segment length, candidate cap or
+outer budget below 1, or a horizon shorter than the stability margin,
+raise InvalidInput on construction.  Limits no caller varies are module
 constants where they are used, not fields here.
 """
 
@@ -45,6 +45,8 @@ class Config:
             raise InvalidInput("horizon >= stability >= 1 required")
         if self.outer_budget < 1:
             raise InvalidInput("outer budget must be >= 1")
+        if self.cand_cap < 1:
+            raise InvalidInput("candidate cap must be >= 1")
 
     def with_overrides(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

@@ -50,7 +50,8 @@ class LaminationApprox:
 def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
                       cfg: Config = DEFAULT,
                       filtration: Filtration | None = None) -> LaminationApprox:
-    """Iterated-seed approximation of the lamination of an EG stratum."""
+    """Iterated-seed approximation of the lamination of an EG stratum; of
+    depth 0 when no image of the seed fits the caps."""
     filtration = filtration or strata(f)
     st = filtration.strata[stratum_index]
     if st.label != "EG":
@@ -67,8 +68,6 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
             break
         segs.append(nxt)
         counts.append(sum(count_crossings(nxt, s) for s in st.slots))
-    if len(segs) < 2:
-        raise BudgetExhausted("could not grow any leaf segment within budget")
     return LaminationApprox(mg, f, stratum_index, st.slots, seed,
                             tuple(segs), len(segs) - 1, tuple(counts))
 

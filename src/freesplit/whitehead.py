@@ -15,8 +15,8 @@ classes and the length change f_{m^-1}(x) = f_m(1 - x): one max flow per
 multiplier letter gives both orientations, the least minimizer for m^-1
 being the complement of the greatest for m.  Length changes do not
 depend on the rotation or orientation of a word, so the iterates stay
-cyclically reduced images under the moves' own letter tables, outside the
-shared map cache, and only the minimum is put in canonical form.
+cyclically reduced images under the moves' own letter tables, and only
+the minimum is put in canonical form.
 The minimized set fills iff its Whitehead graph is connected on a full
 letter set; otherwise the letter partition yields a proper free factor
 system, transported back through the inverted move log.  :func:`fills`
@@ -31,14 +31,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .automorphisms import BasisMap, identity_map
+from .automorphisms import BasisMap, MapTables, compose_maps, identity_map
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
 from .factors import (FreeFactorSystem, _dedupe, carries, fold, partition,
                       whole_group)
-from .words import (BWD, FWD, _canonical_reduced, canonical_cyclic,
-                    image_table, invert, reduce_images, sort_key, stop_table,
-                    strip_cyclic)
+from .words import (BWD, FWD, _canonical_reduced, canonical_cyclic, invert,
+                    reduce_images, sort_key, strip_cyclic)
 
 FILLS = "Fills"
 PROPER = "ProperFactor"
@@ -86,18 +85,10 @@ class Move:
         }
 
 
-def _move_tables(move: Move, rank: int):
-    """Letter and stop tables of a move's basis map for
-    :func:`reduce_images`, kept out of the shared map cache: a move map is
-    applied to one class set and dropped."""
-    table = image_table(move.basis_map(rank))
-    return table, stop_table(table)
-
-
 def _class_images(move: Move, rank: int, words) -> list[str]:
     """Cyclically reduced images of ``words`` under a move."""
-    table, stop = _move_tables(move, rank)
-    return [strip_cyclic(reduce_images(table, w, stop)) for w in words]
+    t = MapTables(move.basis_map(rank))
+    return [strip_cyclic(reduce_images(t.images, w, t.stop)) for w in words]
 
 
 def _canonical_set(words) -> tuple[str, ...]:
@@ -263,13 +254,9 @@ def _least_moves(rank: int, classes) -> tuple[int, list[tuple[Move, tuple]]]:
 # Tied moves scored per search, in the order found: bounds the scoring work
 # when many multipliers reach the same length change.
 _TIE_CAP = 32
-# The last move that won a scored tie, with the canonical class set it gives:
-# whitehead_minimize takes that set as its next iterate rather than mapping
-# the classes again.  Checked by identity, so a stale entry is never used.
-_last_tie: tuple[Move | None, tuple[str, ...]] = (None, ())
 
 
-def _best_move(rank: int, classes) -> tuple[int, Move | None]:
+def _best_move(rank: int, classes) -> tuple[int, Move | None, tuple | None]:
     """Most reducing Whitehead move: by :func:`_least_moves`, one max flow
     per multiplier letter m = x_p; its least cut is the move for m, and the
     complement of its greatest cut the move for m^-1, which is the m move
@@ -278,22 +265,22 @@ def _best_move(rank: int, classes) -> tuple[int, Move | None]:
     Ties go to the least resulting class set.  Each tag (p and the cut in
     the m orientation) among the first ``_TIE_CAP`` tied moves is scored
     once; the two orientations of a p with one tag score equal, and the
-    one for m, listed first, wins.
+    one for m, listed first, wins.  Returns the length change, the move
+    and, when a tie was scored, the canonical sorted class set the winner
+    gives, else None.
     """
     best_delta, best = _least_moves(rank, classes)
     if not best:
-        return 0, None
+        return 0, None, None
     tied = best[:_TIE_CAP]
     if all(tag == tied[0][1] for _, tag in tied):
-        return best_delta, tied[0][0]
+        return best_delta, tied[0][0], None
     images: dict[tuple, tuple[str, ...]] = {}
     for move, tag in tied:
         if tag not in images:
             images[tag] = _canonical_set(_class_images(move, rank, classes))
     move, tag = min(tied, key=lambda t: tuple(map(sort_key, images[t[1]])))
-    global _last_tie
-    _last_tie = move, images[tag]
-    return best_delta, move
+    return best_delta, move, images[tag]
 
 
 def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
@@ -314,11 +301,10 @@ def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
     log: list[Move] = []
     # ends: the total falls by at least -delta >= 1 per move, and stays >= 1
     while True:
-        delta, move = _best_move(rank, cur)
+        delta, move, scored = _best_move(rank, cur)
         if move is None or delta >= 0:
             break
-        won, images = _last_tie
-        cur = list(images) if won is move else _class_images(move, rank, cur)
+        cur = list(scored) if scored else _class_images(move, rank, cur)
         log.append(move)
     minimized = _canonical_set(cur) if log else tuple(cur)
     return minimized, sum(len(w) for w in minimized), log
@@ -329,8 +315,7 @@ def inverse_log_map(log, rank: int) -> BasisMap:
     the inverse moves applied to the basis from the last one back."""
     acc = identity_map(rank)
     for mv in reversed(log):
-        table, stop = _move_tables(mv.inverse(), rank)
-        acc = tuple(reduce_images(table, w, stop) for w in acc)
+        acc = compose_maps(mv.inverse().basis_map(rank), acc)
     return acc
 
 

@@ -17,8 +17,8 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, replace
 
-from .automorphisms import (BasisMap, apply_map, compose_maps, identity_map,
-                            invert_map, outer_equal)
+from .automorphisms import (BasisMap, MapTables, apply_map, compose_maps,
+                            identity_map, invert_map, outer_equal)
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .factors import FreeFactorSystem, _dedupe, enumerate_classes, fold
@@ -39,14 +39,15 @@ BUDGET = "BudgetExhausted"
 class WContext:
     """Everything needed to evaluate the projection.
 
-    Mutable only in ``m_hat``, which is set once by :func:`estimate_M`.
+    Mutable only in ``m_hat``, which is set once by :func:`estimate_M`, and
+    in the block memos of ``fwd`` and ``bwd``, which never change an output.
     """
 
     mg: MarkedGraph
     f: GraphMap
     f_inv: GraphMap
-    fwd: BasisMap  # outer automorphism on the abstract basis
-    bwd: BasisMap  # its inverse
+    fwd: MapTables  # outer automorphism on the abstract basis
+    bwd: MapTables  # its inverse; both carry the orbits' block memos
     lam_plus: LaminationApprox
     lam_minus: LaminationApprox
     seg_plus: str  # defining segment of the attracting side, basis letters
@@ -79,12 +80,12 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
     if lam_plus is None:
         raise InvalidInput("no certified filling lamination for this map")
 
-    fwd = mg.induced_rose_map(f)
+    fwd = MapTables(mg.induced_rose_map(f))
     if f_inv is None:
-        bwd = invert_map(fwd, cfg.outer_budget)
+        bwd = MapTables(invert_map(fwd, cfg.outer_budget))
         f_inv = realize_rose_endo(mg, bwd)
     else:
-        bwd = mg.induced_rose_map(f_inv)
+        bwd = MapTables(mg.induced_rose_map(f_inv))
     composed = compose_maps(fwd, bwd)
     verdict, _ = outer_equal(composed, identity_map(mg.rank), cfg.outer_budget)
     if verdict != "Equal":
@@ -187,8 +188,9 @@ def _orbit_step(bm: BasisMap, w: str, cap: int,
     Each reduced piece is glued onto the prefix by cancelling at its one
     junction, so the result equals the whole-word image.  Without a bound,
     or when len(w) Lip(f) cannot exceed ``cap``, the word is mapped whole.
-    Either way ``apply_map`` maps a piece or word of two blocks or more
-    block by block through the map's memo of block images.
+    Either way, when ``bm`` is a :class:`MapTables`, ``apply_map`` maps a
+    piece or word of two blocks or more block by block through its memo of
+    block images.
     """
     if bound is None or len(w) * max(map(len, bm)) <= cap:
         img = apply_map(bm, w)
@@ -221,8 +223,11 @@ class _LazyOrbit:
         """Word at step t, or None past the horizon or the length cap.
 
         Iterates are only cyclically reduced, not rotated to canonical
-        form: membership tests read the doubled word, so the rotation is
-        irrelevant and canonicalization would dominate the cost.
+        form, which would dominate the cost.  Membership tests read the
+        doubled word, which holds every subword of the class up to its own
+        length in any rotation; a defining segment longer than the class,
+        but at most twice as long, may be found in one rotation and not in
+        another.
         """
         if t > self.horizon:
             return None
@@ -276,8 +281,8 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     return WResult(DEFINED, w, entry)
 
 
-# Longer translates stay unrotated: w_of reads the doubled word, so no
-# phase depends on the rotation; only short witnesses need canonical form.
+# Longer translates stay unrotated, as orbit iterates do (see
+# _LazyOrbit.get); only short witnesses need canonical form.
 _CANONICAL_MAX = 10_000
 
 
@@ -506,8 +511,10 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
     for good (recorded).  Only ``_DIVERGENCE_ORBIT_CAP`` bounds phi moves.
     """
     m_hat = ctx.require_m()
+    # the copy shares the context's maps, and with them their block memos
     ctx = replace(ctx, cfg=ctx.cfg.with_overrides(
         iterate_cap=_DIVERGENCE_ORBIT_CAP))
+    psi = MapTables(psi)
     base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     psi_table: dict[int, int | None] = {}
     dropped: dict[int, int] = {}

@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+from freesplit.automorphisms import (MapTables, apply_map, compose_maps,
+                                     identity_map)
 from freesplit.classify import bounded_path_witness, classify, rank2_classify
 from freesplit.config import Config
 from freesplit.factors import CoreGraph, carries
@@ -26,7 +28,7 @@ from freesplit.wproj import (build_context, candidate_classes,
                              default_m_samples, displacement_table,
                              divergence_check, estimate_M, lipschitz_check,
                              translate_class, w_of)
-from freesplit.words import BWD, FWD, canonical_cyclic, invert
+from freesplit.words import BWD, FWD, canonical_cyclic, invert, strip_cyclic
 from freesplit.pairs import one_edge_splitting
 
 
@@ -160,8 +162,6 @@ def test_criterion_5_rank2_oracle_agreement():
 
 
 def _whitehead_move_ball(rank: int, depth: int = 2):
-    from freesplit.automorphisms import compose_maps, identity_map
-
     moves = []
     for p in range(rank):
         others = [g for g in range(rank) if g != p]
@@ -205,13 +205,12 @@ def test_criterion_6_whitehead_oracle_equivalence():
     on the corpus.  Agreement: a class fills exactly when no enumerated
     factor carries it.
     """
-    from freesplit.automorphisms import apply_map
-
     start = time.monotonic()
     checked = violations = 0
     witness_cores: dict[str, CoreGraph] = {}
     for rank in (2, 3):
-        ball = _whitehead_move_ball(rank, depth=2)
+        # one table per ball map, built once for the whole corpus
+        ball = [MapTables(bm) for bm in _whitehead_move_ball(rank, depth=2)]
         corpus = list(_enumerate_classes_up_to(rank, 6))
         verdicts = {}
         for w in corpus:
@@ -229,7 +228,7 @@ def test_criterion_6_whitehead_oracle_equivalence():
                 for core in witness_cores.values()
             ) or any(
                 {FWD.index(ch) if ch in FWD[:rank] else BWD.index(ch)
-                 for ch in canonical_cyclic(apply_map(bm, w))} < full
+                 for ch in strip_cyclic(apply_map(bm, w))} < full
                 for bm in ball)
             checked += 1
             if (v.kind == FILLS) == brute_not_fills:

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
-from freesplit.automorphisms import (DISTINCT, EQUAL, _BLOCK, _apply_move,
-                                     _elementary_moves, _gain, _map_tables,
+from freesplit.automorphisms import (DISTINCT, EQUAL, _BLOCK, MapTables,
+                                     _apply_move, _elementary_moves, _gain,
                                      _nielsen_reduce, abelianization,
                                      apply_map, compose_maps, identity_map,
                                      invert_map, is_signed_basis, outer_equal)
@@ -171,8 +171,7 @@ def automorphism_and_long_word(draw):
     return bm, invert_map(bm), reduce_word(draw(long_word(len(bm), n)))
 
 
-def memo_letters(bm):
-    t = _map_tables(tuple(bm))
+def memo_letters(t):
     return sum(len(k) + len(v) for k, v in t.images.items() if len(k) > 1)
 
 
@@ -182,13 +181,16 @@ class TestBlockMemo:
     def test_matches_letter_images(self, case):
         bm, w = case
         expected = letter_image(bm, w)
+        t = MapTables(bm)
         assert apply_map(bm, w) == expected
-        assert apply_map(bm, w) == expected  # now from the memo
+        assert apply_map(t, w) == expected
+        assert apply_map(t, w) == expected  # now from the memo
 
     @settings(max_examples=100, deadline=None)
     @given(automorphism_and_long_word())
     def test_inverse_round_trip(self, case):
         bm, inv, w = case
+        bm, inv = MapTables(bm), MapTables(inv)
         assert apply_map(bm, apply_map(inv, w)) == w
         assert apply_map(inv, apply_map(bm, w)) == w
 
@@ -198,24 +200,21 @@ class TestBlockMemo:
         cap = 3 * _BLOCK
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(automorphisms_mod, "_MEMO_LETTERS", cap)
-            _map_tables.cache_clear()
-            try:
-                bm, w = case
-                f, inv, u = auto
-                for _ in range(2):
-                    assert apply_map(bm, w) == letter_image(bm, w)
-                    assert apply_map(f, apply_map(inv, u)) == u
-                    for m in (bm, f, inv):
-                        assert memo_letters(m) <= cap
-            finally:
-                _map_tables.cache_clear()
+            bm, w = case
+            f, inv, u = auto
+            bm, f, inv = MapTables(bm), MapTables(f), MapTables(inv)
+            for _ in range(2):
+                assert apply_map(bm, w) == letter_image(bm, w)
+                assert apply_map(f, apply_map(inv, u)) == u
+                for m in (bm, f, inv):
+                    assert memo_letters(m) <= cap
 
     def test_blocks_repeat(self):
         bm = (x + Y, y + x + Y)
         w = (x + y + y) * (3 * _BLOCK)
-        assert apply_map(bm, w) == letter_image(bm, w)
-        t = _map_tables(bm)
-        assert 0 < memo_letters(bm) < len(w)
+        t = MapTables(bm)
+        assert apply_map(t, w) == letter_image(bm, w)
+        assert 0 < memo_letters(t) < len(w)
         assert len([k for k in t.images if len(k) > 1]) <= 4
 
 

@@ -10,6 +10,7 @@ from freesplit.automorphisms import (abelianization, compose_maps,
                                      identity_map, invert_map)
 from freesplit.classify import (bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
+from freesplit.config import Config
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (identity_graph_map, marked_rose,
@@ -164,6 +165,20 @@ class TestClassify:
                                {"f": spec.maps["theta"]}, None)
         c = classify(gen_spec)
         assert c.verdict == "PeriodicVertex"
+
+    @pytest.mark.parametrize("cfg", [Config(iterate_cap=2),
+                                     Config(lam_depth_cap=0)],
+                             ids=["iterate_cap=2", "lam_depth_cap=0"])
+    @pytest.mark.parametrize("name", ["rank2_tr3", "filling_reducible",
+                                      "bdd_no_periodic", "rank2_tr2_shear"])
+    def test_lamination_that_cannot_grow_is_unknown(self, name, cfg):
+        # a depth-0 lamination gets Unknown from lamination_fills; the
+        # periodic vertex witness still comes first
+        c = classify(fixture(name), cfg)
+        if name == "rank2_tr2_shear":
+            assert c.verdict == "PeriodicVertex"
+        else:
+            assert (c.verdict, c.stage) == ("Unknown", "lamination_fills")
 
 
 class TestLoxodromicBranch:

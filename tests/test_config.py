@@ -45,6 +45,11 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             load_config(env={"FREESPLIT_OUTER_BUDGET": "0"})
 
+    def test_invalid_cand_cap_rejected_on_load(self):
+        # a cap of 0 would otherwise read as no cap at all
+        with pytest.raises(InvalidInput):
+            load_config(env={"FREESPLIT_CAND_CAP": "0"})
+
     def test_with_overrides(self):
         cfg = Config().with_overrides(cand_len=6)
         assert cfg.cand_len == 6 and Config().cand_len != 6

@@ -248,7 +248,8 @@ class TestBestMove:
         rank, words = case
         classes = sorted({c for c in map(canonical_cyclic, words) if c},
                          key=sort_key) or [x]
-        assert _best_move(rank, classes) == _best_move_enumerated(rank, classes)
+        assert _best_move(rank, classes)[:2] == \
+            _best_move_enumerated(rank, classes)
 
     @pytest.mark.parametrize("rank, classes, every",
                              [(7, BDD_RANK7, 1), (8, BDD_RANK8, 6)])
@@ -266,12 +267,17 @@ class TestBestMove:
         _, total, log = whitehead_minimize(classes, rank)
         assert total == 2 and len(log) == len(steps) - 1
         for cur, got in steps[::every] + steps[-1:]:
-            assert got == _best_move_enumerated(rank, cur)
+            assert got[:2] == _best_move_enumerated(rank, cur)
 
     def test_ties_go_to_least_resulting_class_set(self):
         # x y: four multipliers each reach length 1
-        delta, move = _best_move(2, [x + y])
+        delta, move = _best_move(2, [x + y])[:2]
         assert delta == -1 and move == _best_move_enumerated(2, [x + y])[1]
+
+    def test_scored_tie_returns_its_class_set(self):
+        # the winner of the tie on x y gives the class set (x,)
+        _, move, scored = _best_move(2, [x + y])
+        assert scored == (x,) == (apply_move(move, 2, x + y),)
 
 
 class TestOneFlow:
@@ -291,8 +297,8 @@ class TestOneFlow:
         delta, moves = _best_move_two_cuts(rank, classes)
         got_delta, got = _least_moves(rank, classes)
         assert (got_delta, [mv for mv, _ in got]) == (delta, moves)
-        assert _best_move(rank, classes) == _break_ties(rank, classes, delta,
-                                                        moves)
+        assert _best_move(rank, classes)[:2] == \
+            _break_ties(rank, classes, delta, moves)
 
     @settings(max_examples=100, deadline=None)
     @given(class_sets())
@@ -317,7 +323,7 @@ class TestOneFlow:
         tags = dict(got)
         assert fwd in tags and bwd in tags and tags[fwd] == tags[bwd]
         assert apply_move(fwd, 2, x + y) == apply_move(bwd, 2, x + y) == x
-        assert _best_move(2, [x + y]) == (delta, fwd) == (-1, fwd)
+        assert _best_move(2, [x + y])[:2] == (delta, fwd) == (-1, fwd)
 
 
 class TestMinimize:

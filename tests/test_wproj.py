@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
-from freesplit.automorphisms import (apply_map, compose_maps, identity_map,
-                                     invert_map)
+from freesplit.automorphisms import (MapTables, apply_map, compose_maps,
+                                     identity_map, invert_map)
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators
 from freesplit.fixtures import fixture
@@ -58,6 +58,19 @@ class TestBuildContext:
         mg, f = filling_spec.mg, filling_spec.f
         with pytest.raises(InvalidInput):
             build_context(mg, f, f)  # f is not its own inverse
+
+    def test_contexts_hold_their_own_memos(self, filling_spec, filling_ctx):
+        mg, f = filling_spec.mg, filling_spec.f
+        a, b = (build_context(mg, f, lam_plus=filling_ctx.lam_plus)
+                for _ in range(2))
+        assert a.fwd == b.fwd and a.fwd is not b.fwd
+
+        def memo(t):
+            return [k for k in t.images if len(k) > 1]
+
+        assert memo(a.fwd) == memo(b.fwd) == []
+        w_of(a, rose_class(filling_spec, "A"))
+        assert memo(a.fwd) and memo(b.fwd) == []
 
 
 class TestInU:
@@ -237,7 +250,7 @@ class TestBlockwiseOrbits:
     def test_same_orbits_letter_by_letter(self, bm, monkeypatch):
         inv = invert_map(bm)
         bound = lip_product(bm, inv)
-        cases = [(f, c) for f in (bm, inv)
+        cases = [(MapTables(f), c) for f in (bm, inv)
                  for c in (FWD[0], FWD[0] + FWD[1])]
         blockwise = [orbit(f, c, 40, 20_000, b) for f, c in cases
                      for b in (bound, None)]
