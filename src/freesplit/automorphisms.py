@@ -293,9 +293,9 @@ def outer_equal(f: BasisMap, g: BasisMap, budget: int = DEFAULT.outer_budget):
     if abelianization(f) != abelianization(g):
         return DISTINCT, None
 
-    anchor = next((i for i in range(len(f)) if g[i]), None)
-    if anchor is None:
-        return (EQUAL, "") if f == g else (UNKNOWN, None)
+    # f and g have empty images in the same places and f != g, so some
+    # image of g is nonempty
+    anchor = next(i for i, w in enumerate(g) if w)
 
     # f[anchor] = p alpha p^-1 and g[anchor] = q beta q^-1, with alpha and
     # beta cyclically reduced

@@ -17,12 +17,18 @@ being the complement of the greatest for m.  Length changes do not
 depend on the rotation or orientation of a word, so the iterates stay
 cyclically reduced images under the moves' own letter tables, and only
 the minimum is put in canonical form.
-The minimized set fills iff its Whitehead graph is connected on a full
-letter set; otherwise the letter partition yields a proper free factor
-system, transported back through the inverted move log.  :func:`fills`
-is the one reading of the graph; :func:`free_factor_support` takes its
-verdict and witness and only checks each letter group's part of the
-graph, which is already at its own minimum.
+At the minimum no move shortens the set, and two facts about its
+Whitehead graph follow.  (i) Every component is closed under inversion:
+were x in a component C without x^-1, the move (C, x) would change the
+length by cap(C, ∁C) - deg(x) = -deg(x) < 0.  (ii) No component has a cut
+vertex (Whitehead's cut-vertex lemma): were v one, with A = v and a piece
+of C - v that misses v^-1, the move (A, v) would change the length by
+minus the edges from v into that piece.  So each component is one letter
+group, and the set fills iff there is one component on every letter;
+otherwise the letter groups, transported back through the inverted move
+log, are a proper free factor system, each group filled by its part of
+the set.  :func:`fills` is the one reading of the graph, and
+:func:`free_factor_support` maps its verdict.
 """
 
 from __future__ import annotations
@@ -343,14 +349,6 @@ def whitehead_graph(rank: int, classes):
     return adj, used
 
 
-def _has_cut_vertex(adj, verts) -> bool:
-    for v in verts:
-        rest = verts - {v}
-        if len(partition(rest, ({u} | adj[u] - {v} for u in rest))) > 1:
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class FillsVerdict:
     kind: str  # Fills | ProperFactor | Unknown
@@ -374,37 +372,32 @@ class FillsVerdict:
 def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
     """Whitehead criterion: minimize, then read the Whitehead graph.
 
-    Fills when the graph at the minimum is connected on every letter with
-    no cut vertex; Unknown on a cut vertex or a crossed disconnection;
-    otherwise the letter groups, transported back through the inverted
-    move log, are a proper free factor system carrying the classes.
+    Each component of the graph at the minimum is closed under inversion,
+    so its forward letters are a letter group.  Fills when one component
+    uses every letter; otherwise the letter groups, transported back
+    through the inverted move log, are a proper free factor system, which
+    is checked to carry the input classes.  Unknown when the letter budget
+    runs out or that check fails.
     """
     try:
         minimized, _, log = whitehead_minimize(classes, rank, cfg)
     except BudgetExhausted as exc:
         return FillsVerdict(UNKNOWN, reason=str(exc))
     adj, used = whitehead_graph(rank, minimized)
-    comps = partition(used, ({u} | adj[u] for u in used))
-    # components sharing a letter, in either orientation, merge
-    letters = {u % rank for u in used}
-    letter_groups = partition(letters, ({u % rank for u in c} for c in comps))
+    letter_groups = [sorted(u for u in comp if u < rank)
+                     for comp in partition(used, ({u} | adj[u] for u in used))]
     summary = {
-        "components": len(comps),
-        "letters_used": len(letters),
-        "letter_groups": [sorted(g) for g in letter_groups],
+        "components": len(letter_groups),
+        "letters_used": len(used) // 2,
+        "letter_groups": letter_groups,
     }
     verdict = partial(FillsVerdict, minimized=minimized, move_log=tuple(log),
                       graph_summary=summary)
-    if len(letters) == rank and len(comps) == 1:
-        if _has_cut_vertex(adj, used):
-            return verdict(UNKNOWN, reason="cut vertex at minimum")
+    if letter_groups == [list(range(rank))]:
         return verdict(FILLS)
-    if len(letters) == rank and len(letter_groups) == 1:
-        return verdict(UNKNOWN, reason="crossed disconnection at minimum")
     back = inverse_log_map(log, rank)
     witness = FreeFactorSystem(rank, _dedupe(tuple(
-        fold(rank, [back[g] for g in sorted(group)])
-        for group in letter_groups)))
+        fold(rank, [back[g] for g in group]) for group in letter_groups)))
     if not all(carries(witness, canonical_cyclic(w)) for w in classes):
         return verdict(UNKNOWN, reason="witness failed carry check")
     return verdict(PROPER, witness=witness)
@@ -413,21 +406,10 @@ def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
 def free_factor_support(classes, rank: int, cfg: Config = DEFAULT):
     """Smallest free factor system carrying all classes, or None (unknown).
 
-    Whole group when :func:`fills` says Fills.  For a proper verdict the
-    minimized classes split along the letter groups, each already at its
-    own minimum, so a group's part of the Whitehead graph decides it: a
-    connected part without a cut vertex fills the group's factor, and
-    anything else leaves the support unknown.
+    The :func:`fills` verdict read as a support: the whole group on Fills,
+    the witness on ProperFactor (each letter group's part of the minimized
+    set fills that group's factor, since its part of the graph is a
+    component with no cut vertex), None on Unknown.
     """
     verdict = fills(classes, rank, cfg)
-    if verdict.kind == FILLS:
-        return whole_group(rank)
-    if verdict.kind == UNKNOWN:
-        return None
-    adj, _ = whitehead_graph(rank, verdict.minimized)
-    for group in verdict.graph_summary["letter_groups"]:
-        verts = set(group) | {g + rank for g in group}
-        if len(partition(verts, ({u} | adj[u] for u in verts))) > 1 \
-                or _has_cut_vertex(adj, verts):
-            return None
-    return verdict.witness
+    return whole_group(rank) if verdict.kind == FILLS else verdict.witness

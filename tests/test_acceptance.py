@@ -21,15 +21,15 @@ from freesplit.graphs import (compose, is_nielsen, pf_eigenvalue, strata,
                               transition_matrix)
 from freesplit.laminations import (lamination_approx, lamination_fills,
                                    laminations_jointly_fill, pf_estimate)
-from freesplit.pairs import (remark_splitting, sibling_splittings,
-                             validate_pair)
+from freesplit.pairs import (one_edge_splitting, remark_splitting,
+                             sibling_splittings, validate_pair)
 from freesplit.whitehead import FILLS, PROPER, Move, fills
 from freesplit.wproj import (build_context, candidate_classes,
                              default_m_samples, displacement_table,
                              divergence_check, estimate_M, lipschitz_check,
                              translate_class, w_of)
-from freesplit.words import BWD, FWD, canonical_cyclic, invert, strip_cyclic
-from freesplit.pairs import one_edge_splitting
+from freesplit.words import (BWD, FWD, canonical_cyclic, invert, path_contains,
+                             reduce_word, strip_cyclic)
 
 
 def report(ok: bool, label: str, detail: str = ""):
@@ -251,7 +251,6 @@ def test_criterion_7_linear_example_stabilizers():
     w = g.parse_path(spec.params["w"])
     loops = [g.parse_path("X"), g.parse_path("Y X Y'"),
              g.parse_path("Z") + w + invert(g.parse_path("Z"))]
-    from freesplit.words import reduce_word
 
     ok_fixed = all(is_nielsen(gen, reduce_word(loop))
                    for gen in (th10, th01) for loop in loops)
@@ -278,8 +277,6 @@ def test_criterion_8_divergence(filling_ctx=None):
 
     # distinct filling laminations: neither defining segment occurs in the
     # other lamination's deep leaf
-    from freesplit.words import path_contains
-
     ctx_psi = build_context(mg, psi)
     leaf_phi = mg.path_to_rose(ctx.lam_plus.deepest())
     leaf_psi = mg.path_to_rose(ctx_psi.lam_plus.deepest())

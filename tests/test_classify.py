@@ -13,7 +13,7 @@ from freesplit.classify import (bounded_path_witness, classify,
 from freesplit.config import Config
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
-from freesplit.graphs import (identity_graph_map, marked_rose,
+from freesplit.graphs import (compose, identity_graph_map, marked_rose,
                               print_marked_graph, realize_rose_endo, rose_map)
 from freesplit.words import BWD, FWD
 
@@ -233,8 +233,6 @@ class TestFixtureCatalog:
             fixture("filling_reducible", sigma="A A")
 
     def test_linear_example_commutes(self):
-        from freesplit.graphs import compose
-
         spec = fixture("linear_example", i=1, j=0)
         th10 = spec.maps["theta_10"]
         th01 = spec.maps["theta_01"]

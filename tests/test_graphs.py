@@ -2,8 +2,10 @@ import math
 
 import pytest
 
+from freesplit.automorphisms import (compose_maps, identity_map, invert_map,
+                                     outer_equal)
 from freesplit.errors import BudgetExhausted, InvalidInput, NumericalTolerance
-from freesplit.fixtures import fixture, fixture_names
+from freesplit.fixtures import RANK2_CATALOG, fixture, fixture_names
 from freesplit.graphs import (Graph, TransitionMatrix, compose,
                               identity_graph_map, is_invariant_subgraph,
                               is_nielsen, iterate, map_circuit, map_path,
@@ -94,7 +96,6 @@ class TestMapPath:
     def test_multiplicative_on_concatenation(self, frd):
         mg, g, f = frd
         p, q = g.parse_path("A X"), g.parse_path("X' B")
-        from freesplit.words import reduce_word
 
         assert map_path(f, reduce_word(p + q)) == \
             reduce_word(map_path(f, p) + map_path(f, q))
@@ -193,8 +194,6 @@ class TestTransitionMatrix:
         assert b2 == prod
 
     def test_linear_generator_unipotent(self):
-        from freesplit.fixtures import fixture
-
         spec = fixture("linear_example", i=1, j=0)
         tm = transition_matrix(spec.maps["theta"])
         g = spec.mg.graph
@@ -282,8 +281,6 @@ class TestNielsen:
         assert is_nielsen(ident, g.parse_path("A X B'"))
 
     def test_linear_generator_fixes_loop(self):
-        from freesplit.fixtures import fixture
-
         spec = fixture("linear_example", i=1, j=0)
         g = spec.mg.graph
         assert is_nielsen(spec.maps["theta"], g.parse_path("Y X Y'"))
@@ -384,9 +381,6 @@ class TestMarking:
         assert once.marking == both.marking
 
     def test_induced_inverse_round_trip(self, frd):
-        from freesplit.automorphisms import (compose_maps, identity_map,
-                                             invert_map, outer_equal)
-
         mg, g, f = frd
         bm = mg.induced_rose_map(f)
         inv = invert_map(bm)
@@ -394,10 +388,6 @@ class TestMarking:
                            identity_map(mg.rank))[0] == "Equal"
 
     def test_inverse_round_trip_across_catalog(self, bdd_spec):
-        from freesplit.automorphisms import (compose_maps, identity_map,
-                                             invert_map, outer_equal)
-        from freesplit.fixtures import RANK2_CATALOG, fixture
-
         specs = [bdd_spec, fixture("linear_example", i=1, j=1)]
         specs += [fixture(k) for k in sorted(RANK2_CATALOG)[:4]]
         for spec in specs:
@@ -411,9 +401,6 @@ class TestMarking:
     def test_invert_rose_map_wrapper(self, frd):
         # a graph map realizing the inverse automorphism inverts f up to
         # an inner automorphism
-        from freesplit.automorphisms import invert_map, outer_equal
-        from freesplit.graphs import realize_rose_endo
-
         mg, g, f = frd
         f_inv = realize_rose_endo(mg, invert_map(mg.induced_rose_map(f)))
         verdict, _ = outer_equal(mg.induced_rose_map(compose(f, f_inv)),

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 
 from freesplit.config import Config
 from freesplit.errors import InvalidInput
-from freesplit.graphs import compose, identity_graph_map, iterate, strata
+from freesplit.fixtures import fixture
+from freesplit.graphs import (close_path, compose, identity_graph_map, iterate,
+                              strata)
 from freesplit.laminations import (lamination_approx, lamination_fills,
                                    laminations_jointly_fill, pf_estimate,
                                    weakly_attracted)
@@ -93,8 +96,6 @@ class TestWeakAttraction:
         assert res.kind == "NotWithinHorizon"
 
     def test_deep_segment_attracted_at_zero(self, lam, filling_spec):
-        from freesplit.graphs import close_path
-
         loop = close_path(filling_spec.mg, lam.deepest())
         res = weakly_attracted(filling_spec.f, loop, lam, Config())
         assert res.attracted and res.index == 0
@@ -113,11 +114,8 @@ class TestLaminationFills:
         assert lamination_fills(lam).kind == FILLS
 
     def test_filling_reducible_rank4(self):
-        from freesplit.fixtures import fixture
-        from freesplit.graphs import strata as strata_fn
-
         spec = fixture("filling_reducible", m=4)
-        filt = strata_fn(spec.f)
+        filt = strata(spec.f)
         lam4 = lamination_approx(spec.mg, spec.f, filt.eg_strata()[0],
                                  filtration=filt)
         assert lamination_fills(lam4).kind == FILLS
@@ -132,8 +130,6 @@ class TestLaminationFills:
             assert v.witness.is_proper
 
     def test_single_depth_unknown(self, lam):
-        import dataclasses
-
         shallow = dataclasses.replace(lam, segments=lam.segments[:2], depth=1)
         assert lamination_fills(shallow).kind == UNKNOWN
 

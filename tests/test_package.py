@@ -4,17 +4,20 @@ import pathlib
 import freesplit
 
 SRC = pathlib.Path(freesplit.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def test_no_function_level_imports():
-    # imports sit at module level, so the module graph has no hidden cycle
+    # imports sit at module level, in the library and in its tests, so the
+    # module graph has no hidden cycle and each file names what it uses
     found = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            found += [f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+            found += [f"{path.parent.name}/{path.name}:{node.lineno}"
+                      for node in ast.walk(fn)
                       if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert found == []
 

@@ -7,7 +7,7 @@ from freesplit.automorphisms import (apply_map, identity_map, invert_map,
 from freesplit.classify import _power_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import ffs_from_generators
-from freesplit.graphs import (Graph, MarkedGraph, graph_map,
+from freesplit.graphs import (Graph, MarkedGraph, compose, graph_map,
                               identity_graph_map, map_path, marked_rose,
                               realize_rose_endo, rose_map)
 from freesplit.pairs import (adjacent, elliptic_system, equivalent_one_edge,
@@ -15,7 +15,8 @@ from freesplit.pairs import (adjacent, elliptic_system, equivalent_one_edge,
                              pair_relation_check, remark_pair,
                              remark_splitting, sibling_splittings,
                              splitting_of_pair, validate_pair)
-from freesplit.words import FWD
+from freesplit.words import FWD, invert, slot
+from freesplit.wproj import apply_basis_map_to_ffs
 from test_classify import rank2_products
 
 
@@ -24,7 +25,6 @@ def dumbbell_marked():
     g = Graph(["u", "v"],
               [("p", "u", "u"), ("q", "v", "v"), ("t", "u", "v")])
     p, q, t = (g.fwd_char(n) for n in ("p", "q", "t"))
-    from freesplit.words import invert
 
     marking = [p, t + q + invert(t)]
     return MarkedGraph(g, "u", marking)
@@ -57,7 +57,6 @@ class TestValidatePair:
         g2 = Graph(["u", "w", "v"],
                    [("p", "u", "u"), ("q", "v", "v"),
                     ("t1", "u", "w"), ("t2", "w", "v")])
-        from freesplit.words import invert
 
         t1, t2, p, q = (g2.fwd_char(n) for n in ("t1", "t2", "p", "q"))
         mg2 = MarkedGraph(g2, "u", [p, t1 + t2 + q + invert(t2) + invert(t1)])
@@ -182,8 +181,6 @@ class TestPairRelation:
         assert res.holds
         for mu, cls, nu, flip in res.witness.edge_assignments.values():
             for ch in mu + nu:
-                from freesplit.words import slot
-
                 assert slot(ch) in pair.h_slots
 
     def test_clause_one_mutant(self):
@@ -250,8 +247,6 @@ class TestRemark:
         assert same.mg.marking == pair.mg.marking
 
     def test_remark_twice_matches_composite(self, filling_spec):
-        from freesplit.graphs import compose
-
         f = filling_spec.f
         pair = validate_pair(filling_spec.mg, ["X", "Y", "Z", "A"])
         twice = remark_pair(remark_pair(pair, f), f)
@@ -259,9 +254,6 @@ class TestRemark:
         assert twice.mg.marking == joint.mg.marking
 
     def test_elliptic_transforms_by_inverse(self, filling_spec):
-        from freesplit.automorphisms import invert_map
-        from freesplit.wproj import apply_basis_map_to_ffs
-
         mg, f = filling_spec.mg, filling_spec.f
         s = one_edge_splitting(mg, ["X", "Y", "Z", "A"])
         moved = remark_splitting(s, f)
@@ -269,8 +261,6 @@ class TestRemark:
         assert moved.elliptic == apply_basis_map_to_ffs(bwd, s.elliptic)
 
     def test_right_action_with_distinct_maps(self, filling_spec):
-        from freesplit.graphs import compose
-
         mg, f = filling_spec.mg, filling_spec.f
         swap = rose_map(mg, {"X": "Y", "Y": "X", "Z": "Z",
                              "A": "A", "B": "B"})

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from freesplit import whitehead
-from freesplit.automorphisms import apply_map
+from freesplit.automorphisms import apply_map, identity_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
                                  _least_moves, _pair_counts, apply_move,
                                  fills, free_factor_support,
-                                 whitehead_minimize)
+                                 whitehead_graph, whitehead_minimize)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert, sort_key
 
 x, y, z = FWD[0], FWD[1], FWD[2]
@@ -54,6 +54,43 @@ def orbit_min_length(word, rank, start_cap=None):
                     best = min(best, len(u))
         frontier = nxt
     return best
+
+
+def short_class_sets(rank, word_len, pair_len):
+    """Every set of one canonical cyclic word of length <= word_len and
+    every set of two of length <= pair_len."""
+    letters = FWD[:rank] + BWD[:rank]
+
+    def words(max_len):
+        return sorted({canonical_cyclic("".join(t))
+                       for n in range(1, max_len + 1)
+                       for t in itertools.product(letters, repeat=n)} - {""},
+                      key=sort_key)
+
+    return ([[w] for w in words(word_len)]
+            + [list(p) for p in itertools.combinations(words(pair_len), 2)])
+
+
+def components(adj, verts):
+    """Vertex sets of the connected pieces of the graph ``adj`` on
+    ``verts``, by depth-first search."""
+    left, found = set(verts), []
+    while left:
+        stack = [left.pop()]
+        comp = set(stack)
+        while stack:
+            for v in adj[stack.pop()] & left:
+                left.discard(v)
+                comp.add(v)
+                stack.append(v)
+        found.append(comp)
+    return found
+
+
+def cut_vertices(adj, comp):
+    """Reference check: the vertices of a component whose removal leaves
+    more than one piece."""
+    return {v for v in comp if len(components(adj, comp - {v})) > 1}
 
 
 @st.composite
@@ -379,6 +416,37 @@ class TestMinimize:
             whitehead_minimize([""], 2)
 
 
+class TestMinimumGraph:
+    """At a Whitehead minimum no move shortens the set.  So every component
+    of the Whitehead graph is closed under inversion (were x in C without
+    x^-1, the move (C, x) would shorten by deg x), and no component has a
+    cut vertex (Whitehead's cut-vertex lemma).  :func:`fills` reads its
+    verdict off both facts without checking them."""
+
+    def test_reference_sees_non_minimal_sets(self):
+        # x y: the pieces {x, y^-1} and {y, x^-1}; x x y: the path
+        # y^-1 - x - x^-1 - y, cut at x and x^-1
+        adj, used = whitehead_graph(2, [x + y])
+        assert sorted(map(sorted, components(adj, used))) == [[0, 3], [1, 2]]
+        adj, used = whitehead_graph(2, [x + x + y])
+        assert cut_vertices(adj, used) == {0, 2}
+
+    @pytest.mark.parametrize("rank, word_len, pair_len, count",
+                             [(2, 8, 4, 693 + 300), (3, 3, 3, 35 + 595)])
+    def test_components_closed_under_inversion_without_cut_vertex(
+            self, rank, word_len, pair_len, count):
+        sets = short_class_sets(rank, word_len, pair_len)
+        assert len(sets) == count
+        for classes in sets:
+            minimized, _, _ = whitehead_minimize(classes, rank)
+            adj, used = whitehead_graph(rank, minimized)
+            for comp in components(adj, used):
+                # u and its inverse sit rank slots apart
+                assert {(u + rank) % (2 * rank) for u in comp} == comp, \
+                    (classes, comp)
+                assert not cut_vertices(adj, comp), (classes, comp)
+
+
 class TestFills:
     def test_letter_is_proper(self):
         v = fills([x], 2)
@@ -419,6 +487,16 @@ class TestFills:
             if a.witness is not None:
                 assert a.witness == b.witness
 
+    def test_witness_failing_carry_check_is_unknown(self, monkeypatch):
+        # with the move log left untransported, the letter group {x} does
+        # not carry x y, and the check against the input says so
+        monkeypatch.setattr(whitehead, "inverse_log_map",
+                            lambda log, rank: identity_map(rank))
+        v = fills([x + y], 2)
+        assert v.move_log
+        assert (v.kind, v.reason) == (UNKNOWN, "witness failed carry check")
+        assert v.witness is None
+
     @settings(max_examples=60, deadline=None)
     @given(class_sets(max_len=6).flatmap(
         lambda case: st.tuples(st.just(case), automorphisms(case[0]))))
@@ -450,17 +528,11 @@ class TestSupport:
 
     def test_agrees_with_fills_on_short_rank3_sets(self):
         """Every set of one or two canonical cyclic words of length <= 3."""
-        letters = FWD[:3] + BWD[:3]
-        words = sorted({canonical_cyclic("".join(t)) for n in (1, 2, 3)
-                        for t in itertools.product(letters, repeat=n)} - {""},
-                       key=sort_key)
-        sets = [[w] for w in words] + [list(p) for p in
-                                       itertools.combinations(words, 2)]
-        for classes in sets:
+        for classes in short_class_sets(3, 3, 3):
             got = free_factor_support(classes, 3)
             kind = fills(classes, 3).kind
-            # Whitehead's cut-vertex lemma: a minimal class set has no cut
-            # vertex in its Whitehead graph, so no Unknown branch fires
+            # within the letter budget the only Unknown is a failed carry
+            # check, which a correct move log never gives
             assert kind != UNKNOWN and got is not None, classes
             whole = kind == FILLS
             assert (got == whole_group(3)) == whole, classes

@@ -7,17 +7,18 @@ import freesplit.automorphisms as automorphisms_mod
 from freesplit.automorphisms import (MapTables, apply_map, compose_maps,
                                      identity_map, invert_map)
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
-from freesplit.factors import ffs_from_generators
+from freesplit.factors import ffs_from_generators, whole_group
 from freesplit.fixtures import fixture
 from freesplit.graphs import close_path, marked_rose, realize_rose_endo, rose_map
-from freesplit.pairs import one_edge_splitting, sibling_splittings, validate_pair
+from freesplit.pairs import (one_edge_splitting, remark_splitting,
+                             sibling_splittings, validate_pair)
 from freesplit.wproj import (W_of_ffs, _orbit_step,
                              build_context, candidate_classes,
                              default_m_samples, displacement_table,
                              divergence_check, estimate_M, in_U,
                              lipschitz_check, translate_class, w_of)
 from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_reduce,
-                             reduce_word, strip_cyclic)
+                             invert, reduce_word, strip_cyclic)
 
 
 def rose_class(spec, tokens):
@@ -38,9 +39,6 @@ class TestBuildContext:
             build_context(mg, f)
 
     def test_supplied_inverse_matches_computed(self, filling_spec):
-        from freesplit.automorphisms import invert_map
-        from freesplit.graphs import realize_rose_endo
-
         mg, f = filling_spec.mg, filling_spec.f
         bwd = invert_map(mg.induced_rose_map(f))
         f_inv = realize_rose_endo(mg, bwd)
@@ -110,12 +108,10 @@ class TestWOf:
             assert w_of(filling_ctx, moved).value == base + m
 
     def test_stable_under_horizon_doubling(self, filling_ctx, filling_spec):
-        import dataclasses
-
         c = rose_class(filling_spec, "A")
         v1 = w_of(filling_ctx, c).value
         p = filling_ctx.cfg
-        doubled = dataclasses.replace(
+        doubled = replace(
             filling_ctx,
             cfg=p.with_overrides(horizon=p.horizon * 2))
         assert w_of(doubled, c).value == v1
@@ -271,8 +267,6 @@ class TestCandidates:
         assert candidate_classes(ffs_from_generators(2, [FWD[0]]), 0) == []
 
     def test_improper_rejected(self):
-        from freesplit.factors import whole_group
-
         with pytest.raises(InvalidInput):
             candidate_classes(whole_group(2), 3)
 
@@ -283,8 +277,6 @@ class TestWOfSystems:
         val = W_of_ffs(filling_ctx, s.elliptic)
         assert val.n_defined >= 1
         # the witness crosses the growing petal (either orientation)
-        from freesplit.words import invert
-
         mg = filling_spec.mg
         a = mg.path_to_rose(mg.graph.parse_path("A"))
         assert a in val.witness or invert(a) in val.witness
@@ -315,8 +307,6 @@ class TestWOfSystems:
     def test_remark_equivariance(self, filling_ctx, filling_spec):
         # the remarked splitting's system is the inverse translate, so its
         # value under transported candidates drops by exactly one
-        from freesplit.pairs import remark_splitting
-
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         base = W_of_ffs(filling_ctx, s.elliptic).value
         moved = remark_splitting(s, filling_spec.f)
@@ -426,8 +416,6 @@ class TestDivergence:
             t.elliptic, filling_ctx.cfg.cand_len, filling_ctx.cfg.cand_cap))
 
     def test_identity_constant(self, filling_ctx, filling_spec):
-        from freesplit.automorphisms import identity_map
-
         t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         rep = divergence_check(filling_ctx, identity_map(5), t,
                                l_max=5, band_search=2, phi_range=2)
