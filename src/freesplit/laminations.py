@@ -5,7 +5,8 @@ by the tightened iterates of a seed edge.  Filling is certified either by
 a proper invariant subgraph carrying the stratum (negative certificate)
 or by the Whitehead support of the accumulated closures of the leaf
 segments, accepted only when the verdict stabilizes at two consecutive
-depths.
+depths.  Filling is monotone in the class set, so a Fills at one depth
+settles the next, larger one without a second Whitehead minimization.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .factors import carries
 from .graphs import (Filtration, GraphMap, MarkedGraph, close_path,
                      map_circuit, map_path, minimal_invariant_superset,
                      strata, subgraph_factor_system)
-from .whitehead import PROPER, UNKNOWN, FillsVerdict, fills
+from .whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
 from .words import (FWD, canonical_cyclic, count_crossings, cyclic_contains,
                     invert)
 
@@ -154,11 +155,20 @@ def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
 
 
 def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict:
-    """fills() on accumulated class sets; accept two consecutive agreements."""
+    """fills() on accumulated class sets; accept two consecutive agreements.
+
+    Filling is monotone: a set that no proper free factor system carries
+    has no carried superset.  So after a Fills, the next, larger set is
+    read off as Fills without minimizing it, provided it fits the letter
+    budget that would otherwise make fills() say Unknown.
+    """
     prev: FillsVerdict | None = None
     for classes in accumulated_lists:
         if not classes:
             continue
+        if prev is not None and prev.kind == FILLS \
+                and sum(map(len, classes)) <= cfg.whitehead_max_letters:
+            return prev
         cur = fills(sorted(classes), rank, cfg)
         if prev is not None and cur.kind != UNKNOWN \
                 and (prev.kind, prev.witness) == (cur.kind, cur.witness):

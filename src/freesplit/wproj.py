@@ -15,7 +15,8 @@ theoretical one.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 from .automorphisms import (BasisMap, MapTables, apply_map, compose_maps,
                             identity_map, invert_map, outer_equal)
@@ -39,8 +40,11 @@ BUDGET = "BudgetExhausted"
 class WContext:
     """Everything needed to evaluate the projection.
 
-    Mutable only in ``m_hat``, which is set once by :func:`estimate_M`, and
-    in the block memos of ``fwd`` and ``bwd``, which never change an output.
+    Mutable only in ``m_hat``, which is set once by :func:`estimate_M`, in
+    the block memos of ``fwd`` and ``bwd`` and in ``w_memo``, the results
+    of :func:`w_of`; the memos never change an output.  A copy made with
+    ``dataclasses.replace`` starts with an empty ``w_memo``, as its
+    ``cfg`` may differ.
     """
 
     mg: MarkedGraph
@@ -56,6 +60,11 @@ class WContext:
     m_hat: int | None = None
     # Lip(fwd) * Lip(bwd) when the two are exact inverses (see _orbit_step)
     cancellation_bound: int | None = None
+    # w_of results keyed by the exact class word (the orbit phase depends on
+    # its rotation), each with whether it is complete: scanned forward too,
+    # or undefined, which has no forward entry
+    w_memo: dict[str, tuple[WResult, bool]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def rank(self) -> int:
@@ -250,8 +259,19 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     a scan short, or the window reaches back to forward time h.  With
     ``forward`` the forward entry is the same scan along forward iterates
     inside the attracting neighborhood, None when it is cut short the same
-    way or not asked for.
+    way or not asked for.  Results are memoized on the context; a call
+    without ``forward`` reuses one made with it.
     """
+    hit = ctx.w_memo.get(cyclic)
+    if hit is not None and (hit[1] or not forward):
+        return hit[0] if forward else replace(hit[0], fwd_entry=None)
+    res = _w_scan(ctx, cyclic, forward)
+    ctx.w_memo[cyclic] = (res, forward or not res.defined)
+    return res
+
+
+def _w_scan(ctx: WContext, cyclic: str, forward: bool) -> WResult:
+    """The scans of :func:`w_of`, unmemoized."""
     c = cyclic_reduce(cyclic)
     cfg = ctx.cfg
     h = cfg.horizon
@@ -286,14 +306,31 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
 _CANONICAL_MAX = 10_000
 
 
+def _translation_rows(ctx: WContext, classes, steps: int, forward: bool):
+    """Rows k = 0..steps: the cyclically reduced k-step translates of
+    ``classes``, forward or backward, in order.  Each chain is built once;
+    a class whose translate outgrows the length cap drops out of that row
+    and every later one."""
+    bm = ctx.fwd if forward else ctx.bwd
+    alive = [cyclic_reduce(c) for c in classes]
+    yield alive
+    for _ in range(steps):
+        images = (_orbit_step(bm, w, ctx.cfg.iterate_cap,
+                              ctx.cancellation_bound) for w in alive)
+        alive = [w for w in images if w is not None]
+        yield alive
+
+
+def _translate_form(w: str) -> str:
+    return _canonical_reduced(w) if len(w) < _CANONICAL_MAX else w
+
+
 def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
-    bm = ctx.fwd if m >= 0 else ctx.bwd
-    cur = cyclic_reduce(cyclic)
-    for _ in range(abs(m)):
-        cur = _orbit_step(bm, cur, ctx.cfg.iterate_cap, ctx.cancellation_bound)
-        if cur is None:
-            raise BudgetExhausted("translated class exceeded the length cap")
-    return _canonical_reduced(cur) if len(cur) < _CANONICAL_MAX else cur
+    rows = _translation_rows(ctx, [cyclic], abs(m), forward=m >= 0)
+    row = next(islice(rows, abs(m), None))
+    if not row:
+        raise BudgetExhausted("translated class exceeded the length cap")
+    return _translate_form(row[0])
 
 
 def candidate_classes(ffs: FreeFactorSystem, max_len: int,
@@ -358,14 +395,12 @@ def estimate_M(ctx: WContext, samples) -> int:
     """
     spreads = []
     lags = []
-    # a translation batch repeats classes of the group before it
-    seen: dict[str, WResult] = {}
     for group in samples:
         values = []
         for c in group:
-            res = seen.get(c)
-            if res is None:
-                res = seen[c] = w_of(ctx, c)
+            # a translation batch repeats classes of the group before it,
+            # which the context's memo answers
+            res = w_of(ctx, c)
             if res.defined:
                 values.append(res.value)
                 if res.fwd_entry is not None:
@@ -421,16 +456,17 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
     base = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     if not base:
         raise NotApplicable("no candidates for the elliptic system")
-    table = {}
-    witnesses = {}
-    for m in range(-radius, radius + 1):
-        moved = []
-        for c in base:
-            with suppress(BudgetExhausted):
-                moved.append(translate_class(ctx, c, -m))
-        val = W_of_ffs(ctx, s.elliptic, candidates=moved)
-        table[m] = val.value
-        witnesses[m] = val.witness
+    values = {}
+    # translation by -m: m <= 0 along the forward chains, m > 0 backward
+    for sign in (-1, 1):
+        rows = _translation_rows(ctx, base, radius, forward=sign < 0)
+        for k, row in enumerate(rows):
+            if sign * k not in values:
+                values[sign * k] = W_of_ffs(
+                    ctx, s.elliptic,
+                    candidates=[_translate_form(w) for w in row])
+    table = {m: values[m].value for m in sorted(values)}
+    witnesses = {m: values[m].witness for m in sorted(values)}
     slope_exact = all(table[m] == table[0] - m for m in table)
     raw = {}
     for m in RAW_CHECKS:
@@ -527,11 +563,8 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
         dropped[l] = len(base) - len(alive)
         psi_table[l] = _W_or_none(ctx, t.elliptic, alive) if alive else None
     phi_table = {}
-    for k in range(phi_range + 1):
-        moved = []
-        for c in base:
-            with suppress(BudgetExhausted):
-                moved.append(translate_class(ctx, c, k))
+    for k, row in enumerate(_translation_rows(ctx, base, phi_range, True)):
+        moved = [_translate_form(w) for w in row]
         phi_table[k] = _W_or_none(ctx, t.elliptic, moved) if moved else None
     phi_slope = all(
         phi_table[k] is not None and phi_table[k] == phi_table[0] + k

@@ -3,16 +3,17 @@ import math
 
 import pytest
 
+from freesplit import laminations
 from freesplit.config import Config
 from freesplit.errors import InvalidInput
 from freesplit.fixtures import fixture
 from freesplit.graphs import (close_path, compose, identity_graph_map, iterate,
                               strata)
-from freesplit.laminations import (lamination_approx, lamination_fills,
-                                   laminations_jointly_fill, pf_estimate,
-                                   weakly_attracted)
+from freesplit.laminations import (_stabilized_fills, lamination_approx,
+                                   lamination_fills, laminations_jointly_fill,
+                                   pf_estimate, weakly_attracted)
 from freesplit.whitehead import FILLS, PROPER, UNKNOWN
-from freesplit.words import FWD
+from freesplit.words import BWD, FWD
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +156,42 @@ class TestJointlyFill:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInput):
             laminations_jointly_fill([])
+
+
+class TestStabilizedFills:
+    """The depth loop: two agreeing verdicts, a Fills read off monotonicity."""
+
+    a, b, A, B = FWD[0], FWD[1], BWD[0], BWD[1]
+    # depth 1 is carried by <a>; the commutator makes depth 2 fill
+    SHORT = [[a], [a, a + b + A + B]]
+    LONG = SHORT + [[a, a + b + A + B, a + a + b]]
+
+    def test_first_fills_at_last_depth_is_unknown(self):
+        v = _stabilized_fills(self.SHORT, 2, Config())
+        assert (v.kind, v.reason) == (UNKNOWN, "verdict did not stabilize")
+
+    def test_fills_then_superset_is_fills(self):
+        v = _stabilized_fills(self.LONG, 2, Config())
+        assert v.kind == FILLS and v.witness is None
+
+    @pytest.mark.parametrize("lists", [SHORT, LONG])
+    def test_superset_over_letter_budget_is_unknown(self, lists):
+        # no set follows the first Fills, or it has 8 letters and fills()
+        # says Unknown: either way no two verdicts agree
+        v = _stabilized_fills(lists, 2, Config(whitehead_max_letters=7))
+        assert (v.kind, v.reason) == (UNKNOWN, "verdict did not stabilize")
+
+    def test_superset_of_fills_is_not_minimized(self, monkeypatch):
+        calls = []
+        original = laminations.fills
+
+        def counting(classes, rank, cfg):
+            calls.append(classes)
+            return original(classes, rank, cfg)
+
+        monkeypatch.setattr(laminations, "fills", counting)
+        assert _stabilized_fills(self.LONG, 2, Config()).kind == FILLS
+        assert calls == [sorted(c) for c in self.LONG[:2]]
 
 
 class TestPFEstimate:

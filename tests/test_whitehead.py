@@ -447,6 +447,23 @@ class TestMinimumGraph:
                 assert not cut_vertices(adj, comp), (classes, comp)
 
 
+class TestMonotone:
+    """A set that fills has no carried superset, which lets the lamination
+    depth loop skip the confirming minimization after a Fills."""
+
+    @pytest.mark.parametrize("rank, word_len, pair_len, extra_len, n_fill",
+                             [(2, 6, 3, 3, 98), (3, 3, 3, 2, 28)])
+    def test_superset_of_filling_set_fills(self, rank, word_len, pair_len,
+                                           extra_len, n_fill):
+        filling = [s for s in short_class_sets(rank, word_len, pair_len)
+                   if fills(s, rank).kind == FILLS]
+        assert len(filling) == n_fill
+        extra = [w for [w] in short_class_sets(rank, extra_len, 0)]
+        for classes in filling:
+            for w in extra:
+                assert fills(classes + [w], rank).kind == FILLS, (classes, w)
+
+
 class TestFills:
     def test_letter_is_proper(self):
         v = fills([x], 2)

@@ -12,8 +12,8 @@ from freesplit.fixtures import fixture
 from freesplit.graphs import close_path, marked_rose, realize_rose_endo, rose_map
 from freesplit.pairs import (one_edge_splitting, remark_splitting,
                              sibling_splittings, validate_pair)
-from freesplit.wproj import (W_of_ffs, _orbit_step,
-                             build_context, candidate_classes,
+from freesplit.wproj import (_DIVERGENCE_ORBIT_CAP, W_of_ffs, _orbit_step,
+                             _W_or_none, build_context, candidate_classes,
                              default_m_samples, displacement_table,
                              divergence_check, estimate_M, in_U,
                              lipschitz_check, translate_class, w_of)
@@ -116,6 +116,23 @@ class TestWOf:
             cfg=p.with_overrides(horizon=p.horizon * 2))
         assert w_of(doubled, c).value == v1
 
+    def test_memo_lives_on_the_context(self, filling_ctx, filling_spec):
+        c = rose_class(filling_spec, "A")
+        ctx = replace(filling_ctx)
+        assert ctx.w_memo == {}
+        full = w_of(ctx, c)
+        assert ctx.w_memo == {c: (full, True)}
+        assert w_of(ctx, c) is full
+        # a backward-only call reuses the full scan
+        back = w_of(ctx, c, forward=False)
+        assert back == replace(full, fwd_entry=None)
+        assert back == w_of(replace(filling_ctx), c, forward=False)
+        # a full call after a backward-only one scans forward too
+        later = replace(filling_ctx)
+        w_of(later, c, forward=False)
+        assert w_of(later, c) == full
+        assert replace(ctx).w_memo == {}
+
 
 def nielsen_pairs(rank):
     """Nielsen generators of Aut(F_rank), each with its exact inverse."""
@@ -212,6 +229,63 @@ def translated(ctx, c, m):
         return translate_class(ctx, c, m)
     except BudgetExhausted:
         return None
+
+
+def translates_reference(ctx, classes, m):
+    """The |m|-step translates of ``classes`` within the length cap, in
+    canonical form, each chain stepped from scratch."""
+    bm = ctx.fwd if m >= 0 else ctx.bwd
+    out = []
+    for c in classes:
+        words = orbit(bm, cyclic_reduce(c), abs(m), ctx.cfg.iterate_cap,
+                      ctx.cancellation_bound)
+        if len(words) > abs(m) and words[abs(m)] is not None:
+            out.append(canonical_cyclic(words[abs(m)]))
+    return out
+
+
+class TestTranslationRows:
+    """Tables built from one chain per class equal per-class translation."""
+
+    @pytest.fixture
+    def split(self, filling_spec):
+        return one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
+
+    @pytest.mark.parametrize("cap", [None, 600])
+    def test_translate_class_matches_reference(self, filling_ctx, split, cap):
+        ctx = filling_ctx if cap is None else replace(
+            filling_ctx, cfg=filling_ctx.cfg.with_overrides(iterate_cap=cap))
+        base = candidate_classes(split.elliptic, ctx.cfg.cand_len,
+                                 ctx.cfg.cand_cap)
+        for m in range(-4, 5):
+            got = [w for w in (translated(ctx, c, m) for c in base)
+                   if w is not None]
+            assert got == translates_reference(ctx, base, m)
+        if cap is not None:
+            # the cap is reached: some chains die within four steps
+            assert 0 < len(translates_reference(ctx, base, -4)) < len(base)
+
+    def test_displacement_table(self, filling_ctx, split):
+        rep = displacement_table(filling_ctx, split, 3)
+        base = candidate_classes(split.elliptic, filling_ctx.cfg.cand_len,
+                                 filling_ctx.cfg.cand_cap)
+        assert list(rep["table"]) == list(range(-3, 4))
+        for m in range(-3, 4):
+            val = W_of_ffs(filling_ctx, split.elliptic,
+                           translates_reference(filling_ctx, base, -m))
+            assert (rep["table"][m], rep["witnesses"][m]) == \
+                (val.value, val.witness)
+
+    def test_divergence_phi_rows(self, filling_ctx, split):
+        rep = divergence_check(filling_ctx, identity_map(5), split,
+                               l_max=1, band_search=0, phi_range=3)
+        ctx = replace(filling_ctx, cfg=filling_ctx.cfg.with_overrides(
+            iterate_cap=_DIVERGENCE_ORBIT_CAP))
+        base = candidate_classes(split.elliptic, ctx.cfg.cand_len,
+                                 ctx.cfg.cand_cap)
+        assert rep["phi_table"] == {
+            k: _W_or_none(ctx, split.elliptic, translates_reference(ctx, base, k))
+            for k in range(4)}
 
 
 class TestEarlyStopOrbits:
