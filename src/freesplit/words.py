@@ -226,13 +226,26 @@ def _canonical_reduced(w: str) -> str:
 
 
 def cyclic_contains(cyclic: str, segment: str) -> bool:
-    """True if ``segment`` or its inverse occurs in the doubled cyclic word."""
+    """True if ``segment`` or its inverse occurs in the doubled cyclic word.
+
+    A segment of length L <= n + 1, n = len(cyclic), occurs there exactly
+    when it occurs in the word itself or in its 2L - 2 letters around the
+    wrap, which hold every window starting at one of its last L - 1
+    positions; so the doubled copy is built only for longer segments.
+    """
     if not segment:
         return True
-    if len(segment) > 2 * len(cyclic):
+    n, L = len(cyclic), len(segment)
+    if L > 2 * n:
         return False
-    doubled = cyclic + cyclic
-    return segment in doubled or invert(segment) in doubled
+    if L > n + 1:
+        doubled = cyclic + cyclic
+        return segment in doubled or invert(segment) in doubled
+    wrap = cyclic[n - L + 1:] + cyclic[:L - 1]
+    if segment in cyclic or segment in wrap:
+        return True
+    inv = invert(segment)
+    return inv in cyclic or inv in wrap
 
 
 def path_contains(path: str, segment: str) -> bool:

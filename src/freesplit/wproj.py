@@ -29,7 +29,8 @@ from .laminations import (LaminationApprox, _window_start, defining_segment,
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
 from .words import (_canonical_reduced, cyclic_contains, cyclic_reduce,
-                    junction, path_contains, sort_key, strip_cyclic)
+                    junction, path_contains, primitive_root, sort_key,
+                    strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
 DEFINED = "Defined"
@@ -41,10 +42,11 @@ class WContext:
     """Everything needed to evaluate the projection.
 
     Mutable only in ``m_hat``, which is set once by :func:`estimate_M`, in
-    the block memos of ``fwd`` and ``bwd`` and in ``w_memo``, the results
-    of :func:`w_of`; the memos never change an output.  A copy made with
-    ``dataclasses.replace`` starts with an empty ``w_memo``, as its
-    ``cfg`` may differ.
+    the block memos of ``fwd`` and ``bwd``, in ``w_memo``, the results of
+    :func:`w_of`, and in ``orbits``, the iterates of the last primitive
+    root it scanned; the memos never change an output.  A copy made with
+    ``dataclasses.replace`` starts with an empty ``w_memo`` and
+    ``orbits``, as its ``cfg`` may differ.
     """
 
     mg: MarkedGraph
@@ -64,6 +66,10 @@ class WContext:
     # its rotation), each with whether it is complete: scanned forward too,
     # or undefined, which has no forward entry
     w_memo: dict[str, tuple[WResult, bool]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    # the backward and forward orbits of the last primitive root w_of
+    # scanned, which its powers share (see _w_scan); one root at a time
+    orbits: dict[str, tuple[_LazyOrbit, _LazyOrbit]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -141,7 +147,7 @@ def _rose_segment(mg: MarkedGraph, lam: LaminationApprox, seg_len: int) -> str:
 
 def in_U(ctx: WContext, cyclic: str, side: str) -> bool:
     """Membership proxy for the attracting (+) / repelling (-) neighborhood."""
-    if side not in "+-":
+    if side not in ("+", "-"):
         raise InvalidInput("side must be '+' or '-'")
     seg = ctx.seg_plus if side == "+" else ctx.seg_minus
     return cyclic_contains(cyclic, seg)
@@ -217,19 +223,31 @@ def _orbit_step(bm: BasisMap, w: str, cap: int,
 
 
 class _LazyOrbit:
-    """Iterates of a class under one basis map, grown on demand."""
+    """Iterates of a primitive root under one basis map, grown on demand.
+
+    The same orbit answers for every power of the root.  If the reduced
+    image of the cyclically reduced word x is u g u^-1, g cyclically
+    reduced and nonempty, then that of x^k is u g^k u^-1, so the k-th
+    power's iterate at step t is ``words[t] * k``, in the same rotation
+    as its own orbit would give it.  That orbit would die at the first
+    step t >= 1 with k * len(words[t]) > cap and stay dead; ``peak[t]``,
+    the longest root iterate of steps 1..t (0 at step 0, as a start is
+    never capped), answers that for every k.
+    """
 
     def __init__(self, start: str, bm: BasisMap, horizon: int, cap: int,
                  bound: int | None):
         self.words = [start]
+        self.peak = [0]
         self.bm = bm
         self.horizon = horizon
         self.cap = cap
         self.bound = bound
         self.dead = False
 
-    def get(self, t: int) -> str | None:
-        """Word at step t, or None past the horizon or the length cap.
+    def get(self, t: int, k: int = 1) -> str | None:
+        """Root iterate at step t, standing for the k-th power's; None past
+        the horizon or once that power's orbit has outgrown the length cap.
 
         Iterates are only cyclically reduced, not rotated to canonical
         form, which would dominate the cost.  Membership tests read the
@@ -240,13 +258,17 @@ class _LazyOrbit:
         """
         if t > self.horizon:
             return None
-        while len(self.words) <= t and not self.dead:
+        while (len(self.words) <= t and not self.dead
+               and k * self.peak[-1] <= self.cap):
             nxt = _orbit_step(self.bm, self.words[-1], self.cap, self.bound)
             if nxt is None:
                 self.dead = True
                 break
             self.words.append(nxt)
-        return self.words[t] if t < len(self.words) else None
+            self.peak.append(max(self.peak[-1], len(nxt)))
+        if t < len(self.words) and k * self.peak[t] <= self.cap:
+            return self.words[t]
+        return None
 
 
 def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
@@ -260,7 +282,9 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     ``forward`` the forward entry is the same scan along forward iterates
     inside the attracting neighborhood, None when it is cut short the same
     way or not asked for.  Results are memoized on the context; a call
-    without ``forward`` reuses one made with it.
+    without ``forward`` reuses one made with it.  A proper power is
+    scanned along its primitive root's orbit, which consecutive powers of
+    one root share.
     """
     hit = ctx.w_memo.get(cyclic)
     if hit is not None and (hit[1] or not forward):
@@ -270,18 +294,43 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     return res
 
 
+def _root_orbits(ctx: WContext, root: str) -> tuple[_LazyOrbit, _LazyOrbit]:
+    """Backward and forward orbits of ``root``, kept on the context until a
+    scan of another root replaces them."""
+    pair = ctx.orbits.get(root)
+    if pair is None:
+        ctx.orbits.clear()
+        cap, bound = ctx.cfg.iterate_cap, ctx.cancellation_bound
+        pair = ctx.orbits[root] = (
+            _LazyOrbit(root, ctx.bwd, ctx.cfg.horizon, cap, bound),
+            _LazyOrbit(root, ctx.fwd, ctx.cfg.horizon, cap, bound))
+    return pair
+
+
 def _w_scan(ctx: WContext, cyclic: str, forward: bool) -> WResult:
-    """The scans of :func:`w_of`, unmemoized."""
+    """The scans of :func:`w_of`, unmemoized.
+
+    The class c = r^k is scanned along the orbits of its primitive root r.
+    Its iterate at step t is x^k, x the root's; when len(x) >= L - 1, L
+    the segment length, x + x already holds every length-L window of the
+    periodic line of x and x^2k no other, so membership reads x alone.
+    """
     c = cyclic_reduce(cyclic)
+    root = primitive_root(c)
+    k = len(c) // len(root) if root else 1
     cfg = ctx.cfg
     h = cfg.horizon
-    back = _LazyOrbit(c, ctx.bwd, h, cfg.iterate_cap, ctx.cancellation_bound)
-    fore = _LazyOrbit(c, ctx.fwd, h, cfg.iterate_cap, ctx.cancellation_bound)
+    back, fore = _root_orbits(ctx, root)
+    seg_len = {"+": len(ctx.seg_plus), "-": len(ctx.seg_minus)}
 
     def inside(t: int, side: str) -> bool | None:
         """Membership of the class at backward time t (forward time -t)."""
-        word = back.get(t) if t >= 0 else fore.get(-t)
-        return None if word is None else in_U(ctx, word, side)
+        word = back.get(t, k) if t >= 0 else fore.get(-t, k)
+        if word is None:
+            return None
+        if len(word) < seg_len[side] - 1:
+            word *= k
+        return in_U(ctx, word, side)
 
     try:
         w = _window_start(lambda t: inside(t, "-"), h, -h, cfg.stability)

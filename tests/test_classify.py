@@ -94,6 +94,24 @@ class TestRank2Sweep:
             got["/".join(bm)] = [c.verdict, c.witness_kind, c.stage, c.power]
         assert got == golden
 
+    def test_length_six_no_wrong_verdict(self):
+        # every product of at most six generators, at the default Config:
+        # no exception, no verdict against the GL2(Z) oracle, and at least
+        # the 270 maps decided when this test was added
+        maps = rank2_products(6)
+        assert len(maps) == 333
+        mg = marked_rose(2)
+        decided = 0
+        for bm in maps:
+            c = classify(ExampleSpec("sweep", mg,
+                                     {"f": realize_rose_endo(mg, bm)}, None))
+            if c.verdict != "Unknown":
+                decided += 1
+                oracle = rank2_classify(abelianization(bm))
+                assert (c.verdict == "Loxodromic") == \
+                    (oracle == "Loxodromic"), bm
+        assert decided >= 270
+
 
 class TestPeriodicWitness:
     def test_shear(self):

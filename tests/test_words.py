@@ -209,6 +209,23 @@ class TestContainment:
     def test_too_long(self):
         assert not cyclic_contains(x, x + x + x)
 
+    def test_same_as_doubled_word_search(self):
+        # every word of length <= 5 over x, y and their inverses, against
+        # every segment of length <= 5 over x, y and X: both sides of the
+        # switch at len(segment) = len(word) + 1, and the too-long case
+        def doubled(c, seg):
+            if len(seg) > 2 * len(c):
+                return not seg
+            d = c + c
+            return seg in d or invert(seg) in d
+
+        words = ["".join(p) for n in range(6)
+                 for p in itertools.product((x, y, X, Y), repeat=n)]
+        segs = ["".join(p) for n in range(6)
+                for p in itertools.product((x, y, X), repeat=n)]
+        assert all(cyclic_contains(c, seg) == doubled(c, seg)
+                   for c in words for seg in segs)
+
 
 class TestTokenRoundTrip:
     def test_parse_print(self):

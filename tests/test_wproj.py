@@ -1,24 +1,30 @@
+import itertools
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
+import freesplit.wproj as wproj_mod
 from freesplit.automorphisms import (MapTables, apply_map, compose_maps,
                                      identity_map, invert_map)
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators, whole_group
 from freesplit.fixtures import fixture
 from freesplit.graphs import close_path, marked_rose, realize_rose_endo, rose_map
+from freesplit.laminations import _window_start
 from freesplit.pairs import (one_edge_splitting, remark_splitting,
                              sibling_splittings, validate_pair)
-from freesplit.wproj import (_DIVERGENCE_ORBIT_CAP, W_of_ffs, _orbit_step,
+from freesplit.wproj import (_DIVERGENCE_ORBIT_CAP, BUDGET, DEFINED,
+                             NOT_DEFINED, W_of_ffs, WResult, _orbit_step,
                              _W_or_none, build_context, candidate_classes,
                              default_m_samples, displacement_table,
                              divergence_check, estimate_M, in_U,
                              lipschitz_check, translate_class, w_of)
-from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_reduce,
-                             invert, reduce_word, strip_cyclic)
+from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_contains,
+                             cyclic_reduce, invert, primitive_root,
+                             reduce_word, strip_cyclic)
+from test_classify import rank2_products
 
 
 def rose_class(spec, tokens):
@@ -88,6 +94,12 @@ class TestInU:
     def test_bad_side(self, filling_ctx):
         with pytest.raises(InvalidInput):
             in_U(filling_ctx, "", "?")
+
+    @pytest.mark.parametrize("side", ["", "+-"])
+    def test_side_is_one_sign(self, filling_ctx, side):
+        # substrings of "+-" are not sides
+        with pytest.raises(InvalidInput):
+            in_U(filling_ctx, "", side)
 
 
 class TestWOf:
@@ -329,6 +341,179 @@ class TestBlockwiseOrbits:
         letterwise = [orbit(f, c, 40, 20_000, b) for f, c in cases
                       for b in (bound, None)]
         assert blockwise == letterwise
+
+
+def rank2_roots(max_len):
+    """Cyclically reduced rank-2 words of length 1..max_len that are not
+    proper powers."""
+    return [w for n in range(1, max_len + 1)
+            for w in map("".join, itertools.product(FWD[:2] + BWD[:2],
+                                                    repeat=n))
+            if cyclic_reduce(w) == w and primitive_root(w) == w]
+
+
+class _OwnOrbit:
+    """Iterates of a class as its own word, grown on demand; None once
+    the length cap is passed or past the horizon."""
+
+    def __init__(self, start, bm, ctx):
+        self.words = [start]
+        self.bm, self.ctx = bm, ctx
+
+    def get(self, t):
+        ctx = self.ctx
+        if t > ctx.cfg.horizon:
+            return None
+        while len(self.words) <= t and self.words[-1] is not None:
+            self.words.append(_orbit_step(self.bm, self.words[-1],
+                                          ctx.cfg.iterate_cap,
+                                          ctx.cancellation_bound))
+        return self.words[t] if t < len(self.words) else None
+
+
+def unshared_w(ctx, cyclic, forward):
+    """w_of as scanned before powers shared their root's orbit: the class
+    is iterated as its own word, with no memo."""
+    c = cyclic_reduce(cyclic)
+    h, s = ctx.cfg.horizon, ctx.cfg.stability
+    back, fore = _OwnOrbit(c, ctx.bwd, ctx), _OwnOrbit(c, ctx.fwd, ctx)
+
+    def inside(t, side):
+        word = back.get(t) if t >= 0 else fore.get(-t)
+        return None if word is None else in_U(ctx, word, side)
+
+    try:
+        w = _window_start(lambda t: inside(t, "-"), h, -h, s)
+    except BudgetExhausted:
+        return WResult(BUDGET)
+    if w is None:
+        return WResult(NOT_DEFINED)
+    if w == -h:
+        return WResult(BUDGET)
+    entry = None
+    if forward:
+        try:
+            entry = _window_start(lambda i: inside(-i, "+"), h, -h, s)
+        except BudgetExhausted:
+            entry = None
+        if entry == -h:
+            entry = None
+    return WResult(DEFINED, w, entry)
+
+
+class TestPowerOrbits:
+    """A proper power is scanned along its primitive root's orbit."""
+
+    @pytest.fixture(scope="class")
+    def step_cases(self, filling_spec, filling_ctx):
+        """(map, bound, roots): both directions of the fixture and of every
+        fifth rank-2 sweep map of length <= 5, each with the bound C of
+        its exact inverse and with none; roots are short primitive classes
+        and their first two iterates."""
+        cases = []
+        fixture_roots = [rose_class(filling_spec, "A"),
+                         rose_class(filling_spec, ["A", "B"])]
+        maps = [(filling_ctx.fwd, filling_ctx.bwd, fixture_roots)]
+        for f in rank2_products(5)[::5]:
+            g = invert_map(f)
+            assert compose_maps(f, g) == identity_map(2)
+            maps.append((MapTables(f), MapTables(g), rank2_roots(2)))
+        for f, g, roots in maps:
+            for bm, inv in ((f, g), (g, f)):
+                starts = []
+                for r in roots:
+                    starts += orbit(bm, r, 2, 10 ** 9, None)
+                for bound in (lip_product(bm, inv), None):
+                    cases.append((bm, bound, starts))
+        return cases
+
+    def test_power_step_is_root_step_raised(self, step_cases):
+        chunked = 0
+        for bm, bound, roots in step_cases:
+            for x in roots:
+                assert primitive_root(x) == x
+                s = _orbit_step(bm, x, 10 ** 9, None)
+                for k in (2, 3, 5):
+                    for cap in (k * len(s), k * len(s) - 1, 50, 10 ** 6):
+                        want = s * k if k * len(s) <= cap else None
+                        assert _orbit_step(bm, x * k, cap, bound) == want
+                        if bound is not None and \
+                                k * len(x) * max(map(len, bm)) > cap:
+                            chunked += 1
+        assert chunked > 1_000
+
+    def test_membership_reads_the_root(self):
+        # x^k holds a segment of length L exactly when x does, once
+        # len(x) >= L - 1; for shorter x the power is needed
+        alpha = FWD[:2] + BWD[:2]
+        segs = [w for n in range(1, 6)
+                for w in map("".join, itertools.product(alpha, repeat=n))
+                if reduce_word(w) == w]
+        words = [w for n in range(1, 5)
+                 for w in map("".join, itertools.product(alpha, repeat=n))
+                 if cyclic_reduce(w) == w]
+        for x in words:
+            for seg in segs:
+                if len(x) >= len(seg) - 1:
+                    for k in (2, 3):
+                        assert cyclic_contains(x * k, seg) == \
+                            cyclic_contains(x, seg)
+        a = FWD[0]
+        assert cyclic_contains(a * 3, a * 3) and not cyclic_contains(a, a * 3)
+
+    @pytest.mark.parametrize("cap", [10 ** 6, 3_000])
+    def test_w_of_powers_matches_unshared_scan(self, early_stop_cases, cap):
+        # the fixture and x1 -> x1' x2, x2 -> x2 x1' x2; one copy of each
+        # context scans forward too, the other backward only
+        for ctx, fixture_classes in early_stop_cases[:2]:
+            roots = rank2_roots(3) if ctx.rank == 2 else fixture_classes
+            full, back = (replace(ctx, cfg=ctx.cfg.with_overrides(
+                iterate_cap=cap)) for _ in range(2))
+            for r in roots:
+                for k in range(1, 5):
+                    want = unshared_w(full, r * k, True)
+                    assert w_of(full, r * k) == want, (r, k)
+                    assert w_of(back, r * k, forward=False) == \
+                        replace(want, fwd_entry=None), (r, k)
+
+    def test_power_stays_dead(self, early_stop_cases):
+        # the backward orbit of f^2(x1) shrinks back to x1; once the square's
+        # iterate has outgrown the cap, later short root iterates do not
+        # revive it, also when the root's own scan grew the orbit first
+        ctx = early_stop_cases[1][0]
+        start = orbit(ctx.fwd, FWD[0], 2, 10 ** 9, None)[2]
+        lengths = [len(w) for w in orbit(ctx.bwd, start, 2, 10 ** 9, None)]
+        assert lengths[1] > lengths[2] == 1
+        lazy = wproj_mod._LazyOrbit(start, ctx.bwd, 2, 2 * lengths[1] - 1,
+                                    ctx.cancellation_bound)
+        assert lazy.get(2) == FWD[0]
+        assert lazy.get(0, 2) == start
+        assert lazy.get(1, 2) is None and lazy.get(2, 2) is None
+        assert lazy.get(3) is None  # past the horizon
+
+    def test_powers_step_only_their_root(self, early_stop_cases,
+                                         monkeypatch):
+        ctx = replace(early_stop_cases[1][0])
+        stepped = []
+
+        def counted(bm, w, cap, bound):
+            stepped.append(w)
+            return _orbit_step(bm, w, cap, bound)
+
+        monkeypatch.setattr(wproj_mod, "_orbit_step", counted)
+        a = FWD[0]
+        for k in range(1, 5):
+            w_of(ctx, a * k)
+        assert list(ctx.orbits) == [a]
+        back, fore = ctx.orbits[a]
+        assert back.words[0] == fore.words[0] == a
+        assert back.bm is ctx.bwd and fore.bm is ctx.fwd
+        assert all(w in back.words or w in fore.words for w in stepped)
+        assert len(stepped) == (len(back.words) + back.dead
+                                + len(fore.words) + fore.dead - 2)
+        assert replace(ctx).orbits == {}
+        w_of(ctx, FWD[1])
+        assert list(ctx.orbits) == [FWD[1]]
 
 
 class TestCandidates:
