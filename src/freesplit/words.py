@@ -228,24 +228,18 @@ def _canonical_reduced(w: str) -> str:
 def cyclic_contains(cyclic: str, segment: str) -> bool:
     """True if ``segment`` or its inverse occurs in the doubled cyclic word.
 
-    A segment of length L <= n + 1, n = len(cyclic), occurs there exactly
-    when it occurs in the word itself or in its 2L - 2 letters around the
-    wrap, which hold every window starting at one of its last L - 1
-    positions; so the doubled copy is built only for longer segments.
+    Every length-L window of the doubled word, L = len(segment), equals
+    one starting among its first n = len(cyclic) letters, so the word is
+    searched with its first L - 1 letters appended: the doubled word
+    itself once L > n.
     """
     if not segment:
         return True
-    n, L = len(cyclic), len(segment)
-    if L > 2 * n:
+    L = len(segment)
+    if L > 2 * len(cyclic):
         return False
-    if L > n + 1:
-        doubled = cyclic + cyclic
-        return segment in doubled or invert(segment) in doubled
-    wrap = cyclic[n - L + 1:] + cyclic[:L - 1]
-    if segment in cyclic or segment in wrap:
-        return True
-    inv = invert(segment)
-    return inv in cyclic or inv in wrap
+    ext = cyclic + cyclic[:L - 1]
+    return segment in ext or invert(segment) in ext
 
 
 def path_contains(path: str, segment: str) -> bool:

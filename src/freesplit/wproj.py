@@ -42,11 +42,10 @@ class WContext:
     """Everything needed to evaluate the projection.
 
     Mutable only in ``m_hat``, which is set once by :func:`estimate_M`, in
-    the block memos of ``fwd`` and ``bwd``, in ``w_memo``, the results of
-    :func:`w_of`, and in ``orbits``, the iterates of the last primitive
-    root it scanned; the memos never change an output.  A copy made with
-    ``dataclasses.replace`` starts with an empty ``w_memo`` and
-    ``orbits``, as its ``cfg`` may differ.
+    the block memos of ``fwd`` and ``bwd`` and in ``w_memo``, the results
+    of :func:`w_of`; the memos never change an output.  A copy made with
+    ``dataclasses.replace`` starts with an empty ``w_memo``, as its
+    ``cfg`` may differ.
     """
 
     mg: MarkedGraph
@@ -66,10 +65,6 @@ class WContext:
     # its rotation), each with whether it is complete: scanned forward too,
     # or undefined, which has no forward entry
     w_memo: dict[str, tuple[WResult, bool]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    # the backward and forward orbits of the last primitive root w_of
-    # scanned, which its powers share (see _w_scan); one root at a time
-    orbits: dict[str, tuple[_LazyOrbit, _LazyOrbit]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -271,7 +266,8 @@ class _LazyOrbit:
         return None
 
 
-def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
+def w_of(ctx: WContext, cyclic: str, forward: bool = True,
+         orbits: dict | None = None) -> WResult:
     """Smallest w with the backward iterates on [w, w+s] inside the
     repelling neighborhood (s the stability margin).
 
@@ -283,31 +279,36 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True) -> WResult:
     inside the attracting neighborhood, None when it is cut short the same
     way or not asked for.  Results are memoized on the context; a call
     without ``forward`` reuses one made with it.  A proper power is
-    scanned along its primitive root's orbit, which consecutive powers of
-    one root share.
+    scanned along its primitive root's orbit.  A loop over classes may
+    hand every call the same dict as ``orbits``: it keeps the last root's
+    two orbits, which the next powers of that root share, and is freed
+    with the loop.
     """
     hit = ctx.w_memo.get(cyclic)
     if hit is not None and (hit[1] or not forward):
         return hit[0] if forward else replace(hit[0], fwd_entry=None)
-    res = _w_scan(ctx, cyclic, forward)
+    res = _w_scan(ctx, cyclic, forward, orbits)
     ctx.w_memo[cyclic] = (res, forward or not res.defined)
     return res
 
 
-def _root_orbits(ctx: WContext, root: str) -> tuple[_LazyOrbit, _LazyOrbit]:
-    """Backward and forward orbits of ``root``, kept on the context until a
-    scan of another root replaces them."""
-    pair = ctx.orbits.get(root)
+def _root_orbits(ctx: WContext, root: str,
+                 orbits: dict | None) -> tuple[_LazyOrbit, _LazyOrbit]:
+    """Backward and forward orbits of ``root``, taken from ``orbits`` when
+    it holds them; a new pair replaces what ``orbits`` held."""
+    pair = orbits.get(root) if orbits is not None else None
     if pair is None:
-        ctx.orbits.clear()
         cap, bound = ctx.cfg.iterate_cap, ctx.cancellation_bound
-        pair = ctx.orbits[root] = (
-            _LazyOrbit(root, ctx.bwd, ctx.cfg.horizon, cap, bound),
-            _LazyOrbit(root, ctx.fwd, ctx.cfg.horizon, cap, bound))
+        pair = (_LazyOrbit(root, ctx.bwd, ctx.cfg.horizon, cap, bound),
+                _LazyOrbit(root, ctx.fwd, ctx.cfg.horizon, cap, bound))
+        if orbits is not None:
+            orbits.clear()
+            orbits[root] = pair
     return pair
 
 
-def _w_scan(ctx: WContext, cyclic: str, forward: bool) -> WResult:
+def _w_scan(ctx: WContext, cyclic: str, forward: bool,
+            orbits: dict | None) -> WResult:
     """The scans of :func:`w_of`, unmemoized.
 
     The class c = r^k is scanned along the orbits of its primitive root r.
@@ -320,7 +321,7 @@ def _w_scan(ctx: WContext, cyclic: str, forward: bool) -> WResult:
     k = len(c) // len(root) if root else 1
     cfg = ctx.cfg
     h = cfg.horizon
-    back, fore = _root_orbits(ctx, root)
+    back, fore = _root_orbits(ctx, root, orbits)
     seg_len = {"+": len(ctx.seg_plus), "-": len(ctx.seg_minus)}
 
     def inside(t: int, side: str) -> bool | None:
@@ -411,8 +412,9 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
         candidates = candidate_classes(ffs, ctx.cfg.cand_len, ctx.cfg.cand_cap)
     best = None
     n_def = n_budget = 0
+    orbits = {}
     for c in candidates:
-        res = w_of(ctx, c, forward=False)
+        res = w_of(ctx, c, forward=False, orbits=orbits)
         if res.status == BUDGET:
             n_budget += 1
             continue
@@ -444,12 +446,13 @@ def estimate_M(ctx: WContext, samples) -> int:
     """
     spreads = []
     lags = []
+    orbits = {}
     for group in samples:
         values = []
         for c in group:
             # a translation batch repeats classes of the group before it,
             # which the context's memo answers
-            res = w_of(ctx, c)
+            res = w_of(ctx, c, orbits=orbits)
             if res.defined:
                 values.append(res.value)
                 if res.fwd_entry is not None:

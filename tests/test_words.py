@@ -211,8 +211,8 @@ class TestContainment:
 
     def test_same_as_doubled_word_search(self):
         # every word of length <= 5 over x, y and their inverses, against
-        # every segment of length <= 5 over x, y and X: both sides of the
-        # switch at len(segment) = len(word) + 1, and the too-long case
+        # every segment of length <= 5 over x, y and X: segments shorter
+        # and longer than the word, and the too-long case
         def doubled(c, seg):
             if len(seg) > 2 * len(c):
                 return not seg

@@ -502,18 +502,38 @@ class TestPowerOrbits:
 
         monkeypatch.setattr(wproj_mod, "_orbit_step", counted)
         a = FWD[0]
+        orbits = {}
         for k in range(1, 5):
-            w_of(ctx, a * k)
-        assert list(ctx.orbits) == [a]
-        back, fore = ctx.orbits[a]
+            w_of(ctx, a * k, orbits=orbits)
+        assert list(orbits) == [a]
+        back, fore = orbits[a]
         assert back.words[0] == fore.words[0] == a
         assert back.bm is ctx.bwd and fore.bm is ctx.fwd
         assert all(w in back.words or w in fore.words for w in stepped)
         assert len(stepped) == (len(back.words) + back.dead
                                 + len(fore.words) + fore.dead - 2)
-        assert replace(ctx).orbits == {}
-        w_of(ctx, FWD[1])
-        assert list(ctx.orbits) == [FWD[1]]
+        w_of(ctx, FWD[1], orbits=orbits)
+        assert list(orbits) == [FWD[1]]
+
+    def test_candidate_loop_frees_its_orbits(self, early_stop_cases,
+                                             monkeypatch):
+        # W_of_ffs hands all its candidates one orbit slot, which holds a
+        # single root at a time; the context gains no attribute
+        ctx = replace(early_stop_cases[1][0])
+        slots = []
+        real = wproj_mod._root_orbits
+
+        def recorded(ctx, root, orbits):
+            slots.append(orbits)
+            pair = real(ctx, root, orbits)
+            assert list(orbits) == [root]
+            return pair
+
+        monkeypatch.setattr(wproj_mod, "_root_orbits", recorded)
+        fields = set(vars(ctx))
+        W_of_ffs(ctx, ffs_from_generators(2, [FWD[0]]))
+        assert slots and all(o is slots[0] for o in slots)
+        assert set(vars(ctx)) == fields
 
 
 class TestCandidates:
