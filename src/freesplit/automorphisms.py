@@ -9,6 +9,8 @@ procedure for equality in the outer automorphism group.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .config import DEFAULT
 from .errors import BudgetExhausted, InvalidInput
 from .factors import folds_to_rose
@@ -65,6 +67,30 @@ class MapTables(BasisMap):
             stop[b] = invert(img[0]) if img else None
         return True
 
+    @cached_property
+    def abelian(self) -> tuple[tuple[int, ...], ...]:
+        """The abelianization matrix A: ab(f(x)) = A ab(x)."""
+        return abelianization(self)
+
+    @cached_property
+    def _norm_peaks(self) -> list:
+        # [A^j, G[0..j]] for the largest j asked for so far
+        return [abelianization(identity_map(len(self))), [1]]
+
+    def norm_peak(self, j: int) -> int:
+        """G[j], the largest 1-norm (greatest column sum of absolute
+        values) of A^i over i <= j.  A word is at least as long as the
+        1-norm of its abelianization, which j steps multiply by at most
+        G[j]."""
+        table = self._norm_peaks
+        power, peaks = table
+        while len(peaks) <= j:
+            power = mat_mul(self.abelian, power)
+            peaks.append(max([peaks[-1]]
+                             + [sum(map(abs, col)) for col in zip(*power)]))
+        table[0] = power
+        return peaks[j]
+
 
 def _tables(bm: BasisMap) -> MapTables:
     return bm if isinstance(bm, MapTables) else MapTables(bm)
@@ -112,16 +138,25 @@ def compose_maps(f: BasisMap, g: BasisMap) -> BasisMap:
     return tuple(reduce_images(t.images, w, t.stop) for w in g)
 
 
+def abelian_vector(word: str, rank: int) -> tuple[int, ...]:
+    """Exponent sum of each basis letter in ``word``: its image in Z^rank."""
+    return tuple(word.count(FWD[i]) - word.count(BWD[i]) for i in range(rank))
+
+
 def abelianization(bm: BasisMap) -> tuple[tuple[int, ...], ...]:
     """Integer matrix: entry (i, j) is the exponent sum of letter i in bm[j]."""
     n = len(bm)
-    cols = []
-    for w in bm:
-        col = [0] * n
-        for ch in w:
-            col[slot(ch)] += 1 if is_fwd(ch) else -1
-        cols.append(col)
-    return tuple(tuple(cols[j][i] for j in range(n)) for i in range(n))
+    return tuple(zip(*(abelian_vector(w, n) for w in bm)))
+
+
+def mat_vec(a, v) -> tuple[int, ...]:
+    """The integer matrix ``a`` (a tuple of rows) times the vector ``v``."""
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """The product of integer matrices given as tuples of rows."""
+    return tuple(zip(*(mat_vec(a, col) for col in zip(*b))))
 
 
 def is_signed_basis(bm: BasisMap) -> bool:

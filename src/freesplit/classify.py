@@ -13,7 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .automorphisms import MapTables, compose_maps, identity_map, outer_equal
+from .automorphisms import (MapTables, abelianization, compose_maps,
+                            identity_map, mat_mul, outer_equal)
 from .config import DEFAULT, Config
 from .errors import InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
@@ -96,15 +97,27 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
     """Least p with the p-th power inner, or None.
 
     Two cheap screens come before the conjugator search of ``outer_equal``.
-    A power with an image over ``INNER_POWER_MAX_LETTERS`` ends the search.
-    An inner power maps every basis letter to a conjugate of itself, so
-    each image must cyclically reduce to that letter; the screen also
-    passes its inverse, which ``outer_equal`` then rejects.
+    An inner automorphism acts trivially on H_1, so the first keeps only
+    the p with A^p = I, A the map's abelianization: at any other p
+    ``outer_equal`` would answer Distinct on the abelianization alone.
+    With no such p up to ``power_cap`` nothing is composed; otherwise the
+    powers are composed up to the largest, and one with an image over
+    ``INNER_POWER_MAX_LETTERS`` ends the search.  At a kept p, an inner
+    power maps every basis letter to a conjugate of itself, so the second
+    screen asks each image to cyclically reduce to its own letter; it also
+    passes the letter's inverse, which ``outer_equal`` then rejects.  The
+    first screen cannot thin out maps that permute the conjugacy classes
+    of the basis letters, such as the Artin action of a braid: there A is
+    a permutation matrix, and A^p = I exactly at the p the second screen
+    passes.
     """
-    basis = identity_map(mg.rank)
     step = MapTables(mg.induced_rose_map(f))  # its tables serve every power
+    candidates = _identity_powers(step.abelian, cfg.power_cap)
+    if not candidates:
+        return None
+    basis = identity_map(mg.rank)
     cur = basis
-    for p in range(1, cfg.power_cap + 1):
+    for p in range(1, candidates[-1] + 1):
         cur = compose_maps(step, cur)
         if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
             return None
@@ -112,12 +125,24 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
         # which holds exactly when w cyclically reduces to FWD[i] or BWD[i].
         # compose_maps returns reduced words, so strip_cyclic is their
         # cyclic reduction, and no rotation of a long image is searched.
-        if all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
-               for i in range(mg.rank)):
+        if p in candidates and all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
+                                   for i in range(mg.rank)):
             verdict, _ = outer_equal(cur, basis, cfg.outer_budget)
             if verdict == "Equal":
                 return p
     return None
+
+
+def _identity_powers(a, cap: int) -> list[int]:
+    """The p in 1..cap with a^p the identity, a a square integer matrix."""
+    identity = abelianization(identity_map(len(a)))
+    out = []
+    power = identity
+    for p in range(1, cap + 1):
+        power = mat_mul(a, power)
+        if power == identity:
+            out.append(p)
+    return out
 
 
 def _rotationless_power(f: GraphMap, cfg: Config) -> int:

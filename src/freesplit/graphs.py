@@ -215,7 +215,9 @@ class MarkedGraph:
         return reduce_images(images, word, stop)
 
     def circuit_to_rose_class(self, circuit: str) -> str:
-        return words.canonical_cyclic(self.path_to_rose(circuit))
+        # path_to_rose reduces over reduced images (those of invert_map)
+        return words._canonical_reduced(
+            words.strip_cyclic(self.path_to_rose(circuit)))
 
     def validate_marking(self, budget: int = DEFAULT.outer_budget) -> bool:
         comp = tuple(self.path_to_rose(w) for w in self.marking)
@@ -363,7 +365,9 @@ def map_circuit(f: GraphMap, circuit: str) -> str:
     if not f.source.is_closed(circuit):
         raise InvalidInput("not a closed path")
     f.source.check_path(circuit)
-    return words.canonical_cyclic(reduce_images(f.img, circuit, f.stop))
+    # edge images are reduced (checked by GraphMap), so the image is too
+    return words._canonical_reduced(
+        words.strip_cyclic(reduce_images(f.img, circuit, f.stop)))
 
 
 def iterate(f: GraphMap, path: str, k: int,

@@ -22,8 +22,8 @@ from .graphs import (Filtration, GraphMap, MarkedGraph, close_path,
                      map_circuit, map_path, minimal_invariant_superset,
                      strata, subgraph_factor_system)
 from .whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
-from .words import (FWD, canonical_cyclic, count_crossings, cyclic_contains,
-                    invert)
+from .words import (FWD, _canonical_reduced, canonical_cyclic,
+                    count_crossings, cyclic_contains, invert, strip_cyclic)
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,10 @@ class LaminationApprox:
     @cached_property
     def closure_classes(self) -> tuple[str, ...]:
         """Basis class of the closed-up segment at each depth 1..depth."""
+        # path_to_rose returns reduced words
         return tuple(
-            canonical_cyclic(self.mg.path_to_rose(close_path(self.mg, seg)))
+            _canonical_reduced(strip_cyclic(
+                self.mg.path_to_rose(close_path(self.mg, seg))))
             for seg in self.segments[1:])
 
 
@@ -91,12 +93,22 @@ def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
 # Weak attraction
 
 
-def _window_start(member, limit: int, floor: int, s: int) -> int | None:
+def _window_start(member, limit: int, floor: int, s: int,
+                  doomed=None) -> int | None:
     """Start of the first window [t, t+s] of members with t+s <= limit,
     pushed down while membership holds but never below ``floor``.
 
     ``member(t)`` is None when the iterate at t is past the length cap,
     which raises BudgetExhausted.  None when no window opens by ``limit``.
+
+    ``doomed(lo, hi)``, when given, is True only if ``member(u)`` will be
+    None for some u in [lo, hi].  Before testing t with a run of r members
+    behind it, the upward scan asks it about [t, min(t + s - r, limit)]: a
+    window completes at t + s - r at the earliest, and any later one
+    starts after a miss in that range, so the scan would reach such a u
+    before completing a window, or stop at ``limit`` first.  A yes raises
+    BudgetExhausted at once, as testing on would.  The push-down never
+    asks.
     """
     def test(t: int) -> bool:
         m = member(t)
@@ -106,6 +118,8 @@ def _window_start(member, limit: int, floor: int, s: int) -> int | None:
 
     run = 0
     for t in range(limit + 1):
+        if doomed is not None and doomed(t, min(t + s - run, limit)):
+            raise BudgetExhausted("iterates exceeded the length cap")
         run = run + 1 if test(t) else 0
         if run > s:
             start = t - s

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass, field, replace
+from functools import partial
 from itertools import islice
 
-from .automorphisms import (BasisMap, MapTables, apply_map, compose_maps,
-                            identity_map, invert_map, outer_equal)
+from .automorphisms import (BasisMap, MapTables, abelian_vector, apply_map,
+                            compose_maps, identity_map, invert_map, mat_vec,
+                            outer_equal)
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .factors import FreeFactorSystem, _dedupe, enumerate_classes, fold
@@ -228,9 +230,13 @@ class _LazyOrbit:
     step t >= 1 with k * len(words[t]) > cap and stay dead; ``peak[t]``,
     the longest root iterate of steps 1..t (0 at step 0, as a start is
     never capped), answers that for every k.
+
+    :meth:`doomed` tells, before a step is built, that the length cap has
+    already doomed a later one: a scan asks it to skip building the last,
+    longest iterates of an orbit that cannot open a window.
     """
 
-    def __init__(self, start: str, bm: BasisMap, horizon: int, cap: int,
+    def __init__(self, start: str, bm: MapTables, horizon: int, cap: int,
                  bound: int | None):
         self.words = [start]
         self.peak = [0]
@@ -239,6 +245,7 @@ class _LazyOrbit:
         self.cap = cap
         self.bound = bound
         self.dead = False
+        self.ab = None  # (step, abelianization of words[step]), on demand
 
     def get(self, t: int, k: int = 1) -> str | None:
         """Root iterate at step t, standing for the k-th power's; None past
@@ -264,6 +271,40 @@ class _LazyOrbit:
         if t < len(self.words) and k * self.peak[t] <= self.cap:
             return self.words[t]
         return None
+
+    def doomed(self, k: int, lo: int, hi: int) -> bool:
+        """True when the k-th power's iterate at a step in [lo, hi] not yet
+        built is provably longer than the cap, so that :meth:`get` will
+        answer None there; False says nothing.
+
+        A cyclically reduced word is at least as long as the 1-norm of its
+        abelianization, which cyclic reduction keeps and a step multiplies
+        by A = ``bm.abelian``.  So with x the last root iterate built,
+        k * ||A^j ab(x)||_1 > cap dooms the power's iterate j steps later.
+        As ||A^j v||_1 <= G[j] ||v||_1 <= G[j] len(x), G from
+        ``bm.norm_peak``, two cheap gates come first; the abelianization
+        of x is carried from the root's by one matrix-vector product a
+        step, and only once the first gate lets it through.
+        """
+        n = len(self.words)
+        hi = min(hi, self.horizon)
+        if hi < n or self.dead:
+            return False
+        bm, cap = self.bm, self.cap
+        grow = bm.norm_peak(hi - n + 1)
+        if k * len(self.words[-1]) * grow <= cap:
+            return False
+        step, v = self.ab or (0, abelian_vector(self.words[0], len(bm)))
+        for _ in range(step, n - 1):
+            v = mat_vec(bm.abelian, v)
+        self.ab = (n - 1, v)
+        if k * sum(map(abs, v)) * grow <= cap:
+            return False
+        for u in range(n, hi + 1):
+            v = mat_vec(bm.abelian, v)
+            if u >= lo and k * sum(map(abs, v)) > cap:
+                return True
+        return False
 
 
 def w_of(ctx: WContext, cyclic: str, forward: bool = True,
@@ -334,7 +375,8 @@ def _w_scan(ctx: WContext, cyclic: str, forward: bool,
         return in_U(ctx, word, side)
 
     try:
-        w = _window_start(lambda t: inside(t, "-"), h, -h, cfg.stability)
+        w = _window_start(lambda t: inside(t, "-"), h, -h, cfg.stability,
+                          partial(back.doomed, k))
     except BudgetExhausted:
         return WResult(BUDGET)
     if w is None:
@@ -345,7 +387,7 @@ def _w_scan(ctx: WContext, cyclic: str, forward: bool,
     if forward:
         with suppress(BudgetExhausted):
             entry = _window_start(lambda i: inside(-i, "+"), h, -h,
-                                  cfg.stability)
+                                  cfg.stability, partial(fore.doomed, k))
         if entry == -h:
             entry = None
     return WResult(DEFINED, w, entry)

@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -6,16 +7,20 @@ import sys
 import pytest
 
 from freesplit import cli
-from freesplit.automorphisms import (abelianization, compose_maps,
-                                     identity_map, invert_map)
-from freesplit.classify import (bounded_path_witness, classify,
+from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
+                                     identity_map, invert_map, outer_equal)
+from freesplit.classify import (INNER_POWER_MAX_LETTERS, _inner_power,
+                                bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.config import Config
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (compose, identity_graph_map, marked_rose,
                               print_marked_graph, realize_rose_endo, rose_map)
-from freesplit.words import BWD, FWD
+from freesplit.words import BWD, FWD, strip_cyclic
+
+# the package's ``classify`` function shadows the module of that name
+classify_mod = importlib.import_module("freesplit.classify")
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -103,6 +108,72 @@ class TestRank2Sweep:
                                      c.power]
         assert got == golden
         assert decided >= 270
+
+
+def inner_power_reference(mg, f, cfg):
+    """_inner_power as it searched before the abelianization screen:
+    every power up to the cap is composed and screened."""
+    basis = identity_map(mg.rank)
+    step = MapTables(mg.induced_rose_map(f))
+    cur = basis
+    for p in range(1, cfg.power_cap + 1):
+        cur = compose_maps(step, cur)
+        if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
+            return None
+        if all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
+               for i in range(mg.rank)):
+            verdict, _ = outer_equal(cur, basis, cfg.outer_budget)
+            if verdict == "Equal":
+                return p
+    return None
+
+
+def artin(i):
+    """The braid generator sigma_i acting on F_3: x_i -> x_i x_i+1 x_i^-1,
+    x_i+1 -> x_i."""
+    images = list(identity_map(3))
+    images[i - 1] = FWD[i - 1] + FWD[i] + BWD[i - 1]
+    images[i] = FWD[i - 1]
+    return tuple(images)
+
+
+class TestInnerPower:
+    def test_matches_search_of_every_power(self):
+        mg = marked_rose(2)
+        found = set()
+        for bm in rank2_products(6):
+            f = realize_rose_endo(mg, bm)
+            p = _inner_power(mg, f, Config())
+            assert p == inner_power_reference(mg, f, Config()), bm
+            found.add(p)
+        assert found == {None, 1, 2, 3, 4, 6}
+
+    @pytest.mark.parametrize("rank, bm, p", [
+        (2, ("b", "a"), 2),
+        (2, ("b", "A"), 4),
+        (2, ("ab", "A"), 6),
+        # (sigma1 sigma2)^3 is conjugation by x1 x2 x3
+        (3, compose_maps(artin(1), artin(2)), 3),
+        (3, artin(1), None),
+    ], ids=["swap", "quarter_turn", "sixth_turn", "sigma1sigma2", "sigma1"])
+    def test_named_maps(self, rank, bm, p):
+        mg = marked_rose(rank)
+        f = realize_rose_endo(mg, bm)
+        assert _inner_power(mg, f, Config()) == p
+
+    def test_infinite_order_on_h1_composes_nothing(self, monkeypatch):
+        composed = []
+
+        def counted(f, g):
+            composed.append(g)
+            return compose_maps(f, g)
+
+        monkeypatch.setattr(classify_mod, "compose_maps", counted)
+        mg = marked_rose(2)
+        for bm in (("a", "ba"), ("aba", "ab")):
+            assert _inner_power(mg, realize_rose_endo(mg, bm),
+                                Config()) is None
+        assert composed == []
 
 
 class TestPeriodicWitness:

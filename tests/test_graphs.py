@@ -121,6 +121,14 @@ class TestMapCircuit:
             assert map_circuit(ident, c) == c
 
 
+    def test_image_is_canonical_cyclic_of_the_tightened_image(self, frd):
+        # map_circuit skips free reduction: the edge images are reduced
+        mg, g, f = frd
+        for word in ("A", "A B", "X B' Z", "A A B'", "X Y Z A B"):
+            c = g.parse_path(word)
+            assert map_circuit(f, c) == canonical_cyclic(map_path(f, c))
+
+
 class TestIterate:
     def test_zero_is_input(self, frd):
         mg, g, f = frd
@@ -373,6 +381,20 @@ class TestMarking:
         for i, n in enumerate(names):
             by_hand[mg.graph.slot_of[n]] = FWD[i]
         assert mg.marking_inv == tuple(by_hand)
+
+    def test_marking_inverse_is_reduced(self, frd):
+        # path_to_rose maps through reduced images, so its words are reduced
+        # and circuit_to_rose_class needs no free reduction
+        mg, g, f = frd
+        graphs = [mg, mg.remark(f), mg.remark(compose(f, f))]
+        graphs += [fixture(n).mg for n in fixture_names()
+                   if not fixture(n).stub]
+        for m in graphs:
+            assert all(reduce_word(w) == w for w in m.marking_inv)
+            loops = [m.rose_to_path(FWD[i]) for i in range(m.rank)]
+            for c in loops + [p + q for p in loops for q in loops]:
+                assert m.circuit_to_rose_class(c) == \
+                    canonical_cyclic(m.path_to_rose(c))
 
     def test_remark_twice_is_composed(self, frd):
         mg, g, f = frd

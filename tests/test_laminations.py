@@ -1,17 +1,19 @@
 import dataclasses
+import itertools
 import math
 
 import pytest
 
 from freesplit import laminations
 from freesplit.config import Config
-from freesplit.errors import InvalidInput
+from freesplit.errors import BudgetExhausted, InvalidInput
 from freesplit.fixtures import fixture
 from freesplit.graphs import (close_path, compose, identity_graph_map, iterate,
                               strata)
-from freesplit.laminations import (_stabilized_fills, lamination_approx,
-                                   lamination_fills, laminations_jointly_fill,
-                                   pf_estimate, weakly_attracted)
+from freesplit.laminations import (_stabilized_fills, _window_start,
+                                   lamination_approx, lamination_fills,
+                                   laminations_jointly_fill, pf_estimate,
+                                   weakly_attracted)
 from freesplit.whitehead import FILLS, PROPER, UNKNOWN
 from freesplit.words import BWD, FWD
 
@@ -108,6 +110,93 @@ class TestWeakAttraction:
         r1 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, small)
         r2 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, big)
         assert r1.attracted and r2.attracted and r1.index == r2.index
+
+
+def window_start_reference(member, limit, floor, s):
+    """_window_start as it scanned before the look-ahead."""
+    def test(t):
+        m = member(t)
+        if m is None:
+            raise BudgetExhausted("iterates exceeded the length cap")
+        return m
+
+    run = 0
+    for t in range(limit + 1):
+        run = run + 1 if test(t) else 0
+        if run > s:
+            start = t - s
+            while start > floor and test(start - 1):
+                start -= 1
+            return start
+    return None
+
+
+def window_outcome(scan, seq, floor, *args):
+    """(result, tested steps): the start or None, or "raise"."""
+    tested = []
+
+    def member(t):
+        tested.append(t)
+        return seq[t - floor]
+
+    try:
+        return scan(member, *args), tested
+    except BudgetExhausted:
+        return "raise", tested
+
+
+class TestWindowLookAhead:
+    """A look-ahead that is True only where a step will be None changes
+    no outcome of _window_start, and only ever tests fewer steps."""
+
+    FLOOR = -1
+
+    def test_same_outcome_on_every_member_sequence(self):
+        floor = self.FLOOR
+        early = 0
+        # members of steps floor..6: past every limit + s tried below
+        for seq in itertools.product((True, False, None), repeat=8):
+            nones = [t for t, m in enumerate(seq, floor) if m is None]
+
+            def exact(lo, hi):
+                return any(lo <= u <= hi for u in nones)
+
+            def ahead_only(lo, hi):
+                # knows nothing of the step about to be tested
+                return any(lo < u <= hi for u in nones)
+
+            for limit in range(5):
+                for s in (1, 2):
+                    want, tested = window_outcome(window_start_reference, seq,
+                                                  floor, limit, floor, s)
+                    for doomed in (exact, ahead_only):
+                        got, seen = window_outcome(_window_start, seq, floor,
+                                                   limit, floor, s, doomed)
+                        assert got == want, (seq, limit, s)
+                        assert seen == tested[:len(seen)]
+                        early += len(seen) < len(tested)
+        assert early > 1_000
+
+    def test_none_past_the_limit_is_not_asked_about(self):
+        # no window by the limit: the scan ends without reaching step 3
+        seq = (True, False, True, None)
+        got, _ = window_outcome(_window_start, seq, 0, 2, 0, 2,
+                                lambda lo, hi: hi >= 3)
+        assert got is None
+
+    def test_run_shortens_the_range(self):
+        # with a run of 2 behind step 2 the window closes at step 3; a
+        # None at step 4 is not asked about
+        asked = []
+
+        def doomed(lo, hi):
+            asked.append((lo, hi))
+            return hi >= 4
+
+        got, _ = window_outcome(_window_start, (True,) * 4 + (None,), 0,
+                                5, 0, 3, doomed)
+        assert got == 0
+        assert asked == [(0, 3), (1, 3), (2, 3), (3, 3)]
 
 
 class TestLaminationFills:

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
 import freesplit.wproj as wproj_mod
-from freesplit.automorphisms import (MapTables, apply_map, compose_maps,
-                                     identity_map, invert_map)
+from freesplit.automorphisms import (MapTables, abelian_vector,
+                                     abelianization, apply_map, compose_maps,
+                                     identity_map, invert_map, mat_vec)
+from freesplit.classify import classify
+from freesplit.config import Config
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators, whole_group
 from freesplit.fixtures import fixture
@@ -534,6 +537,118 @@ class TestPowerOrbits:
         W_of_ffs(ctx, ffs_from_generators(2, [FWD[0]]))
         assert slots and all(o is slots[0] for o in slots)
         assert set(vars(ctx)) == fields
+
+
+def rank2_cyclic_words(max_len):
+    """Cyclically reduced rank-2 words of length 1..max_len."""
+    return [w for n in range(1, max_len + 1)
+            for w in map("".join, itertools.product(FWD[:2] + BWD[:2],
+                                                    repeat=n))
+            if cyclic_reduce(w) == w]
+
+
+def l1(v):
+    return sum(map(abs, v))
+
+
+class TestAbelianLookAhead:
+    """|w| >= ||ab(w)||_1, and ab(f(x)) = A ab(x): a scan stops before
+    building iterates the length cap has already doomed."""
+
+    def test_iterates_outgrow_their_abelianization(self):
+        words = rank2_cyclic_words(4)
+        checked = 0
+        for f in rank2_products(5)[::5]:
+            bm = MapTables(f)
+            for x in words:
+                w, v = x, abelian_vector(x, 2)
+                for t in range(13):
+                    assert abelian_vector(w, 2) == v
+                    assert l1(v) <= len(w)
+                    checked += 1
+                    if t == 12 or len(w) > 5_000:
+                        break
+                    w = _orbit_step(bm, w, 10 ** 9, None)
+                    v = mat_vec(bm.abelian, v)
+        assert checked > 10_000
+
+    def test_norm_peak_bounds_every_power(self, filling_ctx):
+        for f in rank2_products(5)[::5] + [tuple(filling_ctx.fwd)]:
+            bm = MapTables(f)
+            power, norms = identity_map(len(f)), []
+            for j in range(8):
+                cols = zip(*abelianization(power))
+                norms.append(max(l1(c) for c in cols))
+                assert bm.norm_peak(j) == max(norms)
+                power = compose_maps(f, power)
+
+    def test_doomed_is_sound(self, early_stop_cases):
+        # a step that doomed() condemns is one get() refuses, for every
+        # state of the orbit, range and power
+        fired = 0
+        for ctx, _ in early_stop_cases[1:]:
+            for bm in (ctx.fwd, ctx.bwd):
+                for cap, root, k in itertools.product(
+                        (40, 300), rank2_roots(2), (1, 2, 3)):
+                    def fresh():
+                        return wproj_mod._LazyOrbit(root, bm, 10, cap,
+                                                    ctx.cancellation_bound)
+                    ref = fresh()
+                    refused = [ref.get(u, k) is None for u in range(11)]
+                    for built in range(11):
+                        lazy = fresh()
+                        lazy.get(built)
+                        n = len(lazy.words)
+                        for lo in range(n + 1):
+                            for hi in range(lo, min(lo + 4, 10) + 1):
+                                if lazy.doomed(k, lo, hi):
+                                    fired += 1
+                                    assert any(refused[lo:hi + 1])
+        assert fired > 100
+
+    @pytest.mark.parametrize("cap", [10 ** 6, 20_000, 2_000, 1_000])
+    def test_w_of_matches_scan_without_look_ahead(self, early_stop_cases,
+                                                  cap, monkeypatch):
+        # x1 -> x1' x2, x2 -> x2 x1' x2 and x1 -> x2' x1', x2 -> x2 x1 x2:
+        # the rank-2 sweep's two slowest maps
+        fired = count_look_aheads(monkeypatch)
+        for ctx, _ in early_stop_cases[1:]:
+            capped = replace(ctx, cfg=ctx.cfg.with_overrides(iterate_cap=cap))
+            for r, k, forward in itertools.product(rank2_roots(2),
+                                                   range(1, 5), (True, False)):
+                fresh = replace(capped)
+                want = unshared_w(fresh, r * k, forward)
+                assert w_of(fresh, r * k, forward) == want, (r, k, forward)
+        assert fired[0] > 0
+
+    @pytest.mark.parametrize("name", ["rank2_tr3", "rank2_tr-3", "rank2_tr4"])
+    def test_classify_matches_without_look_ahead(self, name, monkeypatch):
+        fired = count_look_aheads(monkeypatch)
+        got = {}
+        for cap in (1_000, 2_000, 5_000, 20_000):
+            cfg = Config(iterate_cap=cap)
+            got[cap] = classify(fixture(name, cfg), cfg).to_json()
+        assert fired[0] > 0
+        monkeypatch.setattr(wproj_mod._LazyOrbit, "doomed",
+                            lambda self, k, lo, hi: False)
+        for cap in got:
+            cfg = Config(iterate_cap=cap)
+            assert classify(fixture(name, cfg), cfg).to_json() == got[cap]
+
+
+def count_look_aheads(monkeypatch):
+    """Wrap _LazyOrbit.doomed; the returned list holds how often it
+    answered True."""
+    fired = [0]
+    real = wproj_mod._LazyOrbit.doomed
+
+    def doomed(self, k, lo, hi):
+        answer = real(self, k, lo, hi)
+        fired[0] += answer
+        return answer
+
+    monkeypatch.setattr(wproj_mod._LazyOrbit, "doomed", doomed)
+    return fired
 
 
 class TestCandidates:
