@@ -73,23 +73,10 @@ class MapTables(BasisMap):
         return abelianization(self)
 
     @cached_property
-    def _norm_peaks(self) -> list:
-        # [A^j, G[0..j]] for the largest j asked for so far
-        return [abelianization(identity_map(len(self))), [1]]
-
-    def norm_peak(self, j: int) -> int:
-        """G[j], the largest 1-norm (greatest column sum of absolute
-        values) of A^i over i <= j.  A word is at least as long as the
-        1-norm of its abelianization, which j steps multiply by at most
-        G[j]."""
-        table = self._norm_peaks
-        power, peaks = table
-        while len(peaks) <= j:
-            power = mat_mul(self.abelian, power)
-            peaks.append(max([peaks[-1]]
-                             + [sum(map(abs, col)) for col in zip(*power)]))
-        table[0] = power
-        return peaks[j]
+    def norm(self) -> int:
+        """||A||_1, the greatest column sum of absolute values of A: a
+        step multiplies the 1-norm of an abelianization by at most this."""
+        return max(sum(map(abs, col)) for col in zip(*self.abelian))
 
 
 def _tables(bm: BasisMap) -> MapTables:
@@ -138,9 +125,13 @@ def compose_maps(f: BasisMap, g: BasisMap) -> BasisMap:
     return tuple(reduce_images(t.images, w, t.stop) for w in g)
 
 
+# abelian_vector and mat_vec build their tuples from lists: tuple() of a
+# generator shrinks a tuple of guessed length, and CPython parks each such
+# tuple on its free list when freed, one a call, up to 2,000 per length.
 def abelian_vector(word: str, rank: int) -> tuple[int, ...]:
     """Exponent sum of each basis letter in ``word``: its image in Z^rank."""
-    return tuple(word.count(FWD[i]) - word.count(BWD[i]) for i in range(rank))
+    return tuple([word.count(FWD[i]) - word.count(BWD[i])
+                  for i in range(rank)])
 
 
 def abelianization(bm: BasisMap) -> tuple[tuple[int, ...], ...]:
@@ -151,7 +142,7 @@ def abelianization(bm: BasisMap) -> tuple[tuple[int, ...], ...]:
 
 def mat_vec(a, v) -> tuple[int, ...]:
     """The integer matrix ``a`` (a tuple of rows) times the vector ``v``."""
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(x * y for x, y in zip(row, v)) for row in a])
 
 
 def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:

@@ -319,7 +319,10 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
 
 def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
              power: int | None = None) -> Classification:
-    """Run the full pipeline on a loaded example."""
+    """Run the full pipeline on a loaded example; ``power``, when given,
+    is the positive power of f to classify through."""
+    if power is not None and power < 1:
+        raise InvalidInput(f"power must be at least 1, got {power}")
     if spec.stub:
         raise InvalidInput("stub fixtures cannot be classified")
     mg, f = spec.mg, spec.f

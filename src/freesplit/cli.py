@@ -120,6 +120,8 @@ def cmd_leaf(args) -> int:
     if not 0 <= args.stratum < len(eg):
         raise InvalidInput(f"--stratum must be in 0..{len(eg) - 1}, the map's "
                            f"{len(eg)} exponential strata")
+    if args.depth < 0:
+        raise InvalidInput(f"--depth must be at least 0, got {args.depth}")
     idx = eg[args.stratum]
     lam = lamination_approx(spec.mg, spec.f, idx, cfg, filt)
     segs = {k: spec.mg.graph.print_path(s) for k, s in

@@ -101,12 +101,13 @@ def _window_start(member, limit: int, floor: int, s: int,
     ``member(t)`` is None when the iterate at t is past the length cap,
     which raises BudgetExhausted.  None when no window opens by ``limit``.
 
-    ``doomed(lo, hi)``, when given, is True only if ``member(u)`` will be
-    None for some u in [lo, hi].  Before testing t with a run of r members
-    behind it, the upward scan asks it about [t, min(t + s - r, limit)]: a
-    window completes at t + s - r at the earliest, and any later one
-    starts after a miss in that range, so the scan would reach such a u
-    before completing a window, or stop at ``limit`` first.  A yes raises
+    ``doomed(hi)``, when given, is True only if ``member(u)`` is None for
+    some u in [0, hi].  Before testing t with a run of r members behind
+    it, the upward scan asks it about hi = min(t + s - r, limit): steps
+    below t have been tested, so a yes names a miss in [t, hi].  A window
+    completes at t + s - r at the earliest, and any later one starts after
+    a miss in that range, so the scan would reach such a u before
+    completing a window, or stop at ``limit`` first.  A yes raises
     BudgetExhausted at once, as testing on would.  The push-down never
     asks.
     """
@@ -118,7 +119,7 @@ def _window_start(member, limit: int, floor: int, s: int,
 
     run = 0
     for t in range(limit + 1):
-        if doomed is not None and doomed(t, min(t + s - run, limit)):
+        if doomed is not None and doomed(min(t + s - run, limit)):
             raise BudgetExhausted("iterates exceeded the length cap")
         run = run + 1 if test(t) else 0
         if run > s:

@@ -232,8 +232,8 @@ class _LazyOrbit:
     never capped), answers that for every k.
 
     :meth:`doomed` tells, before a step is built, that the length cap has
-    already doomed a later one: a scan asks it to skip building the last,
-    longest iterates of an orbit that cannot open a window.
+    already doomed one up to a given step: a scan asks it to skip building
+    the last, longest iterates of an orbit that cannot open a window.
     """
 
     def __init__(self, start: str, bm: MapTables, horizon: int, cap: int,
@@ -245,7 +245,10 @@ class _LazyOrbit:
         self.cap = cap
         self.bound = bound
         self.dead = False
-        self.ab = None  # (step, abelianization of words[step]), on demand
+        # norms[t]: the largest ||A^u ab(start)||_1 over steps 1..t; ab is
+        # A^t ab(start) for the last t in norms
+        self.norms = [0]
+        self.ab = abelian_vector(start, len(bm))
 
     def get(self, t: int, k: int = 1) -> str | None:
         """Root iterate at step t, standing for the k-th power's; None past
@@ -272,39 +275,29 @@ class _LazyOrbit:
             return self.words[t]
         return None
 
-    def doomed(self, k: int, lo: int, hi: int) -> bool:
-        """True when the k-th power's iterate at a step in [lo, hi] not yet
-        built is provably longer than the cap, so that :meth:`get` will
-        answer None there; False says nothing.
+    def doomed(self, k: int, hi: int) -> bool:
+        """True when the k-th power's iterate at some step in [0, hi] is
+        provably longer than the cap, so that :meth:`get` answers None
+        there; False says nothing.
 
         A cyclically reduced word is at least as long as the 1-norm of its
         abelianization, which cyclic reduction keeps and a step multiplies
-        by A = ``bm.abelian``.  So with x the last root iterate built,
-        k * ||A^j ab(x)||_1 > cap dooms the power's iterate j steps later.
-        As ||A^j v||_1 <= G[j] ||v||_1 <= G[j] len(x), G from
-        ``bm.norm_peak``, two cheap gates come first; the abelianization
-        of x is carried from the root's by one matrix-vector product a
-        step, and only once the first gate lets it through.
+        by A = ``bm.abelian``.  So the iterate at step t is at least
+        ||A^t ab(root)||_1 long, whichever iterates have been built, and
+        ``norms[t]``, the largest of these over steps 1..t, answers for
+        every k.  One gate comes first: j steps past the last built
+        iterate x that norm is at most ||A||_1^j len(x), so when
+        k len(x) ||A||_1^j <= cap for the farthest step in range, no step
+        not yet built is doomed and the norms are not extended.
         """
-        n = len(self.words)
-        hi = min(hi, self.horizon)
-        if hi < n or self.dead:
+        bm, norms = self.bm, self.norms
+        reach = max(hi - len(self.words) + 1, 0)
+        if k * len(self.words[-1]) * bm.norm ** reach <= self.cap:
             return False
-        bm, cap = self.bm, self.cap
-        grow = bm.norm_peak(hi - n + 1)
-        if k * len(self.words[-1]) * grow <= cap:
-            return False
-        step, v = self.ab or (0, abelian_vector(self.words[0], len(bm)))
-        for _ in range(step, n - 1):
-            v = mat_vec(bm.abelian, v)
-        self.ab = (n - 1, v)
-        if k * sum(map(abs, v)) * grow <= cap:
-            return False
-        for u in range(n, hi + 1):
-            v = mat_vec(bm.abelian, v)
-            if u >= lo and k * sum(map(abs, v)) > cap:
-                return True
-        return False
+        while len(norms) <= hi:
+            self.ab = mat_vec(bm.abelian, self.ab)
+            norms.append(max(norms[-1], sum(map(abs, self.ab))))
+        return k * norms[hi] > self.cap
 
 
 def w_of(ctx: WContext, cyclic: str, forward: bool = True,

@@ -240,6 +240,13 @@ class TestClassify:
         with pytest.raises(InvalidInput):
             classify(fixture("surface_example"))
 
+    @pytest.mark.parametrize("power", [0, -2])
+    @pytest.mark.parametrize("name", ["rank2_tr3", "rank2_tr0"])
+    def test_power_below_one_rejected(self, name, power):
+        # rank2_tr0 has an inner power, which classify finds first
+        with pytest.raises(InvalidInput):
+            classify(fixture(name), power=power)
+
     def test_linear_example_generator_is_periodic(self):
         spec = fixture("linear_example", i=1, j=1)
         gen_spec = ExampleSpec("theta", spec.mg,
@@ -375,6 +382,13 @@ class TestCLI:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("command", ["classify", "report"])
+    @pytest.mark.parametrize("power", ["0", "-2"])
+    def test_invalid_power_exit_code(self, command, power, capsys):
+        argv = [command, "--fixture", "rank2_tr3", "--power", power]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_distance_command(self):
         res = run_cli("distance", "--fixture", "bdd_no_periodic", "--k", "1",
                       "--json")
@@ -400,6 +414,12 @@ class TestCLI:
     def test_leaf_stratum_out_of_range(self, stratum, capsys):
         # filling_reducible has exactly one exponential stratum
         argv = ["leaf", "--fixture", "filling_reducible", "--stratum", stratum]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("depth", ["-1", "-3"])
+    def test_leaf_negative_depth(self, depth, capsys):
+        argv = ["leaf", "--fixture", "filling_reducible", "--depth", depth]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

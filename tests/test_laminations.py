@@ -158,18 +158,18 @@ class TestWindowLookAhead:
         for seq in itertools.product((True, False, None), repeat=8):
             nones = [t for t, m in enumerate(seq, floor) if m is None]
 
-            def exact(lo, hi):
-                return any(lo <= u <= hi for u in nones)
+            def exact(hi):
+                return any(0 <= u <= hi for u in nones)
 
-            def ahead_only(lo, hi):
-                # knows nothing of the step about to be tested
-                return any(lo < u <= hi for u in nones)
+            def blind_to_farthest(hi):
+                # knows nothing of the farthest step asked about
+                return any(0 <= u < hi for u in nones)
 
             for limit in range(5):
                 for s in (1, 2):
                     want, tested = window_outcome(window_start_reference, seq,
                                                   floor, limit, floor, s)
-                    for doomed in (exact, ahead_only):
+                    for doomed in (exact, blind_to_farthest):
                         got, seen = window_outcome(_window_start, seq, floor,
                                                    limit, floor, s, doomed)
                         assert got == want, (seq, limit, s)
@@ -181,7 +181,7 @@ class TestWindowLookAhead:
         # no window by the limit: the scan ends without reaching step 3
         seq = (True, False, True, None)
         got, _ = window_outcome(_window_start, seq, 0, 2, 0, 2,
-                                lambda lo, hi: hi >= 3)
+                                lambda hi: hi >= 3)
         assert got is None
 
     def test_run_shortens_the_range(self):
@@ -189,14 +189,14 @@ class TestWindowLookAhead:
         # None at step 4 is not asked about
         asked = []
 
-        def doomed(lo, hi):
-            asked.append((lo, hi))
+        def doomed(hi):
+            asked.append(hi)
             return hi >= 4
 
         got, _ = window_outcome(_window_start, (True,) * 4 + (None,), 0,
                                 5, 0, 3, doomed)
         assert got == 0
-        assert asked == [(0, 3), (1, 3), (2, 3), (3, 3)]
+        assert asked == [3, 3, 3, 3]
 
 
 class TestLaminationFills:

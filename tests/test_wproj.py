@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
 import freesplit.wproj as wproj_mod
-from freesplit.automorphisms import (MapTables, abelian_vector,
-                                     abelianization, apply_map, compose_maps,
-                                     identity_map, invert_map, mat_vec)
+from freesplit.automorphisms import (MapTables, abelian_vector, apply_map,
+                                     compose_maps, identity_map, invert_map,
+                                     mat_vec)
 from freesplit.classify import classify
 from freesplit.config import Config
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
@@ -565,6 +565,7 @@ class TestAbelianLookAhead:
                 for t in range(13):
                     assert abelian_vector(w, 2) == v
                     assert l1(v) <= len(w)
+                    assert l1(mat_vec(bm.abelian, v)) <= bm.norm * l1(v)
                     checked += 1
                     if t == 12 or len(w) > 5_000:
                         break
@@ -572,19 +573,9 @@ class TestAbelianLookAhead:
                     v = mat_vec(bm.abelian, v)
         assert checked > 10_000
 
-    def test_norm_peak_bounds_every_power(self, filling_ctx):
-        for f in rank2_products(5)[::5] + [tuple(filling_ctx.fwd)]:
-            bm = MapTables(f)
-            power, norms = identity_map(len(f)), []
-            for j in range(8):
-                cols = zip(*abelianization(power))
-                norms.append(max(l1(c) for c in cols))
-                assert bm.norm_peak(j) == max(norms)
-                power = compose_maps(f, power)
-
     def test_doomed_is_sound(self, early_stop_cases):
-        # a step that doomed() condemns is one get() refuses, for every
-        # state of the orbit, range and power
+        # doomed() condemns only a range holding a step get() refuses, for
+        # every state of the orbit, range and power
         fired = 0
         for ctx, _ in early_stop_cases[1:]:
             for bm in (ctx.fwd, ctx.bwd):
@@ -598,13 +589,38 @@ class TestAbelianLookAhead:
                     for built in range(11):
                         lazy = fresh()
                         lazy.get(built)
-                        n = len(lazy.words)
-                        for lo in range(n + 1):
-                            for hi in range(lo, min(lo + 4, 10) + 1):
-                                if lazy.doomed(k, lo, hi):
-                                    fired += 1
-                                    assert any(refused[lo:hi + 1])
+                        for hi in range(11):
+                            if lazy.doomed(k, hi):
+                                fired += 1
+                                assert any(refused[:hi + 1])
         assert fired > 100
+
+    def test_doomed_sees_every_unbuilt_step(self, early_stop_cases):
+        # when a step not yet built, at most hi, has an abelianization
+        # whose 1-norm k times exceeds the cap, doomed(k, hi) says so: the
+        # gate in front of the norms lets every such range through
+        seen = 0
+        for ctx, _ in early_stop_cases[1:]:
+            for bm in (ctx.fwd, ctx.bwd):
+                for root in rank2_roots(2):
+                    # ||ab(f^u(root))||_1 for u = 0..10, by composed powers
+                    power, norms = identity_map(2), []
+                    for _ in range(11):
+                        norms.append(l1(abelian_vector(
+                            apply_map(power, root), 2)))
+                        power = compose_maps(bm, power)
+                    for cap, k, built in itertools.product(
+                            (40, 300), (1, 2, 3), range(11)):
+                        lazy = wproj_mod._LazyOrbit(root, bm, 10, cap,
+                                                    ctx.cancellation_bound)
+                        lazy.get(built)
+                        n = len(lazy.words)
+                        for hi in range(11):
+                            if any(k * norms[u] > cap
+                                   for u in range(n, hi + 1)):
+                                seen += 1
+                                assert lazy.doomed(k, hi), (root, k, hi)
+        assert seen > 100
 
     @pytest.mark.parametrize("cap", [10 ** 6, 20_000, 2_000, 1_000])
     def test_w_of_matches_scan_without_look_ahead(self, early_stop_cases,
@@ -630,7 +646,7 @@ class TestAbelianLookAhead:
             got[cap] = classify(fixture(name, cfg), cfg).to_json()
         assert fired[0] > 0
         monkeypatch.setattr(wproj_mod._LazyOrbit, "doomed",
-                            lambda self, k, lo, hi: False)
+                            lambda self, k, hi: False)
         for cap in got:
             cfg = Config(iterate_cap=cap)
             assert classify(fixture(name, cfg), cfg).to_json() == got[cap]
@@ -642,8 +658,8 @@ def count_look_aheads(monkeypatch):
     fired = [0]
     real = wproj_mod._LazyOrbit.doomed
 
-    def doomed(self, k, lo, hi):
-        answer = real(self, k, lo, hi)
+    def doomed(self, k, hi):
+        answer = real(self, k, hi)
         fired[0] += answer
         return answer
 
