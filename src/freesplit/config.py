@@ -2,9 +2,9 @@
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints; no randomness anywhere.  A segment length, candidate cap or
-outer budget below 1, or a horizon shorter than the stability margin,
-raise InvalidInput on construction.  Limits no caller varies are module
+plain ints; no randomness anywhere.  A segment length, candidate cap,
+Whitehead letter budget or outer budget below 1, or a horizon shorter
+than the stability margin, raise InvalidInput on construction.  Limits no caller varies are module
 constants where they are used, not fields here.
 """
 
@@ -47,6 +47,9 @@ class Config:
             raise InvalidInput("outer budget must be >= 1")
         if self.cand_cap < 1:
             raise InvalidInput("candidate cap must be >= 1")
+        if self.whitehead_max_letters < 1:
+            # a budget of 0 would make every fills verdict Unknown
+            raise InvalidInput("Whitehead letter budget must be >= 1")
 
     def with_overrides(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

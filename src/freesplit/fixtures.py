@@ -57,8 +57,10 @@ def _check_sigma_fills(mg: MarkedGraph, g1_names: list[str], sigma_path: str,
          **{BWD[s]: BWD[i] for i, s in enumerate(g1_slots)}})
     word = sigma_path.translate(down)
     verdict = fills([word], len(g1_slots), cfg)
+    reason = f" ({verdict.reason})" if verdict.reason else ""
     _require(verdict.kind == FILLS,
-             f"base word does not fill its invariant subgraph: {verdict.kind}")
+             "base word does not fill its invariant subgraph: "
+             f"{verdict.kind}{reason}")
 
 
 def filling_reducible(m: int = 3, sigma: str | None = None,

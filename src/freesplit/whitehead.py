@@ -2,21 +2,28 @@
 
 Total cyclic length of a set of conjugacy classes is driven to a local
 minimum by Whitehead moves (a local minimum is global for this length
-function).  For one multiplier, the length change of a move is a
-submodular quadratic in its per-letter bits, read off the cyclic
-adjacency counts, so one s-t minimum cut minimizes it exactly (Roig,
-Ventura and Weil, IJAC 2007).  Minimizers are closed under bitwise AND
-and OR.  The nodes reachable from the source after a max flow are the
+function).  For one multiplier m, the length change of a move is
+cap(A, ∁A) - deg(m) in the Whitehead graph, A the letters whose images
+end in m: a submodular quadratic in the move's per-letter bits, so one
+minimum cut between m and m^-1 minimizes it exactly (Roig, Ventura and
+Weil, IJAC 2007).  The graph is built once per step and each flow runs
+on a copy of it.  As cap >= 0 the change is at least -deg(m), so a
+multiplier with deg(m) = 0, or with -deg(m) above the least change
+already found, is skipped without a flow.  Minimizers are closed under
+bitwise AND and OR.  The nodes reachable from m after a max flow are the
 least minimizer, below every other one, the move an enumeration of all
 4^(n-1) bit assignments in increasing order keeps first; the nodes that
-cannot reach the sink are the greatest.  The move (m^-1, L, R) is
+cannot reach m^-1 are the greatest.  The move (m^-1, L, R) is
 (m, ∁L, ∁R) followed by conjugation by m, so it gives the same cyclic
 classes and the length change f_{m^-1}(x) = f_m(1 - x): one max flow per
 multiplier letter gives both orientations, the least minimizer for m^-1
-being the complement of the greatest for m.  Length changes do not
+being the complement of the greatest for m.  A move maps a cyclically
+reduced word by one ``str.translate`` to the letters' images and one
+``replace`` of m m^-1, the only pair that cancels, once per maximal run
+of m^{±1}, then a strip of the cyclic ends.  Length changes do not
 depend on the rotation or orientation of a word, so the iterates stay
-cyclically reduced images under the moves' own letter tables, and only
-the minimum is put in canonical form.
+cyclically reduced images, and only the minimum is put in canonical
+form.
 At the minimum no move shortens the set, and two facts about its
 Whitehead graph follow.  (i) Every component is closed under inversion:
 were x in a component C without x^-1, the move (C, x) would change the
@@ -37,13 +44,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .automorphisms import BasisMap, MapTables, compose_maps, identity_map
+from .automorphisms import BasisMap, compose_maps, identity_map
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
 from .factors import (FreeFactorSystem, _dedupe, carries, fold, partition,
                       whole_group)
-from .words import (BWD, FWD, _canonical_reduced, canonical_cyclic, invert,
-                    reduce_images, sort_key, strip_cyclic)
+from .words import (BWD, FWD, _canonical_reduced, canonical_cyclic,
+                    image_table, invert, sort_key, strip_cyclic)
 
 FILLS = "Fills"
 PROPER = "ProperFactor"
@@ -92,9 +99,20 @@ class Move:
 
 
 def _class_images(move: Move, rank: int, words) -> list[str]:
-    """Cyclically reduced images of ``words`` under a move."""
-    t = MapTables(move.basis_map(rank))
-    return [strip_cyclic(reduce_images(t.images, w, t.stop)) for w in words]
+    """Cyclically reduced images of cyclically reduced ``words`` under a
+    move, each letter translated to its image at C speed.
+
+    A letter's image ends in m only if it is m or has the right bit, and
+    begins with m^-1 only if it is m^-1 or has the left bit, so in the
+    translated word each maximal run of m^{±1} reads [m] m^{±k} [m^-1]:
+    at most its one pair m m^-1 cancels, and nothing else does.  Inside
+    the word one ``replace`` removes those pairs; a run that wraps round
+    the ends cancels in :func:`strip_cyclic`.
+    """
+    m = move.multiplier
+    table = str.maketrans(image_table(move.basis_map(rank)))
+    mm = m + invert(m)
+    return [strip_cyclic(w.translate(table).replace(mm, "")) for w in words]
 
 
 def _canonical_set(words) -> tuple[str, ...]:
@@ -106,56 +124,60 @@ def apply_move(move: Move, rank: int, cyclic_word: str) -> str:
     return _canonical_reduced(_class_images(move, rank, [cyclic_word])[0])
 
 
-def _pair_counts(rank: int, classes) -> tuple[list[list[int]], list[int]]:
-    """Cyclic adjacency counts P[u][v] and occurrence counts, oriented
-    letters indexed fwd slots then bwd slots."""
+def _whitehead_network(rank: int, classes) -> tuple[list[list[int]],
+                                                    list[list[int]]]:
+    """Whitehead graph of cyclically reduced classes: the symmetric matrix
+    of edge weights over oriented letters, fwd slots then bwd slots, each
+    cyclic adjacency u v adding 1 to the edge {u, v^-1}, and each node's
+    neighbours.  Node u has degree occ(u) + occ(u^-1): it is an end of one
+    edge for each pair starting with u and for each pair ending in u^-1.
+    """
     col = {**{FWD[g]: g for g in range(rank)},
            **{BWD[g]: rank + g for g in range(rank)}}
     dim = 2 * rank
-    P = [[0] * dim for _ in range(dim)]
-    occ = [0] * dim
+    cap = [[0] * dim for _ in range(dim)]
     pairs: Counter = Counter()
     for w in classes:
         pairs.update(zip(w, w[1:] + w[:1]))
     for (a, b), k in pairs.items():
-        u = col[a]
-        occ[u] += k
-        P[u][col[b]] += k
-    return P, occ
+        u, v = col[a], (col[b] + rank) % dim
+        cap[u][v] += k
+        cap[v][u] += k
+    adj = [[v for v in range(dim) if row[v]] for row in cap]
+    return cap, adj
 
 
-def _min_cut(cap) -> tuple[int, list[int], list[int]]:
-    """Edmonds–Karp max flow from node 0 to node 1 of a capacity matrix.
+def _min_cut(cap, adj, s: int, t: int) -> tuple[int, list[int], list[int]]:
+    """Edmonds–Karp max flow from node s to node t of a capacity matrix.
 
-    ``cap`` becomes the residual matrix.  Returns the flow value, the nodes
-    reachable from 0 in the residual graph and the nodes that reach 1 in
-    it.  The source sides of the minimum cuts are closed under union and
-    intersection; the first list is the least of them and the complement
-    of the second the greatest, whichever maximum flow was found.  Each
-    augmenting search runs over adjacency lists of the nonzero entries in
-    either direction, built once, and stops once it reaches node 1.
+    ``cap`` becomes the residual matrix; ``adj`` lists, for each node, the
+    nodes joined to it by a nonzero entry in either direction, the only
+    pairs whose residual capacity can be nonzero.  Returns the flow value,
+    the nodes reachable from s in the residual graph and the nodes that
+    reach t in it.  The source sides of the minimum cuts are closed under
+    union and intersection; the first list is the least of them and the
+    complement of the second the greatest, whichever maximum flow was
+    found.  Each augmenting search stops once it reaches t.
     """
     size = len(cap)
-    adj = [[v for v in range(size) if cap[u][v] or cap[v][u]]
-           for u in range(size)]
     flow = 0
     while True:
         prev = [-1] * size
-        prev[0] = 0
-        queue = [0]
+        prev[s] = s
+        queue = [s]
         for u in queue:
             row = cap[u]
             for v in adj[u]:
                 if row[v] and prev[v] < 0:
                     prev[v] = u
                     queue.append(v)
-            if prev[1] >= 0:
+            if prev[t] >= 0:
                 break
-        if prev[1] < 0:
+        if prev[t] < 0:
             break
         path = []
-        v = 1
-        while v:
+        v = t
+        while v != s:
             path.append((prev[v], v))
             v = prev[v]
         push = min(cap[u][v] for u, v in path)
@@ -164,8 +186,8 @@ def _min_cut(cap) -> tuple[int, list[int], list[int]]:
             cap[v][u] += push
         flow += push
     reach = [False] * size
-    reach[1] = True
-    sink = [1]
+    reach[t] = True
+    sink = [t]
     for v in sink:
         for u in adj[v]:
             if cap[u][v] and not reach[u]:
@@ -178,81 +200,53 @@ def _least_moves(rank: int, classes) -> tuple[int, list[tuple[Move, tuple]]]:
     """Least length change below 0 and the moves reaching it, by one
     minimum cut per multiplier letter; (0, []) when none shortens.
 
-    With m = x_p and bits l_g, r_g on every other letter g, the length
-    change of the move (m, L, R) is
+    With m = x_p, put the letter u in A when the move's image of u ends in
+    m: m itself, g when g has the right bit and g^-1 when g has the left
+    bit, never m^-1.  The length change of the move is then
 
-        f_m = sum_g occ(g±)(l_g + r_g)  -  2 sum_{u,v} P[u][v] e(u) b(v),
+        f_m = cap(A, ∁A) - deg(m)
 
-    where e(u) says that the image of u ends in m and b(v) that the image
-    of v begins with m^-1 (e(m) = b(m^-1) = 1, e(m^-1) = b(m) = 0).  Every
-    pair coefficient is nonpositive, so the cut with "bit = 1 iff source
-    side" minimizes it.  The move (m^-1, L, R) is (m, ∁L, ∁R) followed by
-    conjugation by m, so it gives the same cyclic classes and
+    in the Whitehead graph (:func:`_whitehead_network`).  Charge each m
+    ending an image and each m^-1 starting one to the cyclic adjacency u v
+    at whose junction it sits: u v holds one letter when exactly one of u
+    and v^-1 is in A, as a pair m m^-1 cancels, and the deg(m) letters
+    m^{±1} of the word itself were there before the move.  So a minimum
+    cut between m and m^-1, with "bit = 1 iff source side", minimizes it,
+    and f_m >= -deg(m): a multiplier with deg(m) = 0, or with -deg(m)
+    above the least change found so far, can neither win nor tie and gets
+    no flow.  The move (m^-1, L, R) is (m, ∁L, ∁R)
+    followed by conjugation by m, so it gives the same cyclic classes and
     f_{m^-1}(x) = f_m(1 - x): both orientations reach the same least
     change, and the least minimizer for m^-1 is the complement of the
     greatest one for m.  So one max flow serves both: its least cut gives
     the move for m, the complement of its greatest cut the one for m^-1,
     listed in that order per p.  Each move is tagged with p and its cut in
     the m orientation, which fix the classes it gives; the two tags of a p
-    are equal when its least and greatest cuts coincide.
+    are equal when its least and greatest cuts coincide.  The graph is
+    built once, and each flow runs on a copy of it.
     """
-    P, occ = _pair_counts(rank, classes)
-    dim = 2 * rank
-    pairs = [(u, v, 2 * P[u][v]) for u in range(dim) for v in range(dim)
-             if P[u][v]]
+    cap, adj = _whitehead_network(rank, classes)
+    nodes = frozenset(range(2 * rank))
     best_delta = 0
     best: list[tuple[Move, tuple]] = []
     for p in range(rank):
-        others = [g for g in range(rank) if g != p]
-        if not others:
+        deg = sum(cap[p])
+        if not deg or -deg > best_delta:
             continue
-        # node 0 = s, which also stands for the constant bit 1; node 1 = t;
-        # nodes 2 + 2j and 3 + 2j = left and right bit of others[j]
-        size = 2 + 2 * len(others)
-        ends: list[int | None] = [None] * dim
-        begins: list[int | None] = [None] * dim
-        lin = [0] * size
-        for j, g in enumerate(others):
-            left, right = 2 + 2 * j, 3 + 2 * j
-            ends[g], ends[rank + g] = right, left
-            begins[g], begins[rank + g] = left, right
-            lin[left] = lin[right] = occ[g] + occ[rank + g]
-        # multiplier m = FWD[p]: its image ends in m, that of m^-1 begins
-        # with m^-1
-        ends[p] = begins[rank + p] = 0
-        cap = [[0] * size for _ in range(size)]
-        for u, v, w in pairs:
-            a, b = ends[u], begins[v]
-            if a is None or b is None:
-                continue
-            # -w x_a x_b = -w x_a + w x_a (1 - x_b): edge a -> b
-            lin[a] -= w
-            if a != b:
-                cap[a][b] += w
-        # a x_i costs a on edge i -> t if a > 0, else a + |a| (1 - x_i)
-        # with |a| on edge s -> i; lin[0] collects the constant terms
-        delta = lin[0]
-        for i in range(2, size):
-            if lin[i] > 0:
-                cap[i][1] += lin[i]
-            elif lin[i] < 0:
-                delta += lin[i]
-                cap[0][i] -= lin[i]
-        flow, low, high = _min_cut(cap)
-        delta += flow
+        flow, low, high = _min_cut([row[:] for row in cap], adj, p, rank + p)
+        delta = flow - deg
         if delta >= 0 or delta > best_delta:
             continue
         if delta < best_delta:
             best_delta, best = delta, []
+        others = [g for g in range(rank) if g != p]
+        least = frozenset(low)
         # the greatest cut in the m orientation is the complement of high
-        least = frozenset(low) - {0}
-        greatest = frozenset(range(2, size)).difference(high)
+        greatest = nodes.difference(high)
         for ch, side, bits in ((FWD[p], least, least),
                                (BWD[p], greatest, set(high))):
-            move = Move(ch, frozenset(g for j, g in enumerate(others)
-                                      if 2 + 2 * j in bits),
-                        frozenset(g for j, g in enumerate(others)
-                                  if 3 + 2 * j in bits))
+            move = Move(ch, frozenset(g for g in others if rank + g in bits),
+                        frozenset(g for g in others if g in bits))
             best.append((move, (p, side)))
     return best_delta, best
 
@@ -330,23 +324,10 @@ def inverse_log_map(log, rank: int) -> BasisMap:
 
 
 def whitehead_graph(rank: int, classes):
-    """Adjacency sets over oriented letters 0..2n-1 (fwd then bwd)."""
-    P, occ = _pair_counts(rank, classes)
-    dim = 2 * rank
-    adj = [set() for _ in range(dim)]
-
-    def invcol(u):
-        return u + rank if u < rank else u - rank
-
-    for u in range(dim):
-        for v in range(dim):
-            if P[u][v]:
-                a, b = u, invcol(v)
-                adj[a].add(b)
-                adj[b].add(a)
-    used = {u for u in range(dim) if occ[u]}
-    used |= {invcol(u) for u in used}
-    return adj, used
+    """Adjacency sets over oriented letters 0..2n-1 (fwd then bwd), and
+    the letters with an edge."""
+    _, adj = _whitehead_network(rank, classes)
+    return [set(a) for a in adj], {u for u in range(2 * rank) if adj[u]}
 
 
 @dataclass(frozen=True)

@@ -382,6 +382,20 @@ class TestCLI:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_zero_whitehead_budget_exit_code(self, monkeypatch, capsys):
+        monkeypatch.setenv("FREESPLIT_WHITEHEAD_MAX_LETTERS", "0")
+        assert cli.main(["classify", "--fixture", "rank2_tr3"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Whitehead letter budget" in err
+
+    def test_fixture_fills_check_names_its_reason(self, monkeypatch, capsys):
+        # a budget below the base word's length leaves its verdict Unknown
+        monkeypatch.setenv("FREESPLIT_WHITEHEAD_MAX_LETTERS", "3")
+        assert cli.main(["classify", "--fixture", "filling_reducible"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: base word does not fill its invariant "
+                       "subgraph: Unknown (class set exceeds letter budget)\n")
+
     @pytest.mark.parametrize("command", ["classify", "report"])
     @pytest.mark.parametrize("power", ["0", "-2"])
     def test_invalid_power_exit_code(self, command, power, capsys):

@@ -50,6 +50,12 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             load_config(env={"FREESPLIT_CAND_CAP": "0"})
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_invalid_whitehead_budget_rejected_on_load(self, budget):
+        # a budget of 0 would make every fills verdict Unknown
+        with pytest.raises(InvalidInput, match="Whitehead letter budget"):
+            load_config(env={"FREESPLIT_WHITEHEAD_MAX_LETTERS": budget})
+
     def test_with_overrides(self):
         cfg = Config().with_overrides(cand_len=6)
         assert cfg.cand_len == 6 and Config().cand_len != 6

@@ -1,18 +1,23 @@
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from freesplit import whitehead
-from freesplit.automorphisms import apply_map, identity_map
+from freesplit import cli, whitehead
+from freesplit.automorphisms import MapTables, apply_map, identity_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
-                                 _least_moves, _pair_counts, apply_move,
-                                 fills, free_factor_support,
-                                 whitehead_graph, whitehead_minimize)
-from freesplit.words import BWD, FWD, canonical_cyclic, invert, sort_key
+                                 _least_moves, apply_move, fills,
+                                 free_factor_support, whitehead_graph,
+                                 whitehead_minimize)
+from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_reduce, invert,
+                             reduce_images, sort_key, strip_cyclic)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -24,6 +29,20 @@ def replay_move_log(classes, rank, log):
     for mv in log:
         cur = {apply_move(mv, rank, w) for w in cur}
     return tuple(sorted(cur, key=sort_key))
+
+
+def _pair_counts(rank, classes):
+    """Cyclic adjacency counts P[u][v] and occurrence counts, oriented
+    letters indexed fwd slots then bwd slots."""
+    col = {**{FWD[g]: g for g in range(rank)},
+           **{BWD[g]: rank + g for g in range(rank)}}
+    P = [[0] * (2 * rank) for _ in range(2 * rank)]
+    occ = [0] * (2 * rank)
+    for w in classes:
+        for a, b in zip(w, w[1:] + w[:1]):
+            occ[col[a]] += 1
+            P[col[a]][col[b]] += 1
+    return P, occ
 
 
 def all_moves(rank):
@@ -172,7 +191,8 @@ def _break_ties(rank, classes, best_delta, best):
 
 def _min_cut_matrix(cap):
     """Reference max flow: Edmonds–Karp scanning whole matrix rows;
-    returns the flow and the nodes reachable from 0 in the residual."""
+    returns the flow, the nodes reachable from 0 in the residual and the
+    nodes that reach 1 in it."""
     nodes = range(len(cap))
     flow = 0
     while True:
@@ -185,7 +205,10 @@ def _min_cut_matrix(cap):
                     prev[v] = u
                     queue.append(v)
         if prev[1] < 0:
-            return flow, queue
+            sink = [1]
+            for v in sink:
+                sink += [u for u in nodes if cap[u][v] and u not in sink]
+            return flow, queue, sink
         path = []
         v = 1
         while v:
@@ -240,7 +263,7 @@ def _best_move_two_cuts(rank, classes):
                 elif lin[i] < 0:
                     delta += lin[i]
                     cap[0][i] -= lin[i]
-            flow, side = _min_cut_matrix(cap)
+            flow, side, _ = _min_cut_matrix(cap)
             delta += flow
             if delta >= 0 or delta > best_delta:
                 continue
@@ -266,6 +289,103 @@ def _minimize_canonical(classes, rank):
             return tuple(cur), sum(len(w) for w in cur), log
         cur = sorted({apply_move(move, rank, w) for w in cur}, key=sort_key)
         log.append(move)
+
+
+def _least_moves_dense(rank, classes):
+    """Reference move search without the shortcuts: a dense network per
+    multiplier over its left and right bits, every multiplier flowed, both
+    orientations read off one flow's least and greatest cuts; the tags
+    name p and the cut in the m orientation."""
+    P, occ = _pair_counts(rank, classes)
+    dim = 2 * rank
+    pairs = [(u, v, 2 * P[u][v]) for u in range(dim) for v in range(dim)
+             if P[u][v]]
+    best_delta = 0
+    best = []
+    for p in range(rank):
+        others = [g for g in range(rank) if g != p]
+        if not others:
+            continue
+        size = 2 + 2 * len(others)
+        ends = [None] * dim
+        begins = [None] * dim
+        lin = [0] * size
+        for j, g in enumerate(others):
+            left, right = 2 + 2 * j, 3 + 2 * j
+            ends[g], ends[rank + g] = right, left
+            begins[g], begins[rank + g] = left, right
+            lin[left] = lin[right] = occ[g] + occ[rank + g]
+        ends[p] = begins[rank + p] = 0
+        cap = [[0] * size for _ in range(size)]
+        for u, v, w in pairs:
+            a, b = ends[u], begins[v]
+            if a is None or b is None:
+                continue
+            lin[a] -= w
+            if a != b:
+                cap[a][b] += w
+        delta = lin[0]
+        for i in range(2, size):
+            if lin[i] > 0:
+                cap[i][1] += lin[i]
+            elif lin[i] < 0:
+                delta += lin[i]
+                cap[0][i] -= lin[i]
+        flow, low, high = _min_cut_matrix(cap)
+        delta += flow
+        if delta >= 0 or delta > best_delta:
+            continue
+        if delta < best_delta:
+            best_delta, best = delta, []
+        least = frozenset(low) - {0}
+        greatest = frozenset(range(2, size)).difference(high)
+        for ch, side, bits in ((FWD[p], least, least),
+                               (BWD[p], greatest, set(high))):
+            move = Move(ch, frozenset(g for j, g in enumerate(others)
+                                      if 2 + 2 * j in bits),
+                        frozenset(g for j, g in enumerate(others)
+                                  if 3 + 2 * j in bits))
+            best.append((move, (p, side)))
+    return best_delta, best
+
+
+def _images_by_letter_tables(move, rank, words):
+    """Reference move images: the move's letter tables, reduced letter by
+    letter, then cyclically."""
+    t = MapTables(move.basis_map(rank))
+    return [strip_cyclic(reduce_images(t.images, w, t.stop)) for w in words]
+
+
+def _minimize_dense(classes, rank):
+    """Reference minimizer without the shortcuts: :func:`_least_moves_dense`,
+    ties among the first 32 moves scored once per tag, iterates kept as
+    images under letter tables."""
+    cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
+    log = []
+    while True:
+        best_delta, best = _least_moves_dense(rank, cur)
+        if not best:
+            break
+        tied = best[:32]
+        if all(tag == tied[0][1] for _, tag in tied):
+            move, scored = tied[0][0], None
+        else:
+            images = {}
+            for mv, tag in tied:
+                if tag not in images:
+                    images[tag] = tuple(sorted(
+                        map(canonical_cyclic,
+                            _images_by_letter_tables(mv, rank, cur)),
+                        key=sort_key))
+            move, tag = min(tied,
+                            key=lambda t: tuple(map(sort_key, images[t[1]])))
+            scored = images[tag]
+        cur = list(scored) if scored else \
+            _images_by_letter_tables(move, rank, cur)
+        log.append(move)
+    minimized = tuple(sorted(map(canonical_cyclic, cur), key=sort_key)) \
+        if log else tuple(cur)
+    return minimized, sum(len(w) for w in minimized), log
 
 
 # Starting class sets of the Whitehead fills test of bdd_no_periodic(3) and
@@ -361,6 +481,97 @@ class TestOneFlow:
         assert fwd in tags and bwd in tags and tags[fwd] == tags[bwd]
         assert apply_move(fwd, 2, x + y) == apply_move(bwd, 2, x + y) == x
         assert _best_move(2, [x + y])[:2] == (delta, fwd) == (-1, fwd)
+
+
+def cyclically_reduced_words(rank, max_len):
+    """Every cyclically reduced word of length 1..max_len, all rotations
+    and orientations."""
+    letters = FWD[:rank] + BWD[:rank]
+    return [w for n in range(1, max_len + 1)
+            for w in map("".join, itertools.product(letters, repeat=n))
+            if cyclic_reduce(w) == w]
+
+
+class TestStepShortcuts:
+    """Each minimization step skips multipliers that cannot reach the
+    least change, builds one Whitehead graph for all of its flows and maps
+    classes by a translation and one replace; every move, tie and
+    minimized set is that of the dense reference, which flows every
+    multiplier on its own network and maps by letter tables."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 8).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                          min_size=1, max_size=16).map("".join),
+                 min_size=1, max_size=4))))
+    @example((2, [x + y]))
+    @example((7, BDD_RANK7))
+    @example((8, BDD_RANK8))
+    def test_matches_dense_reference(self, case):
+        rank, words = case
+        classes = sorted({c for c in map(canonical_cyclic, words) if c},
+                         key=sort_key) or [x]
+        delta, got = _least_moves(rank, classes)
+        ref_delta, ref = _least_moves_dense(rank, classes)
+        assert (delta, [mv for mv, _ in got]) == \
+            (ref_delta, [mv for mv, _ in ref])
+        # tags are equal exactly where the reference's are
+        assert [[a == b for _, b in got] for _, a in got] == \
+            [[a == b for _, b in ref] for _, a in ref]
+        assert whitehead_minimize(classes, rank) == \
+            _minimize_dense(classes, rank)
+
+    def test_class_images_match_letter_tables(self):
+        # every Whitehead move on every cyclically reduced word of rank 2
+        # up to length 7 and of rank 3 up to length 5
+        cases = 0
+        for rank, max_len in ((2, 7), (3, 5)):
+            words = cyclically_reduced_words(rank, max_len)
+            for mv in all_moves(rank):
+                assert whitehead._class_images(mv, rank, words) == \
+                    _images_by_letter_tables(mv, rank, words), mv
+                cases += len(words)
+        assert cases == 428_800
+
+    def test_pruned_multipliers_cannot_reach_the_least_change(
+            self, monkeypatch):
+        # a flow from m to m^-1 runs exactly for the multipliers with
+        # deg(m) > 0 and -deg(m) <= the least change so far; each one
+        # skipped has least change >= -deg(m) > that change, or >= 0
+        flowed = []
+        min_cut = whitehead._min_cut
+
+        def recorded(cap, adj, s, t):
+            flowed.append(s)
+            return min_cut(cap, adj, s, t)
+
+        monkeypatch.setattr(whitehead, "_min_cut", recorded)
+        at_bound = 0
+        for rank, classes in ([(2, c) for c in short_class_sets(2, 6, 3)]
+                              + [(3, c) for c in short_class_sets(3, 3, 3)]
+                              + [(7, BDD_RANK7), (8, BDD_RANK8)]):
+            flowed.clear()
+            _least_moves(rank, classes)
+            cap, adj = whitehead._whitehead_network(rank, classes)
+            best, expected = 0, []
+            for p in range(rank):
+                deg = sum(cap[p])
+                flow, _, _ = min_cut([row[:] for row in cap], adj, p,
+                                     rank + p)
+                delta = flow - deg
+                assert deg == sum(cap[rank + p]) and delta >= -deg
+                if deg and -deg <= best:
+                    expected.append(p)
+                    at_bound += -deg == best < 0
+                else:
+                    assert delta >= 0 or delta > best, (classes, p)
+                if delta < best:
+                    best = delta
+            assert flowed == expected, classes
+        # multipliers whose bound only ties the least change so far are
+        # flowed, as their moves join the tie
+        assert at_bound
 
 
 class TestMinimize:
@@ -522,6 +733,28 @@ class TestFills:
         moved = [canonical_cyclic(apply_map(bm, w)) for w in classes]
         kinds = {fills(classes, rank).kind, fills(moved, rank).kind}
         assert len(kinds - {UNKNOWN}) <= 1, (classes, bm)
+
+
+class TestFillsGolden:
+    """Reports of :func:`fills`, move logs included, as recorded before
+    the step shortcuts."""
+
+    with open(os.path.join(GOLDEN, "whitehead_fills.json")) as fh:
+        CASES = json.load(fh)
+
+    @pytest.mark.parametrize("case", CASES, ids=[c["case"] for c in CASES])
+    def test_report_matches_golden(self, case):
+        rank = case["rank"]
+        assert fills(case["classes"], rank).to_json(rank) == case["report"]
+
+    @pytest.mark.parametrize("case", [c for c in CASES if "fixture" in c],
+                             ids=lambda c: c["case"])
+    def test_cli_report_matches_golden(self, case, capsys):
+        argv = ["fills", "--fixture", case["fixture"], "--classes",
+                *case["tokens"], "--json"]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["results"] == \
+            case["report"]
 
 
 class TestSupport:
