@@ -2,21 +2,21 @@
 
 A basis map on rank ``n`` is a tuple of ``n`` reduced words (images of
 the basis letters) over the internal alphabet of :mod:`freesplit.words`.
-This layer supplies composition, abelianization, inversion by Nielsen
-reduction with recorded elementary moves, and a budgeted decision
-procedure for equality in the outer automorphism group.
+This layer supplies map application and composition, abelianization,
+and two exact decisions with no budget: the inverse of an automorphism,
+read off a labelled Stallings fold of its images, and equality in the
+outer automorphism group, which asks whether one map after the other's
+inverse is conjugation by a word.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .config import DEFAULT
-from .errors import BudgetExhausted, InvalidInput
-from .factors import folds_to_rose
-from .words import (FWD, BWD, image_table, invert, is_fwd, junction,
-                    primitive_root, reduce_images, reduce_word, slot,
-                    stop_table, strip_cyclic)
+from .errors import InvalidInput
+from .factors import _wedge
+from .words import (FWD, BWD, image_table, invert, is_fwd, reduce_images,
+                    reduce_word, reduced_product, stop_table, strip_cyclic)
 
 BasisMap = tuple[str, ...]
 
@@ -150,146 +150,95 @@ def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(mat_vec(a, col) for col in zip(*b))))
 
 
-def is_signed_basis(bm: BasisMap) -> bool:
-    if any(len(w) != 1 for w in bm):
-        return False
-    slots = [slot(w) for w in bm]
-    return sorted(slots) == list(range(len(bm)))
-
-
 # ---------------------------------------------------------------------------
-# Inversion by Nielsen reduction
+# Inversion by a labelled fold
 
 
-def _elementary_moves(n: int):
-    # (i, j, side, sign): replace w_i by  w_i * w_j^sign  (side="R")
-    # or  w_j^sign * w_i  (side="L").  Deterministic enumeration order.
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for side in "RL":
-                for sign in (1, -1):
-                    yield i, j, side, sign
+def invert_map(bm: BasisMap) -> BasisMap:
+    """The inverse automorphism, read off a labelled Stallings fold.
 
-
-def _move_words(tup: list[str], move) -> tuple[str, str]:
-    # the two reduced words that the move concatenates
-    i, j, side, sign = move
-    other = tup[j] if sign == 1 else invert(tup[j])
-    return (tup[i], other) if side == "R" else (other, tup[i])
-
-
-def _gain(tup: list[str], move) -> int:
-    """Length drop of the replaced word: 2k - |w_j|, with k the letters
-    cancelling at the one junction of the two reduced words."""
-    return 2 * junction(*_move_words(tup, move)) - len(tup[move[1]])
-
-
-def _apply_move(tup: list[str], move) -> str:
-    u, v = _move_words(tup, move)
-    k = junction(u, v)
-    return u[:len(u) - k] + v[k:]
-
-
-def _move_basis_map(n: int, move) -> BasisMap:
-    # Precomposition substitution corresponding to a tuple move.
-    i, j, side, sign = move
-    letter = FWD[j] if sign == 1 else BWD[j]
-    images = list(identity_map(n))
-    images[i] = FWD[i] + letter if side == "R" else letter + FWD[i]
-    return tuple(images)
-
-
-def invert_map(bm: BasisMap, budget: int = DEFAULT.outer_budget) -> BasisMap:
-    """Inverse automorphism via greedy Nielsen reduction of the image tuple.
-
-    Raises InvalidInput when the images do not define an automorphism
-    (certified by folding), BudgetExhausted if reduction stalls on a
-    length plateau longer than the budget allows.
+    The wedge of loops spelling the images is folded onto the rose.  Each
+    edge also carries a domain word: the first edge of loop i reads x_i
+    and the others read nothing, so a loop at the base spelling w carries
+    a domain word d with bm(d) = w.  Before two edges are identified, the
+    larger far end is re-gauged so that both carry the same word, and
+    merged into the smaller: re-gauging a vertex by g appends g to the
+    words of the edges into it and prepends g^-1 to those out of it,
+    which changes no loop through it.  So the base 0 is never re-gauged,
+    and the petal x_j of the folded rose reads bm^-1(x_j).  Raises
+    InvalidInput unless the fold ends at the rose (n words generate F_n
+    exactly when they are a basis) and the result inverts ``bm``.
     """
-    if any(not w for w in bm):
-        raise InvalidInput("trivial basis image; not an automorphism")
-    if is_signed_basis(bm):
-        return _invert_signed_basis(bm)
-    # n words generate F_n iff they generate freely: fold their wedge of
-    # loops and ask for the based rose.
-    if not folds_to_rose(bm, len(bm)):
-        raise InvalidInput("basis images do not generate; not an automorphism")
-
-    moves, rho = _nielsen_reduce([reduce_word(w) for w in bm], budget)
-    acc = _invert_signed_basis(rho)
-    for move in reversed(moves):
-        acc = compose_maps(_move_basis_map(len(bm), move), acc)
-    return acc
-
-
-def _nielsen_reduce(tup: list[str], budget: int):
-    """Elementary moves taking the reduced tuple to a signed basis, and
-    that basis.  Each step takes the first move of greatest gain."""
-    n = len(tup)
-    moves = []
-    steps = 0
-    while not is_signed_basis(tuple(tup)):
-        if steps > budget:
-            raise BudgetExhausted("Nielsen reduction exceeded budget")
-        steps += 1
-        best = None
-        for move in _elementary_moves(n):
-            gain = _gain(tup, move)
-            if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, move)
-        if best is not None:
-            move = best[1]
-            tup[move[0]] = _apply_move(tup, move)
-            moves.append(move)
-            continue
-        plateau = _escape_plateau(tup, n, budget)
-        if plateau is None:
-            # Generating n-tuples always reduce to a signed basis, so a
-            # genuine dead end means the fold check above was fooled;
-            # treat as a budget problem rather than guessing.
-            raise BudgetExhausted("Nielsen reduction stalled")
-        moves.extend(plateau[0])
-        tup = plateau[1]
-    return moves, tuple(tup)
-
-
-def _invert_signed_basis(bm: BasisMap) -> BasisMap:
     n = len(bm)
-    images = [""] * n
-    for i, w in enumerate(bm):
-        s = slot(w)
-        images[s] = FWD[i] if is_fwd(w) else BWD[i]
-    return tuple(images)
+    images = [reduce_word(w) for w in bm]
+    if not all(images):
+        raise InvalidInput("trivial basis image; not an automorphism")
+    words = []
+    for i, w in enumerate(images):
+        words += [FWD[i] if is_fwd(w[0]) else BWD[i]] + [""] * (len(w) - 1)
+    # edges[k] = [slot, init, term, domain word]; the base is vertex 0
+    edges = [[*e, d] for e, d in zip(_wedge(images), words)]
+    out: dict[int, dict] = {}  # vertex -> (slot, forward) -> edge
+    inc: dict[int, set] = {}  # vertex -> the edges at it
+    merged: dict[int, int] = {}  # folded-away edge -> the edge kept for it
+    pending = []  # pairs of edges with one label at one vertex
 
+    def attach(v, key, k):
+        inc.setdefault(v, set()).add(k)
+        held = out.setdefault(v, {}).setdefault(key, k)
+        if held != k:
+            pending.append((held, k))
 
-def _escape_plateau(tup: list[str], n: int, budget: int):
-    """Search length-neutral move sequences (depth <= 2) enabling a reduction."""
-    seen = {tuple(tup)}
-    frontier = [([], list(tup))]
-    for _ in range(2):
-        nxt = []
-        for prefix, state in frontier:
-            for move in _elementary_moves(n):
-                if _gain(state, move) != 0:
-                    continue
-                cand = list(state)
-                cand[move[0]] = _apply_move(state, move)
-                key = tuple(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > budget:
-                    return None
-                seq = prefix + [move]
-                for move2 in _elementary_moves(n):
-                    if _gain(cand, move2) > 0:
-                        cand[move2[0]] = _apply_move(cand, move2)
-                        return seq + [move2], cand
-                nxt.append((seq, cand))
-        frontier = nxt
-    return None
+    def live(k):
+        while k in merged:
+            k = merged[k]
+        return k
+
+    for k, (lab, a, b, _) in enumerate(edges):
+        attach(a, (lab, True), k)
+        attach(b, (lab, False), k)
+    while pending:
+        e, f = map(live, pending.pop())
+        if e == f:
+            continue
+        lab, a1, b1, d1 = edges[e]
+        _, a2, b2, d2 = edges[f]
+        # far ends x, y and words r1, r2, read from the shared vertex
+        if a1 == a2:
+            x, y, r1, r2 = b1, b2, d1, d2
+        else:
+            x, y, r1, r2 = a1, a2, invert(d1), invert(d2)
+        if x > y:
+            e, f, x, y, r1, r2 = f, e, y, x, r2, r1
+        # f goes; e takes over its labels, which are e's own once y is x
+        _, a2, b2, _ = edges[f]
+        edges[f], merged[f] = None, e
+        for v, key in ((a2, (lab, True)), (b2, (lab, False))):
+            inc[v].discard(f)
+            if out[v][key] == f:
+                out[v][key] = e
+        if x == y:
+            continue
+        # re-gauge y by g = r2^-1 r1, under which f would read r2 g = r1
+        # (also when y is the shared vertex), and move y's edges onto x
+        g = reduced_product(invert(r2), r1)
+        gi = invert(g)
+        for k in inc.pop(y):
+            edge = edges[k]
+            if edge[1] == y:
+                edge[1], edge[3] = x, reduced_product(gi, edge[3])
+            if edge[2] == y:
+                edge[2], edge[3] = x, reduced_product(edge[3], g)
+            inc[x].add(k)
+        for key, k in out.pop(y).items():
+            attach(x, key, k)
+    petals = {lab: d for lab, a, b, d in filter(None, edges) if a == b == 0}
+    if len(inc) > 1 or sorted(petals) != list(range(n)):
+        raise InvalidInput("basis images do not generate; not an automorphism")
+    inv = tuple(petals[j] for j in range(n))
+    if compose_maps(bm, inv) != identity_map(n):
+        raise InvalidInput("basis images do not define an automorphism")
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -297,58 +246,38 @@ def _escape_plateau(tup: list[str], n: int, budget: int):
 
 EQUAL = "Equal"
 DISTINCT = "Distinct"
-UNKNOWN = "Unknown"
 
 
-def outer_equal(f: BasisMap, g: BasisMap, budget: int = DEFAULT.outer_budget):
-    """Decide equality of f, g in the outer automorphism group.
+def outer_equal(f: BasisMap, g: BasisMap):
+    """Decide equality of f and g in the outer automorphism group.
 
-    Returns (verdict, conjugator): verdict is EQUAL with a witness word u
-    satisfying f(x) = u g(x) u^-1 for every basis letter, DISTINCT with a
-    certificate (abelianization mismatch or exhausted complete conjugator
-    family), or UNKNOWN when the certified search would exceed budget.
+    Returns (EQUAL, u) with u the word such that f(x) = u g(x) u^-1 for
+    every basis letter x, or (DISTINCT, None).  Equal images give
+    (EQUAL, "") at once, as the relation maps that keep a marking do;
+    otherwise ``g`` must be an automorphism (InvalidInput if not) and
+    ``f`` may be any endomorphism.
+
+    f = g in Out exactly when h = f g^-1 is inner.  An inner h = c_u maps
+    x1 to p x1 p^-1, and then u = p x1^m where p^-1 h(x2) p reads
+    x1^m x2 x1^-m: its leading run of x1^(+-1) gives m.  The candidate u
+    is checked on every letter.  In rank at least 2 the centralizer of
+    F_n is trivial, so u is unique.
     """
-    if len(f) != len(g):
+    n = len(f)
+    if n != len(g):
         raise InvalidInput("rank mismatch")
-    f = tuple(reduce_word(w) for w in f)
-    g = tuple(reduce_word(w) for w in g)
+    f, g = tuple(map(reduce_word, f)), tuple(map(reduce_word, g))
     if f == g:
         return EQUAL, ""
-    if any((a == "") != (b == "") for a, b in zip(f, g)):
+    h = f if g == identity_map(n) else compose_maps(f, invert_map(g))
+    if strip_cyclic(h[0]) != FWD[0]:
         return DISTINCT, None
-    if abelianization(f) != abelianization(g):
-        return DISTINCT, None
-
-    # f and g have empty images in the same places and f != g, so some
-    # image of g is nonempty
-    anchor = next(i for i, w in enumerate(g) if w)
-
-    # f[anchor] = p alpha p^-1 and g[anchor] = q beta q^-1, with alpha and
-    # beta cyclically reduced
-    alpha, beta = strip_cyclic(f[anchor]), strip_cyclic(g[anchor])
-    p = f[anchor][:(len(f[anchor]) - len(alpha)) // 2]
-    q = g[anchor][:(len(g[anchor]) - len(beta)) // 2]
-    if len(alpha) != len(beta):
-        return DISTINCT, None
-    gamma = primitive_root(beta)
-    doubled = beta + beta
-    rotations = [k for k in range(len(beta)) if doubled[k : k + len(beta)] == alpha]
-    if not rotations:
-        return DISTINCT, None
-
-    max_target = max(len(w) for w in f)
-    max_source = max(len(w) for w in g)
-    m_bound = 2 * (max_target + max_source) // max(1, len(gamma)) + 4
-    if (len(rotations) * (2 * m_bound + 1)) > budget:
-        return UNKNOWN, None
-
-    for k in rotations:
-        base = reduce_word(p + invert(beta[:k]))
-        tail = invert(q)
-        for m in range(-m_bound, m_bound + 1):
-            power = gamma * m if m >= 0 else invert(gamma) * (-m)
-            u = reduce_word(base + power + tail)
-            ui = invert(u)
-            if all(reduce_word(u + g[i] + ui) == f[i] for i in range(len(f))):
-                return EQUAL, u
+    u = h[0][:len(h[0]) // 2]
+    if n > 1:
+        v = reduce_word(invert(u) + h[1] + u)
+        if v[:1] in (FWD[0], BWD[0]):
+            u += v[:len(v) - len(v.lstrip(v[0]))]
+    ui = invert(u)
+    if all(reduce_word(u + FWD[i] + ui) == h[i] for i in range(n)):
+        return EQUAL, u
     return DISTINCT, None

@@ -96,10 +96,9 @@ def _power_map(f: GraphMap, p: int) -> GraphMap:
 def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
     """Least p with the p-th power inner, or None.
 
-    Two cheap screens come before the conjugator search of ``outer_equal``.
-    An inner automorphism acts trivially on H_1, so the first keeps only
-    the p with A^p = I, A the map's abelianization: at any other p
-    ``outer_equal`` would answer Distinct on the abelianization alone.
+    Two cheap screens come before ``outer_equal``.  An inner automorphism
+    acts trivially on H_1, so the first keeps only the p with A^p = I, A
+    the map's abelianization: at any other p the power is not inner.
     With no such p up to ``power_cap`` nothing is composed; otherwise the
     powers are composed up to the largest, and one with an image over
     ``INNER_POWER_MAX_LETTERS`` ends the search.  At a kept p, an inner
@@ -127,7 +126,7 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
         # cyclic reduction, and no rotation of a long image is searched.
         if p in candidates and all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
                                    for i in range(mg.rank)):
-            verdict, _ = outer_equal(cur, basis, cfg.outer_budget)
+            verdict, _ = outer_equal(cur, basis)
             if verdict == "Equal":
                 return p
     return None
@@ -181,8 +180,7 @@ def _rotationless_power(f: GraphMap, cfg: Config) -> int:
     return p if p <= cfg.power_cap else 1
 
 
-def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
-                            cfg: Config = DEFAULT):
+def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap):
     """An invariant one-edge splitting with a verified relation map.
 
     Inner maps fix every splitting (witnessed by the identity relation
@@ -190,12 +188,12 @@ def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
     map itself.  NotApplicable when nothing is exhibited.
     """
     induced = mg.induced_rose_map(f)
-    verdict, _ = outer_equal(induced, identity_map(mg.rank), cfg.outer_budget)
+    verdict, _ = outer_equal(induced, identity_map(mg.rank))
     inner = verdict == "Equal"
     relation = identity_graph_map(mg.graph) if inner else f
     for pair in _coordinate_pairs(mg):
         target = remark_pair(pair, f)
-        rel = pair_relation_check(relation, pair, target, cfg.outer_budget)
+        rel = pair_relation_check(relation, pair, target)
         if rel.holds:
             return splitting_of_pair(pair), rel
     raise NotApplicable("inner map but no coordinate pair verified" if inner
@@ -225,8 +223,7 @@ class BoundedChain:
                 "arrows": [dict(a) for a in self.arrows]}
 
 
-def bounded_path_witness(spec: ExampleSpec, k: int,
-                         cfg: Config = DEFAULT) -> BoundedChain:
+def bounded_path_witness(spec: ExampleSpec, k: int) -> BoundedChain:
     """The verified length-four chain between a splitting and its image.
 
     Re-verifies the decomposition clauses, builds the two restricted maps,
@@ -289,10 +286,10 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
     v4b = remark_pair(p_j2, fk)
     v5 = remark_pair(p_j3, fk)
 
-    rel_k1 = pair_relation_check(f1k, v2, v2b, cfg.outer_budget)
+    rel_k1 = pair_relation_check(f1k, v2, v2b)
     if not rel_k1.holds:
         raise InvalidInput(f"chain equality at the core pair fails: {rel_k1.detail}")
-    rel_j2 = pair_relation_check(f2k, v4, v4b, cfg.outer_budget)
+    rel_j2 = pair_relation_check(f2k, v4, v4b)
     if not rel_j2.holds:
         raise InvalidInput(f"chain equality at the inner pair fails: {rel_j2.detail}")
 
@@ -330,8 +327,8 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
 
     p_inner = _inner_power(mg, f, cfg)
     if p_inner is not None:
-        return _periodic_vertex(mg, _power_map(f, p_inner), cfg, p_inner,
-                                notes, inner_power=True)
+        return _periodic_vertex(mg, _power_map(f, p_inner), p_inner, notes,
+                                inner_power=True)
 
     p = power if power is not None else _rotationless_power(f, cfg)
     fp = _power_map(f, p) if p > 1 else f
@@ -374,20 +371,20 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
         witness: dict = {"kind": "by-theorem"}
         kind = "by-theorem"
         if spec.decomposition:
-            chain = bounded_path_witness(spec, CHAIN_K, cfg)
+            chain = bounded_path_witness(spec, CHAIN_K)
             witness = chain.to_json()
             kind = "length-4-chain"
         return Classification("BoundedOrbits", kind, witness, power=p,
                               notes=notes)
 
-    return _periodic_vertex(mg, fp, cfg, p, notes)
+    return _periodic_vertex(mg, fp, p, notes)
 
 
-def _periodic_vertex(mg: MarkedGraph, fp: GraphMap, cfg: Config, p: int,
-                     notes: dict, inner_power: bool = False) -> Classification:
+def _periodic_vertex(mg: MarkedGraph, fp: GraphMap, p: int, notes: dict,
+                     inner_power: bool = False) -> Classification:
     """PeriodicVertex on an invariant splitting of fp = f^p, or Unknown."""
     try:
-        s, rel = periodic_vertex_witness(mg, fp, cfg)
+        s, rel = periodic_vertex_witness(mg, fp)
     except NotApplicable:
         return Classification("Unknown", stage="periodic_vertex_witness",
                               power=p, notes=notes)

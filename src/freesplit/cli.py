@@ -13,10 +13,10 @@ import os
 import pathlib
 import sys
 
+from .automorphisms import invert_map
 from .classify import bounded_path_witness, classify
 from .config import load_config
 from .errors import BudgetExhausted, FixtureInvalid, InvalidInput, NotApplicable
-from .factors import folds_to_rose
 from .fixtures import ExampleSpec, fixture, fixture_names
 from .graphs import parse_marked_graph, strata
 from .laminations import lamination_approx
@@ -33,7 +33,6 @@ def _common(p: argparse.ArgumentParser):
     p.add_argument("--power", type=int, default=None)
     p.add_argument("--seg-len", type=int, default=None)
     p.add_argument("--horizon", type=int, default=None)
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--out", help="directory for the JSON report")
     p.add_argument("--json", action="store_true", help="print JSON to stdout")
 
@@ -45,8 +44,6 @@ def _load_cfg(args):
         over["seg_len"] = args.seg_len
     if args.horizon is not None:
         over["horizon"] = args.horizon
-    if args.budget is not None:
-        over["outer_budget"] = args.budget
     return cfg.with_overrides(**over) if over else cfg
 
 
@@ -61,9 +58,11 @@ def _load_spec(args, cfg):
         mg, endo, _ = parse_marked_graph(text)
         if endo is None:
             raise InvalidInput("input file carries no MAP section")
-        if not folds_to_rose(mg.induced_rose_map(endo), mg.rank):
+        try:
+            invert_map(mg.induced_rose_map(endo))
+        except InvalidInput as exc:
             raise InvalidInput("map is not a homotopy equivalence: its basis "
-                               "images do not generate the free group")
+                               "images do not generate the free group") from exc
         return ExampleSpec(pathlib.Path(args.input).stem, mg, {"f": endo}, None)
     raise InvalidInput("provide --fixture NAME or --input FILE")
 
@@ -154,7 +153,7 @@ def cmd_distance(args) -> int:
     if not spec.decomposition:
         raise InvalidInput("distance command needs a fixture with "
                            "decomposition data")
-    chain = bounded_path_witness(spec, args.k, cfg)
+    chain = bounded_path_witness(spec, args.k)
     report = make_report(
         "distance", {"name": spec.name, "k": args.k},
         {"bound": len([a for a in chain.arrows if a["move"] == "collapse"]),

@@ -2,10 +2,11 @@
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints; no randomness anywhere.  A segment length, candidate cap,
-Whitehead letter budget or outer budget below 1, or a horizon shorter
-than the stability margin, raise InvalidInput on construction.  Limits no caller varies are module
-constants where they are used, not fields here.
+plain ints; no randomness anywhere.  A segment length, candidate cap or
+Whitehead letter budget below 1, or a horizon shorter than the stability
+margin, raise InvalidInput on construction.  Limits no caller varies are
+module constants where they are used, not fields here.  Inversion and
+outer equality are exact, so they take no budget.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ class Config:
     cand_cap: int = 24  # max number of candidates per factor system
     # Whitehead machinery
     whitehead_max_letters: int = 10**4
-    # conjugacy/outer-equality search
-    outer_budget: int = 4000
     # classifier
     power_cap: int = 12
 
@@ -43,8 +42,6 @@ class Config:
             raise InvalidInput("defining segment length must be >= 1")
         if not self.horizon >= self.stability >= 1:
             raise InvalidInput("horizon >= stability >= 1 required")
-        if self.outer_budget < 1:
-            raise InvalidInput("outer budget must be >= 1")
         if self.cand_cap < 1:
             raise InvalidInput("candidate cap must be >= 1")
         if self.whitehead_max_letters < 1:

@@ -184,8 +184,8 @@ class CoreGraph:
         return list(tree_loops(self.edges, base)[1].values())
 
 
-def _fold(rank: int, raw_edges, base=None):
-    """Stallings folding; returns (edges, root_of_base).
+def _fold(rank: int, raw_edges):
+    """Stallings folding; returns the folded edges.
 
     Each vertex class, named by its least member, keeps one target per
     out-label (slot, direction); a second target for a label is a pending
@@ -226,19 +226,18 @@ def _fold(rank: int, raw_edges, base=None):
         parent[ry] = rx
         for label, w in out.pop(ry, {}).items():
             attach(rx, label, w)
-    edges = {(lab, find(a), find(b)) for lab, a, b in raw_edges}
-    return edges, (find(base) if base is not None else None)
+    return {(lab, find(a), find(b)) for lab, a, b in raw_edges}
 
 
-def _trim(edges, protect=None):
-    """Remove valence-1 vertices repeatedly (core graph), keeping ``protect``."""
+def _trim(edges):
+    """Remove valence-1 vertices repeatedly (core graph)."""
     edges = set(edges)
     while True:
         deg: dict[int, int] = {}
         for lab, a, b in edges:
             deg[a] = deg.get(a, 0) + 1
             deg[b] = deg.get(b, 0) + 1
-        drop = {v for v, d in deg.items() if d == 1 and v != protect}
+        drop = {v for v, d in deg.items() if d == 1}
         if not drop:
             return edges
         edges = {(lab, a, b) for lab, a, b in edges
@@ -246,7 +245,8 @@ def _trim(edges, protect=None):
 
 
 def _wedge(gens) -> list[tuple[int, int, int]]:
-    """Edges of the wedge of loops at vertex 0 spelling the given words."""
+    """Edges of the wedge of loops at vertex 0 spelling the given words,
+    one edge per letter, in the order of the letters."""
     raw = []
     fresh = 1
     for w in gens:
@@ -268,26 +268,10 @@ def fold(rank: int, generators) -> CoreGraph:
     gens = [reduce_word(w) for w in generators]
     if any(not w for w in gens):
         raise InvalidInput("trivial generator")
-    edges, _ = _fold(rank, _wedge(gens), base=0)
-    edges = _trim(edges)
+    edges = _trim(_fold(rank, _wedge(gens)))
     if not edges:
         raise InvalidInput("generators collapse to the trivial subgroup")
     return CoreGraph(rank, edges)
-
-
-def folds_to_rose(basis_images, rank: int) -> bool:
-    """True iff the given words generate the whole rank-n free group."""
-    gens = [reduce_word(w) for w in basis_images]
-    if any(not w for w in gens):
-        return False
-    edges, root = _fold(rank, _wedge(gens), base=0)
-    edges = _trim(edges, protect=root)
-    verts = {v for _, a, b in edges for v in (a, b)}
-    return (
-        len(edges) == rank
-        and verts == {root}
-        and {lab for lab, _, _ in edges} == set(range(rank))
-    )
 
 
 # ---------------------------------------------------------------------------

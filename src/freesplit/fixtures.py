@@ -92,7 +92,7 @@ def filling_reducible(m: int = 3, sigma: str | None = None,
              f"unexpected strata {labels}")
     _require(is_invariant_subgraph(f, g1_slots), "invariant rose is not invariant")
     _check_sigma_fills(mg, g1, sig, cfg)
-    _require(mg.validate_marking(cfg.outer_budget), "marking is not valid")
+    _require(mg.validate_marking(), "marking is not valid")
     return ExampleSpec(
         name="filling_reducible", mg=mg, maps={"f": f},
         expected="Loxodromic", params={"m": m, "sigma": sigma_tokens},
@@ -205,7 +205,7 @@ RANK2_CATALOG = {
 }
 
 
-def rank2_fixture(key: str, cfg: Config = DEFAULT) -> ExampleSpec:
+def rank2_fixture(key: str) -> ExampleSpec:
     matrix, images = RANK2_CATALOG[key]
     mg = marked_rose(2)
     f = rose_map(mg, images)
@@ -213,7 +213,7 @@ def rank2_fixture(key: str, cfg: Config = DEFAULT) -> ExampleSpec:
     ab = abelianization(bm)
     _require([list(r) for r in ab] == matrix,
              f"abelianization {ab} does not match declared {matrix}")
-    invert_map(bm, cfg.outer_budget)  # raises if not an automorphism
+    invert_map(bm)  # raises if not an automorphism
     trace = matrix[0][0] + matrix[1][1]
     expected = "Loxodromic" if abs(trace) > 2 else None
     return ExampleSpec(name=key, mg=mg, maps={"f": f}, expected=expected,
@@ -277,7 +277,7 @@ _CATALOG = {
 
 def fixture(name: str, cfg: Config = DEFAULT, **params) -> ExampleSpec:
     if name in RANK2_CATALOG:
-        return rank2_fixture(name, cfg)
+        return rank2_fixture(name)
     if name not in _CATALOG:
         raise InvalidInput(f"unknown fixture {name!r}")
     return _CATALOG[name](cfg=cfg, **params)

@@ -187,7 +187,7 @@ class MarkedGraph:
         """Edge words over the abstract basis: the inverse of the marking
         read in the cotree loops, on cotree edges; empty on tree edges."""
         rho_hat: BasisMap = tuple(self.loop_word(w) for w in self.marking)
-        rho_hat_inv = invert_map(rho_hat, DEFAULT.outer_budget)
+        rho_hat_inv = invert_map(rho_hat)
         inv = [""] * self.graph.n_edges
         for s, i in self._cotree_index.items():
             inv[s] = rho_hat_inv[i]
@@ -219,9 +219,9 @@ class MarkedGraph:
         return words._canonical_reduced(
             words.strip_cyclic(self.path_to_rose(circuit)))
 
-    def validate_marking(self, budget: int = DEFAULT.outer_budget) -> bool:
+    def validate_marking(self) -> bool:
         comp = tuple(self.path_to_rose(w) for w in self.marking)
-        verdict, _ = outer_equal(comp, identity_map(self.rank), budget)
+        verdict, _ = outer_equal(comp, identity_map(self.rank))
         return verdict == "Equal"
 
     def remark(self, f: "GraphMap") -> "MarkedGraph":

@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 
 from .automorphisms import outer_equal
-from .config import DEFAULT
 from .errors import InvalidInput
 from .factors import FreeFactorSystem
 from .graphs import (GraphMap, MarkedGraph, map_path, print_marked_graph,
@@ -141,7 +140,6 @@ def remark_splitting(s: OneEdgeSplitting, f: GraphMap) -> OneEdgeSplitting:
 
 HOLDS = "Holds"
 FAILS = "FailsClause"
-REL_UNKNOWN = "Unknown"
 
 
 @dataclass(frozen=True)
@@ -196,8 +194,8 @@ def _natural_class_path(graph, cls) -> str:
     return word
 
 
-def pair_relation_check(h: GraphMap, p1: MarkedGraphPair, p2: MarkedGraphPair,
-                        budget: int = DEFAULT.outer_budget) -> RelationResult:
+def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
+                        p2: MarkedGraphPair) -> RelationResult:
     """Check the defining relation between pairs along the map ``h``.
 
     Clause 1: h preserves markings: h after the first marking equals the
@@ -211,7 +209,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair, p2: MarkedGraphPair,
     if h.source is not p1.graph or h.target is not p2.graph:
         raise InvalidInput("map endpoints do not match the pairs")
     # The structural clauses (2) and (3) are cheap; the marking clause (1)
-    # needs a conjugacy search, so it runs last.
+    # inverts the target marking, so it runs last.
     h1_verts = {v for s in p1.h_slots
                 for v in (p1.graph._init[s], p1.graph._term[s])}
     h2_verts = {v for s in p2.h_slots
@@ -264,9 +262,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair, p2: MarkedGraphPair,
 
     carried = tuple(p2.mg.loop_word(map_path(h, w)) for w in p1.mg.marking)
     marked = tuple(p2.mg.loop_word(w) for w in p2.mg.marking)
-    verdict, _ = outer_equal(carried, marked, budget)
-    if verdict == "Unknown":
-        return RelationResult(REL_UNKNOWN, detail="marking check hit budget")
+    verdict, _ = outer_equal(carried, marked)
     if verdict != "Equal":
         return RelationResult(FAILS, 1, "marking not preserved")
     return RelationResult(

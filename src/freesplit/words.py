@@ -78,12 +78,12 @@ def stop_table(images: dict[str, str]) -> dict[str, str | None]:
     return {key: inv[img[0]] if img else None for key, img in images.items()}
 
 
-def reduce_images(images: dict[str, str], word, stop=None) -> str:
+def reduce_images(images: dict[str, str], word, stop) -> str:
     """Free reduction of the concatenated images of the keys of ``word``.
 
     ``word`` is a string of letters or a list of blocks of letters, any
     sequence of keys of ``images``; ``stop`` is ``stop_table(images)``,
-    built here when not given.  Equals
+    which callers build once per table.  Equals
     ``reduce_word("".join(images[key] for key in word))`` whenever every
     image is reduced; the letters of ``word`` need not be.  The reduced
     prefix is kept as a stack of image pieces.  An image whose first letter
@@ -94,8 +94,6 @@ def reduce_images(images: dict[str, str], word, stop=None) -> str:
     letter.
     """
     inv = _INV
-    if stop is None:
-        stop = stop_table(images)
     stack: list[str] = []
     push = stack.append
     last = ""
@@ -124,15 +122,14 @@ def reduce_images(images: dict[str, str], word, stop=None) -> str:
     return "".join(stack)
 
 
-def junction(u: str, v: str) -> int:
-    """Letters cancelling from each side when the reduced words ``u`` and
-    ``v`` are concatenated: ``reduce_word(u + v)`` is
-    ``u[:len(u) - k] + v[k:]``."""
+def reduced_product(u: str, v: str) -> str:
+    """``reduce_word(u + v)`` for reduced words ``u`` and ``v``: only the
+    letters at their junction cancel, as many from each side."""
     inv = _INV
     k, n = 0, min(len(u), len(v))
     while k < n and u[-1 - k] == inv[v[k]]:
         k += 1
-    return k
+    return u[:len(u) - k] + v[k:]
 
 
 def strip_cyclic(w: str) -> str:

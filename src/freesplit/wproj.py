@@ -31,7 +31,7 @@ from .laminations import (LaminationApprox, _window_start, defining_segment,
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
 from .words import (_canonical_reduced, cyclic_contains, cyclic_reduce,
-                    junction, path_contains, primitive_root, sort_key,
+                    path_contains, primitive_root, reduced_product, sort_key,
                     strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
@@ -94,12 +94,12 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
 
     fwd = MapTables(mg.induced_rose_map(f))
     if f_inv is None:
-        bwd = MapTables(invert_map(fwd, cfg.outer_budget))
+        bwd = MapTables(invert_map(fwd))
         f_inv = realize_rose_endo(mg, bwd)
     else:
         bwd = MapTables(mg.induced_rose_map(f_inv))
     composed = compose_maps(fwd, bwd)
-    verdict, _ = outer_equal(composed, identity_map(mg.rank), cfg.outer_budget)
+    verdict, _ = outer_equal(composed, identity_map(mg.rank))
     if verdict != "Equal":
         raise InvalidInput("supplied inverse does not invert the map")
     bound = None
@@ -211,8 +211,7 @@ def _orbit_step(bm: BasisMap, w: str, cap: int,
         img = ""
         for i in range(0, len(w), size):
             piece = apply_map(bm, w[i:i + size])
-            k = junction(img, piece)
-            img = img[:len(img) - k] + piece[k:]
+            img = reduced_product(img, piece)
             if len(img) > cap + 3 * bound:
                 return None
     img = strip_cyclic(img)

@@ -3,13 +3,12 @@ from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
 from freesplit.automorphisms import (DISTINCT, EQUAL, _BLOCK, MapTables,
-                                     _apply_move, _elementary_moves, _gain,
-                                     _nielsen_reduce, abelianization,
-                                     apply_map, compose_maps, identity_map,
-                                     invert_map, is_signed_basis, outer_equal)
-from freesplit.errors import BudgetExhausted, InvalidInput
+                                     abelianization, apply_map, compose_maps,
+                                     identity_map, invert_map, outer_equal)
+from freesplit.errors import InvalidInput
+from freesplit.whitehead import Move
 from freesplit.words import (BWD, FWD, cyclic_reduce, image_table, invert,
-                             reduce_word, strip_cyclic)
+                             primitive_root, reduce_word, strip_cyclic)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -219,108 +218,148 @@ class TestBlockMemo:
 
 
 # ---------------------------------------------------------------------------
-# Nielsen move scoring, against the reference that builds every word
-
-
-def _apply_move_reference(tup, move):
-    i, j, side, sign = move
-    other = tup[j] if sign == 1 else invert(tup[j])
-    return reduce_word(tup[i] + other if side == "R" else other + tup[i])
-
-
-def _escape_plateau_reference(tup, n, budget):
-    seen = {tuple(tup)}
-    frontier = [([], list(tup))]
-    for _ in range(2):
-        nxt = []
-        for prefix, state in frontier:
-            for move in _elementary_moves(n):
-                new_word = _apply_move_reference(state, move)
-                if len(new_word) != len(state[move[0]]):
-                    continue
-                cand = list(state)
-                cand[move[0]] = new_word
-                key = tuple(cand)
-                if key in seen:
-                    continue
-                seen.add(key)
-                if len(seen) > budget:
-                    return None
-                seq = prefix + [move]
-                for move2 in _elementary_moves(n):
-                    reduced = _apply_move_reference(cand, move2)
-                    if len(reduced) < len(cand[move2[0]]):
-                        cand[move2[0]] = reduced
-                        return seq + [move2], cand
-                nxt.append((seq, cand))
-        frontier = nxt
-    return None
-
-
-def _nielsen_reduce_reference(tup, budget):
-    n = len(tup)
-    moves = []
-    steps = 0
-    while not is_signed_basis(tuple(tup)):
-        if steps > budget:
-            raise BudgetExhausted("Nielsen reduction exceeded budget")
-        steps += 1
-        best = None
-        for move in _elementary_moves(n):
-            new = _apply_move_reference(tup, move)
-            gain = len(tup[move[0]]) - len(new)
-            if gain > 0 and (best is None or gain > best[0]):
-                best = (gain, move, new)
-        if best is not None:
-            _, move, new = best
-            tup[move[0]] = new
-            moves.append(move)
-            continue
-        plateau = _escape_plateau_reference(tup, n, budget)
-        if plateau is None:
-            raise BudgetExhausted("Nielsen reduction stalled")
-        moves.extend(plateau[0])
-        tup = plateau[1]
-    return moves, tuple(tup)
+# Inversion by the labelled fold and exact outer equality
 
 
 @st.composite
-def reduced_tuple(draw):
-    rank = draw(st.integers(2, 4))
-    return [reduce_word(draw(words_strategy(rank, 12))) for _ in range(rank)]
+def whitehead_products(draw, max_moves=8):
+    """A rank 1-5 product of Whitehead automorphisms: multiplier moves and
+    letter permutations with inversions, which generate Aut(F_n)."""
+    rank = draw(st.integers(1, 5))
+    letters = FWD[:rank] + BWD[:rank]
+    bm = identity_map(rank)
+    for _ in range(draw(st.integers(0, max_moves))):
+        if draw(st.booleans()):
+            m = draw(st.sampled_from(letters))
+            subsets = st.frozensets(st.integers(0, rank - 1))
+            step = Move(m, draw(subsets), draw(subsets)).basis_map(rank)
+        else:
+            perm = draw(st.permutations(range(rank)))
+            step = tuple(BWD[p] if draw(st.booleans()) else FWD[p]
+                         for p in perm)
+        bm = compose_maps(step, bm)
+    return bm
 
 
-class TestNielsenScoring:
-    @settings(max_examples=200, deadline=None)
-    @given(reduced_tuple())
-    def test_gain_is_length_drop(self, tup):
-        for move in _elementary_moves(len(tup)):
-            ref = _apply_move_reference(tup, move)
-            assert _apply_move(tup, move) == ref
-            assert _gain(tup, move) == len(tup[move[0]]) - len(ref)
+def _det(a) -> int:
+    """Determinant of a square integer matrix, by cofactor expansion."""
+    if not a:
+        return 1
+    return sum((-1) ** j * a[0][j] * _det([row[:j] + row[j + 1:]
+                                            for row in a[1:]])
+               for j in range(len(a)))
 
-    @settings(max_examples=150, deadline=None)
-    @given(automorphisms(2, 4, 12))
-    def test_same_moves_as_reference(self, bm):
-        assert _nielsen_reduce(list(bm), 4000) == \
-            _nielsen_reduce_reference(list(bm), 4000)
+
+def _outer_equal_reference(f, g, budget=10**7):
+    """outer_equal as a bounded conjugator search: u = p x rotation x
+    gamma^m x q^-1 for every rotation matching the anchor letter's
+    cyclic image, with |m| bounded by the image lengths."""
+    f = tuple(reduce_word(w) for w in f)
+    g = tuple(reduce_word(w) for w in g)
+    if f == g:
+        return EQUAL, ""
+    if any((a == "") != (b == "") for a, b in zip(f, g)):
+        return DISTINCT, None
+    if abelianization(f) != abelianization(g):
+        return DISTINCT, None
+    anchor = next(i for i, w in enumerate(g) if w)
+    alpha, beta = strip_cyclic(f[anchor]), strip_cyclic(g[anchor])
+    p = f[anchor][:(len(f[anchor]) - len(alpha)) // 2]
+    q = g[anchor][:(len(g[anchor]) - len(beta)) // 2]
+    if len(alpha) != len(beta):
+        return DISTINCT, None
+    gamma = primitive_root(beta)
+    doubled = beta + beta
+    rotations = [k for k in range(len(beta))
+                 if doubled[k:k + len(beta)] == alpha]
+    if not rotations:
+        return DISTINCT, None
+    m_bound = 2 * (max(map(len, f)) + max(map(len, g))) \
+        // max(1, len(gamma)) + 4
+    if len(rotations) * (2 * m_bound + 1) > budget:
+        return "Unknown", None
+    for k in rotations:
+        base = reduce_word(p + invert(beta[:k]))
+        for m in range(-m_bound, m_bound + 1):
+            power = gamma * m if m >= 0 else invert(gamma) * (-m)
+            u = reduce_word(base + power + invert(q))
+            ui = invert(u)
+            if all(reduce_word(u + g[i] + ui) == f[i] for i in range(len(f))):
+                return EQUAL, u
+    return DISTINCT, None
+
+
+@st.composite
+def conjugate_pairs(draw):
+    """(f, g, u): g a Whitehead product, u a reduced word and f either
+    c_u after g or that map with one image perturbed by a letter."""
+    g = draw(whitehead_products(max_moves=5))
+    rank = len(g)
+    u = reduce_word(draw(words_strategy(rank, 6)))
+    f = [reduce_word(u + w + invert(u)) for w in g]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, rank - 1))
+        ch = draw(st.sampled_from(FWD[:rank] + BWD[:rank]))
+        f[i] = reduce_word(f[i] + ch if draw(st.booleans()) else ch + f[i])
+    return tuple(f), g, u
+
+
+class TestFoldInverse:
+    @settings(max_examples=300, deadline=None)
+    @given(whitehead_products())
+    def test_two_sided_inverse(self, bm):
+        inv = invert_map(bm)
+        assert compose_maps(bm, inv) == identity_map(len(bm))
+        assert compose_maps(inv, bm) == identity_map(len(bm))
 
     @pytest.mark.parametrize("bm", [
         (X + Z, y + Z, y + x + z),
         (y + y + z + X + Y, y + y + z, X + z),
         (z + X, x + y + y + z + y + x + y, z + y),
     ])
-    def test_plateau_moves(self, bm, monkeypatch):
-        # no single move shortens these tuples at some step
-        plateaus = []
-        escape = automorphisms_mod._escape_plateau
-
-        def counted(*args):
-            plateaus.append(args)
-            return escape(*args)
-
-        monkeypatch.setattr(automorphisms_mod, "_escape_plateau", counted)
-        assert _nielsen_reduce(list(bm), 4000) == \
-            _nielsen_reduce_reference(list(bm), 4000)
-        assert plateaus
+    def test_nielsen_plateau_tuples(self, bm):
+        # at some step no single Nielsen move shortens these tuples
         assert compose_maps(invert_map(bm), bm) == identity_map(3)
+
+    @pytest.mark.parametrize("bm", [
+        (x + y + X, y), (x, x + x), (x + x, y), ("", y), (x, y, x + y),
+        (x, y, z + z), (x + y + X + Y, y),
+    ])
+    def test_rejects_named_non_bases(self, bm):
+        with pytest.raises(InvalidInput):
+            invert_map(bm)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(
+        lambda rank: st.lists(words_strategy(rank, 6), min_size=rank,
+                              max_size=rank).map(tuple)))
+    def test_rejects_determinant_other_than_unit(self, bm):
+        try:
+            inv = invert_map(bm)
+        except InvalidInput:
+            return
+        assert abs(_det(abelianization(bm))) == 1
+        assert compose_maps(inv, bm) == identity_map(len(bm))
+
+
+class TestExactOuterEqual:
+    def test_conjugator_with_a_power_of_x1(self):
+        # u = y x^2 meets the leading run of x1 letters with m = 2
+        u = y + x + x
+        f = tuple(reduce_word(u + w + invert(u)) for w in identity_map(3))
+        assert outer_equal(f, identity_map(3)) == (EQUAL, u)
+        assert outer_equal(identity_map(3), f) == (EQUAL, invert(u))
+
+    def test_non_automorphism_second_map_rejected(self):
+        with pytest.raises(InvalidInput):
+            outer_equal(identity_map(2), (x, x + x))
+
+    @settings(max_examples=400, deadline=None)
+    @given(conjugate_pairs())
+    def test_matches_bounded_search(self, case):
+        f, g, u = case
+        got = outer_equal(f, g)
+        assert got == _outer_equal_reference(f, g)
+        if len(g) > 1 and f == tuple(reduce_word(u + w + invert(u))
+                                     for w in g):
+            assert got == (EQUAL, u)

@@ -19,6 +19,8 @@ from freesplit.graphs import (compose, identity_graph_map, marked_rose,
                               print_marked_graph, realize_rose_endo, rose_map)
 from freesplit.words import BWD, FWD, strip_cyclic
 
+from braids import artin, braid_maps, braid_type
+
 # the package's ``classify`` function shadows the module of that name
 classify_mod = importlib.import_module("freesplit.classify")
 
@@ -122,19 +124,10 @@ def inner_power_reference(mg, f, cfg):
             return None
         if all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
                for i in range(mg.rank)):
-            verdict, _ = outer_equal(cur, basis, cfg.outer_budget)
+            verdict, _ = outer_equal(cur, basis)
             if verdict == "Equal":
                 return p
     return None
-
-
-def artin(i):
-    """The braid generator sigma_i acting on F_3: x_i -> x_i x_i+1 x_i^-1,
-    x_i+1 -> x_i."""
-    images = list(identity_map(3))
-    images[i - 1] = FWD[i - 1] + FWD[i] + BWD[i - 1]
-    images[i] = FWD[i - 1]
-    return tuple(images)
 
 
 class TestInnerPower:
@@ -174,6 +167,25 @@ class TestInnerPower:
             assert _inner_power(mg, realize_rose_endo(mg, bm),
                                 Config()) is None
         assert composed == []
+
+
+class TestBraids:
+    """The 115 maps of the 3-braid words of length at most four, against
+    the trace oracle of ``braids``."""
+
+    def test_slice_matches_trace_oracle(self):
+        maps = braid_maps(4)
+        assert len(maps) == 115
+        assert braid_type((1, -2)) == "pseudo-Anosov"  # s1 s2^-1, trace 3
+        assert (1, -2) in maps
+        allowed = {"pseudo-Anosov": {"Loxodromic", "Unknown"},
+                   "reducible": {"PeriodicVertex", "Unknown"},
+                   "periodic": {"PeriodicVertex"}}
+        mg = marked_rose(3)
+        for word, bm in maps.items():
+            c = classify(ExampleSpec("braid", mg,
+                                     {"f": realize_rose_endo(mg, bm)}, None))
+            assert c.verdict in allowed[braid_type(word)], word
 
 
 class TestPeriodicWitness:
@@ -373,12 +385,6 @@ class TestCLI:
                                       ("--seg-len", "0")])
     def test_invalid_neighbourhood_exit_code(self, flag, capsys):
         argv = ["classify", "--fixture", "filling_reducible", *flag]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err.startswith("error: ")
-
-    @pytest.mark.parametrize("budget", ["0", "-5"])
-    def test_invalid_budget_exit_code(self, budget, capsys):
-        argv = ["classify", "--fixture", "rank2_tr3", "--budget", budget]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 

@@ -41,10 +41,6 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             load_config(env={"FREESPLIT_SEG_LEN": "0"})
 
-    def test_invalid_outer_budget_rejected_on_load(self):
-        with pytest.raises(InvalidInput):
-            load_config(env={"FREESPLIT_OUTER_BUDGET": "0"})
-
     def test_invalid_cand_cap_rejected_on_load(self):
         # a cap of 0 would otherwise read as no cap at all
         with pytest.raises(InvalidInput):

@@ -1,12 +1,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit.automorphisms import invert_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import (CoreGraph, _fold, _natural_arcs, _wedge,
                                carries, co_edge_number, enumerate_classes,
-                               ffs_carried, ffs_from_generators, fold,
-                               folds_to_rose, meet, partition,
-                               subgroup_carried, tree_loops, whole_group)
+                               ffs_carried, ffs_from_generators, fold, meet,
+                               partition, subgroup_carried, tree_loops,
+                               whole_group)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert, reduce_word
 
 x, y, z = FWD[0], FWD[1], FWD[2]
@@ -34,10 +35,12 @@ class TestFold:
         with pytest.raises(InvalidInput):
             fold(2, [x, ""])
 
-    def test_folds_to_rose_detects_generation(self):
-        assert folds_to_rose((x + y, y), 2)
-        assert not folds_to_rose((x + y + X, y), 2)
-        assert not folds_to_rose((x, x + x), 2)
+    def test_invert_map_detects_generation(self):
+        # the images fold to the rose exactly when they generate
+        assert invert_map((x + y, y)) == (x + Y, y)
+        for bm in ((x + y + X, y), (x, x + x)):
+            with pytest.raises(InvalidInput):
+                invert_map(bm)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda rank: st.tuples(
@@ -59,11 +62,10 @@ class TestFold:
     @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
         st.just(rank),
         st.lists(st.tuples(st.integers(0, rank - 1), st.integers(0, 7),
-                           st.integers(0, 7)), max_size=14),
-        st.none() | st.integers(0, 7))))
+                           st.integers(0, 7)), max_size=14))))
     def test_worklist_fold_matches_rescan(self, case):
-        rank, edges, base = case
-        assert _fold(rank, edges, base) == _fold_rescan(rank, edges, base)
+        rank, edges = case
+        assert _fold(rank, edges) == _fold_rescan(rank, edges)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda rank: st.lists(
@@ -76,18 +78,17 @@ class TestFold:
         if not gens:
             return
         raw = _wedge(gens + [invert(w) + w[:3] for w in gens])
-        assert _fold(rank, raw, 0) == _fold_rescan(rank, raw, 0)
+        assert _fold(rank, raw) == _fold_rescan(rank, raw)
 
     def test_core_graph_numbering_ignores_edge_order(self):
-        edges = sorted(_fold(2, _wedge([x + x + y, y + X + y, x + y + X]),
-                             base=0)[0])
+        edges = sorted(_fold(2, _wedge([x + x + y, y + X + y, x + y + X])))
         graphs = [CoreGraph(2, order) for order in
                   (edges, edges[::-1], edges[1:] + edges[:1], set(edges))]
         assert len({g.edges for g in graphs}) == 1
         assert len({tuple(g.basis_words()) for g in graphs}) == 1
 
 
-def _fold_rescan(rank, raw_edges, base=None):
+def _fold_rescan(rank, raw_edges):
     """Reference Stallings fold: rescan every edge in sorted order after
     each identification, merging into the least vertex."""
     parent = {}
@@ -123,7 +124,7 @@ def _fold_rescan(rank, raw_edges, base=None):
             seen[key_out] = rb
             seen[key_in] = ra
         edges = {(lab, find(a), find(b)) for lab, a, b in edges}
-    return edges, (find(base) if base is not None else None)
+    return edges
 
 
 class TestPartition:
@@ -394,7 +395,7 @@ class TestCanonicalForm:
         st.permutations(range(8)))))
     def test_early_abort_key_on_folded_edge_sets(self, case):
         rank, edges, perm = case
-        core = CoreGraph(rank, _fold(rank, edges)[0])
+        core = CoreGraph(rank, _fold(rank, edges))
         assert core.canonical_key == _canonical_key_full(core)
         relabeled = CoreGraph(rank, [(lab, perm[a], perm[b])
                                      for lab, a, b in core.edges])

@@ -224,8 +224,8 @@ class TestPairRelation:
         for h, p1, p2, base, f in cases:
             inv = base.mg.marking_inv
             if f is not None:
-                nielsen = invert_map(base.mg.induced_rose_map(f))
-                inv = tuple(apply_map(nielsen, w) for w in inv)
+                f_inv = invert_map(base.mg.induced_rose_map(f))
+                inv = tuple(apply_map(f_inv, w) for w in inv)
             images = [map_path(h, w) for w in p1.mg.marking]
             old = outer_equal(tuple(apply_map(inv, w) for w in images),
                               identity_map(p1.mg.rank))[0]

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from freesplit.errors import InvalidInput
 from freesplit.words import (BWD, FWD, _least_rotation, canonical_cyclic,
                              cyclic_contains, cyclic_reduce, image_table,
-                             invert, junction, parse_word,
-                             print_word, reduce_images, reduce_word, sort_key)
+                             invert, parse_word, print_word, reduce_images,
+                             reduce_word, reduced_product, sort_key,
+                             stop_table)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -108,14 +109,15 @@ def table_and_word(draw):
 class TestReduceImages:
     def test_cancellation_spans_images(self):
         t = image_table([x + y, Y + z])
-        assert reduce_images(t, x + y) == x + z
-        assert reduce_images(t, x + X) == ""
+        stop = stop_table(t)
+        assert reduce_images(t, x + y, stop) == x + z
+        assert reduce_images(t, x + X, stop) == ""
 
     @settings(max_examples=150, deadline=None)
     @given(table_and_word())
     def test_matches_reduced_concatenation(self, tw):
         table, w = tw
-        assert reduce_images(table, w) == \
+        assert reduce_images(table, w, stop_table(table)) == \
             reduce_word("".join(table[ch] for ch in w))
 
 
@@ -124,8 +126,7 @@ class TestJunction:
     @given(words_strategy(), words_strategy())
     def test_cancellation_at_the_junction(self, u, v):
         u, v = reduce_word(u), reduce_word(v)
-        k = junction(u, v)
-        assert reduce_word(u + v) == u[:len(u) - k] + v[k:]
+        assert reduced_product(u, v) == reduce_word(u + v)
 
 
 class TestCanonicalCyclic:
