@@ -184,7 +184,7 @@ class CoreGraph:
         return list(tree_loops(self.edges, base)[1].values())
 
 
-def _fold(rank: int, raw_edges):
+def _fold(raw_edges):
     """Stallings folding; returns the folded edges.
 
     Each vertex class, named by its least member, keeps one target per
@@ -268,7 +268,7 @@ def fold(rank: int, generators) -> CoreGraph:
     gens = [reduce_word(w) for w in generators]
     if any(not w for w in gens):
         raise InvalidInput("trivial generator")
-    edges = _trim(_fold(rank, _wedge(gens)))
+    edges = _trim(_fold(_wedge(gens)))
     if not edges:
         raise InvalidInput("generators collapse to the trivial subgroup")
     return CoreGraph(rank, edges)

@@ -45,6 +45,18 @@ class Graph:
         self._init = tuple(e[1] for e in edges)
         self._term = tuple(e[2] for e in edges)
         self.slot_of = {n: i for i, n in enumerate(names)}
+        # Each oriented letter to a one-character code of its initial or
+        # terminal vertex, for :meth:`path_valid`.  At most 2 * MAX_SLOTS
+        # vertices touch an edge, so the codes are ASCII, which
+        # ``str.translate`` maps fastest.
+        letters = FWD[:len(names)] + BWD[:len(names)]
+        code = {v: chr(i) for i, v in
+                enumerate(sorted({*self._init, *self._term}))}
+        self._letters = frozenset(letters)
+        self._init_code = str.maketrans(
+            letters, "".join(code[v] for v in self._init + self._term))
+        self._term_code = str.maketrans(
+            letters, "".join(code[v] for v in self._term + self._init))
 
     @property
     def n_edges(self) -> int:
@@ -62,10 +74,12 @@ class Graph:
         return self._term[s] if is_fwd(ch) else self._init[s]
 
     def path_valid(self, word: str) -> bool:
-        return all(
-            self.term_of(word[i]) == self.init_of(word[i + 1])
-            for i in range(len(word) - 1)
-        )
+        """Every letter is an oriented edge of the graph, and each ends
+        where the next begins: the terminal vertices of all letters but the
+        last, as codes, equal the initial vertices of all but the first."""
+        return (self._letters.issuperset(word)
+                and word[:-1].translate(self._term_code)
+                == word[1:].translate(self._init_code))
 
     def check_path(self, word: str) -> str:
         if not self.path_valid(word):
@@ -166,30 +180,38 @@ class MarkedGraph:
         return paths, loops
 
     @cached_property
-    def _cotree_index(self) -> dict[int, int]:
-        """Slot of each edge off the spanning tree -> its loop's letter."""
-        return {s: i for i, (s, _, _) in enumerate(self.tree[1])}
+    def _loop_table(self) -> dict[int, str | None]:
+        """``str.translate`` table of :meth:`loop_word`: each cotree edge
+        letter to its loop letter, every other letter deleted."""
+        table: dict[int, str | None] = dict.fromkeys(map(ord, FWD + BWD))
+        for i, (s, _, _) in enumerate(self.tree[1]):
+            table[ord(FWD[s])] = FWD[i]
+            table[ord(BWD[s])] = BWD[i]
+        return table
 
     def loop_word(self, path: str) -> str:
         """A loop as a reduced word in the cotree loops: letter i is the
         i-th edge off the spanning tree; tree edges read as nothing.  A loop
         at another vertex reads as its conjugate along the tree path."""
-        index = self._cotree_index
-        out = []
-        for ch in path:
-            i = index.get(slot(ch))
-            if i is not None:
-                out.append(FWD[i] if is_fwd(ch) else BWD[i])
-        return reduce_word("".join(out))
+        return reduce_word(path.translate(self._loop_table))
+
+    @cached_property
+    def loop_marking(self) -> BasisMap:
+        """The marking read in the cotree loops."""
+        return tuple(map(self.loop_word, self.marking))
+
+    @cached_property
+    def loop_marking_inv(self) -> BasisMap:
+        """Inverse of :attr:`loop_marking`, computed once, on first use."""
+        return invert_map(self.loop_marking)
 
     @cached_property
     def marking_inv(self) -> tuple[str, ...]:
         """Edge words over the abstract basis: the inverse of the marking
         read in the cotree loops, on cotree edges; empty on tree edges."""
-        rho_hat: BasisMap = tuple(self.loop_word(w) for w in self.marking)
-        rho_hat_inv = invert_map(rho_hat)
+        rho_hat_inv = self.loop_marking_inv
         inv = [""] * self.graph.n_edges
-        for s, i in self._cotree_index.items():
+        for i, (s, _, _) in enumerate(self.tree[1]):
             inv[s] = rho_hat_inv[i]
         return tuple(inv)
 

@@ -175,7 +175,9 @@ def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict
     Filling is monotone: a set that no proper free factor system carries
     has no carried superset.  So after a Fills, the next, larger set is
     read off as Fills without minimizing it, provided it fits the letter
-    budget that would otherwise make fills() say Unknown.
+    budget that would otherwise make fills() say Unknown.  The sets are
+    nested, so the moves that minimized one set shorten most of the next:
+    each descent starts from the last verdict's move log.
     """
     prev: FillsVerdict | None = None
     for classes in accumulated_lists:
@@ -184,7 +186,8 @@ def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict
         if prev is not None and prev.kind == FILLS \
                 and sum(map(len, classes)) <= cfg.whitehead_max_letters:
             return prev
-        cur = fills(sorted(classes), rank, cfg)
+        cur = fills(sorted(classes), rank, cfg,
+                    start=prev.move_log if prev is not None else ())
         if prev is not None and cur.kind != UNKNOWN \
                 and (prev.kind, prev.witness) == (cur.kind, cur.witness):
             return cur

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .automorphisms import outer_equal
+from .automorphisms import compose_maps, identity_map, outer_equal
 from .errors import InvalidInput
 from .factors import FreeFactorSystem
 from .graphs import (GraphMap, MarkedGraph, map_path, print_marked_graph,
@@ -200,8 +200,9 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
 
     Clause 1: h preserves markings: h after the first marking equals the
     second marking in the outer automorphism group, both read as words in
-    the target graph's cotree loops (:meth:`MarkedGraph.loop_word`), so no
-    marking is inverted.
+    the target graph's cotree loops (:meth:`MarkedGraph.loop_word`).  When
+    they differ, both are first composed with the inverse of the first
+    marking, which its graph keeps (:attr:`MarkedGraph.loop_marking_inv`).
     Clause 2: h gives a bijection of natural vertices off the subgraphs.
     Clause 3: h carries H into H', and each complement natural edge maps
     to flank * edge * flank with flanks trivial or in H'.
@@ -209,7 +210,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
     if h.source is not p1.graph or h.target is not p2.graph:
         raise InvalidInput("map endpoints do not match the pairs")
     # The structural clauses (2) and (3) are cheap; the marking clause (1)
-    # inverts the target marking, so it runs last.
+    # may invert a marking, so it runs last.
     h1_verts = {v for s in p1.h_slots
                 for v in (p1.graph._init[s], p1.graph._term[s])}
     h2_verts = {v for s in p2.h_slots
@@ -261,10 +262,21 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
         return RelationResult(FAILS, 3, "complement edges not bijective")
 
     carried = tuple(p2.mg.loop_word(map_path(h, w)) for w in p1.mg.marking)
-    marked = tuple(p2.mg.loop_word(w) for w in p2.mg.marking)
-    verdict, _ = outer_equal(carried, marked)
-    if verdict != "Equal":
-        return RelationResult(FAILS, 1, "marking not preserved")
+    marked = p2.mg.loop_marking
+    if carried != marked:
+        # f = g in Out iff f x = g x in Out, for any automorphism x.  With x
+        # the inverse of the source marking, which the source graph keeps,
+        # the carried side is the identity when h is the identity map of
+        # the graph.  outer_equal inverts its second map unless it is the
+        # identity; the marked side is an automorphism, the carried side
+        # only if h is a homotopy equivalence.
+        back = p1.mg.loop_marking_inv
+        moved, target = (compose_maps(w, back) for w in (carried, marked))
+        if moved == identity_map(len(moved)):
+            moved, target = target, moved
+        verdict, _ = outer_equal(moved, target)
+        if verdict != "Equal":
+            return RelationResult(FAILS, 1, "marking not preserved")
     return RelationResult(
         HOLDS, witness=PairRelationWitness(h, vertex_bij, assignments))
 

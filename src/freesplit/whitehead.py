@@ -283,21 +283,30 @@ def _best_move(rank: int, classes) -> tuple[int, Move | None, tuple | None]:
     return best_delta, move, images[tag]
 
 
-def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
-    """Reduce total cyclic length to a global minimum.
-
-    Returns (minimized sorted tuple, total length, move log); the log is
-    no longer than the starting total, which ``whitehead_max_letters`` caps.
-    Pair counts, and with them every length change, do not depend on the
-    rotation or orientation of a word, and an automorphism cannot merge
-    distinct classes; so the iterates are the cyclically reduced images,
-    and only the minimum is put in canonical form.
-    """
+def _class_set(classes, cfg: Config) -> list[str]:
+    """Distinct canonical classes in canonical order; InvalidInput when
+    empty or trivial, BudgetExhausted over ``whitehead_max_letters``."""
     cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
     if not cur or any(not w for w in cur):
         raise InvalidInput("nonempty, nontrivial classes required")
-    if sum(len(w) for w in cur) > cfg.whitehead_max_letters:
+    if sum(map(len, cur)) > cfg.whitehead_max_letters:
         raise BudgetExhausted("class set exceeds letter budget")
+    return cur
+
+
+def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
+    """Reduce total cyclic length to a global minimum.
+
+    Returns (minimized sorted tuple, total length, move log).  Each move
+    shortens the set by at least one letter, so the log is no longer than
+    the starting total less the minimum; ``whitehead_max_letters`` caps the
+    starting total.  Pair counts, and with them every length change, do
+    not depend on the rotation or orientation of a word, and an
+    automorphism cannot merge distinct classes; so the iterates are the
+    cyclically reduced images, and only the minimum is put in canonical
+    form.
+    """
+    cur = _class_set(classes, cfg)
     log: list[Move] = []
     # ends: the total falls by at least -delta >= 1 per move, and stays >= 1
     while True:
@@ -350,20 +359,38 @@ class FillsVerdict:
         }
 
 
-def fills(classes, rank: int, cfg: Config = DEFAULT) -> FillsVerdict:
+def fills(classes, rank: int, cfg: Config = DEFAULT,
+          start=()) -> FillsVerdict:
     """Whitehead criterion: minimize, then read the Whitehead graph.
 
     Each component of the graph at the minimum is closed under inversion,
     so its forward letters are a letter group.  Fills when one component
     uses every letter; otherwise the letter groups, transported back
     through the inverted move log, are a proper free factor system, which
-    is checked to carry the input classes.  Unknown when the letter budget
-    runs out or that check fails.
+    is checked to carry the input classes.  Unknown when the input set is
+    over the letter budget or that check fails.
+
+    ``start``, a move log (say the minimizer of a smaller set), warm-starts
+    the descent: the classes are mapped through its moves and minimized
+    from there, and the verdict's log is ``start`` followed by the moves
+    made.  When the mapped set is longer than the input, the descent starts
+    from the input instead.  Whether a set fills, and its free factor
+    support (the least free factor system carrying it, which a ProperFactor
+    witness is), do not depend on the basis, so ``start`` changes only the
+    verdict's ``minimized`` and ``move_log``.
     """
     try:
-        minimized, _, log = whitehead_minimize(classes, rank, cfg)
+        warm = classes
+        if start:
+            warm = cur = _class_set(classes, cfg)
+            for mv in start:
+                warm = _class_images(mv, rank, warm)
+            if sum(map(len, warm)) > sum(map(len, cur)):
+                warm, start = cur, ()
+        minimized, _, log = whitehead_minimize(warm, rank, cfg)
     except BudgetExhausted as exc:
         return FillsVerdict(UNKNOWN, reason=str(exc))
+    log = [*start, *log]
     adj, used = whitehead_graph(rank, minimized)
     letter_groups = [sorted(u for u in comp if u < rank)
                      for comp in partition(used, ({u} | adj[u] for u in used))]

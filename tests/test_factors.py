@@ -65,7 +65,7 @@ class TestFold:
                            st.integers(0, 7)), max_size=14))))
     def test_worklist_fold_matches_rescan(self, case):
         rank, edges = case
-        assert _fold(rank, edges) == _fold_rescan(rank, edges)
+        assert _fold(edges) == _fold_rescan(rank, edges)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda rank: st.lists(
@@ -78,10 +78,10 @@ class TestFold:
         if not gens:
             return
         raw = _wedge(gens + [invert(w) + w[:3] for w in gens])
-        assert _fold(rank, raw) == _fold_rescan(rank, raw)
+        assert _fold(raw) == _fold_rescan(rank, raw)
 
     def test_core_graph_numbering_ignores_edge_order(self):
-        edges = sorted(_fold(2, _wedge([x + x + y, y + X + y, x + y + X])))
+        edges = sorted(_fold(_wedge([x + x + y, y + X + y, x + y + X])))
         graphs = [CoreGraph(2, order) for order in
                   (edges, edges[::-1], edges[1:] + edges[:1], set(edges))]
         assert len({g.edges for g in graphs}) == 1
@@ -395,7 +395,7 @@ class TestCanonicalForm:
         st.permutations(range(8)))))
     def test_early_abort_key_on_folded_edge_sets(self, case):
         rank, edges, perm = case
-        core = CoreGraph(rank, _fold(rank, edges))
+        core = CoreGraph(rank, _fold(edges))
         assert core.canonical_key == _canonical_key_full(core)
         relabeled = CoreGraph(rank, [(lab, perm[a], perm[b])
                                      for lab, a, b in core.edges])

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -6,14 +7,16 @@ from freesplit.automorphisms import (compose_maps, identity_map, invert_map,
                                      outer_equal)
 from freesplit.errors import BudgetExhausted, InvalidInput, NumericalTolerance
 from freesplit.fixtures import RANK2_CATALOG, fixture, fixture_names
-from freesplit.graphs import (Graph, TransitionMatrix, compose,
-                              identity_graph_map, is_invariant_subgraph,
-                              is_nielsen, iterate, map_circuit, map_path,
-                              marked_rose, minimal_invariant_superset,
-                              parse_marked_graph, pf_eigenvalue,
-                              print_marked_graph, realize_rose_endo, rose,
-                              strata, transition_matrix)
-from freesplit.words import FWD, canonical_cyclic, reduce_word
+from freesplit.graphs import (Graph, MarkedGraph, TransitionMatrix, compose,
+                              graph_map, identity_graph_map,
+                              is_invariant_subgraph, is_nielsen, iterate,
+                              map_circuit, map_path, marked_rose,
+                              minimal_invariant_superset, parse_marked_graph,
+                              pf_eigenvalue, print_marked_graph,
+                              realize_rose_endo, rose, strata,
+                              transition_matrix)
+from freesplit.words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
+                             reduce_word, slot)
 from test_classify import rank2_products
 
 # Reducible rose automorphisms of rank 3 and 4 (a = x1, b = x2, ...;
@@ -428,3 +431,98 @@ class TestMarking:
         verdict, _ = outer_equal(mg.induced_rose_map(compose(f, f_inv)),
                                  mg.induced_rose_map(identity_graph_map(g)))
         assert verdict == "Equal"
+
+
+def _dumbbell():
+    """Loops p at u and q at v joined by the arc t, marked at u, with the
+    map swapping the two ends, which moves the base to v."""
+    g = Graph(["u", "v"], [("p", "u", "u"), ("q", "v", "v"), ("t", "u", "v")])
+    p, q, t = (g.fwd_char(n) for n in "pqt")
+    mg = MarkedGraph(g, "u", [p, t + q + invert(t)])
+    swap = graph_map(g, g, {"u": "v", "v": "u"},
+                     {"p": ["q"], "q": ["p"], "t": ["t'"]})
+    return mg, swap
+
+
+def _theta():
+    """A theta graph with one arc subdivided at w and a loop e at u, marked
+    at u, with the map sliding the end of c over the loop e."""
+    g = Graph(["u", "v", "w"], [("a", "u", "w"), ("b", "w", "v"),
+                                ("c", "u", "v"), ("d", "v", "u"),
+                                ("e", "u", "u")])
+    a, b, c, d, e = (g.fwd_char(n) for n in "abcde")
+    mg = MarkedGraph(g, "u", [e, a + b + d, c + d])
+    slide = graph_map(g, g, {v: v for v in g.vertices},
+                      {"a": ["a"], "b": ["b"], "c": ["e", "c"], "d": ["d"],
+                       "e": ["e"]})
+    return mg, slide
+
+
+def _marked_graphs():
+    """Multi-vertex marked graphs, each remarked by its map, and the
+    filling_reducible rose remarked by its map."""
+    out = []
+    for mg, f in (_dumbbell(), _theta()):
+        out += [mg, mg.remark(f), mg.remark(compose(f, f))]
+    spec = fixture("filling_reducible")
+    return out + [spec.mg, spec.mg.remark(spec.f)]
+
+
+def path_valid_reference(g, word):
+    """Letter by letter: each letter an edge of g, each ending where the
+    next begins."""
+    letters = {FWD[s] for s in range(g.n_edges)} | \
+        {BWD[s] for s in range(g.n_edges)}
+    return set(word) <= letters and all(
+        g.term_of(word[i]) == g.init_of(word[i + 1])
+        for i in range(len(word) - 1))
+
+
+def loop_word_reference(mg, path):
+    """Letter by letter: the i-th cotree edge reads as letter i, a tree
+    edge as nothing."""
+    index = {s: i for i, (s, _, _) in enumerate(mg.tree[1])}
+    out = []
+    for ch in path:
+        i = index.get(slot(ch))
+        if i is not None:
+            out.append(FWD[i] if is_fwd(ch) else BWD[i])
+    return reduce_word("".join(out))
+
+
+class TestTranslatedPaths:
+    """``path_valid`` and ``loop_word`` by ``str.translate``, against
+    letter-by-letter references on every word of length <= 4."""
+
+    @pytest.mark.parametrize("index", range(len(_marked_graphs())))
+    def test_every_short_word(self, index):
+        mg = _marked_graphs()[index]
+        g = mg.graph
+        letters = FWD[:g.n_edges] + BWD[:g.n_edges]
+        valid = total = 0
+        for n in range(5):
+            for word in map("".join, itertools.product(letters, repeat=n)):
+                ok = g.path_valid(word)
+                assert ok == path_valid_reference(g, word), word
+                assert mg.loop_word(word) == loop_word_reference(mg, word)
+                valid += ok
+                total += 1
+        # on a graph with several vertices some words are not paths
+        assert (valid < total) == (len(g.vertices) > 1)
+
+    def test_loop_marking_inverse(self):
+        # the swapped dumbbell is based at v, and its loops read from there
+        mg, swap = _dumbbell()
+        assert mg.remark(swap).base == "v"
+        for mg in _marked_graphs():
+            assert compose_maps(mg.loop_marking, mg.loop_marking_inv) == \
+                identity_map(mg.rank)
+            assert mg.validate_marking()
+
+    @pytest.mark.parametrize("word", [FWD[3], "a" + FWD[5], "ab" + "\u00e9",
+                                      "\u00e9", "a" + BWD[2] + "b"])
+    def test_letter_outside_the_graph_is_invalid(self, word):
+        g = rose(2)
+        assert not g.path_valid(word)
+        with pytest.raises(InvalidInput):
+            g.check_path(word)

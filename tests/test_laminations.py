@@ -5,17 +5,19 @@ import math
 import pytest
 
 from freesplit import laminations
-from freesplit.config import Config
+from freesplit.classify import _power_map, _rotationless_power
+from freesplit.config import DEFAULT, Config
 from freesplit.errors import BudgetExhausted, InvalidInput
-from freesplit.fixtures import fixture
+from freesplit.fixtures import bdd_no_periodic, fixture, fixture_names
 from freesplit.graphs import (close_path, compose, identity_graph_map, iterate,
-                              strata)
-from freesplit.laminations import (_stabilized_fills, _window_start,
-                                   lamination_approx, lamination_fills,
-                                   laminations_jointly_fill, pf_estimate,
-                                   weakly_attracted)
-from freesplit.whitehead import FILLS, PROPER, UNKNOWN
+                              marked_rose, realize_rose_endo, strata)
+from freesplit.laminations import (_classes_to_depth, _stabilized_fills,
+                                   _window_start, lamination_approx,
+                                   lamination_fills, laminations_jointly_fill,
+                                   pf_estimate, weakly_attracted)
+from freesplit.whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
 from freesplit.words import BWD, FWD
+from test_classify import rank2_products
 
 
 @pytest.fixture(scope="module")
@@ -274,13 +276,106 @@ class TestStabilizedFills:
         calls = []
         original = laminations.fills
 
-        def counting(classes, rank, cfg):
+        def counting(classes, rank, cfg, start=()):
             calls.append(classes)
-            return original(classes, rank, cfg)
+            return original(classes, rank, cfg, start)
 
         monkeypatch.setattr(laminations, "fills", counting)
         assert _stabilized_fills(self.LONG, 2, Config()).kind == FILLS
         assert calls == [sorted(c) for c in self.LONG[:2]]
+
+
+def stabilized_fills_cold(accumulated_lists, rank, cfg):
+    """The depth loop with every fills() started from the input set."""
+    prev = None
+    for classes in accumulated_lists:
+        if not classes:
+            continue
+        if prev is not None and prev.kind == FILLS \
+                and sum(map(len, classes)) <= cfg.whitehead_max_letters:
+            return prev
+        cur = fills(sorted(classes), rank, cfg)
+        if prev is not None and cur.kind != UNKNOWN \
+                and (prev.kind, prev.witness) == (cur.kind, cur.witness):
+            return cur
+        prev = cur
+    return FillsVerdict(UNKNOWN, reason="verdict did not stabilize")
+
+
+def _map_cases():
+    """(name, marked graph, map): the rank-2 products of length <= 6 on the
+    rose, each fixture's endomorphisms with their rotationless powers, and
+    bdd_no_periodic(m) for m = 2..4 at the power classify uses."""
+    mg2 = marked_rose(2)
+    cases = [(f"rank2-{'/'.join(bm)}", mg2, realize_rose_endo(mg2, bm))
+             for bm in rank2_products(6)]
+    specs = [fixture(name) for name in fixture_names()]
+    specs += [bdd_no_periodic(m) for m in (2, 4)]
+    for spec in specs:
+        for key, f in spec.maps.items():
+            if not f.is_endo():
+                continue
+            cases.append((f"{spec.name}-{key}", spec.mg, f))
+            p = _rotationless_power(f, DEFAULT)
+            if p > 1:
+                cases.append((f"{spec.name}-{key}^{p}", spec.mg,
+                              _power_map(f, p)))
+    return cases
+
+
+def _depth_lists(mg, f):
+    """Accumulated class lists of each lamination of f, and of all of
+    them together when there are several."""
+    filt = strata(f)
+    lams = [lamination_approx(mg, f, i, filtration=filt)
+            for i in filt.eg_strata()]
+    groups = [[lam] for lam in lams] + ([lams] if len(lams) > 1 else [])
+    return [[_classes_to_depth(group, k)
+             for k in range(1, max(lam.depth for lam in group) + 1)]
+            for group in groups]
+
+
+class TestWarmStartedDepths:
+    """Each depth's descent starts from the last verdict's move log; the
+    verdict and witness are those of cold starts."""
+
+    def test_matches_cold_reference(self, monkeypatch):
+        starts = []
+        original = laminations.fills
+
+        def recording(classes, rank, cfg, start=()):
+            starts.append(bool(start))
+            return original(classes, rank, cfg, start)
+
+        monkeypatch.setattr(laminations, "fills", recording)
+        calls = 0
+        for name, mg, f in _map_cases():
+            for lists in _depth_lists(mg, f):
+                warm = _stabilized_fills(lists, mg.rank, DEFAULT)
+                cold = stabilized_fills_cold(lists, mg.rank, DEFAULT)
+                assert (warm.kind, warm.witness) == (cold.kind, cold.witness), \
+                    name
+                calls += 1
+        # the sweep reaches many depth loops, and many warm starts
+        assert calls > 200 and sum(starts) > 200
+
+    def test_lengthened_set_starts_cold(self, monkeypatch):
+        # x y is minimized by the move taking it to x, which lengthens
+        # x x: the second descent starts from the input set
+        a, b = FWD[0], FWD[1]
+        lists = [[a + b], [a + b, a + a]]
+        seen = []
+        original = laminations.fills
+
+        def recording(classes, rank, cfg, start=()):
+            seen.append((start, original(classes, rank, cfg, start)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(laminations, "fills", recording)
+        _stabilized_fills(lists, 2, DEFAULT)
+        (_, first), (start, second) = seen
+        assert first.kind == PROPER and start == first.move_log != ()
+        assert second == fills(lists[1], 2)
 
 
 class TestPFEstimate:

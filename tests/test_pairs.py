@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from freesplit import automorphisms, graphs
 from freesplit.automorphisms import (apply_map, identity_map, invert_map,
                                      outer_equal)
 from freesplit.classify import _power_map
@@ -182,6 +183,27 @@ class TestPairRelation:
         for mu, cls, nu, flip in res.witness.edge_assignments.values():
             for ch in mu + nu:
                 assert slot(ch) in pair.h_slots
+
+    @pytest.mark.parametrize("inner", [{"a": "a", "b": "a b a'"},
+                                       {"a": "b' a b", "b": "b"}])
+    def test_identity_relation_inverts_no_marking(self, inner, monkeypatch):
+        # an inner f remarks a pair to one related to it by the identity;
+        # the source keeps its marking's inverse, so clause 1 inverts nothing
+        mg = marked_rose(2, ["a", "b"])
+        f = rose_map(mg, inner)
+        pair = validate_pair(mg, ["a"])
+        target = remark_pair(pair, f)
+        mg.loop_marking_inv
+        calls = []
+
+        def counting(bm):
+            calls.append(bm)
+            return invert_map(bm)
+
+        monkeypatch.setattr(automorphisms, "invert_map", counting)
+        monkeypatch.setattr(graphs, "invert_map", counting)
+        res = pair_relation_check(identity_graph_map(mg.graph), pair, target)
+        assert res.holds and calls == []
 
     def test_clause_one_mutant(self):
         # x2 -> x2 x2 keeps H = {x2} and the complement edge x1 in place,

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from freesplit import cli, whitehead
 from freesplit.automorphisms import MapTables, apply_map, identity_map
+from freesplit.config import Config
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
@@ -755,6 +756,50 @@ class TestFillsGolden:
         assert cli.main(argv) == 0
         assert json.loads(capsys.readouterr().out)["results"] == \
             case["report"]
+
+
+class TestWarmStart:
+    """``fills(classes, start=log)`` against the cold start."""
+
+    CASES = TestFillsGolden.CASES
+
+    @staticmethod
+    def starts(classes, rank):
+        """Move logs to start from: every prefix of the set's own log, the
+        logs of its leading subsets, and its own log undone, which
+        lengthens the set and so sends the descent back to the input."""
+        own = list(fills(classes, rank).move_log)
+        logs = [own[:k] for k in range(1, len(own) + 1)]
+        logs += [fills(classes[:k], rank).move_log
+                 for k in range(1, len(classes))]
+        logs.append([mv.inverse() for mv in reversed(own)])
+        return [tuple(log) for log in logs if log]
+
+    @pytest.mark.parametrize("case", CASES, ids=[c["case"] for c in CASES])
+    def test_golden_sets_match_cold_start(self, case):
+        rank, classes = case["rank"], case["classes"]
+        cold = fills(classes, rank)
+        for start in self.starts(classes, rank):
+            warm = fills(classes, rank, start=start)
+            assert (warm.kind, warm.witness) == (cold.kind, cold.witness)
+            assert sum(map(len, warm.minimized)) == \
+                sum(map(len, cold.minimized))
+            assert replay_move_log(classes, rank, warm.move_log) == \
+                warm.minimized
+
+    def test_start_that_lengthens_is_dropped(self):
+        # the move taking x y to x lengthens x x: the descent starts cold
+        start = fills([x + y], 2).move_log
+        assert start
+        assert fills([x + y, x + x], 2, start=start) == fills([x + y, x + x], 2)
+
+    def test_budget_reads_the_input(self):
+        # x y x y x y is over a budget of 5; its image under the start is
+        # not, but the verdict is that of the input
+        start = fills([x + y], 2).move_log
+        cfg = Config(whitehead_max_letters=5)
+        v = fills([x + y + x + y + x + y], 2, cfg, start=start)
+        assert (v.kind, v.reason) == (UNKNOWN, "class set exceeds letter budget")
 
 
 class TestSupport:
