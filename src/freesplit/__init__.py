@@ -17,18 +17,18 @@ from .automorphisms import (BasisMap, abelianization, apply_map,
                             outer_equal)
 from .graphs import (Filtration, Graph, GraphMap, MarkedGraph, Stratum,
                      TransitionMatrix, compose, graph_map, identity_graph_map,
-                     is_invariant_subgraph, is_nielsen, iterate, map_circuit,
-                     map_path, marked_rose, parse_marked_graph, pf_eigenvalue,
-                     print_marked_graph, rose, rose_map, strata,
-                     subgraph_factor_system, transition_matrix)
+                     is_invariant_subgraph, is_nielsen, map_path, marked_rose,
+                     parse_marked_graph, pf_eigenvalue, print_marked_graph,
+                     rose, rose_map, strata, subgraph_factor_system,
+                     transition_matrix)
 from .factors import (CoreGraph, FreeFactorSystem, carries, co_edge_number,
                       enumerate_classes, ffs_carried, ffs_from_generators,
-                      fold, meet, whole_group)
+                      fold, whole_group)
 from .whitehead import (FillsVerdict, fills, free_factor_support,
                         whitehead_minimize)
 from .laminations import (LaminationApprox, lamination_approx,
                           lamination_fills, laminations_jointly_fill,
-                          pf_estimate, weakly_attracted)
+                          pf_estimate)
 from .pairs import (MarkedGraphPair, OneEdgeSplitting, adjacent,
                     elliptic_system, equivalent_one_edge, faces,
                     one_edge_splitting, pair_relation_check, remark_pair,

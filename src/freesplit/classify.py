@@ -348,10 +348,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
     filling = next((lam for lam, v in zip(lams, verdicts)
                     if v.kind == FILLS), None)
     if filling is not None:
-        f_inv = spec.maps.get("f_inv")
-        if f_inv is not None and p > 1:
-            f_inv = _power_map(f_inv, p)
-        return _loxodromic_witness(mg, fp, f_inv, filling, cfg, p, notes)
+        return _loxodromic_witness(mg, fp, filling, cfg, p, notes)
 
     if any(v.kind == UNKNOWN for v in verdicts):
         return Classification("Unknown", stage="lamination_fills",
@@ -395,11 +392,10 @@ def _periodic_vertex(mg: MarkedGraph, fp: GraphMap, p: int, notes: dict,
                           power=p, notes=notes)
 
 
-def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap,
-                        f_inv: GraphMap | None, lam: LaminationApprox,
+def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap, lam: LaminationApprox,
                         cfg: Config, p: int, notes: dict) -> Classification:
     try:
-        ctx = build_context(mg, fp, f_inv, cfg, lam_plus=lam)
+        ctx = build_context(mg, fp, cfg, lam_plus=lam)
     except InvalidInput as exc:
         return Classification("Unknown", stage=f"build_context: {exc}",
                               power=p, notes=notes)

@@ -67,6 +67,15 @@ def _load_spec(args, cfg):
     raise InvalidInput("provide --fixture NAME or --input FILE")
 
 
+def _closed_path(spec: ExampleSpec, tokens: str) -> str:
+    """The edge path spelled by ``tokens``; only a closed one is a class."""
+    graph = spec.mg.graph
+    path = graph.parse_path(tokens.split())
+    if not graph.is_closed(path):
+        raise InvalidInput(f"edge path {tokens!r} is not closed")
+    return path
+
+
 def _emit(args, report: dict, human: str) -> int:
     text = dump_report(report)
     if args.out:
@@ -96,10 +105,9 @@ def cmd_classify(args) -> int:
 def cmd_w(args) -> int:
     cfg = _load_cfg(args)
     spec = _load_spec(args, cfg)
-    ctx = build_context(spec.mg, spec.f, spec.maps.get("f_inv"), cfg)
-    word = spec.mg.graph.parse_path(args.word.split())
-    cls = spec.mg.path_to_rose(word)
-    res = w_of(ctx, cls)
+    path = _closed_path(spec, args.word)
+    ctx = build_context(spec.mg, spec.f, cfg)
+    res = w_of(ctx, spec.mg.path_to_rose(path))
     report = make_report(
         "w", {"name": spec.name, "class": args.word},
         {"status": res.status, "value": res.value,
@@ -137,10 +145,8 @@ def cmd_leaf(args) -> int:
 def cmd_fills(args) -> int:
     cfg = _load_cfg(args)
     spec = _load_spec(args, cfg)
-    classes = []
-    for token_word in args.classes:
-        path = spec.mg.graph.parse_path(token_word.split())
-        classes.append(spec.mg.circuit_to_rose_class(path))
+    classes = [spec.mg.circuit_to_rose_class(_closed_path(spec, tokens))
+               for tokens in args.classes]
     verdict = fills(classes, spec.mg.rank, cfg)
     report = make_report("fills", {"name": spec.name, "classes": args.classes},
                          verdict.to_json(spec.mg.rank), verdict=verdict.kind)

@@ -3,10 +3,11 @@
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
 plain ints; no randomness anywhere.  A segment length, candidate cap or
-Whitehead letter budget below 1, or a horizon shorter than the stability
-margin, raise InvalidInput on construction.  Limits no caller varies are
-module constants where they are used, not fields here.  Inversion and
-outer equality are exact, so they take no budget.
+Whitehead letter budget below 1, any other limit below 0, or a horizon
+shorter than the stability margin, raise InvalidInput on construction.
+Limits no caller varies are module constants where they are used, not
+fields here.  Inversion and outer equality are exact, so they take no
+budget.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import os
 from .errors import InvalidInput
 
 ENV_PREFIX = "FREESPLIT_"
+# limits that may be 0 but never negative
+_NONNEGATIVE = ("iterate_cap", "lam_depth_cap", "lam_len_target", "cand_len",
+                "power_cap")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,6 +51,9 @@ class Config:
         if self.whitehead_max_letters < 1:
             # a budget of 0 would make every fills verdict Unknown
             raise InvalidInput("Whitehead letter budget must be >= 1")
+        for name in _NONNEGATIVE:
+            if getattr(self, name) < 0:
+                raise InvalidInput(f"{name} must be >= 0")
 
     def with_overrides(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

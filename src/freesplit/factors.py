@@ -3,8 +3,8 @@
 A core graph is a connected, folded graph with edges labeled by basis
 letters of the ambient free group, immersing into the rose; it stands for
 the conjugacy class of the subgroup its loops generate.  Folding is
-Stallings' algorithm; carrying, meets (fiber products) and co-edge
-numbers are computed directly on the graphs.
+Stallings' algorithm; carrying and co-edge numbers are computed directly
+on the graphs.
 
 The two connectivity routines every graph of the package shares live here
 too: :func:`partition` (connected classes: also the strata of a graph map,
@@ -355,31 +355,6 @@ def ffs_carried(f1: FreeFactorSystem, f2: FreeFactorSystem) -> bool:
     return all(
         any(subgroup_carried(a, b) for b in f2.components) for a in f1.components
     )
-
-
-def meet(f1: FreeFactorSystem, f2: FreeFactorSystem) -> FreeFactorSystem:
-    """The meet F1 ∧ F2, the largest free factor system carried by both
-    (their nontrivial pairwise intersections up to conjugacy), read off the
-    fiber product of the core immersions."""
-    if f1.ambient_rank != f2.ambient_rank:
-        raise InvalidInput("factor systems over different ranks")
-    rank = f1.ambient_rank
-    comps = []
-    for c1 in f1.components:
-        for c2 in f2.components:
-            edges = []
-            for lab, a, b in c1.edges:
-                for lab2, a2, b2 in c2.edges:
-                    if lab == lab2:
-                        edges.append((lab, a * c2.n_vertices + a2,
-                                      b * c2.n_vertices + b2))
-            # trimmed of its trees, every vertex component carries a loop
-            edges = _trim(edges)
-            verts = {v for _, a, b in edges for v in (a, b)}
-            for comp in partition(verts, ((a, b) for _, a, b in edges)):
-                comps.append(CoreGraph(rank,
-                                       [e for e in edges if e[1] in comp]))
-    return FreeFactorSystem(rank, _dedupe(tuple(comps)))
 
 
 def co_edge_number(ffs: FreeFactorSystem) -> int:

@@ -1,4 +1,4 @@
-"""Marked graphs, graph maps, iteration, strata, transition matrices.
+"""Marked graphs, graph maps, path images, strata, transition matrices.
 
 Edges of a graph are totally ordered by name; oriented edges are single
 characters of the internal alphabet (slot = rank of the edge name), so
@@ -15,8 +15,7 @@ from functools import cached_property
 
 from . import words
 from .automorphisms import BasisMap, apply_map, identity_map, invert_map, outer_equal
-from .config import DEFAULT
-from .errors import BudgetExhausted, InvalidInput, NumericalTolerance
+from .errors import InvalidInput, NumericalTolerance
 from .factors import FreeFactorSystem, _dedupe, fold, partition, tree_loops
 from .words import (BWD, FWD, image_table, invert, is_fwd, reduce_images,
                     reduce_word, slot, stop_table)
@@ -380,31 +379,6 @@ def map_path(f: GraphMap, path: str) -> str:
     """Tightened image of a path (the # operation)."""
     f.source.check_path(path)
     return reduce_images(f.img, path, f.stop)
-
-
-def map_circuit(f: GraphMap, circuit: str) -> str:
-    """Image of a cyclic class, cyclically reduced and canonicalized."""
-    if not f.source.is_closed(circuit):
-        raise InvalidInput("not a closed path")
-    f.source.check_path(circuit)
-    # edge images are reduced (checked by GraphMap), so the image is too
-    return words._canonical_reduced(
-        words.strip_cyclic(reduce_images(f.img, circuit, f.stop)))
-
-
-def iterate(f: GraphMap, path: str, k: int,
-            cap: int = DEFAULT.iterate_cap) -> str:
-    """k-fold tightened image, with a letter cap against exponential growth."""
-    if k < 0:
-        raise InvalidInput("nonnegative iteration count required")
-    if not f.is_endo():
-        raise InvalidInput("iteration requires an endomorphism")
-    cur = reduce_word(path)
-    for _ in range(k):
-        cur = map_path(f, cur)
-        if len(cur) > cap:
-            raise BudgetExhausted(f"iterate exceeded {cap} letters")
-    return cur
 
 
 def compose(f: GraphMap, g: GraphMap) -> GraphMap:

@@ -7,6 +7,9 @@ or by the Whitehead support of the accumulated closures of the leaf
 segments, accepted only when the verdict stabilizes at two consecutive
 depths.  Filling is monotone in the class set, so a Fills at one depth
 settles the next, larger one without a second Whitehead minimization.
+A deep leaf segment also yields the defining segment whose presence the
+orbit phase of :mod:`freesplit.wproj` scans for, and the stretch that
+:func:`pf_estimate` reads off.
 """
 
 from __future__ import annotations
@@ -16,14 +19,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .config import DEFAULT, Config
-from .errors import BudgetExhausted, InvalidInput
+from .errors import InvalidInput
 from .factors import carries
-from .graphs import (Filtration, GraphMap, MarkedGraph, close_path,
-                     map_circuit, map_path, minimal_invariant_superset,
-                     strata, subgraph_factor_system)
+from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, map_path,
+                     minimal_invariant_superset, strata,
+                     subgraph_factor_system)
 from .whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
-from .words import (FWD, _canonical_reduced, canonical_cyclic,
-                    count_crossings, cyclic_contains, invert, strip_cyclic)
+from .words import (FWD, _canonical_reduced, count_crossings, invert,
+                    strip_cyclic)
 
 
 @dataclass(frozen=True)
@@ -35,7 +38,6 @@ class LaminationApprox:
     seed: int
     segments: tuple[str, ...]  # segments[k] = k-fold tightened image of seed
     depth: int
-    stratum_growth: tuple[int, ...]  # stratum-edge counts per depth
 
     def deepest(self) -> str:
         return self.segments[-1]
@@ -61,7 +63,6 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
         raise InvalidInput(f"stratum {stratum_index} is {st.label}, not EG")
     seed = min(st.slots)
     segs = [FWD[seed]]
-    counts = [1]
     while len(segs) - 1 < cfg.lam_depth_cap:
         if (len(segs[-1]) >= cfg.lam_len_target
                 and len(segs) >= 3):
@@ -70,9 +71,8 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
         if len(nxt) > cfg.iterate_cap:
             break
         segs.append(nxt)
-        counts.append(sum(count_crossings(nxt, s) for s in st.slots))
     return LaminationApprox(mg, f, stratum_index, st.slots, seed,
-                            tuple(segs), len(segs) - 1, tuple(counts))
+                            tuple(segs), len(segs) - 1)
 
 
 def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
@@ -87,82 +87,6 @@ def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
     center = min(positions, key=lambda i: abs(i - mid)) if positions else mid
     start = max(0, min(center - seg_len // 2, len(deep) - seg_len))
     return deep[start : start + seg_len]
-
-
-# ---------------------------------------------------------------------------
-# Weak attraction
-
-
-def _window_start(member, limit: int, floor: int, s: int,
-                  doomed=None) -> int | None:
-    """Start of the first window [t, t+s] of members with t+s <= limit,
-    pushed down while membership holds but never below ``floor``.
-
-    ``member(t)`` is None when the iterate at t is past the length cap,
-    which raises BudgetExhausted.  None when no window opens by ``limit``.
-
-    ``doomed(hi)``, when given, is True only if ``member(u)`` is None for
-    some u in [0, hi].  Before testing t with a run of r members behind
-    it, the upward scan asks it about hi = min(t + s - r, limit): steps
-    below t have been tested, so a yes names a miss in [t, hi].  A window
-    completes at t + s - r at the earliest, and any later one starts after
-    a miss in that range, so the scan would reach such a u before
-    completing a window, or stop at ``limit`` first.  A yes raises
-    BudgetExhausted at once, as testing on would.  The push-down never
-    asks.
-    """
-    def test(t: int) -> bool:
-        m = member(t)
-        if m is None:
-            raise BudgetExhausted("iterates exceeded the length cap")
-        return m
-
-    run = 0
-    for t in range(limit + 1):
-        if doomed is not None and doomed(min(t + s - run, limit)):
-            raise BudgetExhausted("iterates exceeded the length cap")
-        run = run + 1 if test(t) else 0
-        if run > s:
-            start = t - s
-            while start > floor and test(start - 1):
-                start -= 1
-            return start
-    return None
-
-
-@dataclass(frozen=True)
-class AttractionVerdict:
-    attracted: bool
-    index: int | None = None
-
-    @property
-    def kind(self) -> str:
-        return "Attracted" if self.attracted else "NotWithinHorizon"
-
-
-def weakly_attracted(f: GraphMap, circuit: str, lam: LaminationApprox,
-                     cfg: Config = DEFAULT) -> AttractionVerdict:
-    """Weak attraction of a circuit to the lamination: scan its forward
-    iterates for the defining leaf segment, the concrete attracting
-    neighborhood of the generic leaf.
-
-    Attracted(i) when containment holds on [i, i+s]; NotWithinHorizon after
-    ``horizon`` iterates; BudgetExhausted when the length cap strikes before
-    the question is settled.
-    """
-    seg = defining_segment(lam, cfg.seg_len)
-    orbit = [canonical_cyclic(circuit)]
-
-    def member(j: int) -> bool | None:
-        while len(orbit) <= j:
-            nxt = map_circuit(f, orbit[-1])
-            if len(nxt) > cfg.iterate_cap:
-                return None
-            orbit.append(nxt)
-        return cyclic_contains(orbit[j], seg)
-
-    i = _window_start(member, cfg.horizon, 0, cfg.stability)
-    return AttractionVerdict(i is not None, i)
 
 
 # ---------------------------------------------------------------------------

@@ -20,13 +20,12 @@ from functools import partial
 from itertools import islice
 
 from .automorphisms import (BasisMap, MapTables, abelian_vector, apply_map,
-                            compose_maps, identity_map, invert_map, mat_vec,
-                            outer_equal)
+                            invert_map, mat_vec)
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .factors import FreeFactorSystem, _dedupe, enumerate_classes, fold
 from .graphs import GraphMap, MarkedGraph, realize_rose_endo, strata
-from .laminations import (LaminationApprox, _window_start, defining_segment,
+from .laminations import (LaminationApprox, defining_segment,
                           lamination_approx, lamination_fills)
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
@@ -52,7 +51,6 @@ class WContext:
 
     mg: MarkedGraph
     f: GraphMap
-    f_inv: GraphMap
     fwd: MapTables  # outer automorphism on the abstract basis
     bwd: MapTables  # its inverse; both carry the orbits' block memos
     lam_plus: LaminationApprox
@@ -61,7 +59,8 @@ class WContext:
     seg_minus: str
     cfg: Config
     m_hat: int | None = None
-    # Lip(fwd) * Lip(bwd) when the two are exact inverses (see _orbit_step)
+    # Lip(fwd) * Lip(bwd), the two being exact inverses (see _orbit_step);
+    # None maps each orbit word whole
     cancellation_bound: int | None = None
     # w_of results keyed by the exact class word (the orbit phase depends on
     # its rotation), each with whether it is complete: scanned forward too,
@@ -79,13 +78,14 @@ class WContext:
         return self.m_hat
 
 
-def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
-                  cfg: Config = DEFAULT,
+def build_context(mg: MarkedGraph, f: GraphMap, cfg: Config = DEFAULT,
                   lam_plus: LaminationApprox | None = None) -> WContext:
     """Assemble the projection context for a map with a filling lamination.
 
     ``lam_plus`` is a filling lamination of ``f`` the caller has already
-    certified; without it the first filling one is searched for.
+    certified; without it the first filling one is searched for.  The
+    inverse is read off the exact fold of :func:`invert_map`, which raises
+    unless it inverts ``f`` on the nose.
     """
     if lam_plus is None:
         lam_plus = _filling_lamination(mg, f, cfg)
@@ -93,20 +93,8 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
         raise InvalidInput("no certified filling lamination for this map")
 
     fwd = MapTables(mg.induced_rose_map(f))
-    if f_inv is None:
-        bwd = MapTables(invert_map(fwd))
-        f_inv = realize_rose_endo(mg, bwd)
-    else:
-        bwd = MapTables(mg.induced_rose_map(f_inv))
-    composed = compose_maps(fwd, bwd)
-    verdict, _ = outer_equal(composed, identity_map(mg.rank))
-    if verdict != "Equal":
-        raise InvalidInput("supplied inverse does not invert the map")
-    bound = None
-    if composed == identity_map(mg.rank):
-        bound = max(map(len, fwd)) * max(map(len, bwd))
-
-    lam_minus = _filling_lamination(mg, f_inv, cfg)
+    bwd = MapTables(invert_map(fwd))
+    lam_minus = _filling_lamination(mg, realize_rose_endo(mg, bwd), cfg)
     if lam_minus is None:
         raise InvalidInput("no certified filling lamination for the inverse")
 
@@ -116,8 +104,9 @@ def build_context(mg: MarkedGraph, f: GraphMap, f_inv: GraphMap | None = None,
         deep = mg.path_to_rose(lam.deepest())
         if not path_contains(deep, seg):
             raise InvalidInput("defining segment lost in transport")
-    return WContext(mg, f, f_inv, fwd, bwd, lam_plus, lam_minus,
-                    seg_plus, seg_minus, cfg, cancellation_bound=bound)
+    bound = max(map(len, fwd)) * max(map(len, bwd))
+    return WContext(mg, f, fwd, bwd, lam_plus, lam_minus, seg_plus, seg_minus,
+                    cfg, cancellation_bound=bound)
 
 
 def _filling_lamination(mg: MarkedGraph, f: GraphMap,
@@ -338,6 +327,43 @@ def _root_orbits(ctx: WContext, root: str,
             orbits.clear()
             orbits[root] = pair
     return pair
+
+
+def _window_start(member, limit: int, floor: int, s: int,
+                  doomed) -> int | None:
+    """Start of the first window [t, t+s] of members with t+s <= limit,
+    pushed down while membership holds but never below ``floor``.
+
+    ``member(t)`` is None when the iterate at t is past the length cap,
+    which raises BudgetExhausted.  None when no window opens by ``limit``.
+
+    ``doomed(hi)`` is True only if ``member(u)`` is None for some u in
+    [0, hi].  Before testing t with a run of r members behind it, the
+    upward scan asks it about hi = min(t + s - r, limit): steps below t
+    have been tested, so a yes names a miss in [t, hi].  A window
+    completes at t + s - r at the earliest, and any later one starts after
+    a miss in that range, so the scan would reach such a u before
+    completing a window, or stop at ``limit`` first.  A yes raises
+    BudgetExhausted at once, as testing on would.  The push-down never
+    asks.
+    """
+    def test(t: int) -> bool:
+        m = member(t)
+        if m is None:
+            raise BudgetExhausted("iterates exceeded the length cap")
+        return m
+
+    run = 0
+    for t in range(limit + 1):
+        if doomed(min(t + s - run, limit)):
+            raise BudgetExhausted("iterates exceeded the length cap")
+        run = run + 1 if test(t) else 0
+        if run > s:
+            start = t - s
+            while start > floor and test(start - 1):
+                start -= 1
+            return start
+    return None
 
 
 def _w_scan(ctx: WContext, cyclic: str, forward: bool,

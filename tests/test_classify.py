@@ -8,7 +8,7 @@ import pytest
 
 from freesplit import cli
 from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
-                                     identity_map, invert_map, outer_equal)
+                                     identity_map, outer_equal)
 from freesplit.classify import (INNER_POWER_MAX_LETTERS, _inner_power,
                                 bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
@@ -29,6 +29,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 # A rank-2 rose with the shear x1 -> x1 x2, in the text format.
 ROSE2_SHEAR = ("VERTICES\nv\nEDGES\nx1 v v\nx2 v v\n"
                "MARKING\nx1 x1\nx2 x2\nMAP\nx1 x1 x2\nx2 x2\n")
+
+
+# A theta graph: edges a, b, c from u to v, marked x1 = a b', x2 = a c',
+# with the identity map; the edge b alone is an open path.
+THETA = ("VERTICES\nu\nv\nEDGES\na u v\nb u v\nc u v\n"
+         "MARKING\nx1 a b'\nx2 a c'\nMAP\na a\nb b\nc c\n")
 
 
 class TestRank2Classify:
@@ -291,13 +297,8 @@ class TestLoxodromicBranch:
         assert c.verdict == "Unknown"
         assert c.stage == "estimate_M"
 
-    def test_power_with_supplied_inverse(self):
-        spec = fixture("rank2_tr3")
-        f_inv = realize_rose_endo(
-            spec.mg, invert_map(spec.mg.induced_rose_map(spec.f)))
-        with_inv = ExampleSpec(spec.name, spec.mg,
-                               {**spec.maps, "f_inv": f_inv}, spec.expected)
-        c = classify(with_inv, power=2)
+    def test_power_two(self):
+        c = classify(fixture("rank2_tr3"), power=2)
         assert c.verdict == "Loxodromic"
         assert c.power == 2
 
@@ -513,6 +514,23 @@ class TestSerializationCLIRoundTrip:
         path.write_text(ROSE2_SHEAR, encoding="utf-8")
         assert cli.main(["classify", "--input", str(path)]) == 0
         assert "PeriodicVertex" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,flag", [("fills", "--classes"),
+                                              ("w", "--word")])
+    def test_open_path_rejected_as_class(self, tmp_path, capsys, command,
+                                         flag):
+        path = tmp_path / "theta.txt"
+        path.write_text(THETA, encoding="utf-8")
+        assert cli.main([command, "--input", str(path), flag, "b"]) == 2
+        assert capsys.readouterr().err == \
+            "error: edge path 'b' is not closed\n"
+
+    def test_closed_path_on_theta_graph(self, tmp_path, capsys):
+        path = tmp_path / "theta.txt"
+        path.write_text(THETA, encoding="utf-8")
+        argv = ["fills", "--input", str(path), "--classes", "a b'"]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == "fills: ProperFactor\n"
 
     @pytest.mark.parametrize("text,config", [
         (ROSE2_SHEAR.replace("x2 x2\nMAP", "x3 x2\nMAP"), None),

@@ -52,6 +52,15 @@ class TestConfig:
         with pytest.raises(InvalidInput, match="Whitehead letter budget"):
             load_config(env={"FREESPLIT_WHITEHEAD_MAX_LETTERS": budget})
 
+    @pytest.mark.parametrize("name", ["iterate_cap", "lam_depth_cap",
+                                      "lam_len_target", "cand_len",
+                                      "power_cap"])
+    def test_negative_limit_rejected_on_load(self, name):
+        key = "FREESPLIT_" + name.upper()
+        with pytest.raises(InvalidInput, match=name):
+            load_config(env={key: "-1"})
+        assert getattr(load_config(env={key: "0"}), name) == 0
+
     def test_with_overrides(self):
         cfg = Config().with_overrides(cand_len=6)
         assert cfg.cand_len == 6 and Config().cand_len != 6

@@ -5,7 +5,7 @@ from freesplit.automorphisms import invert_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import (CoreGraph, _fold, _natural_arcs, _wedge,
                                carries, co_edge_number, enumerate_classes,
-                               ffs_carried, ffs_from_generators, fold, meet,
+                               ffs_carried, ffs_from_generators, fold,
                                partition, subgroup_carried, tree_loops,
                                whole_group)
 from freesplit.words import BWD, FWD, canonical_cyclic, invert, reduce_word
@@ -205,33 +205,6 @@ class TestCarries:
             5, [mg.path_to_rose(g.parse_path(n)) for n in ("X", "Y", "Z")])
         assert carries(big, canonical_cyclic(sigma))
         assert not carries(ffs, canonical_cyclic(sigma))
-
-
-class TestMeet:
-    def test_idempotent(self):
-        ffs = ffs_from_generators(3, [x, y])
-        assert meet(ffs, ffs) == ffs
-
-    def test_disjoint(self):
-        a = ffs_from_generators(2, [x])
-        b = ffs_from_generators(2, [y])
-        assert meet(a, b).components == ()
-
-    def test_pullback_example(self):
-        a = ffs_from_generators(3, [x, y])
-        b = ffs_from_generators(3, [y, z])
-        assert meet(a, b) == ffs_from_generators(3, [y])
-
-    def test_commutative(self):
-        a = ffs_from_generators(3, [x, y])
-        b = ffs_from_generators(3, [y, z])
-        assert meet(a, b) == meet(b, a)
-
-    def test_monotone(self):
-        a = ffs_from_generators(3, [x, y])
-        b = ffs_from_generators(3, [y, z])
-        m = meet(a, b)
-        assert ffs_carried(m, a) and ffs_carried(m, b)
 
 
 class TestCoEdge:

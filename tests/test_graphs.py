@@ -5,16 +5,15 @@ import pytest
 
 from freesplit.automorphisms import (compose_maps, identity_map, invert_map,
                                      outer_equal)
-from freesplit.errors import BudgetExhausted, InvalidInput, NumericalTolerance
+from freesplit.errors import InvalidInput, NumericalTolerance
 from freesplit.fixtures import RANK2_CATALOG, fixture, fixture_names
 from freesplit.graphs import (Graph, MarkedGraph, TransitionMatrix, compose,
                               graph_map, identity_graph_map,
-                              is_invariant_subgraph, is_nielsen, iterate,
-                              map_circuit, map_path, marked_rose,
-                              minimal_invariant_superset, parse_marked_graph,
-                              pf_eigenvalue, print_marked_graph,
-                              realize_rose_endo, rose, strata,
-                              transition_matrix)
+                              is_invariant_subgraph, is_nielsen, map_path,
+                              marked_rose, minimal_invariant_superset,
+                              parse_marked_graph, pf_eigenvalue,
+                              print_marked_graph, realize_rose_endo, rose,
+                              strata, transition_matrix)
 from freesplit.words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
                              reduce_word, slot)
 from test_classify import rank2_products
@@ -104,63 +103,6 @@ class TestMapPath:
             reduce_word(map_path(f, p) + map_path(f, q))
 
 
-class TestMapCircuit:
-    def test_fixed_circuit(self, frd):
-        mg, g, f = frd
-        c = canonical_cyclic(g.parse_path("X X Y Y Z Z"))
-        assert map_circuit(f, c) == c
-
-    def test_edge_circuit(self, frd):
-        mg, g, f = frd
-        expected = canonical_cyclic(
-            g.parse_path("A X X Y Y Z Z B' X X Y Y Z Z B"))
-        assert map_circuit(f, g.parse_path("A")) == expected
-
-    def test_identity_everywhere(self, frd):
-        mg, g, f = frd
-        ident = identity_graph_map(g)
-        for word in ("A", "A B", "X B' Z"):
-            c = canonical_cyclic(g.parse_path(word))
-            assert map_circuit(ident, c) == c
-
-
-    def test_image_is_canonical_cyclic_of_the_tightened_image(self, frd):
-        # map_circuit skips free reduction: the edge images are reduced
-        mg, g, f = frd
-        for word in ("A", "A B", "X B' Z", "A A B'", "X Y Z A B"):
-            c = g.parse_path(word)
-            assert map_circuit(f, c) == canonical_cyclic(map_path(f, c))
-
-
-class TestIterate:
-    def test_zero_is_input(self, frd):
-        mg, g, f = frd
-        p = g.parse_path("B")
-        assert iterate(f, p, 0) == p
-
-    def test_initial_subpath_growth(self, frd):
-        mg, g, f = frd
-        b1 = iterate(f, g.parse_path("B"), 1)
-        b2 = iterate(f, g.parse_path("B"), 2)
-        assert b2.startswith(b1)
-        assert len(b2) > len(b1)
-
-    def test_two_steps_equals_composed(self, frd):
-        mg, g, f = frd
-        p = g.parse_path("A")
-        assert iterate(f, p, 2) == map_path(f, map_path(f, p))
-
-    def test_additivity(self, frd):
-        mg, g, f = frd
-        p = g.parse_path("A")
-        assert iterate(f, iterate(f, p, 2), 1) == iterate(f, p, 3)
-
-    def test_budget(self, frd):
-        mg, g, f = frd
-        with pytest.raises(BudgetExhausted):
-            iterate(f, g.parse_path("B"), 30, cap=10_000)
-
-
 class TestCompose:
     def test_identity_neutral(self, frd):
         mg, g, f = frd
@@ -175,7 +117,7 @@ class TestCompose:
         mg, g, f = frd
         ff = compose(f, f)
         for s in range(g.n_edges):
-            assert ff.edge_images[s] == iterate(f, FWD[s], 2)
+            assert ff.edge_images[s] == map_path(f, map_path(f, FWD[s]))
 
 
 class TestTransitionMatrix:

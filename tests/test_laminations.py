@@ -9,14 +9,14 @@ from freesplit.classify import _power_map, _rotationless_power
 from freesplit.config import DEFAULT, Config
 from freesplit.errors import BudgetExhausted, InvalidInput
 from freesplit.fixtures import bdd_no_periodic, fixture, fixture_names
-from freesplit.graphs import (close_path, compose, identity_graph_map, iterate,
-                              marked_rose, realize_rose_endo, strata)
+from freesplit.graphs import (compose, identity_graph_map, map_path, marked_rose,
+                              realize_rose_endo, strata)
 from freesplit.laminations import (_classes_to_depth, _stabilized_fills,
-                                   _window_start, lamination_approx,
-                                   lamination_fills, laminations_jointly_fill,
-                                   pf_estimate, weakly_attracted)
+                                   lamination_approx, lamination_fills,
+                                   laminations_jointly_fill, pf_estimate)
 from freesplit.whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
-from freesplit.words import BWD, FWD
+from freesplit.wproj import _window_start
+from freesplit.words import BWD, FWD, count_crossings
 from test_classify import rank2_products
 
 
@@ -31,18 +31,17 @@ class TestLeafSegments:
     def test_first_image(self, filling_spec):
         g = filling_spec.mg.graph
         sigma = filling_spec.params["sigma"]
-        got = iterate(filling_spec.f, FWD[g.slot_of["B"]], 1)
+        got = map_path(filling_spec.f, FWD[g.slot_of["B"]])
         assert got == g.parse_path(f"B {sigma} A {sigma} B' {sigma} B")
 
-    def test_depth_zero(self, filling_spec):
-        g = filling_spec.mg.graph
-        assert iterate(filling_spec.f, FWD[g.slot_of["B"]], 0) == \
-            g.parse_path("B")
+    def test_depth_zero(self, lam, filling_spec):
+        # the depth-0 segment is the seed edge itself
+        assert lam.segments[0] == filling_spec.mg.graph.parse_path("A")
 
     def test_nested(self, filling_spec):
         b = FWD[filling_spec.mg.graph.slot_of["B"]]
-        s1 = iterate(filling_spec.f, b, 1)
-        s2 = iterate(filling_spec.f, b, 2)
+        s1 = map_path(filling_spec.f, b)
+        s2 = map_path(filling_spec.f, s1)
         assert s2.startswith(s1)
 
 
@@ -67,7 +66,8 @@ class TestApprox:
                                  filt.eg_strata()[0], cfg, filt)
         assert len(deep.deepest()) >= 10_000
         rho = 2 + math.sqrt(3)
-        growth = deep.stratum_growth
+        growth = [sum(count_crossings(seg, s) for s in deep.stratum)
+                  for seg in deep.segments]
         assert abs(growth[-1] / growth[-2] - rho) <= 0.01 * rho
 
     def test_non_eg_stratum_rejected(self, filling_spec):
@@ -85,37 +85,8 @@ class TestApprox:
         assert lams[0].stratum != lams[1].stratum
 
 
-class TestWeakAttraction:
-    def test_growing_class_attracted(self, lam, filling_spec):
-        g = filling_spec.mg.graph
-        res = weakly_attracted(filling_spec.f, g.parse_path("A"), lam,
-                               Config())
-        assert res.attracted
-
-    def test_fixed_class_not_attracted(self, lam, filling_spec):
-        g = filling_spec.mg.graph
-        res = weakly_attracted(filling_spec.f,
-                               g.parse_path(filling_spec.params["sigma"]),
-                               lam, Config())
-        assert not res.attracted
-        assert res.kind == "NotWithinHorizon"
-
-    def test_deep_segment_attracted_at_zero(self, lam, filling_spec):
-        loop = close_path(filling_spec.mg, lam.deepest())
-        res = weakly_attracted(filling_spec.f, loop, lam, Config())
-        assert res.attracted and res.index == 0
-
-    def test_monotone_in_horizon(self, lam, filling_spec):
-        g = filling_spec.mg.graph
-        small = Config(horizon=10)
-        big = Config(horizon=20)
-        r1 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, small)
-        r2 = weakly_attracted(filling_spec.f, g.parse_path("A"), lam, big)
-        assert r1.attracted and r2.attracted and r1.index == r2.index
-
-
 def window_start_reference(member, limit, floor, s):
-    """_window_start as it scanned before the look-ahead."""
+    """wproj._window_start as it scanned before the look-ahead."""
     def test(t):
         m = member(t)
         if m is None:
