@@ -1,17 +1,19 @@
 """The classifier: verdicts with machine-checkable witnesses.
 
-A map is Loxodromic when a lamination certifiably fills and the splitting
-displacement table has exact unit slope; PeriodicVertex when an invariant
-one-edge splitting is exhibited through the pair relation; BoundedOrbits
-when the full lamination set jointly fills, with the explicit length-four
-chain when decomposition data is supplied.  Unknown is always a legal
-outcome and carries the failing stage.
+The deciders run in a fixed order, and the first certificate decides.  A
+map is PeriodicVertex when an invariant one-edge splitting is verified
+through the pair relation; else Loxodromic when a lamination certifiably
+fills and a splitting's displacement table has exact unit slope; else
+BoundedOrbits when the laminations jointly fill and decomposition data
+yields the verified length-four chain.  Otherwise it is Unknown, and
+carries the stage where the sequence stopped.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .automorphisms import (MapTables, abelianization, compose_maps,
                             identity_map, mat_mul, outer_equal)
@@ -39,8 +41,7 @@ INNER_POWER_MAX_LETTERS = 10_000
 @dataclass(frozen=True)
 class LoxodromicCertificate:
     """The objects behind a Loxodromic verdict, kept for in-process reuse:
-    the W context with its constant set, and the certifying displacement
-    table as returned by :func:`displacement_table`."""
+    the W context with M-hat set, and the certifying displacement table."""
 
     ctx: WContext
     displacement: dict
@@ -135,8 +136,7 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
 def _identity_powers(a, cap: int) -> list[int]:
     """The p in 1..cap with a^p the identity, a a square integer matrix."""
     identity = abelianization(identity_map(len(a)))
-    out = []
-    power = identity
+    out, power = [], identity
     for p in range(1, cap + 1):
         power = mat_mul(a, power)
         if power == identity:
@@ -180,20 +180,20 @@ def _rotationless_power(f: GraphMap, cfg: Config) -> int:
     return p if p <= cfg.power_cap else 1
 
 
-def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap):
+def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
+                            pairs: list[MarkedGraphPair] | None = None):
     """An invariant one-edge splitting with a verified relation map.
 
     Inner maps fix every splitting (witnessed by the identity relation
-    map); otherwise the coordinate one-edge pairs are searched with the
-    map itself.  NotApplicable when nothing is exhibited.
+    map); otherwise the one-edge pairs, by default the coordinate pairs of
+    ``mg``, are searched with the map itself.  NotApplicable when nothing
+    is exhibited.
     """
-    induced = mg.induced_rose_map(f)
-    verdict, _ = outer_equal(induced, identity_map(mg.rank))
-    inner = verdict == "Equal"
+    inner = outer_equal(mg.induced_rose_map(f),
+                        identity_map(mg.rank))[0] == "Equal"
     relation = identity_graph_map(mg.graph) if inner else f
-    for pair in _coordinate_pairs(mg):
-        target = remark_pair(pair, f)
-        rel = pair_relation_check(relation, pair, target)
+    for pair in _coordinate_pairs(mg) if pairs is None else pairs:
+        rel = pair_relation_check(relation, pair, remark_pair(pair, f))
         if rel.holds:
             return splitting_of_pair(pair), rel
     raise NotApplicable("inner map but no coordinate pair verified" if inner
@@ -275,16 +275,12 @@ def bounded_path_witness(spec: ExampleSpec, k: int) -> BoundedChain:
     if compose(f2k, f1k).edge_images != fk.edge_images:
         raise InvalidInput("restricted powers do not compose to the power")
 
-    p_j3 = validate_pair(mg, j3)
-    p_k1 = validate_pair(mg, k1)
-    p_j2 = validate_pair(mg, j2)
-    v1 = p_j3
-    v2 = p_k1
-    v2b = remark_pair(p_k1, f1k)
-    v3 = remark_pair(p_j3, f1k)
+    v1, v2, p_j2 = (validate_pair(mg, h) for h in (j3, k1, j2))
+    v2b = remark_pair(v2, f1k)
+    v3 = remark_pair(v1, f1k)
     v4 = remark_pair(p_j2, f1k)
     v4b = remark_pair(p_j2, fk)
-    v5 = remark_pair(p_j3, fk)
+    v5 = remark_pair(v1, fk)
 
     rel_k1 = pair_relation_check(f1k, v2, v2b)
     if not rel_k1.holds:
@@ -317,111 +313,114 @@ def bounded_path_witness(spec: ExampleSpec, k: int) -> BoundedChain:
 def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
              power: int | None = None) -> Classification:
     """Run the full pipeline on a loaded example; ``power``, when given,
-    is the positive power of f to classify through."""
+    is the positive power of f to classify through.
+
+    The shared artifacts are computed once, then the deciders run in a
+    fixed order and the first certificate decides; otherwise the verdict
+    is Unknown at the stage where the sequence stopped.
+    """
     if power is not None and power < 1:
         raise InvalidInput(f"power must be at least 1, got {power}")
     if spec.stub:
         raise InvalidInput("stub fixtures cannot be classified")
     mg, f = spec.mg, spec.f
     notes: dict = {}
-
     p_inner = _inner_power(mg, f, cfg)
-    if p_inner is not None:
-        return _periodic_vertex(mg, _power_map(f, p_inner), p_inner, notes,
-                                inner_power=True)
-
-    p = power if power is not None else _rotationless_power(f, cfg)
+    p = p_inner or power or _rotationless_power(f, cfg)
     fp = _power_map(f, p) if p > 1 else f
-    notes["power"] = p
-
-    filt = strata(fp)
-    eg = filt.eg_strata()
-    lams = []
-    verdicts = []
-    for idx in eg:
-        lam = lamination_approx(mg, fp, idx, cfg, filt)
-        lams.append(lam)
-        verdicts.append(lamination_fills(lam, cfg))
-    notes["eg_strata"] = len(eg)
-    notes["lamination_verdicts"] = [v.kind for v in verdicts]
-
+    lams, verdicts = [], []
+    if p_inner is None:  # an inner power fixes every splitting
+        filt = strata(fp)
+        lams = [lamination_approx(mg, fp, idx, cfg, filt)
+                for idx in filt.eg_strata()]
+        verdicts = [lamination_fills(lam, cfg) for lam in lams]
+        notes.update(power=p, eg_strata=len(lams),
+                     lamination_verdicts=[v.kind for v in verdicts])
     filling = next((lam for lam, v in zip(lams, verdicts)
                     if v.kind == FILLS), None)
-    if filling is not None:
-        return _loxodromic_witness(mg, fp, filling, cfg, p, notes)
-
-    if any(v.kind == UNKNOWN for v in verdicts):
-        return Classification("Unknown", stage="lamination_fills",
-                              power=p, notes=notes)
-
-    if lams:
-        joint = laminations_jointly_fill(lams, cfg)
-        notes["joint_verdict"] = joint.kind
-    else:
-        joint = None  # no exponential strata: nothing to fill
-
-    if joint is not None and joint.kind == UNKNOWN:
-        return Classification("Unknown", stage="laminations_jointly_fill",
-                              power=p, notes=notes)
-
-    if joint is not None and joint.kind == FILLS:
-        witness: dict = {"kind": "by-theorem"}
-        kind = "by-theorem"
-        if spec.decomposition:
-            chain = bounded_path_witness(spec, CHAIN_K)
-            witness = chain.to_json()
-            kind = "length-4-chain"
-        return Classification("BoundedOrbits", kind, witness, power=p,
-                              notes=notes)
-
-    return _periodic_vertex(mg, fp, p, notes)
+    undecided = any(v.kind == UNKNOWN for v in verdicts)
+    joint = None
+    if lams and filling is None and not undecided:
+        joint = laminations_jointly_fill(lams, cfg).kind
+        notes["joint_verdict"] = joint
+    pairs = _coordinate_pairs(mg)
+    found = _invariant_splitting(mg, fp, pairs, p_inner)
+    if isinstance(found, str):
+        if filling is not None:
+            found = _loxodromic(mg, fp, filling, pairs, cfg)
+        elif undecided:
+            found = "lamination_fills"
+        elif joint == UNKNOWN:
+            found = "laminations_jointly_fill"
+        elif joint == FILLS:
+            found = _bounded_chain(spec)
+    return _classification(found, p, notes)
 
 
-def _periodic_vertex(mg: MarkedGraph, fp: GraphMap, p: int, notes: dict,
-                     inner_power: bool = False) -> Classification:
-    """PeriodicVertex on an invariant splitting of fp = f^p, or Unknown."""
+class _Found(NamedTuple):  # a decider's verdict with its witness
+    verdict: str
+    witness_kind: str
+    witness: dict
+    certificate: LoxodromicCertificate | None = None
+
+
+def _classification(found: _Found | str, p: int,
+                    notes: dict) -> Classification:
+    """The verdict found, or Unknown when ``found`` names a stage."""
+    if isinstance(found, str):
+        return Classification("Unknown", stage=found, power=p, notes=notes)
+    return Classification(found.verdict, found.witness_kind, found.witness,
+                          power=p, notes=notes, _certificate=found.certificate)
+
+
+def _invariant_splitting(mg: MarkedGraph, fp: GraphMap,
+                         pairs: list[MarkedGraphPair],
+                         inner_power: int | None) -> _Found | str:
+    """PeriodicVertex on a verified invariant splitting of fp = f^p."""
     try:
-        s, rel = periodic_vertex_witness(mg, fp)
+        s, rel = periodic_vertex_witness(mg, fp, pairs)
     except NotApplicable:
-        return Classification("Unknown", stage="periodic_vertex_witness",
-                              power=p, notes=notes)
+        return "periodic_vertex_witness"
     witness = {"splitting": s.serialize(), "relation": rel.status}
-    if inner_power:
-        witness["inner_power"] = p
-    return Classification("PeriodicVertex", "invariant-splitting", witness,
-                          power=p, notes=notes)
+    if inner_power is not None:
+        witness["inner_power"] = inner_power
+    return _Found("PeriodicVertex", "invariant-splitting", witness)
 
 
-def _loxodromic_witness(mg: MarkedGraph, fp: GraphMap, lam: LaminationApprox,
-                        cfg: Config, p: int, notes: dict) -> Classification:
+def _loxodromic(mg: MarkedGraph, fp: GraphMap, lam: LaminationApprox,
+                pairs: list[MarkedGraphPair], cfg: Config) -> _Found | str:
+    """Loxodromic on a displacement table of exact unit slope."""
     try:
         ctx = build_context(mg, fp, cfg, lam_plus=lam)
     except InvalidInput as exc:
-        return Classification("Unknown", stage=f"build_context: {exc}",
-                              power=p, notes=notes)
-    splittings = [splitting_of_pair(pair) for pair in _coordinate_pairs(mg)]
+        return f"build_context: {exc}"
+    splittings = [splitting_of_pair(pair) for pair in pairs]
     if not splittings:
-        return Classification("Unknown", stage="no coordinate splitting",
-                              power=p, notes=notes)
+        return "no coordinate splitting"
     try:
         estimate_M(ctx, default_m_samples(ctx, splittings[:2]))
     except NotApplicable:
-        return Classification("Unknown", stage="estimate_M", power=p,
-                              notes=notes)
+        return "estimate_M"
     for s in splittings:
         try:
             table = displacement_table(ctx, s, DISPLACEMENT_RADIUS)
         except NotApplicable:
             continue
         if table["slope_exact"] and table["raw_within_m_hat"]:
-            return Classification(
+            return _Found(
                 "Loxodromic", "displacement-table",
                 {"splitting": s.serialize(), "table": table["table"],
                  "m_hat": ctx.m_hat, "slope_exact": True,
                  "raw_spot_checks": table["raw_spot_checks"],
                  "distance_rate_lower_bound":
                      table["distance_rate_lower_bound"]},
-                power=p, notes=notes,
-                _certificate=LoxodromicCertificate(ctx, table))
-    return Classification("Unknown", stage="displacement witness",
-                          power=p, notes=notes)
+                LoxodromicCertificate(ctx, table))
+    return "displacement witness"
+
+
+def _bounded_chain(spec: ExampleSpec) -> _Found | str:
+    """BoundedOrbits on the chain, which needs decomposition data."""
+    if not spec.decomposition:
+        return "bounded_path_witness"
+    return _Found("BoundedOrbits", "length-4-chain",
+                  bounded_path_witness(spec, CHAIN_K).to_json())

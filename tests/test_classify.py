@@ -16,7 +16,9 @@ from freesplit.config import Config
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (compose, identity_graph_map, marked_rose,
-                              print_marked_graph, realize_rose_endo, rose_map)
+                              parse_marked_graph, print_marked_graph,
+                              realize_rose_endo, rose_map)
+from freesplit.whitehead import FILLS, FillsVerdict
 from freesplit.words import BWD, FWD, strip_cyclic
 
 from braids import artin, braid_maps, braid_type
@@ -91,10 +93,11 @@ class TestRank2Sweep:
     """Every product of at most six rank-2 generators, classified."""
 
     def test_sweep_matches_oracle_and_golden(self):
-        # at the default Config: no exception, no verdict against the GL2(Z)
-        # oracle, at least the 270 maps decided when length six was added,
-        # and the products of at most four (listed first, breadth first)
-        # as in the golden file
+        # at the default Config: no exception, every decided map Loxodromic
+        # exactly when the GL2(Z) oracle says so and PeriodicVertex
+        # otherwise (no rank-2 map has BoundedOrbits), at least the 270
+        # maps decided when length six was added, and the products of at
+        # most four (listed first, breadth first) as in the golden file
         with open(os.path.join(GOLDEN, "rank2_sweep4_classify.json")) as fh:
             golden = json.load(fh)
         maps = rank2_products(6)
@@ -109,8 +112,8 @@ class TestRank2Sweep:
             if c.verdict != "Unknown":
                 decided += 1
                 oracle = rank2_classify(abelianization(bm))
-                assert (c.verdict == "Loxodromic") == \
-                    (oracle == "Loxodromic"), bm
+                assert c.verdict == ("Loxodromic" if oracle == "Loxodromic"
+                                     else "PeriodicVertex"), bm
             if i < 67:
                 got["/".join(bm)] = [c.verdict, c.witness_kind, c.stage,
                                      c.power]
@@ -247,6 +250,30 @@ class TestClassify:
         assert c.verdict == "BoundedOrbits"
         assert c.witness_kind == "length-4-chain"
 
+    def test_joint_fill_without_chain_is_unknown(self, bdd_spec):
+        # a joint Fills verdict is no certificate: without decomposition
+        # data there is no chain to verify, so no BoundedOrbits
+        spec = ExampleSpec(bdd_spec.name, bdd_spec.mg, bdd_spec.maps, None)
+        c = classify(spec)
+        assert (c.verdict, c.stage) == ("Unknown", "bounded_path_witness")
+        assert c.witness_kind is None and c.witness == {}
+        assert c.notes["joint_verdict"] == "Fills"
+
+    def test_invariant_splitting_decides_before_filling_lamination(
+            self, monkeypatch):
+        # x1 -> x1 x2, x2 -> x1, x3 -> x3 fixes <x1, x2> * <x3>; even with
+        # a lamination said to fill, the verified splitting decides
+        monkeypatch.setattr(classify_mod, "lamination_fills",
+                            lambda lam, cfg: FillsVerdict(FILLS))
+        mg = marked_rose(3)
+        f = rose_map(mg, {"x1": "x1 x2", "x2": "x1", "x3": "x3"})
+        c = classify(ExampleSpec("order", mg, {"f": f}, None))
+        assert c.verdict == "PeriodicVertex"
+        assert c.notes["lamination_verdicts"] == [FILLS]
+        h_slots = parse_marked_graph(c.witness["splitting"])[2]
+        assert h_slots == frozenset({mg.graph.slot_of["x1"],
+                                  mg.graph.slot_of["x2"]})
+
     def test_linear_shear(self):
         mg = marked_rose(2, ["x", "y"])
         spec = ExampleSpec("shear", mg,
@@ -278,8 +305,9 @@ class TestClassify:
     @pytest.mark.parametrize("name", ["rank2_tr3", "filling_reducible",
                                       "bdd_no_periodic", "rank2_tr2_shear"])
     def test_lamination_that_cannot_grow_is_unknown(self, name, cfg):
-        # a depth-0 lamination gets Unknown from lamination_fills; the
-        # periodic vertex witness still comes first
+        # the invariant-splitting decider runs first, so the shear keeps
+        # its PeriodicVertex; on the others a depth-0 lamination gets
+        # Unknown from lamination_fills
         c = classify(fixture(name), cfg)
         if name == "rank2_tr2_shear":
             assert c.verdict == "PeriodicVertex"
