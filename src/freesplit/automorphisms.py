@@ -4,9 +4,9 @@ A basis map on rank ``n`` is a tuple of ``n`` reduced words (images of
 the basis letters) over the internal alphabet of :mod:`freesplit.words`.
 This layer supplies map application and composition, abelianization,
 and two exact decisions with no budget: the inverse of an automorphism,
-read off a labelled Stallings fold of its images, and equality in the
-outer automorphism group, which asks whether one map after the other's
-inverse is conjugation by a word.
+read off the labelled Stallings fold of :mod:`freesplit.factors` applied
+to its images, and equality in the outer automorphism group, which asks
+whether one map after the other's inverse is conjugation by a word.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import InvalidInput
-from .factors import _wedge
+from .factors import _fold, _wedge
 from .words import (FWD, BWD, image_table, invert, is_fwd, reduce_images,
-                    reduce_word, reduced_product, stop_table, strip_cyclic)
+                    reduce_word, stop_table, strip_cyclic)
 
 BasisMap = tuple[str, ...]
 
@@ -157,17 +157,14 @@ def mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
 def invert_map(bm: BasisMap) -> BasisMap:
     """The inverse automorphism, read off a labelled Stallings fold.
 
-    The wedge of loops spelling the images is folded onto the rose.  Each
-    edge also carries a domain word: the first edge of loop i reads x_i
-    and the others read nothing, so a loop at the base spelling w carries
-    a domain word d with bm(d) = w.  Before two edges are identified, the
-    larger far end is re-gauged so that both carry the same word, and
-    merged into the smaller: re-gauging a vertex by g appends g to the
-    words of the edges into it and prepends g^-1 to those out of it,
-    which changes no loop through it.  So the base 0 is never re-gauged,
-    and the petal x_j of the folded rose reads bm^-1(x_j).  Raises
-    InvalidInput unless the fold ends at the rose (n words generate F_n
-    exactly when they are a basis) and the result inverts ``bm``.
+    The wedge of loops spelling the images is folded onto the rose by
+    :func:`freesplit.factors._fold`.  Each edge also carries a domain word:
+    the first edge of loop i reads x_i and the others read nothing, so a
+    loop at the base 0 spelling w carries a domain word d with bm(d) = w.
+    The fold never re-gauges the base, so the petal x_j of the folded rose
+    reads bm^-1(x_j).  Raises InvalidInput unless the fold ends at the rose
+    (n words generate F_n exactly when they are a basis) and the result
+    inverts ``bm``.
     """
     n = len(bm)
     images = [reduce_word(w) for w in bm]
@@ -176,66 +173,10 @@ def invert_map(bm: BasisMap) -> BasisMap:
     words = []
     for i, w in enumerate(images):
         words += [FWD[i] if is_fwd(w[0]) else BWD[i]] + [""] * (len(w) - 1)
-    # edges[k] = [slot, init, term, domain word]; the base is vertex 0
-    edges = [[*e, d] for e, d in zip(_wedge(images), words)]
-    out: dict[int, dict] = {}  # vertex -> (slot, forward) -> edge
-    inc: dict[int, set] = {}  # vertex -> the edges at it
-    merged: dict[int, int] = {}  # folded-away edge -> the edge kept for it
-    pending = []  # pairs of edges with one label at one vertex
-
-    def attach(v, key, k):
-        inc.setdefault(v, set()).add(k)
-        held = out.setdefault(v, {}).setdefault(key, k)
-        if held != k:
-            pending.append((held, k))
-
-    def live(k):
-        while k in merged:
-            k = merged[k]
-        return k
-
-    for k, (lab, a, b, _) in enumerate(edges):
-        attach(a, (lab, True), k)
-        attach(b, (lab, False), k)
-    while pending:
-        e, f = map(live, pending.pop())
-        if e == f:
-            continue
-        lab, a1, b1, d1 = edges[e]
-        _, a2, b2, d2 = edges[f]
-        # far ends x, y and words r1, r2, read from the shared vertex
-        if a1 == a2:
-            x, y, r1, r2 = b1, b2, d1, d2
-        else:
-            x, y, r1, r2 = a1, a2, invert(d1), invert(d2)
-        if x > y:
-            e, f, x, y, r1, r2 = f, e, y, x, r2, r1
-        # f goes; e takes over its labels, which are e's own once y is x
-        _, a2, b2, _ = edges[f]
-        edges[f], merged[f] = None, e
-        for v, key in ((a2, (lab, True)), (b2, (lab, False))):
-            inc[v].discard(f)
-            if out[v][key] == f:
-                out[v][key] = e
-        if x == y:
-            continue
-        # re-gauge y by g = r2^-1 r1, under which f would read r2 g = r1
-        # (also when y is the shared vertex), and move y's edges onto x
-        g = reduced_product(invert(r2), r1)
-        gi = invert(g)
-        for k in inc.pop(y):
-            edge = edges[k]
-            if edge[1] == y:
-                edge[1], edge[3] = x, reduced_product(gi, edge[3])
-            if edge[2] == y:
-                edge[2], edge[3] = x, reduced_product(edge[3], g)
-            inc[x].add(k)
-        for key, k in out.pop(y).items():
-            attach(x, key, k)
-    petals = {lab: d for lab, a, b, d in filter(None, edges) if a == b == 0}
-    if len(inc) > 1 or sorted(petals) != list(range(n)):
+    folded = _fold(_wedge(images), words)
+    if folded.keys() != {(j, 0, 0) for j in range(n)}:
         raise InvalidInput("basis images do not generate; not an automorphism")
-    inv = tuple(petals[j] for j in range(n))
+    inv = tuple(folded[j, 0, 0] for j in range(n))
     if compose_maps(bm, inv) != identity_map(n):
         raise InvalidInput("basis images do not define an automorphism")
     return inv

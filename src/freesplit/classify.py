@@ -36,6 +36,8 @@ CHAIN_K = 1  # power of the map in the BoundedOrbits chain witness
 # A longer power image ends the inner-power search: EG images grow
 # geometrically, and such a power is inner only by a conjugator of 5,000+.
 INNER_POWER_MAX_LETTERS = 10_000
+# Largest power the inner-power search and the rotationless power reach.
+POWER_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -94,13 +96,13 @@ def _power_map(f: GraphMap, p: int) -> GraphMap:
     return out
 
 
-def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
+def _inner_power(mg: MarkedGraph, f: GraphMap):
     """Least p with the p-th power inner, or None.
 
     Two cheap screens come before ``outer_equal``.  An inner automorphism
     acts trivially on H_1, so the first keeps only the p with A^p = I, A
     the map's abelianization: at any other p the power is not inner.
-    With no such p up to ``power_cap`` nothing is composed; otherwise the
+    With no such p up to ``POWER_CAP`` nothing is composed; otherwise the
     powers are composed up to the largest, and one with an image over
     ``INNER_POWER_MAX_LETTERS`` ends the search.  At a kept p, an inner
     power maps every basis letter to a conjugate of itself, so the second
@@ -112,7 +114,7 @@ def _inner_power(mg: MarkedGraph, f: GraphMap, cfg: Config):
     passes.
     """
     step = MapTables(mg.induced_rose_map(f))  # its tables serve every power
-    candidates = _identity_powers(step.abelian, cfg.power_cap)
+    candidates = _identity_powers(step.abelian, POWER_CAP)
     if not candidates:
         return None
     basis = identity_map(mg.rank)
@@ -144,7 +146,7 @@ def _identity_powers(a, cap: int) -> list[int]:
     return out
 
 
-def _rotationless_power(f: GraphMap, cfg: Config) -> int:
+def _rotationless_power(f: GraphMap) -> int:
     """Least power killing the finite permutation actions of the map."""
     periods = [1]
     g = f.source
@@ -177,7 +179,7 @@ def _rotationless_power(f: GraphMap, cfg: Config) -> int:
     p = 1
     for q in periods:
         p = p * q // math.gcd(p, q)
-    return p if p <= cfg.power_cap else 1
+    return p if p <= POWER_CAP else 1
 
 
 def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
@@ -325,8 +327,8 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
         raise InvalidInput("stub fixtures cannot be classified")
     mg, f = spec.mg, spec.f
     notes: dict = {}
-    p_inner = _inner_power(mg, f, cfg)
-    p = p_inner or power or _rotationless_power(f, cfg)
+    p_inner = _inner_power(mg, f)
+    p = p_inner or power or _rotationless_power(f)
     fp = _power_map(f, p) if p > 1 else f
     lams, verdicts = [], []
     if p_inner is None:  # an inner power fixes every splitting

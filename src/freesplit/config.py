@@ -4,10 +4,11 @@ Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
 plain ints; no randomness anywhere.  A segment length, candidate cap or
 Whitehead letter budget below 1, any other limit below 0, or a horizon
-shorter than the stability margin, raise InvalidInput on construction.
-Limits no caller varies are module constants where they are used, not
-fields here.  Inversion and outer equality are exact, so they take no
-budget.
+shorter than the stability margin ``STABILITY``, raise InvalidInput on
+construction.  Limits no caller varies are module constants, not fields:
+``STABILITY`` lives here, as the horizon is checked against it, and the
+others where they are used.  Inversion and outer equality are exact, so
+they take no budget.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .errors import InvalidInput
 
 ENV_PREFIX = "FREESPLIT_"
 # limits that may be 0 but never negative
-_NONNEGATIVE = ("iterate_cap", "lam_depth_cap", "lam_len_target", "cand_len",
-                "power_cap")
+_NONNEGATIVE = ("iterate_cap", "lam_depth_cap", "lam_len_target", "cand_len")
+# stability margin s: consecutive iterates a W window must stay inside
+STABILITY = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -30,7 +32,6 @@ class Config:
     # attracting-neighborhood data
     seg_len: int = 64  # defining segment length L
     horizon: int = 40  # iterates scanned forward and backward
-    stability: int = 3  # margin s
     lam_depth_cap: int = 8  # max depth for lamination approximations
     lam_len_target: int = 512  # grow segments at least this long if allowed
     # candidate classes for the W projection
@@ -38,14 +39,12 @@ class Config:
     cand_cap: int = 24  # max number of candidates per factor system
     # Whitehead machinery
     whitehead_max_letters: int = 10**4
-    # classifier
-    power_cap: int = 12
 
     def __post_init__(self):
         if self.seg_len < 1:
             raise InvalidInput("defining segment length must be >= 1")
-        if not self.horizon >= self.stability >= 1:
-            raise InvalidInput("horizon >= stability >= 1 required")
+        if self.horizon < STABILITY:
+            raise InvalidInput(f"horizon >= stability margin {STABILITY} required")
         if self.cand_cap < 1:
             raise InvalidInput("candidate cap must be >= 1")
         if self.whitehead_max_letters < 1:

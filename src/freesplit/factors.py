@@ -3,8 +3,11 @@
 A core graph is a connected, folded graph with edges labeled by basis
 letters of the ambient free group, immersing into the rose; it stands for
 the conjugacy class of the subgroup its loops generate.  Folding is
-Stallings' algorithm; carrying and co-edge numbers are computed directly
-on the graphs.
+Stallings' algorithm, and :func:`_fold` is the package's only fold: its
+edges carry words through every identification, so :func:`fold` (empty
+words) and :func:`freesplit.automorphisms.invert_map` (domain words)
+share it.  Carrying and co-edge numbers are computed directly on the
+graphs.
 
 The two connectivity routines every graph of the package shares live here
 too: :func:`partition` (connected classes: also the strata of a graph map,
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidInput
-from .words import (BWD, FWD, canonical_cyclic, invert, is_fwd, reduce_word,
-                    slot)
+from .words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
+                    reduce_word, reduced_product, slot)
 
 
 def partition(items, links) -> list[frozenset]:
@@ -184,49 +187,80 @@ class CoreGraph:
         return list(tree_loops(self.edges, base)[1].values())
 
 
-def _fold(raw_edges):
-    """Stallings folding; returns the folded edges.
+def _fold(raw_edges, words) -> dict[tuple[int, int, int], str]:
+    """Stallings folding of edges that each carry a reduced word.
 
-    Each vertex class, named by its least member, keeps one target per
-    out-label (slot, direction); a second target for a label is a pending
-    identification.  Identifying two classes moves the out-labels of the
-    larger name onto the smaller, which may queue more, so no edge is
-    rescanned.  Only forced identifications are made, so the folded graph
-    does not depend on the order in which they are made.
+    ``words[k]`` is the word of ``raw_edges[k]``: a path reads the product
+    of its edges' words, an edge crossed backward reading its word
+    inverted.  Returns the folded edges ``(slot, init, term)``, each with
+    its word.  Each vertex keeps one edge per out-label (slot, forward); a
+    second edge with that label is a pending identification.  Before two
+    edges are identified, the larger far end is re-gauged so that both
+    carry the same word, and merged into the smaller: re-gauging a vertex
+    by g appends g to the words of the edges into it and prepends g^-1 to
+    those out of it, which changes no loop through it.  So each vertex is
+    named by the least member of its class, and the least vertex is never
+    re-gauged: a loop there keeps its word.  Of two edges made parallel,
+    one is kept with its word.  Only forced identifications are made, so
+    the folded graph does not depend on the order in which they are made.
     """
-    parent: dict[int, int] = {}
+    # edges[k] = [slot, init, term, word], None once folded away
+    edges = [[*e, w] for e, w in zip(raw_edges, words)]
+    out: dict[int, dict] = {}  # vertex -> (slot, forward) -> edge
+    inc: dict[int, set] = {}  # vertex -> the edges at it
+    merged: dict[int, int] = {}  # folded-away edge -> the edge kept for it
+    pending = []  # pairs of edges with one label at one vertex
 
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
+    def attach(v, key, k):
+        inc.setdefault(v, set()).add(k)
+        held = out.setdefault(v, {}).setdefault(key, k)
+        if held != k:
+            pending.append((held, k))
 
-    out: dict[int, dict[tuple[int, bool], int]] = {}
-    pending = []
+    def live(k):
+        while k in merged:
+            k = merged[k]
+        return k
 
-    def attach(v, label, w):
-        labels = out.setdefault(v, {})
-        if label in labels:
-            pending.append((labels[label], w))
-        else:
-            labels[label] = w
-
-    raw_edges = list(raw_edges)
-    for lab, a, b in raw_edges:
-        attach(a, (lab, True), b)
-        attach(b, (lab, False), a)
+    for k, (lab, a, b, _) in enumerate(edges):
+        attach(a, (lab, True), k)
+        attach(b, (lab, False), k)
     while pending:
-        x, y = pending.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
+        e, f = map(live, pending.pop())
+        if e == f:
             continue
-        if rx > ry:
-            rx, ry = ry, rx
-        parent[ry] = rx
-        for label, w in out.pop(ry, {}).items():
-            attach(rx, label, w)
-    return {(lab, find(a), find(b)) for lab, a, b in raw_edges}
+        lab, a1, b1, d1 = edges[e]
+        _, a2, b2, d2 = edges[f]
+        # far ends x, y and words r1, r2, read from the shared vertex
+        if a1 == a2:
+            x, y, r1, r2 = b1, b2, d1, d2
+        else:
+            x, y, r1, r2 = a1, a2, invert(d1), invert(d2)
+        if x > y:
+            e, f, x, y, r1, r2 = f, e, y, x, r2, r1
+        # f goes; e takes over its labels, which are e's own once y is x
+        _, a2, b2, _ = edges[f]
+        edges[f], merged[f] = None, e
+        for v, key in ((a2, (lab, True)), (b2, (lab, False))):
+            inc[v].discard(f)
+            if out[v][key] == f:
+                out[v][key] = e
+        if x == y:
+            continue
+        # re-gauge y by g = r2^-1 r1, under which f would read r2 g = r1
+        # (also when y is the shared vertex), and move y's edges onto x
+        g = reduced_product(invert(r2), r1)
+        gi = invert(g)
+        for k in inc.pop(y):
+            edge = edges[k]
+            if edge[1] == y:
+                edge[1], edge[3] = x, reduced_product(gi, edge[3])
+            if edge[2] == y:
+                edge[2], edge[3] = x, reduced_product(edge[3], g)
+            inc[x].add(k)
+        for key, k in out.pop(y).items():
+            attach(x, key, k)
+    return {(lab, a, b): w for lab, a, b, w in filter(None, edges)}
 
 
 def _trim(edges):
@@ -268,7 +302,8 @@ def fold(rank: int, generators) -> CoreGraph:
     gens = [reduce_word(w) for w in generators]
     if any(not w for w in gens):
         raise InvalidInput("trivial generator")
-    edges = _trim(_fold(_wedge(gens)))
+    raw = _wedge(gens)
+    edges = _trim(_fold(raw, [""] * len(raw)))
     if not edges:
         raise InvalidInput("generators collapse to the trivial subgroup")
     return CoreGraph(rank, edges)

@@ -67,10 +67,12 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
         if (len(segs[-1]) >= cfg.lam_len_target
                 and len(segs) >= 3):
             break
-        nxt = map_path(f, segs[-1])
-        if len(nxt) > cfg.iterate_cap:
+        # the unreduced image, the intermediate path the cap bounds
+        seg = segs[-1]
+        if sum(seg.count(ch) * len(w) for ch, w in f.img.items()) \
+                > cfg.iterate_cap:
             break
-        segs.append(nxt)
+        segs.append(map_path(f, seg))
     return LaminationApprox(mg, f, stratum_index, st.slots, seed,
                             tuple(segs), len(segs) - 1)
 

@@ -21,7 +21,7 @@ from itertools import islice
 
 from .automorphisms import (BasisMap, MapTables, abelian_vector, apply_map,
                             invert_map, mat_vec)
-from .config import DEFAULT, Config
+from .config import DEFAULT, STABILITY, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .factors import FreeFactorSystem, _dedupe, enumerate_classes, fold
 from .graphs import GraphMap, MarkedGraph, realize_rose_endo, strata
@@ -291,7 +291,7 @@ class _LazyOrbit:
 def w_of(ctx: WContext, cyclic: str, forward: bool = True,
          orbits: dict | None = None) -> WResult:
     """Smallest w with the backward iterates on [w, w+s] inside the
-    repelling neighborhood (s the stability margin).
+    repelling neighborhood (s the stability margin ``STABILITY``).
 
     Both scans run over t in [-h, h], h the configured ``horizon``.
     NotDefined (the nonattraction proxy) when backward times up to h are
@@ -393,7 +393,7 @@ def _w_scan(ctx: WContext, cyclic: str, forward: bool,
         return in_U(ctx, word, side)
 
     try:
-        w = _window_start(lambda t: inside(t, "-"), h, -h, cfg.stability,
+        w = _window_start(lambda t: inside(t, "-"), h, -h, STABILITY,
                           partial(back.doomed, k))
     except BudgetExhausted:
         return WResult(BUDGET)
@@ -405,7 +405,7 @@ def _w_scan(ctx: WContext, cyclic: str, forward: bool,
     if forward:
         with suppress(BudgetExhausted):
             entry = _window_start(lambda i: inside(-i, "+"), h, -h,
-                                  cfg.stability, partial(fore.doomed, k))
+                                  STABILITY, partial(fore.doomed, k))
         if entry == -h:
             entry = None
     return WResult(DEFINED, w, entry)

@@ -9,8 +9,8 @@ import pytest
 from freesplit import cli
 from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
                                      identity_map, outer_equal)
-from freesplit.classify import (INNER_POWER_MAX_LETTERS, _inner_power,
-                                bounded_path_witness, classify,
+from freesplit.classify import (INNER_POWER_MAX_LETTERS, POWER_CAP,
+                                _inner_power, bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.config import Config
 from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
@@ -121,13 +121,13 @@ class TestRank2Sweep:
         assert decided >= 270
 
 
-def inner_power_reference(mg, f, cfg):
+def inner_power_reference(mg, f):
     """_inner_power as it searched before the abelianization screen:
     every power up to the cap is composed and screened."""
     basis = identity_map(mg.rank)
     step = MapTables(mg.induced_rose_map(f))
     cur = basis
-    for p in range(1, cfg.power_cap + 1):
+    for p in range(1, POWER_CAP + 1):
         cur = compose_maps(step, cur)
         if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
             return None
@@ -145,8 +145,8 @@ class TestInnerPower:
         found = set()
         for bm in rank2_products(6):
             f = realize_rose_endo(mg, bm)
-            p = _inner_power(mg, f, Config())
-            assert p == inner_power_reference(mg, f, Config()), bm
+            p = _inner_power(mg, f)
+            assert p == inner_power_reference(mg, f), bm
             found.add(p)
         assert found == {None, 1, 2, 3, 4, 6}
 
@@ -161,7 +161,7 @@ class TestInnerPower:
     def test_named_maps(self, rank, bm, p):
         mg = marked_rose(rank)
         f = realize_rose_endo(mg, bm)
-        assert _inner_power(mg, f, Config()) == p
+        assert _inner_power(mg, f) == p
 
     def test_infinite_order_on_h1_composes_nothing(self, monkeypatch):
         composed = []
@@ -173,8 +173,7 @@ class TestInnerPower:
         monkeypatch.setattr(classify_mod, "compose_maps", counted)
         mg = marked_rose(2)
         for bm in (("a", "ba"), ("aba", "ab")):
-            assert _inner_power(mg, realize_rose_endo(mg, bm),
-                                Config()) is None
+            assert _inner_power(mg, realize_rose_endo(mg, bm)) is None
         assert composed == []
 
 

@@ -14,7 +14,7 @@ class TestConfig:
         path.write_text("# comment\nseg_len = 32\nhorizon=13\n")
         cfg = load_config(str(path), env={})
         assert cfg.seg_len == 32 and cfg.horizon == 13
-        assert cfg.stability == Config().stability
+        assert cfg.cand_len == Config().cand_len
 
     def test_env_beats_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -26,7 +26,8 @@ class TestConfig:
         # removed knobs are unknown keys like any other
         path = tmp_path / "run.cfg"
         for key in ("no_such_knob", "pf_tol", "pf_iter_cap",
-                    "whitehead_max_moves", "horizon_fwd", "horizon_bwd"):
+                    "whitehead_max_moves", "horizon_fwd", "horizon_bwd",
+                    "stability", "power_cap"):
             path.write_text(f"{key}=1\n")
             with pytest.raises(InvalidInput, match=key):
                 load_config(str(path), env={})
@@ -53,8 +54,7 @@ class TestConfig:
             load_config(env={"FREESPLIT_WHITEHEAD_MAX_LETTERS": budget})
 
     @pytest.mark.parametrize("name", ["iterate_cap", "lam_depth_cap",
-                                      "lam_len_target", "cand_len",
-                                      "power_cap"])
+                                      "lam_len_target", "cand_len"])
     def test_negative_limit_rejected_on_load(self, name):
         key = "FREESPLIT_" + name.upper()
         with pytest.raises(InvalidInput, match=name):

@@ -1,14 +1,15 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freesplit.automorphisms import invert_map
+from freesplit.automorphisms import apply_map, invert_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import (CoreGraph, _fold, _natural_arcs, _wedge,
                                carries, co_edge_number, enumerate_classes,
                                ffs_carried, ffs_from_generators, fold,
                                partition, subgroup_carried, tree_loops,
                                whole_group)
-from freesplit.words import BWD, FWD, canonical_cyclic, invert, reduce_word
+from freesplit.words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
+                             reduce_word)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -65,7 +66,7 @@ class TestFold:
                            st.integers(0, 7)), max_size=14))))
     def test_worklist_fold_matches_rescan(self, case):
         rank, edges = case
-        assert _fold(edges) == _fold_rescan(rank, edges)
+        assert set(_fold(edges, [""] * len(edges))) == _fold_rescan(rank, edges)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 3).flatmap(lambda rank: st.lists(
@@ -78,10 +79,43 @@ class TestFold:
         if not gens:
             return
         raw = _wedge(gens + [invert(w) + w[:3] for w in gens])
-        assert _fold(raw) == _fold_rescan(rank, raw)
+        assert set(_fold(raw, [""] * len(raw))) == _fold_rescan(rank, raw)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                          min_size=1, max_size=8).map(reduce_word),
+                 min_size=1, max_size=3))))
+    def test_labelled_fold_of_subgroup(self, case):
+        # generator i labels its first edge x_i, as invert_map does; every
+        # petal at the base then reads a word in the generators for its
+        # letter, and n generators fold to the rose exactly when they
+        # form a basis
+        rank, gens = case
+        gens = [w for w in gens if w]
+        if not gens:
+            return
+        words = []
+        for i, w in enumerate(gens):
+            words += [FWD[i] if is_fwd(w[0]) else BWD[i]] + [""] * (len(w) - 1)
+        folded = _fold(_wedge(gens), words)
+        for (lab, a, b), d in folded.items():
+            if a == b == 0:
+                assert apply_map(tuple(gens), d) == FWD[lab]
+        if len(gens) == rank:
+            core = fold(rank, gens)
+            rose = (core.n_vertices, core.graph_rank) == (1, rank)
+            try:
+                invert_map(tuple(gens))
+            except InvalidInput:
+                assert not rose
+            else:
+                assert rose
 
     def test_core_graph_numbering_ignores_edge_order(self):
-        edges = sorted(_fold(_wedge([x + x + y, y + X + y, x + y + X])))
+        raw = _wedge([x + x + y, y + X + y, x + y + X])
+        edges = sorted(_fold(raw, [""] * len(raw)))
         graphs = [CoreGraph(2, order) for order in
                   (edges, edges[::-1], edges[1:] + edges[:1], set(edges))]
         assert len({g.edges for g in graphs}) == 1
@@ -368,7 +402,7 @@ class TestCanonicalForm:
         st.permutations(range(8)))))
     def test_early_abort_key_on_folded_edge_sets(self, case):
         rank, edges, perm = case
-        core = CoreGraph(rank, _fold(edges))
+        core = CoreGraph(rank, _fold(edges, [""] * len(edges)))
         assert core.canonical_key == _canonical_key_full(core)
         relabeled = CoreGraph(rank, [(lab, perm[a], perm[b])
                                      for lab, a, b in core.edges])

@@ -77,6 +77,23 @@ class TestApprox:
             lamination_approx(filling_spec.mg, filling_spec.f, fixed[0],
                               filtration=filt)
 
+    def test_cap_bounds_every_built_segment(self, monkeypatch):
+        # growth stops before it maps a segment whose unreduced image is
+        # over iterate_cap, not after it has built that image
+        built = []
+
+        def spy(f, path):
+            built.append(map_path(f, path))
+            return built[-1]
+
+        monkeypatch.setattr(laminations, "map_path", spy)
+        spec = fixture("rank2_tr3")
+        filt = strata(spec.f)
+        lam = lamination_approx(spec.mg, spec.f, filt.eg_strata()[0],
+                                Config(iterate_cap=500), filt)
+        assert built and max(map(len, built)) <= 500
+        assert lam.depth == 6
+
     def test_two_laminations_for_bdd(self, bdd_spec):
         filt = strata(bdd_spec.f)
         assert len(filt.eg_strata()) == 2
@@ -287,7 +304,7 @@ def _map_cases():
             if not f.is_endo():
                 continue
             cases.append((f"{spec.name}-{key}", spec.mg, f))
-            p = _rotationless_power(f, DEFAULT)
+            p = _rotationless_power(f)
             if p > 1:
                 cases.append((f"{spec.name}-{key}^{p}", spec.mg,
                               _power_map(f, p)))

@@ -10,7 +10,7 @@ from freesplit.automorphisms import (MapTables, abelian_vector, apply_map,
                                      compose_maps, identity_map, invert_map,
                                      mat_vec)
 from freesplit.classify import classify
-from freesplit.config import Config
+from freesplit.config import STABILITY, Config
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators, whole_group
 from freesplit.fixtures import fixture
@@ -365,7 +365,7 @@ def unshared_w(ctx, cyclic, forward):
     """w_of as scanned before powers shared their root's orbit: the class
     is iterated as its own word, with no memo."""
     c = cyclic_reduce(cyclic)
-    h, s = ctx.cfg.horizon, ctx.cfg.stability
+    h, s = ctx.cfg.horizon, STABILITY
     back, fore = _OwnOrbit(c, ctx.bwd, ctx), _OwnOrbit(c, ctx.fwd, ctx)
 
     def inside(t, side):
