@@ -6,7 +6,8 @@ through the pair relation; else Loxodromic when a lamination certifiably
 fills and a splitting's displacement table has exact unit slope; else
 BoundedOrbits when the laminations jointly fill and decomposition data
 yields the verified length-four chain.  Otherwise it is Unknown, and
-carries the stage where the sequence stopped.
+carries the stage where the sequence stopped.  Finite order is exact:
+such a map goes through its least inner power, found from its H_1 order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import NamedTuple
 from .automorphisms import (MapTables, abelianization, compose_maps,
                             identity_map, mat_mul, outer_equal)
 from .config import DEFAULT, Config
-from .errors import InvalidInput, NotApplicable
+from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
 from .graphs import (GraphMap, MarkedGraph, compose, identity_graph_map,
                      is_invariant_subgraph, restricted_map, strata)
@@ -29,14 +30,16 @@ from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
 from .whitehead import FILLS, UNKNOWN
 from .wproj import (WContext, build_context, default_m_samples,
                     displacement_table, estimate_M)
-from .words import BWD, FWD, invert, is_fwd, slot, strip_cyclic
+from .words import FWD, invert, is_fwd, slot
 
 DISPLACEMENT_RADIUS = 4  # translations tabulated on each side of W
 CHAIN_K = 1  # power of the map in the BoundedOrbits chain witness
 # A longer power image ends the inner-power search: EG images grow
 # geometrically, and such a power is inner only by a conjugator of 5,000+.
 INNER_POWER_MAX_LETTERS = 10_000
-# Largest power the inner-power search and the rotationless power reach.
+# Largest power _rotationless_power returns, its only reader; a larger lcm
+# of periods falls back to f itself, since EG images grow like lambda^p and
+# a higher power would more often pass iterate_cap and end at power_map.
 POWER_CAP = 12
 
 
@@ -89,9 +92,15 @@ def rank2_classify(matrix) -> str:
     return "Loxodromic" if hyperbolic else "NotLoxodromic"
 
 
-def _power_map(f: GraphMap, p: int) -> GraphMap:
+def _power_map(f: GraphMap, p: int, cap: int | None = None) -> GraphMap:
+    """f^p; BudgetExhausted before composing once an edge's unreduced
+    image, the intermediate path, would pass ``cap`` letters."""
     out = identity_graph_map(f.source)
     for _ in range(p):
+        if cap is not None and any(
+                sum(w.count(ch) * len(v) for ch, v in f.img.items()) > cap
+                for w in out.edge_images):
+            raise BudgetExhausted("power images exceeded the length cap")
         out = compose(f, out)
     return out
 
@@ -99,51 +108,40 @@ def _power_map(f: GraphMap, p: int) -> GraphMap:
 def _inner_power(mg: MarkedGraph, f: GraphMap):
     """Least p with the p-th power inner, or None.
 
-    Two cheap screens come before ``outer_equal``.  An inner automorphism
-    acts trivially on H_1, so the first keeps only the p with A^p = I, A
-    the map's abelianization: at any other p the power is not inner.
-    With no such p up to ``POWER_CAP`` nothing is composed; otherwise the
-    powers are composed up to the largest, and one with an image over
-    ``INNER_POWER_MAX_LETTERS`` ends the search.  At a kept p, an inner
-    power maps every basis letter to a conjugate of itself, so the second
-    screen asks each image to cyclically reduce to its own letter; it also
-    passes the letter's inverse, which ``outer_equal`` then rejects.  The
-    first screen cannot thin out maps that permute the conjugacy classes
-    of the basis letters, such as the Artin action of a braid: there A is
-    a permutation matrix, and A^p = I exactly at the p the second screen
-    passes.
+    Inner maps act trivially on H_1, and the kernel of Out(F_n) ->
+    GL_n(Z/3) is torsion-free (Baumslag-Taylor, Math. Ann. 1968).  So the
+    map has finite order exactly when its H_1 matrix has a finite order m
+    and the m-th power is inner, and m is then the least inner power: one
+    ``outer_equal`` decides.  A power image over
+    ``INNER_POWER_MAX_LETTERS`` ends the search.
     """
     step = MapTables(mg.induced_rose_map(f))  # its tables serve every power
-    candidates = _identity_powers(step.abelian, POWER_CAP)
-    if not candidates:
+    m = _h1_order(step.abelian)
+    if m is None:
         return None
-    basis = identity_map(mg.rank)
-    cur = basis
-    for p in range(1, candidates[-1] + 1):
+    cur = basis = identity_map(mg.rank)
+    for _ in range(m):
         cur = compose_maps(step, cur)
         if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
             return None
-        # The screen is canonical_cyclic(w) == canonical_cyclic(FWD[i]),
-        # which holds exactly when w cyclically reduces to FWD[i] or BWD[i].
-        # compose_maps returns reduced words, so strip_cyclic is their
-        # cyclic reduction, and no rotation of a long image is searched.
-        if p in candidates and all(strip_cyclic(cur[i]) in (FWD[i], BWD[i])
-                                   for i in range(mg.rank)):
-            verdict, _ = outer_equal(cur, basis)
-            if verdict == "Equal":
-                return p
-    return None
+    return m if outer_equal(cur, basis)[0] == "Equal" else None
 
 
-def _identity_powers(a, cap: int) -> list[int]:
-    """The p in 1..cap with a^p the identity, a a square integer matrix."""
-    identity = abelianization(identity_map(len(a)))
-    out, power = [], identity
-    for p in range(1, cap + 1):
-        power = mat_mul(a, power)
-        if power == identity:
-            out.append(p)
-    return out
+def _h1_order(a) -> int | None:
+    """The order of the square integer matrix ``a``, or None if infinite.
+
+    The kernel of GL_n(Z) -> GL_n(Z/3) is torsion-free (Minkowski), so a
+    finite order is the order of ``a`` mod 3, which GL_n(F_3) bounds.  A
+    finite-order matrix has root-of-unity eigenvalues, so a power with
+    |trace| > n shows infinite order early.
+    """
+    n = len(a)
+    power, p, one = a, 1, abelianization(identity_map(n))
+    while any((x - y) % 3 for r, s in zip(power, one) for x, y in zip(r, s)):
+        if abs(sum(power[i][i] for i in range(n))) > n:
+            return None
+        power, p = mat_mul(a, power), p + 1
+    return p if power == one else None
 
 
 def _rotationless_power(f: GraphMap) -> int:
@@ -329,7 +327,10 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
     notes: dict = {}
     p_inner = _inner_power(mg, f)
     p = p_inner or power or _rotationless_power(f)
-    fp = _power_map(f, p) if p > 1 else f
+    try:
+        fp = _power_map(f, p, cfg.iterate_cap) if p > 1 else f
+    except BudgetExhausted:
+        return _classification("power_map", p, notes)
     lams, verdicts = [], []
     if p_inner is None:  # an inner power fixes every splitting
         filt = strata(fp)

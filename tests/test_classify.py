@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import json
 import os
 import subprocess
@@ -8,8 +9,8 @@ import pytest
 
 from freesplit import cli
 from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
-                                     identity_map, outer_equal)
-from freesplit.classify import (INNER_POWER_MAX_LETTERS, POWER_CAP,
+                                     identity_map, mat_mul, outer_equal)
+from freesplit.classify import (INNER_POWER_MAX_LETTERS, _h1_order,
                                 _inner_power, bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.config import Config
@@ -122,12 +123,13 @@ class TestRank2Sweep:
 
 
 def inner_power_reference(mg, f):
-    """_inner_power as it searched before the abelianization screen:
-    every power up to the cap is composed and screened."""
+    """_inner_power as it searched before the exact order test: every
+    power up to 12 is composed and screened (no finite order in rank two
+    is above 6)."""
     basis = identity_map(mg.rank)
     step = MapTables(mg.induced_rose_map(f))
     cur = basis
-    for p in range(1, POWER_CAP + 1):
+    for p in range(1, 13):
         cur = compose_maps(step, cur)
         if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
             return None
@@ -175,6 +177,151 @@ class TestInnerPower:
         for bm in (("a", "ba"), ("aba", "ab")):
             assert _inner_power(mg, realize_rose_endo(mg, bm)) is None
         assert composed == []
+
+
+def companion(coeffs):
+    """Companion matrix of x^d + c_(d-1) x^(d-1) + ... + c_0, given the
+    coefficients c_0 .. c_(d-1)."""
+    d = len(coeffs)
+    return tuple(tuple(-coeffs[r] if c == d - 1 else int(r == c + 1)
+                       for c in range(d)) for r in range(d))
+
+
+def block_sum(*blocks):
+    n = sum(map(len, blocks))
+    rows, at = [], 0
+    for b in blocks:
+        rows += [(0,) * at + tuple(r) + (0,) * (n - at - len(b)) for r in b]
+        at += len(b)
+    return tuple(rows)
+
+
+def identity_powers(a):
+    """The p <= 120 with a^p = I, by powering: every finite order in
+    GL_n(Z) for n <= 8 is at most 60."""
+    one = abelianization(identity_map(len(a)))
+    out, power = set(), a
+    for p in range(1, 121):
+        if power == one:
+            out.add(p)
+        power = mat_mul(a, power)
+    return frozenset(out)
+
+
+def negated(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+class TestH1Order:
+    def test_matches_powering_on_block_sums(self):
+        # the order of a block sum is the least power that is the identity
+        # on every block; the blocks are every 2x2 matrix with entries in
+        # [-3, 3] and determinant +-1, the companion matrices of the
+        # cyclotomic polynomials of 5, 7 and 9 (orders 5, 7, 9), and
+        # unipotent Jordan blocks with their negatives
+        two = [((a, b), (c, d)) for a, b, c, d
+               in itertools.product(range(-3, 4), repeat=4)
+               if a * d - b * c in (1, -1)]
+        phis = [companion((1, 1, 1, 1)), companion((1,) * 6),
+                companion((1, 0, 0, 1, 0, 0))]
+        j3 = ((1, 1, 0), (0, 1, 1), (0, 0, 1))
+        j4 = ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 0, 0, 1))
+        jordan = [j3, j4, negated(j3), negated(j4)]
+        cases = ([(m,) for m in two + phis + jordan]
+                 + [(m, c) for m in two for c in phis]
+                 + [(j, phis[0]) for j in jordan]
+                 + [(j3, negated(j3)), (j4, negated(j4))])
+        powers = {b: identity_powers(b) for b in two + phis + jordan}
+        orders = set()
+        for blocks in cases:
+            order = min(frozenset.intersection(*map(powers.get, blocks)),
+                        default=None)
+            assert _h1_order(block_sum(*blocks)) == order, blocks
+            orders.add(order)
+        assert {None, 1, 2, 3, 4, 5, 6, 7, 9, 30, 42} <= orders
+        assert max(orders - {None}) == 42
+
+
+def theta_text(k, reversed_):
+    """The theta graph with edges E1 .. Ek from u to v, marked
+    xi = Ei Ek', and the map Ei -> E(i+1), reversed when asked, so that
+    u and v swap; the map has order k, or 2k when reversed and k is odd."""
+    bar = "'" if reversed_ else ""
+    return ("VERTICES\nu\nv\nEDGES\n"
+            + "".join(f"E{i} u v\n" for i in range(1, k + 1))
+            + "MARKING\n"
+            + "".join(f"x{i} E{i} E{k}'\n" for i in range(1, k))
+            + "MAP\n"
+            + "".join(f"E{i} E{i % k + 1}{bar}\n" for i in range(1, k + 1)))
+
+
+def signed_cycles(*cycles):
+    """The rose map cycling consecutive blocks of basis letters, given as
+    (length, inverted): x_i -> x_i+1 within a block, and its last letter
+    to the first, inverted when asked.  A block of length k has order k,
+    or 2k when inverted."""
+    images, start = [], 0
+    for length, inverted in cycles:
+        images += [FWD[i + 1] for i in range(start, start + length - 1)]
+        images.append((BWD if inverted else FWD)[start])
+        start += length
+    return tuple(images)
+
+
+class TestFiniteOrder:
+    """Finite-order maps are PeriodicVertex with their order as the least
+    inner power, also above 12."""
+
+    @pytest.mark.parametrize("k", range(3, 12))
+    @pytest.mark.parametrize("reversed_", [False, True],
+                             ids=["rotation", "swap"])
+    def test_theta_rotation(self, k, reversed_):
+        mg, f, _ = parse_marked_graph(theta_text(k, reversed_))
+        c = classify(ExampleSpec("theta", mg, {"f": f}, None))
+        assert c.verdict == "PeriodicVertex"
+        assert c.witness["inner_power"] == (2 * k if reversed_ and k % 2
+                                            else k)
+
+    @pytest.mark.parametrize("cycles, order", [
+        (((2, True),), 4),
+        (((3, True),), 6),
+        (((2, True), (2, False)), 4),
+        (((5, True),), 10),
+        (((6, True),), 12),
+        (((7, True),), 14),
+        (((5, True), (3, False)), 30),
+    ], ids=["2i", "3i", "2i+2", "5i", "6i", "7i", "5i+3"])
+    def test_signed_permutation(self, cycles, order):
+        bm = signed_cycles(*cycles)
+        mg = marked_rose(len(bm))
+        c = classify(ExampleSpec("perm", mg,
+                                 {"f": realize_rose_endo(mg, bm)}, None))
+        assert c.verdict == "PeriodicVertex"
+        assert c.witness["inner_power"] == order
+
+
+class TestPowers:
+    def test_decided_verdicts_agree_across_powers(self):
+        # f, f^2 and f^3 have one type: a decided verdict at one is the
+        # verdict at every other that is decided
+        mg2, mg3 = marked_rose(2), marked_rose(3)
+        maps = ([(mg2, bm) for bm in rank2_products(4)]
+                + [(mg3, bm) for bm in braid_maps(3).values()])
+        assert len(maps) == 114
+        for mg, bm in maps:
+            spec = ExampleSpec("power", mg, {"f": realize_rose_endo(mg, bm)},
+                               None)
+            decided = {classify(spec, power=p).verdict for p in (1, 2, 3)}
+            assert len(decided - {"Unknown"}) <= 1, bm
+
+    @pytest.mark.parametrize("cap, power, stage", [
+        (100, 4, "lamination_fills"), (100, 5, "power_map"),
+        (144, 5, "lamination_fills"), (143, 5, "power_map")])
+    def test_power_over_iterate_cap_is_unknown(self, cap, power, stage):
+        # on rank2_tr3, composing f^5 maps the images of f^4 to unreduced
+        # paths of 144 and 89 letters: the cap is read before that step
+        c = classify(fixture("rank2_tr3"), Config(iterate_cap=cap), power)
+        assert (c.verdict, c.stage, c.power) == ("Unknown", stage, power)
 
 
 class TestBraids:
