@@ -7,17 +7,18 @@ fills and a splitting's displacement table has exact unit slope; else
 BoundedOrbits when the laminations jointly fill and decomposition data
 yields the verified length-four chain.  Otherwise it is Unknown, and
 carries the stage where the sequence stopped.  Finite order is exact:
-such a map goes through its least inner power, found from its H_1 order.
+such a map goes through its least inner power m, found from its H_1 order,
+and the f^m composed to test it is the map classified.  Any other map goes
+through f itself, or through the power the caller asks for.  Every power
+is composed by ``_power_map`` under a letter cap.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .automorphisms import (MapTables, abelianization, compose_maps,
-                            identity_map, mat_mul, outer_equal)
+from .automorphisms import abelianization, identity_map, mat_mul, outer_equal
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
@@ -30,17 +31,13 @@ from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
 from .whitehead import FILLS, UNKNOWN
 from .wproj import (WContext, build_context, default_m_samples,
                     displacement_table, estimate_M)
-from .words import FWD, invert, is_fwd, slot
+from .words import FWD, slot
 
 DISPLACEMENT_RADIUS = 4  # translations tabulated on each side of W
 CHAIN_K = 1  # power of the map in the BoundedOrbits chain witness
-# A longer power image ends the inner-power search: EG images grow
+# A longer unreduced power image ends the inner-power test: EG images grow
 # geometrically, and such a power is inner only by a conjugator of 5,000+.
 INNER_POWER_MAX_LETTERS = 10_000
-# Largest power _rotationless_power returns, its only reader; a larger lcm
-# of periods falls back to f itself, since EG images grow like lambda^p and
-# a higher power would more often pass iterate_cap and end at power_map.
-POWER_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -92,39 +89,37 @@ def rank2_classify(matrix) -> str:
     return "Loxodromic" if hyperbolic else "NotLoxodromic"
 
 
-def _power_map(f: GraphMap, p: int, cap: int | None = None) -> GraphMap:
+def _power_map(f: GraphMap, p: int, cap: int) -> GraphMap:
     """f^p; BudgetExhausted before composing once an edge's unreduced
     image, the intermediate path, would pass ``cap`` letters."""
     out = identity_graph_map(f.source)
     for _ in range(p):
-        if cap is not None and any(
-                sum(w.count(ch) * len(v) for ch, v in f.img.items()) > cap
-                for w in out.edge_images):
+        if any(sum(w.count(ch) * len(v) for ch, v in f.img.items()) > cap
+               for w in out.edge_images):
             raise BudgetExhausted("power images exceeded the length cap")
         out = compose(f, out)
     return out
 
 
 def _inner_power(mg: MarkedGraph, f: GraphMap):
-    """Least p with the p-th power inner, or None.
+    """(m, f^m) for the least m with f^m inner, or None.
 
     Inner maps act trivially on H_1, and the kernel of Out(F_n) ->
     GL_n(Z/3) is torsion-free (Baumslag-Taylor, Math. Ann. 1968).  So the
     map has finite order exactly when its H_1 matrix has a finite order m
     and the m-th power is inner, and m is then the least inner power: one
-    ``outer_equal`` decides.  A power image over
-    ``INNER_POWER_MAX_LETTERS`` ends the search.
+    ``outer_equal`` on f^m decides.  An unreduced power image over
+    ``INNER_POWER_MAX_LETTERS`` letters ends the test with None.
     """
-    step = MapTables(mg.induced_rose_map(f))  # its tables serve every power
-    m = _h1_order(step.abelian)
+    m = _h1_order(abelianization(mg.induced_rose_map(f)))
     if m is None:
         return None
-    cur = basis = identity_map(mg.rank)
-    for _ in range(m):
-        cur = compose_maps(step, cur)
-        if max(len(w) for w in cur) > INNER_POWER_MAX_LETTERS:
-            return None
-    return m if outer_equal(cur, basis)[0] == "Equal" else None
+    try:
+        fm = _power_map(f, m, INNER_POWER_MAX_LETTERS)
+    except BudgetExhausted:
+        return None
+    inner = outer_equal(mg.induced_rose_map(fm), identity_map(mg.rank))
+    return (m, fm) if inner[0] == "Equal" else None
 
 
 def _h1_order(a) -> int | None:
@@ -142,42 +137,6 @@ def _h1_order(a) -> int | None:
             return None
         power, p = mat_mul(a, power), p + 1
     return p if power == one else None
-
-
-def _rotationless_power(f: GraphMap) -> int:
-    """Least power killing the finite permutation actions of the map."""
-    periods = [1]
-    g = f.source
-    for v in g.vertices:
-        seen = {v: 0}
-        cur = v
-        for step in range(1, len(g.vertices) + 1):
-            cur = f.vertex_map[cur]
-            if cur in seen:
-                if cur == v:
-                    periods.append(step)
-                break
-            seen[cur] = step
-    single = {s: f.edge_images[s] for s in range(g.n_edges)
-              if len(f.edge_images[s]) == 1}
-    for s in single:
-        # walk oriented letters so a reversal counts as period two
-        seen = {FWD[s]: 0}
-        cur = FWD[s]
-        for step in range(1, 2 * len(single) + 1):
-            nxt = single.get(slot(cur))
-            if nxt is None:
-                break
-            cur = nxt if is_fwd(cur) else invert(nxt)
-            if cur in seen:
-                if cur == FWD[s]:
-                    periods.append(step)
-                break
-            seen[cur] = step
-    p = 1
-    for q in periods:
-        p = p * q // math.gcd(p, q)
-    return p if p <= POWER_CAP else 1
 
 
 def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
@@ -223,12 +182,14 @@ class BoundedChain:
                 "arrows": [dict(a) for a in self.arrows]}
 
 
-def bounded_path_witness(spec: ExampleSpec, k: int) -> BoundedChain:
+def bounded_path_witness(spec: ExampleSpec, k: int,
+                         cfg: Config = DEFAULT) -> BoundedChain:
     """The verified length-four chain between a splitting and its image.
 
     Re-verifies the decomposition clauses, builds the two restricted maps,
     checks the composition law edgewise, and certifies every arrow of the
-    five-vertex chain as a face relation or a verified equality.
+    five-vertex chain as a face relation or a verified equality.  The k-th
+    powers are composed under ``cfg.iterate_cap``: BudgetExhausted past it.
     """
     if not spec.decomposition:
         raise InvalidInput("fixture carries no decomposition data")
@@ -271,7 +232,7 @@ def bounded_path_witness(spec: ExampleSpec, k: int) -> BoundedChain:
     f2 = restricted_map(f, frozenset(range(g.n_edges)) - k1)
     if compose(f2, f1).edge_images != f.edge_images:
         raise InvalidInput("restricted maps do not compose to the map")
-    f1k, f2k, fk = (_power_map(m, k) for m in (f1, f2, f))
+    f1k, f2k, fk = (_power_map(m, k, cfg.iterate_cap) for m in (f1, f2, f))
     if compose(f2k, f1k).edge_images != fk.edge_images:
         raise InvalidInput("restricted powers do not compose to the power")
 
@@ -313,7 +274,8 @@ def bounded_path_witness(spec: ExampleSpec, k: int) -> BoundedChain:
 def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
              power: int | None = None) -> Classification:
     """Run the full pipeline on a loaded example; ``power``, when given,
-    is the positive power of f to classify through.
+    is the positive power of f to classify through, unless f has finite
+    order and goes through its least inner power.
 
     The shared artifacts are computed once, then the deciders run in a
     fixed order and the first certificate decides; otherwise the verdict
@@ -325,14 +287,15 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
         raise InvalidInput("stub fixtures cannot be classified")
     mg, f = spec.mg, spec.f
     notes: dict = {}
-    p_inner = _inner_power(mg, f)
-    p = p_inner or power or _rotationless_power(f)
-    try:
-        fp = _power_map(f, p, cfg.iterate_cap) if p > 1 else f
-    except BudgetExhausted:
-        return _classification("power_map", p, notes)
+    inner = _inner_power(mg, f)
+    p, fp = inner or (power or 1, f)
+    if inner is None and p > 1:
+        try:
+            fp = _power_map(f, p, cfg.iterate_cap)
+        except BudgetExhausted:
+            return _classification("power_map", p, notes)
     lams, verdicts = [], []
-    if p_inner is None:  # an inner power fixes every splitting
+    if inner is None:  # an inner power fixes every splitting
         filt = strata(fp)
         lams = [lamination_approx(mg, fp, idx, cfg, filt)
                 for idx in filt.eg_strata()]
@@ -347,7 +310,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
         joint = laminations_jointly_fill(lams, cfg).kind
         notes["joint_verdict"] = joint
     pairs = _coordinate_pairs(mg)
-    found = _invariant_splitting(mg, fp, pairs, p_inner)
+    found = _invariant_splitting(mg, fp, pairs, p if inner else None)
     if isinstance(found, str):
         if filling is not None:
             found = _loxodromic(mg, fp, filling, pairs, cfg)

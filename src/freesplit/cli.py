@@ -159,7 +159,7 @@ def cmd_distance(args) -> int:
     if not spec.decomposition:
         raise InvalidInput("distance command needs a fixture with "
                            "decomposition data")
-    chain = bounded_path_witness(spec, args.k)
+    chain = bounded_path_witness(spec, args.k, cfg)
     report = make_report(
         "distance", {"name": spec.name, "k": args.k},
         {"bound": len([a for a in chain.arrows if a["move"] == "collapse"]),

@@ -221,15 +221,15 @@ def rank2_fixture(key: str) -> ExampleSpec:
                        notes="rank-2 battery member (determinant +1)")
 
 
-def divergence_pair(m: int = 3, cfg: Config = DEFAULT) -> ExampleSpec:
-    """The filling-reducible map plus its conjugate by a petal swap.
+def divergence_pair(cfg: Config = DEFAULT) -> ExampleSpec:
+    """The filling-reducible map at m = 3 plus its conjugate by a petal
+    swap.
 
     The conjugate has its own filling lamination on disjoint letters, so
     the two laminations are distinct by construction.
     """
-    base = filling_reducible(m, cfg=cfg)
+    base = filling_reducible(3, cfg=cfg)
     mg, g = base.mg, base.mg.graph
-    _require(m == 3, "the divergence fixture ships at m = 3")
     swap = {"X": "A", "A": "X", "Y": "B", "B": "Y", "Z": "Z"}
     f = base.f
 
@@ -251,7 +251,7 @@ def divergence_pair(m: int = 3, cfg: Config = DEFAULT) -> ExampleSpec:
     return ExampleSpec(
         name="divergence", mg=mg, maps={"f": f, "psi": psi},
         expected="Loxodromic",
-        params={"m": m, "splitting_h": ["X", "Y", "Z", "A"]},
+        params={"m": 3, "splitting_h": ["X", "Y", "Z", "A"]},
         notes="pair with distinct filling laminations on disjoint letters",
     )
 

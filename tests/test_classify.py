@@ -11,18 +11,23 @@ from freesplit import cli
 from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
                                      identity_map, mat_mul, outer_equal)
 from freesplit.classify import (INNER_POWER_MAX_LETTERS, _h1_order,
-                                _inner_power, bounded_path_witness, classify,
+                                _inner_power, _power_map,
+                                bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.config import Config
-from freesplit.errors import FixtureInvalid, InvalidInput, NotApplicable
+from freesplit.errors import (BudgetExhausted, FixtureInvalid, InvalidInput,
+                              NotApplicable)
+from freesplit.factors import co_edge_number
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (compose, identity_graph_map, marked_rose,
                               parse_marked_graph, print_marked_graph,
                               realize_rose_endo, rose_map)
 from freesplit.whitehead import FILLS, FillsVerdict
 from freesplit.words import BWD, FWD, strip_cyclic
+from freesplit.wproj import apply_basis_map_to_ffs
 
 from braids import artin, braid_maps, braid_type
+from planted import SOUND_PSIS, planted_maps
 
 # the package's ``classify`` function shadows the module of that name
 classify_mod = importlib.import_module("freesplit.classify")
@@ -141,13 +146,19 @@ def inner_power_reference(mg, f):
     return None
 
 
+def inner_order(mg, f):
+    """The least inner power _inner_power finds, or None."""
+    inner = _inner_power(mg, f)
+    return None if inner is None else inner[0]
+
+
 class TestInnerPower:
     def test_matches_search_of_every_power(self):
         mg = marked_rose(2)
         found = set()
         for bm in rank2_products(6):
             f = realize_rose_endo(mg, bm)
-            p = _inner_power(mg, f)
+            p = inner_order(mg, f)
             assert p == inner_power_reference(mg, f), bm
             found.add(p)
         assert found == {None, 1, 2, 3, 4, 6}
@@ -163,16 +174,16 @@ class TestInnerPower:
     def test_named_maps(self, rank, bm, p):
         mg = marked_rose(rank)
         f = realize_rose_endo(mg, bm)
-        assert _inner_power(mg, f) == p
+        assert inner_order(mg, f) == p
 
     def test_infinite_order_on_h1_composes_nothing(self, monkeypatch):
         composed = []
 
-        def counted(f, g):
-            composed.append(g)
-            return compose_maps(f, g)
+        def counted(f, p, cap):
+            composed.append(p)
+            return _power_map(f, p, cap)
 
-        monkeypatch.setattr(classify_mod, "compose_maps", counted)
+        monkeypatch.setattr(classify_mod, "_power_map", counted)
         mg = marked_rose(2)
         for bm in (("a", "ba"), ("aba", "ab")):
             assert _inner_power(mg, realize_rose_endo(mg, bm)) is None
@@ -324,6 +335,27 @@ class TestPowers:
         assert (c.verdict, c.stage, c.power) == ("Unknown", stage, power)
 
 
+class TestPowerOne:
+    """A map of infinite order goes through f itself unless the caller
+    asks for a power; a finite-order map through the f^m of its inner
+    power test, whatever ``iterate_cap`` is."""
+
+    def test_rank2_tr_minus_two(self):
+        # x1 -> x1^-1, x2 -> x2^-1 x1^-1 is the golden file's A/BA
+        spec = fixture("rank2_tr-2")
+        assert spec.mg.induced_rose_map(spec.f) == ("A", "BA")
+        c = classify(spec)
+        assert (c.verdict, c.power, c.notes["power"]) == (
+            "PeriodicVertex", 1, 1)
+
+    @pytest.mark.parametrize("cap", [0, 2])
+    @pytest.mark.parametrize("name, power", [("rank2_tr1", 6),
+                                             ("rank2_tr-2", 1)])
+    def test_small_iterate_cap_still_periodic(self, name, power, cap):
+        c = classify(fixture(name), Config(iterate_cap=cap))
+        assert (c.verdict, c.power) == ("PeriodicVertex", power)
+
+
 class TestBraids:
     """The 115 maps of the 3-braid words of length at most four, against
     the trace oracle of ``braids``."""
@@ -341,6 +373,29 @@ class TestBraids:
             c = classify(ExampleSpec("braid", mg,
                                      {"f": realize_rose_endo(mg, bm)}, None))
             assert c.verdict in allowed[braid_type(word)], word
+
+
+class TestPlanted:
+    """Rank-3 maps with a planted invariant one-edge splitting (``planted``),
+    whose exact verdict is PeriodicVertex."""
+
+    def test_oracle_holds(self):
+        # each map of length at most five, under each of the seven psi,
+        # preserves its planted system, of co-edge number 1
+        family = planted_maps(rank2_products(5))
+        assert len(family) == 1064
+        for name, phi_a, phi, ffs in family:
+            assert apply_basis_map_to_ffs(phi, ffs) == ffs, (name, phi_a)
+            assert co_edge_number(ffs) == 1
+
+    def test_sound_slice_is_periodic(self):
+        mg = marked_rose(3)
+        family = planted_maps(rank2_products(4), SOUND_PSIS)
+        assert len(family) == 201
+        for name, phi_a, phi, _ in family:
+            c = classify(ExampleSpec("planted", mg,
+                                     {"f": realize_rose_endo(mg, phi)}, None))
+            assert c.verdict == "PeriodicVertex", (name, phi_a)
 
 
 class TestPeriodicWitness:
@@ -368,6 +423,14 @@ class TestBoundedChain:
         assert len(chain.vertices) == 5
         assert all(a["ok"] for a in chain.arrows)
         assert sum(1 for a in chain.arrows if a["move"] == "collapse") == 4
+
+    @pytest.mark.parametrize("k, cap", [(1, 22), (2, 99), (3, 386)])
+    def test_powers_capped_by_iterate_cap(self, bdd_spec, k, cap):
+        # cap is the least iterate_cap under which the k-th powers compose
+        chain = bounded_path_witness(bdd_spec, k, Config(iterate_cap=cap))
+        assert chain.k == k
+        with pytest.raises(BudgetExhausted):
+            bounded_path_witness(bdd_spec, k, Config(iterate_cap=cap - 1))
 
     def test_no_decomposition_rejected(self, filling_spec):
         with pytest.raises(InvalidInput):

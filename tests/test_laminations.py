@@ -5,7 +5,6 @@ import math
 import pytest
 
 from freesplit import laminations
-from freesplit.classify import _power_map, _rotationless_power
 from freesplit.config import DEFAULT, Config
 from freesplit.errors import BudgetExhausted, InvalidInput
 from freesplit.fixtures import bdd_no_periodic, fixture, fixture_names
@@ -292,8 +291,8 @@ def stabilized_fills_cold(accumulated_lists, rank, cfg):
 
 def _map_cases():
     """(name, marked graph, map): the rank-2 products of length <= 6 on the
-    rose, each fixture's endomorphisms with their rotationless powers, and
-    bdd_no_periodic(m) for m = 2..4 at the power classify uses."""
+    rose, each fixture's endomorphisms, and bdd_no_periodic(m) for
+    m = 2..4."""
     mg2 = marked_rose(2)
     cases = [(f"rank2-{'/'.join(bm)}", mg2, realize_rose_endo(mg2, bm))
              for bm in rank2_products(6)]
@@ -304,10 +303,6 @@ def _map_cases():
             if not f.is_endo():
                 continue
             cases.append((f"{spec.name}-{key}", spec.mg, f))
-            p = _rotationless_power(f)
-            if p > 1:
-                cases.append((f"{spec.name}-{key}^{p}", spec.mg,
-                              _power_map(f, p)))
     return cases
 
 

@@ -6,6 +6,7 @@ from freesplit import automorphisms, graphs
 from freesplit.automorphisms import (apply_map, identity_map, invert_map,
                                      outer_equal)
 from freesplit.classify import _power_map
+from freesplit.config import DEFAULT
 from freesplit.errors import InvalidInput
 from freesplit.factors import ffs_from_generators
 from freesplit.graphs import (Graph, MarkedGraph, compose, graph_map,
@@ -164,7 +165,7 @@ class TestPairRelation:
 
     def test_bdd_core_equality(self, bdd_spec):
         for k in (1, 2):
-            f1k = _power_map(bdd_spec.maps["f1"], k)
+            f1k = _power_map(bdd_spec.maps["f1"], k, DEFAULT.iterate_cap)
             pair = validate_pair(bdd_spec.mg, bdd_spec.decomposition["K1"])
             res = pair_relation_check(f1k, pair, remark_pair(pair, f1k))
             assert res.holds
@@ -231,7 +232,7 @@ class TestPairRelation:
         p_j3, p_k1, p_j2 = (validate_pair(mg, dec[k])
                             for k in ("J3", "K1", "J2"))
         for k in (0, 1, 2):
-            f1k, f2k, fk = (_power_map(m, k) for m in (
+            f1k, f2k, fk = (_power_map(m, k, DEFAULT.iterate_cap) for m in (
                 bdd_spec.maps["f1"], bdd_spec.maps["f2"], bdd_spec.f))
             v2b, v3 = remark_pair(p_k1, f1k), remark_pair(p_j3, f1k)
             v4, v4b = remark_pair(p_j2, f1k), remark_pair(p_j2, fk)
