@@ -299,7 +299,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
         filt = strata(fp)
         lams = [lamination_approx(mg, fp, idx, cfg, filt)
                 for idx in filt.eg_strata()]
-        verdicts = [lamination_fills(lam, cfg) for lam in lams]
+        verdicts = [lamination_fills(lam) for lam in lams]
         notes.update(power=p, eg_strata=len(lams),
                      lamination_verdicts=[v.kind for v in verdicts])
     filling = next((lam for lam, v in zip(lams, verdicts)
@@ -307,7 +307,7 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
     undecided = any(v.kind == UNKNOWN for v in verdicts)
     joint = None
     if lams and filling is None and not undecided:
-        joint = laminations_jointly_fill(lams, cfg).kind
+        joint = laminations_jointly_fill(lams).kind
         notes["joint_verdict"] = joint
     pairs = _coordinate_pairs(mg)
     found = _invariant_splitting(mg, fp, pairs, p if inner else None)

@@ -1,6 +1,8 @@
 """Command line interface.
 
-Subcommands: classify, w, leaf, fills, distance, report, fixtures.
+Subcommands: classify, w, leaf, fills, distance, report, fixtures.  All
+but fixtures read exactly one of ``--fixture NAME`` and ``--input FILE``.
+Each takes only the flags it reads; any other is a usage error (exit 2).
 Deterministic output; ``--json`` prints the full report to stdout, and
 ``--out DIR`` writes it to a file as well.  Exit status 0 covers honest
 verdicts including Unknown; nonzero means a usage or input error.
@@ -9,6 +11,7 @@ verdicts including Unknown; nonzero means a usage or input error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import pathlib
 import sys
@@ -26,45 +29,47 @@ from .whitehead import fills
 from .wproj import build_context, divergence_check, w_of
 
 
-def _common(p: argparse.ArgumentParser):
-    p.add_argument("--fixture", help="catalog fixture name")
-    p.add_argument("--input", help="graph/map file in the text format")
-    p.add_argument("--config", help="key=value config file")
-    p.add_argument("--power", type=int, default=None)
-    p.add_argument("--seg-len", type=int, default=None)
-    p.add_argument("--horizon", type=int, default=None)
+# the optional flags a command may take; each takes only those it reads
+_FLAGS = {
+    "--config": {"help": "key=value config file"},
+    "--power": {"type": int},
+    "--seg-len": {"type": int},
+    "--horizon": {"type": int},
+}
+
+
+def _common(p: argparse.ArgumentParser, *flags: str):
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--fixture", help="catalog fixture name")
+    source.add_argument("--input", help="graph/map file in the text format")
+    for flag in flags:
+        p.add_argument(flag, **_FLAGS[flag])
     p.add_argument("--out", help="directory for the JSON report")
     p.add_argument("--json", action="store_true", help="print JSON to stdout")
 
 
 def _load_cfg(args):
-    cfg = load_config(args.config) if args.config else load_config()
-    over = {}
-    if args.seg_len is not None:
-        over["seg_len"] = args.seg_len
-    if args.horizon is not None:
-        over["horizon"] = args.horizon
-    return cfg.with_overrides(**over) if over else cfg
+    over = {key: value for key in ("seg_len", "horizon")
+            if (value := getattr(args, key, None)) is not None}
+    return dataclasses.replace(load_config(args.config), **over)
 
 
-def _load_spec(args, cfg):
-    if args.fixture:
-        return fixture(args.fixture, cfg=cfg)
-    if args.input:
-        try:
-            text = pathlib.Path(args.input).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InvalidInput(f"cannot read input file: {exc}") from exc
-        mg, endo, _ = parse_marked_graph(text)
-        if endo is None:
-            raise InvalidInput("input file carries no MAP section")
-        try:
-            invert_map(mg.induced_rose_map(endo))
-        except InvalidInput as exc:
-            raise InvalidInput("map is not a homotopy equivalence: its basis "
-                               "images do not generate the free group") from exc
-        return ExampleSpec(pathlib.Path(args.input).stem, mg, {"f": endo}, None)
-    raise InvalidInput("provide --fixture NAME or --input FILE")
+def _load_spec(args):
+    if args.input is None:
+        return fixture(args.fixture)
+    try:
+        text = pathlib.Path(args.input).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidInput(f"cannot read input file: {exc}") from exc
+    mg, endo, _ = parse_marked_graph(text)
+    if endo is None:
+        raise InvalidInput("input file carries no MAP section")
+    try:
+        invert_map(mg.induced_rose_map(endo))
+    except InvalidInput as exc:
+        raise InvalidInput("map is not a homotopy equivalence: its basis "
+                           "images do not generate the free group") from exc
+    return ExampleSpec(pathlib.Path(args.input).stem, mg, {"f": endo}, None)
 
 
 def _closed_path(spec: ExampleSpec, tokens: str) -> str:
@@ -92,7 +97,7 @@ def _emit(args, report: dict, human: str) -> int:
 
 def cmd_classify(args) -> int:
     cfg = _load_cfg(args)
-    spec = _load_spec(args, cfg)
+    spec = _load_spec(args)
     result = classify(spec, cfg, power=args.power)
     report = make_report("classify", {"name": spec.name, "power": result.power},
                          result.to_json(), verdict=result.verdict)
@@ -104,7 +109,7 @@ def cmd_classify(args) -> int:
 
 def cmd_w(args) -> int:
     cfg = _load_cfg(args)
-    spec = _load_spec(args, cfg)
+    spec = _load_spec(args)
     path = _closed_path(spec, args.word)
     ctx = build_context(spec.mg, spec.f, cfg)
     res = w_of(ctx, spec.mg.path_to_rose(path))
@@ -119,7 +124,7 @@ def cmd_w(args) -> int:
 
 def cmd_leaf(args) -> int:
     cfg = _load_cfg(args)
-    spec = _load_spec(args, cfg)
+    spec = _load_spec(args)
     filt = strata(spec.f)
     eg = filt.eg_strata()
     if not eg:
@@ -143,11 +148,10 @@ def cmd_leaf(args) -> int:
 
 
 def cmd_fills(args) -> int:
-    cfg = _load_cfg(args)
-    spec = _load_spec(args, cfg)
+    spec = _load_spec(args)
     classes = [spec.mg.circuit_to_rose_class(_closed_path(spec, tokens))
                for tokens in args.classes]
-    verdict = fills(classes, spec.mg.rank, cfg)
+    verdict = fills(classes, spec.mg.rank)
     report = make_report("fills", {"name": spec.name, "classes": args.classes},
                          verdict.to_json(spec.mg.rank), verdict=verdict.kind)
     return _emit(args, report, f"fills: {verdict.kind}")
@@ -155,7 +159,7 @@ def cmd_fills(args) -> int:
 
 def cmd_distance(args) -> int:
     cfg = _load_cfg(args)
-    spec = _load_spec(args, cfg)
+    spec = _load_spec(args)
     if not spec.decomposition:
         raise InvalidInput("distance command needs a fixture with "
                            "decomposition data")
@@ -170,7 +174,7 @@ def cmd_distance(args) -> int:
 
 def cmd_report(args) -> int:
     cfg = _load_cfg(args)
-    spec = _load_spec(args, cfg)
+    spec = _load_spec(args)
     result = classify(spec, cfg, power=args.power)
     results = {"classification": result.to_json()}
     cert = result._certificate
@@ -200,16 +204,16 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="run the trichotomy classifier")
-    _common(p)
+    _common(p, "--config", "--power", "--seg-len", "--horizon")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("w", help="orbit phase of a conjugacy class")
-    _common(p)
+    _common(p, "--config", "--seg-len", "--horizon")
     p.add_argument("--word", required=True, help="edge tokens, e.g. 'A B'ate'")
     p.set_defaults(fn=cmd_w)
 
     p = sub.add_parser("leaf", help="print leaf segments of a lamination")
-    _common(p)
+    _common(p, "--config")
     p.add_argument("--stratum", type=int, default=0)
     p.add_argument("--depth", type=int, default=3)
     p.set_defaults(fn=cmd_leaf)
@@ -221,12 +225,12 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_fills)
 
     p = sub.add_parser("distance", help="verified chain bound for a fixture")
-    _common(p)
+    _common(p, "--config")
     p.add_argument("--k", type=int, default=1)
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("report", help="classification plus tables")
-    _common(p)
+    _common(p, "--config", "--power", "--seg-len", "--horizon")
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("fixtures", help="list the fixture catalog")

@@ -1,14 +1,14 @@
-"""Runtime configuration: budgets, the horizon, caps.
+"""Runtime configuration: the limits a caller sets.
 
 Values come from defaults, then an optional ``key=value`` config file,
 then environment variables with the ``FREESPLIT_`` prefix.  All knobs are
-plain ints; no randomness anywhere.  A segment length, candidate cap or
-Whitehead letter budget below 1, any other limit below 0, or a horizon
-shorter than the stability margin ``STABILITY``, raise InvalidInput on
-construction.  Limits no caller varies are module constants, not fields:
-``STABILITY`` lives here, as the horizon is checked against it, and the
-others where they are used.  Inversion and outer equality are exact, so
-they take no budget.
+plain ints; no randomness anywhere.  A segment length below 1, any other
+limit below 0, or a horizon shorter than the stability margin
+``STABILITY``, raise InvalidInput on construction, also in a copy made by
+``dataclasses.replace``.  Limits no caller sets are module constants where
+they are used, such as the Whitehead letter budget and the candidate caps;
+``STABILITY`` lives here, as the horizon is checked against it.  Inversion
+and outer equality are exact, so they take no budget.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .errors import InvalidInput
 
 ENV_PREFIX = "FREESPLIT_"
 # limits that may be 0 but never negative
-_NONNEGATIVE = ("iterate_cap", "lam_depth_cap", "lam_len_target", "cand_len")
+_NONNEGATIVE = ("iterate_cap", "lam_depth_cap", "lam_len_target")
 # stability margin s: consecutive iterates a W window must stay inside
 STABILITY = 3
 
@@ -34,28 +34,15 @@ class Config:
     horizon: int = 40  # iterates scanned forward and backward
     lam_depth_cap: int = 8  # max depth for lamination approximations
     lam_len_target: int = 512  # grow segments at least this long if allowed
-    # candidate classes for the W projection
-    cand_len: int = 4  # max cyclic length of candidate classes
-    cand_cap: int = 24  # max number of candidates per factor system
-    # Whitehead machinery
-    whitehead_max_letters: int = 10**4
 
     def __post_init__(self):
         if self.seg_len < 1:
             raise InvalidInput("defining segment length must be >= 1")
         if self.horizon < STABILITY:
             raise InvalidInput(f"horizon >= stability margin {STABILITY} required")
-        if self.cand_cap < 1:
-            raise InvalidInput("candidate cap must be >= 1")
-        if self.whitehead_max_letters < 1:
-            # a budget of 0 would make every fills verdict Unknown
-            raise InvalidInput("Whitehead letter budget must be >= 1")
         for name in _NONNEGATIVE:
             if getattr(self, name) < 0:
                 raise InvalidInput(f"{name} must be >= 0")
-
-    def with_overrides(self, **kw) -> "Config":
-        return dataclasses.replace(self, **kw)
 
 
 def _coerce(name: str, raw: str):

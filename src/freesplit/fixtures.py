@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .automorphisms import abelianization, invert_map
-from .config import DEFAULT, Config
 from .errors import FixtureInvalid, InvalidInput
 from .graphs import (GraphMap, MarkedGraph, compose, is_invariant_subgraph,
                      map_path, marked_rose, restricted_map, rose_map, strata)
@@ -47,8 +46,7 @@ def _sigma_default(names: list[str]) -> str:
     return " ".join(f"{n} {n}" for n in names)
 
 
-def _check_sigma_fills(mg: MarkedGraph, g1_names: list[str], sigma_path: str,
-                       cfg: Config):
+def _check_sigma_fills(mg: MarkedGraph, g1_names: list[str], sigma_path: str):
     """The base word must fill the invariant rose it lives in."""
     g = mg.graph
     g1_slots = sorted(g.slot_of[n] for n in g1_names)
@@ -56,15 +54,14 @@ def _check_sigma_fills(mg: MarkedGraph, g1_names: list[str], sigma_path: str,
         {**{FWD[s]: FWD[i] for i, s in enumerate(g1_slots)},
          **{BWD[s]: BWD[i] for i, s in enumerate(g1_slots)}})
     word = sigma_path.translate(down)
-    verdict = fills([word], len(g1_slots), cfg)
+    verdict = fills([word], len(g1_slots))
     reason = f" ({verdict.reason})" if verdict.reason else ""
     _require(verdict.kind == FILLS,
              "base word does not fill its invariant subgraph: "
              f"{verdict.kind}{reason}")
 
 
-def filling_reducible(m: int = 3, sigma: str | None = None,
-                      cfg: Config = DEFAULT) -> ExampleSpec:
+def filling_reducible(m: int = 3, sigma: str | None = None) -> ExampleSpec:
     """Reducible map with one exponential stratum whose lamination fills.
 
     An invariant rank-m rose is fixed pointwise; two further petals grow
@@ -91,7 +88,7 @@ def filling_reducible(m: int = 3, sigma: str | None = None,
     _require(labels == [(g1_slots, "FIXED"), (ab_slots, "EG")],
              f"unexpected strata {labels}")
     _require(is_invariant_subgraph(f, g1_slots), "invariant rose is not invariant")
-    _check_sigma_fills(mg, g1, sig, cfg)
+    _check_sigma_fills(mg, g1, sig)
     _require(mg.validate_marking(), "marking is not valid")
     return ExampleSpec(
         name="filling_reducible", mg=mg, maps={"f": f},
@@ -100,8 +97,7 @@ def filling_reducible(m: int = 3, sigma: str | None = None,
     )
 
 
-def bdd_no_periodic(m: int = 3, sigma: str | None = None,
-                    cfg: Config = DEFAULT) -> ExampleSpec:
+def bdd_no_periodic(m: int = 3, sigma: str | None = None) -> ExampleSpec:
     """Two parallel exponential strata; neither lamination fills but the
     pair does: bounded orbits without a periodic vertex."""
     g1 = _g1_names(m)
@@ -127,7 +123,7 @@ def bdd_no_periodic(m: int = 3, sigma: str | None = None,
     _require(len(eg) == 2, f"expected two exponential strata, got {len(eg)}")
     _require(is_invariant_subgraph(f, k1) and is_invariant_subgraph(f, k2),
              "declared subgraphs are not invariant")
-    _check_sigma_fills(mg, g1, g.parse_path(sigma_tokens), cfg)
+    _check_sigma_fills(mg, g1, g.parse_path(sigma_tokens))
     f1 = restricted_map(f, k1)
     f2 = restricted_map(f, frozenset(range(g.n_edges)) - k1)
     _require(compose(f2, f1).edge_images == f.edge_images,
@@ -142,8 +138,7 @@ def bdd_no_periodic(m: int = 3, sigma: str | None = None,
     )
 
 
-def linear_example(i: int = 1, j: int = 1, w: str | None = None,
-                   cfg: Config = DEFAULT) -> ExampleSpec:
+def linear_example(i: int = 1, j: int = 1, w: str | None = None) -> ExampleSpec:
     """Commuting polynomially growing maps stabilizing the filling
     lamination of an ambient exponential map."""
     names = ["X", "Y", "Z", "A", "B"]
@@ -177,7 +172,7 @@ def linear_example(i: int = 1, j: int = 1, w: str | None = None,
               "A": f"A {sigma_tokens} B' {sigma_tokens} B",
               "B": f"B {sigma_tokens} A {sigma_tokens} B' {sigma_tokens} B"}
     f = rose_map(mg, images)
-    _check_sigma_fills(mg, ["X", "Y", "Z"], sig, cfg)
+    _check_sigma_fills(mg, ["X", "Y", "Z"], sig)
     return ExampleSpec(
         name="linear_example", mg=mg,
         maps={"f": f, "theta": th, "theta_10": th10, "theta_01": th01},
@@ -221,14 +216,14 @@ def rank2_fixture(key: str) -> ExampleSpec:
                        notes="rank-2 battery member (determinant +1)")
 
 
-def divergence_pair(cfg: Config = DEFAULT) -> ExampleSpec:
+def divergence_pair() -> ExampleSpec:
     """The filling-reducible map at m = 3 plus its conjugate by a petal
     swap.
 
     The conjugate has its own filling lamination on disjoint letters, so
     the two laminations are distinct by construction.
     """
-    base = filling_reducible(3, cfg=cfg)
+    base = filling_reducible(3)
     mg, g = base.mg, base.mg.graph
     swap = {"X": "A", "A": "X", "Y": "B", "B": "Y", "Z": "Z"}
     f = base.f
@@ -271,16 +266,16 @@ _CATALOG = {
     "bdd_no_periodic": bdd_no_periodic,
     "linear_example": linear_example,
     "divergence": divergence_pair,
-    "surface_example": lambda cfg=DEFAULT: surface_stub(),
+    "surface_example": surface_stub,
 }
 
 
-def fixture(name: str, cfg: Config = DEFAULT, **params) -> ExampleSpec:
+def fixture(name: str, **params) -> ExampleSpec:
     if name in RANK2_CATALOG:
         return rank2_fixture(name)
     if name not in _CATALOG:
         raise InvalidInput(f"unknown fixture {name!r}")
-    return _CATALOG[name](cfg=cfg, **params)
+    return _CATALOG[name](**params)
 
 
 def fixture_names() -> list[str]:

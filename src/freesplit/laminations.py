@@ -24,7 +24,8 @@ from .factors import carries
 from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, map_path,
                      minimal_invariant_superset, strata,
                      subgraph_factor_system)
-from .whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
+from .whitehead import (FILLS, MAX_LETTERS, PROPER, UNKNOWN, FillsVerdict,
+                        fills)
 from .words import (FWD, _canonical_reduced, count_crossings, invert,
                     strip_cyclic)
 
@@ -95,24 +96,24 @@ def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
 # Filling certificates
 
 
-def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict:
+def _stabilized_fills(accumulated_lists, rank: int) -> FillsVerdict:
     """fills() on accumulated class sets; accept two consecutive agreements.
 
     Filling is monotone: a set that no proper free factor system carries
     has no carried superset.  So after a Fills, the next, larger set is
     read off as Fills without minimizing it, provided it fits the letter
-    budget that would otherwise make fills() say Unknown.  The sets are
-    nested, so the moves that minimized one set shorten most of the next:
-    each descent starts from the last verdict's move log.
+    budget ``MAX_LETTERS`` that would otherwise make fills() say Unknown.
+    The sets are nested, so the moves that minimized one set shorten most
+    of the next: each descent starts from the last verdict's move log.
     """
     prev: FillsVerdict | None = None
     for classes in accumulated_lists:
         if not classes:
             continue
         if prev is not None and prev.kind == FILLS \
-                and sum(map(len, classes)) <= cfg.whitehead_max_letters:
+                and sum(map(len, classes)) <= MAX_LETTERS:
             return prev
-        cur = fills(sorted(classes), rank, cfg,
+        cur = fills(sorted(classes), rank,
                     start=prev.move_log if prev is not None else ())
         if prev is not None and cur.kind != UNKNOWN \
                 and (prev.kind, prev.witness) == (cur.kind, cur.witness):
@@ -121,7 +122,7 @@ def _stabilized_fills(accumulated_lists, rank: int, cfg: Config) -> FillsVerdict
     return FillsVerdict(UNKNOWN, reason="verdict did not stabilize")
 
 
-def lamination_fills(lam: LaminationApprox, cfg: Config = DEFAULT) -> FillsVerdict:
+def lamination_fills(lam: LaminationApprox) -> FillsVerdict:
     """Does the lamination fill?
 
     Negative certificate first: the smallest invariant subgraph containing
@@ -131,7 +132,7 @@ def lamination_fills(lam: LaminationApprox, cfg: Config = DEFAULT) -> FillsVerdi
     """
     if lam.depth < 2:
         return FillsVerdict(UNKNOWN, reason="needs at least two depths")
-    return laminations_jointly_fill([lam], cfg)
+    return laminations_jointly_fill([lam])
 
 
 def _classes_to_depth(lams, depth: int) -> list[str]:
@@ -139,7 +140,7 @@ def _classes_to_depth(lams, depth: int) -> list[str]:
     return sorted({c for lam in lams for c in lam.closure_classes[:depth] if c})
 
 
-def laminations_jointly_fill(lams, cfg: Config = DEFAULT) -> FillsVerdict:
+def laminations_jointly_fill(lams) -> FillsVerdict:
     """fills() on the union of all laminations' accumulated closures.
 
     The negative certificate and the stabilized support are those of
@@ -162,7 +163,7 @@ def laminations_jointly_fill(lams, cfg: Config = DEFAULT) -> FillsVerdict:
                 return FillsVerdict(PROPER, witness=witness,
                                     reason="proper invariant subgraph")
     lists = [_classes_to_depth(lams, k) for k in range(1, max_depth + 1)]
-    return _stabilized_fills(lists, mg.rank, cfg)
+    return _stabilized_fills(lists, mg.rank)
 
 
 # ---------------------------------------------------------------------------

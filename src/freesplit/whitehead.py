@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .automorphisms import BasisMap, compose_maps, identity_map
-from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput
 from .factors import (FreeFactorSystem, _dedupe, carries, fold, partition,
                       whole_group)
@@ -55,6 +54,8 @@ from .words import (BWD, FWD, _canonical_reduced, canonical_cyclic,
 FILLS = "Fills"
 PROPER = "ProperFactor"
 UNKNOWN = "Unknown"
+# letters of a class set to minimize; a move drops one or more, so it caps moves
+MAX_LETTERS = 10**4
 
 
 @dataclass(frozen=True)
@@ -283,30 +284,29 @@ def _best_move(rank: int, classes) -> tuple[int, Move | None, tuple | None]:
     return best_delta, move, images[tag]
 
 
-def _class_set(classes, cfg: Config) -> list[str]:
+def _class_set(classes) -> list[str]:
     """Distinct canonical classes in canonical order; InvalidInput when
-    empty or trivial, BudgetExhausted over ``whitehead_max_letters``."""
+    empty or trivial, BudgetExhausted over ``MAX_LETTERS``."""
     cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
     if not cur or any(not w for w in cur):
         raise InvalidInput("nonempty, nontrivial classes required")
-    if sum(map(len, cur)) > cfg.whitehead_max_letters:
+    if sum(map(len, cur)) > MAX_LETTERS:
         raise BudgetExhausted("class set exceeds letter budget")
     return cur
 
 
-def whitehead_minimize(classes, rank: int, cfg: Config = DEFAULT):
+def whitehead_minimize(classes, rank: int):
     """Reduce total cyclic length to a global minimum.
 
     Returns (minimized sorted tuple, total length, move log).  Each move
     shortens the set by at least one letter, so the log is no longer than
-    the starting total less the minimum; ``whitehead_max_letters`` caps the
-    starting total.  Pair counts, and with them every length change, do
-    not depend on the rotation or orientation of a word, and an
-    automorphism cannot merge distinct classes; so the iterates are the
-    cyclically reduced images, and only the minimum is put in canonical
-    form.
+    the starting total less the minimum; ``MAX_LETTERS`` caps the starting
+    total.  Pair counts, and with them every length change, do not depend
+    on the rotation or orientation of a word, and an automorphism cannot
+    merge distinct classes; so the iterates are the cyclically reduced
+    images, and only the minimum is put in canonical form.
     """
-    cur = _class_set(classes, cfg)
+    cur = _class_set(classes)
     log: list[Move] = []
     # ends: the total falls by at least -delta >= 1 per move, and stays >= 1
     while True:
@@ -359,8 +359,7 @@ class FillsVerdict:
         }
 
 
-def fills(classes, rank: int, cfg: Config = DEFAULT,
-          start=()) -> FillsVerdict:
+def fills(classes, rank: int, start=()) -> FillsVerdict:
     """Whitehead criterion: minimize, then read the Whitehead graph.
 
     Each component of the graph at the minimum is closed under inversion,
@@ -382,12 +381,12 @@ def fills(classes, rank: int, cfg: Config = DEFAULT,
     try:
         warm = classes
         if start:
-            warm = cur = _class_set(classes, cfg)
+            warm = cur = _class_set(classes)
             for mv in start:
                 warm = _class_images(mv, rank, warm)
             if sum(map(len, warm)) > sum(map(len, cur)):
                 warm, start = cur, ()
-        minimized, _, log = whitehead_minimize(warm, rank, cfg)
+        minimized, _, log = whitehead_minimize(warm, rank)
     except BudgetExhausted as exc:
         return FillsVerdict(UNKNOWN, reason=str(exc))
     log = [*start, *log]
@@ -411,7 +410,7 @@ def fills(classes, rank: int, cfg: Config = DEFAULT,
     return verdict(PROPER, witness=witness)
 
 
-def free_factor_support(classes, rank: int, cfg: Config = DEFAULT):
+def free_factor_support(classes, rank: int):
     """Smallest free factor system carrying all classes, or None (unknown).
 
     The :func:`fills` verdict read as a support: the whole group on Fills,
@@ -419,5 +418,5 @@ def free_factor_support(classes, rank: int, cfg: Config = DEFAULT):
     set fills that group's factor, since its part of the graph is a
     component with no cut vertex), None on Unknown.
     """
-    verdict = fills(classes, rank, cfg)
+    verdict = fills(classes, rank)
     return whole_group(rank) if verdict.kind == FILLS else verdict.witness

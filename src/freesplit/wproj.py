@@ -115,7 +115,7 @@ def _filling_lamination(mg: MarkedGraph, f: GraphMap,
     filt = strata(f)
     for idx in filt.eg_strata():
         lam = lamination_approx(mg, f, idx, cfg, filt)
-        if lamination_fills(lam, cfg).kind == FILLS:
+        if lamination_fills(lam).kind == FILLS:
             return lam
     return None
 
@@ -443,12 +443,18 @@ def translate_class(ctx: WContext, cyclic: str, m: int) -> str:
     return _translate_form(row[0])
 
 
-def candidate_classes(ffs: FreeFactorSystem, max_len: int,
-                      cap: int | None = None) -> list[str]:
-    """Canonical cyclic words up to max_len carried by a proper system."""
+# max cyclic length of a candidate class: short classes sample W(S) well
+CAND_LEN = 4
+# max candidates per factor system: each costs an orbit scan of w_of
+CAND_CAP = 24
+
+
+def candidate_classes(ffs: FreeFactorSystem) -> list[str]:
+    """The first ``CAND_CAP`` canonical cyclic words up to ``CAND_LEN``
+    letters carried by a proper system."""
     if not ffs.is_proper:
         raise InvalidInput("candidates are enumerated for proper systems only")
-    return enumerate_classes(ffs, max_len, cap)
+    return enumerate_classes(ffs, CAND_LEN, CAND_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +475,7 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
     """Minimum orbit phase over candidate classes carried by the system:
     a sample minimum, within the empirical constant of the true one."""
     if candidates is None:
-        candidates = candidate_classes(ffs, ctx.cfg.cand_len, ctx.cfg.cand_cap)
+        candidates = candidate_classes(ffs)
     best = None
     n_def = n_budget = 0
     orbits = {}
@@ -530,7 +536,7 @@ def default_m_samples(ctx: WContext, splittings) -> list[list[str]]:
     """Sample groups: each splitting's candidates plus their translates."""
     groups = []
     for s in splittings:
-        cands = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
+        cands = candidate_classes(s.elliptic)
         groups.append(list(cands))
         shifted = []
         for c in cands[: max(2, len(cands) // 4)]:
@@ -565,7 +571,7 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
     exact integer law; raw re-enumeration at ``RAW_CHECKS`` cross-checks
     the sample minimum within the empirical constant.
     """
-    base = candidate_classes(s.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
+    base = candidate_classes(s.elliptic)
     if not base:
         raise NotApplicable("no candidates for the elliptic system")
     values = {}
@@ -660,10 +666,9 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
     """
     m_hat = ctx.require_m()
     # the copy shares the context's maps, and with them their block memos
-    ctx = replace(ctx, cfg=ctx.cfg.with_overrides(
-        iterate_cap=_DIVERGENCE_ORBIT_CAP))
+    ctx = replace(ctx, cfg=replace(ctx.cfg, iterate_cap=_DIVERGENCE_ORBIT_CAP))
     psi = MapTables(psi)
-    base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
+    base = candidate_classes(t.elliptic)
     psi_table: dict[int, int | None] = {}
     dropped: dict[int, int] = {}
     alive = base

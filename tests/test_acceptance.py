@@ -55,7 +55,7 @@ def test_criterion_1_filling_reducible_reproduction(filling_spec):
 
     cfg6 = Config(lam_depth_cap=6)
     lam = lamination_approx(mg, f, filt.eg_strata()[0], cfg6, filt)
-    ok_fills = lamination_fills(lam, cfg6).kind == FILLS and lam.depth <= 6
+    ok_fills = lamination_fills(lam).kind == FILLS and lam.depth <= 6
 
     verdict = classify(filling_spec)
     ok_classify = verdict.verdict == "Loxodromic"
@@ -99,8 +99,7 @@ def test_criterion_2_bounded_orbits_example(bdd_spec):
 def test_criterion_3_w_laws_exact(filling_ctx, filling_spec):
     mg = filling_spec.mg
     s = one_edge_splitting(mg, ["X", "Y", "Z", "A"])
-    cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
-                              filling_ctx.cfg.cand_cap)
+    cands = candidate_classes(s.elliptic)
     sample = [c for c in cands if w_of(filling_ctx, c).defined][:6]
     assert sample, "no defined sample classes"
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from freesplit import cli
+from freesplit import cli, whitehead
 from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
                                      identity_map, mat_mul, outer_equal)
 from freesplit.classify import (INNER_POWER_MAX_LETTERS, _h1_order,
@@ -473,7 +473,7 @@ class TestClassify:
         # x1 -> x1 x2, x2 -> x1, x3 -> x3 fixes <x1, x2> * <x3>; even with
         # a lamination said to fill, the verified splitting decides
         monkeypatch.setattr(classify_mod, "lamination_fills",
-                            lambda lam, cfg: FillsVerdict(FILLS))
+                            lambda lam: FillsVerdict(FILLS))
         mg = marked_rose(3)
         f = rose_map(mg, {"x1": "x1 x2", "x2": "x1", "x3": "x3"})
         c = classify(ExampleSpec("order", mg, {"f": f}, None))
@@ -626,15 +626,19 @@ class TestCLI:
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    def test_zero_whitehead_budget_exit_code(self, monkeypatch, capsys):
-        monkeypatch.setenv("FREESPLIT_WHITEHEAD_MAX_LETTERS", "0")
-        assert cli.main(["classify", "--fixture", "rank2_tr3"]) == 2
+    def test_zero_whitehead_budget_exit_code(self, tmp_path, capsys):
+        # the budget is whitehead.MAX_LETTERS, no config key: a file that
+        # sets it is rejected on load like any unknown key
+        path = tmp_path / "wml.cfg"
+        path.write_text("whitehead_max_letters=0\n")
+        argv = ["classify", "--fixture", "rank2_tr3", "--config", str(path)]
+        assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Whitehead letter budget" in err
+        assert err == "error: unknown config key 'whitehead_max_letters'\n"
 
     def test_fixture_fills_check_names_its_reason(self, monkeypatch, capsys):
         # a budget below the base word's length leaves its verdict Unknown
-        monkeypatch.setenv("FREESPLIT_WHITEHEAD_MAX_LETTERS", "3")
+        monkeypatch.setattr(whitehead, "MAX_LETTERS", 3)
         assert cli.main(["classify", "--fixture", "filling_reducible"]) == 2
         err = capsys.readouterr().err
         assert err == ("error: base word does not fill its invariant "
@@ -646,6 +650,22 @@ class TestCLI:
         argv = [command, "--fixture", "rank2_tr3", "--power", power]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["w", "--fixture", "filling_reducible", "--word", "A", "--power", "5"],
+        ["distance", "--fixture", "bdd_no_periodic", "--power", "3"],
+        ["leaf", "--fixture", "filling_reducible", "--horizon", "5"],
+        ["fills", "--fixture", "filling_reducible", "--classes", "X",
+         "--config", "run.cfg"],
+        ["classify", "--fixture", "rank2_tr3", "--input", "theta.txt"],
+    ], ids=["w-power", "distance-power", "leaf-horizon", "fills-config",
+            "fixture-and-input"])
+    def test_unread_flag_is_a_usage_error(self, argv, capsys):
+        # a command takes only the flags it reads, and one map source
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: freesplit")
 
     def test_distance_command(self):
         res = run_cli("distance", "--fixture", "bdd_no_periodic", "--k", "1",

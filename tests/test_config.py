@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from freesplit.config import Config, load_config
@@ -14,7 +16,7 @@ class TestConfig:
         path.write_text("# comment\nseg_len = 32\nhorizon=13\n")
         cfg = load_config(str(path), env={})
         assert cfg.seg_len == 32 and cfg.horizon == 13
-        assert cfg.cand_len == Config().cand_len
+        assert cfg.iterate_cap == Config().iterate_cap
 
     def test_env_beats_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -27,7 +29,8 @@ class TestConfig:
         path = tmp_path / "run.cfg"
         for key in ("no_such_knob", "pf_tol", "pf_iter_cap",
                     "whitehead_max_moves", "horizon_fwd", "horizon_bwd",
-                    "stability", "power_cap"):
+                    "stability", "power_cap", "cand_len", "cand_cap",
+                    "whitehead_max_letters"):
             path.write_text(f"{key}=1\n")
             with pytest.raises(InvalidInput, match=key):
                 load_config(str(path), env={})
@@ -42,19 +45,8 @@ class TestConfig:
         with pytest.raises(InvalidInput):
             load_config(env={"FREESPLIT_SEG_LEN": "0"})
 
-    def test_invalid_cand_cap_rejected_on_load(self):
-        # a cap of 0 would otherwise read as no cap at all
-        with pytest.raises(InvalidInput):
-            load_config(env={"FREESPLIT_CAND_CAP": "0"})
-
-    @pytest.mark.parametrize("budget", ["0", "-1"])
-    def test_invalid_whitehead_budget_rejected_on_load(self, budget):
-        # a budget of 0 would make every fills verdict Unknown
-        with pytest.raises(InvalidInput, match="Whitehead letter budget"):
-            load_config(env={"FREESPLIT_WHITEHEAD_MAX_LETTERS": budget})
-
     @pytest.mark.parametrize("name", ["iterate_cap", "lam_depth_cap",
-                                      "lam_len_target", "cand_len"])
+                                      "lam_len_target"])
     def test_negative_limit_rejected_on_load(self, name):
         key = "FREESPLIT_" + name.upper()
         with pytest.raises(InvalidInput, match=name):
@@ -62,5 +54,8 @@ class TestConfig:
         assert getattr(load_config(env={key: "0"}), name) == 0
 
     def test_with_overrides(self):
-        cfg = Config().with_overrides(cand_len=6)
-        assert cfg.cand_len == 6 and Config().cand_len != 6
+        # a copy made by dataclasses.replace runs the same checks
+        cfg = dataclasses.replace(Config(), seg_len=6)
+        assert cfg.seg_len == 6 and Config().seg_len != 6
+        with pytest.raises(InvalidInput):
+            dataclasses.replace(cfg, seg_len=0)

@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from freesplit import laminations
-from freesplit.config import DEFAULT, Config
+from freesplit import laminations, whitehead
+from freesplit.config import Config
 from freesplit.errors import BudgetExhausted, InvalidInput
 from freesplit.fixtures import bdd_no_periodic, fixture, fixture_names
 from freesplit.graphs import (compose, identity_graph_map, map_path, marked_rose,
@@ -13,7 +13,8 @@ from freesplit.graphs import (compose, identity_graph_map, map_path, marked_rose
 from freesplit.laminations import (_classes_to_depth, _stabilized_fills,
                                    lamination_approx, lamination_fills,
                                    laminations_jointly_fill, pf_estimate)
-from freesplit.whitehead import FILLS, PROPER, UNKNOWN, FillsVerdict, fills
+from freesplit.whitehead import (FILLS, MAX_LETTERS, PROPER, UNKNOWN,
+                                 FillsVerdict, fills)
 from freesplit.wproj import _window_start
 from freesplit.words import BWD, FWD, count_crossings
 from test_classify import rank2_products
@@ -245,43 +246,45 @@ class TestStabilizedFills:
     LONG = SHORT + [[a, a + b + A + B, a + a + b]]
 
     def test_first_fills_at_last_depth_is_unknown(self):
-        v = _stabilized_fills(self.SHORT, 2, Config())
+        v = _stabilized_fills(self.SHORT, 2)
         assert (v.kind, v.reason) == (UNKNOWN, "verdict did not stabilize")
 
     def test_fills_then_superset_is_fills(self):
-        v = _stabilized_fills(self.LONG, 2, Config())
+        v = _stabilized_fills(self.LONG, 2)
         assert v.kind == FILLS and v.witness is None
 
     @pytest.mark.parametrize("lists", [SHORT, LONG])
-    def test_superset_over_letter_budget_is_unknown(self, lists):
+    def test_superset_over_letter_budget_is_unknown(self, lists, monkeypatch):
         # no set follows the first Fills, or it has 8 letters and fills()
         # says Unknown: either way no two verdicts agree
-        v = _stabilized_fills(lists, 2, Config(whitehead_max_letters=7))
+        for module in (whitehead, laminations):
+            monkeypatch.setattr(module, "MAX_LETTERS", 7)
+        v = _stabilized_fills(lists, 2)
         assert (v.kind, v.reason) == (UNKNOWN, "verdict did not stabilize")
 
     def test_superset_of_fills_is_not_minimized(self, monkeypatch):
         calls = []
         original = laminations.fills
 
-        def counting(classes, rank, cfg, start=()):
+        def counting(classes, rank, start=()):
             calls.append(classes)
-            return original(classes, rank, cfg, start)
+            return original(classes, rank, start)
 
         monkeypatch.setattr(laminations, "fills", counting)
-        assert _stabilized_fills(self.LONG, 2, Config()).kind == FILLS
+        assert _stabilized_fills(self.LONG, 2).kind == FILLS
         assert calls == [sorted(c) for c in self.LONG[:2]]
 
 
-def stabilized_fills_cold(accumulated_lists, rank, cfg):
+def stabilized_fills_cold(accumulated_lists, rank):
     """The depth loop with every fills() started from the input set."""
     prev = None
     for classes in accumulated_lists:
         if not classes:
             continue
         if prev is not None and prev.kind == FILLS \
-                and sum(map(len, classes)) <= cfg.whitehead_max_letters:
+                and sum(map(len, classes)) <= MAX_LETTERS:
             return prev
-        cur = fills(sorted(classes), rank, cfg)
+        cur = fills(sorted(classes), rank)
         if prev is not None and cur.kind != UNKNOWN \
                 and (prev.kind, prev.witness) == (cur.kind, cur.witness):
             return cur
@@ -326,16 +329,16 @@ class TestWarmStartedDepths:
         starts = []
         original = laminations.fills
 
-        def recording(classes, rank, cfg, start=()):
+        def recording(classes, rank, start=()):
             starts.append(bool(start))
-            return original(classes, rank, cfg, start)
+            return original(classes, rank, start)
 
         monkeypatch.setattr(laminations, "fills", recording)
         calls = 0
         for name, mg, f in _map_cases():
             for lists in _depth_lists(mg, f):
-                warm = _stabilized_fills(lists, mg.rank, DEFAULT)
-                cold = stabilized_fills_cold(lists, mg.rank, DEFAULT)
+                warm = _stabilized_fills(lists, mg.rank)
+                cold = stabilized_fills_cold(lists, mg.rank)
                 assert (warm.kind, warm.witness) == (cold.kind, cold.witness), \
                     name
                 calls += 1
@@ -350,12 +353,12 @@ class TestWarmStartedDepths:
         seen = []
         original = laminations.fills
 
-        def recording(classes, rank, cfg, start=()):
-            seen.append((start, original(classes, rank, cfg, start)))
+        def recording(classes, rank, start=()):
+            seen.append((start, original(classes, rank, start)))
             return seen[-1][1]
 
         monkeypatch.setattr(laminations, "fills", recording)
-        _stabilized_fills(lists, 2, DEFAULT)
+        _stabilized_fills(lists, 2)
         (_, first), (start, second) = seen
         assert first.kind == PROPER and start == first.move_log != ()
         assert second == fills(lists[1], 2)

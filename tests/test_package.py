@@ -22,6 +22,27 @@ def test_no_function_level_imports():
     assert found == []
 
 
+def _import_targets(node) -> list[str]:
+    """Dotted names an import statement may bind a module from."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = node.module or ""
+    return [base] + [f"{base}.{alias.name}" for alias in node.names]
+
+
+def test_whitehead_and_fixtures_import_no_config():
+    # the Whitehead letter budget is a module constant, so the fills
+    # verdicts and the fixtures they check take no Config
+    found = []
+    for name in ("whitehead.py", "fixtures.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and any("config" in target.split(".")
+                          for target in _import_targets(node))]
+    assert found == []
+
+
 # process-wide caches; a per-instance cached_property lives with its object
 CACHE_DECORATORS = {"lru_cache", "cache"}
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from freesplit import cli, whitehead
 from freesplit.automorphisms import MapTables, apply_map, identity_map
-from freesplit.config import Config
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
@@ -793,12 +792,12 @@ class TestWarmStart:
         assert start
         assert fills([x + y, x + x], 2, start=start) == fills([x + y, x + x], 2)
 
-    def test_budget_reads_the_input(self):
+    def test_budget_reads_the_input(self, monkeypatch):
         # x y x y x y is over a budget of 5; its image under the start is
         # not, but the verdict is that of the input
         start = fills([x + y], 2).move_log
-        cfg = Config(whitehead_max_letters=5)
-        v = fills([x + y + x + y + x + y], 2, cfg, start=start)
+        monkeypatch.setattr(whitehead, "MAX_LETTERS", 5)
+        v = fills([x + y + x + y + x + y], 2, start=start)
         assert (v.kind, v.reason) == (UNKNOWN, "class set exceeds letter budget")
 
 

@@ -115,7 +115,7 @@ class TestWOf:
         p = filling_ctx.cfg
         doubled = replace(
             filling_ctx,
-            cfg=p.with_overrides(horizon=p.horizon * 2))
+            cfg=replace(p, horizon=p.horizon * 2))
         assert w_of(doubled, c).value == v1
 
     def test_memo_lives_on_the_context(self, filling_ctx, filling_spec):
@@ -256,9 +256,8 @@ class TestTranslationRows:
     @pytest.mark.parametrize("cap", [None, 600])
     def test_translate_class_matches_reference(self, filling_ctx, split, cap):
         ctx = filling_ctx if cap is None else replace(
-            filling_ctx, cfg=filling_ctx.cfg.with_overrides(iterate_cap=cap))
-        base = candidate_classes(split.elliptic, ctx.cfg.cand_len,
-                                 ctx.cfg.cand_cap)
+            filling_ctx, cfg=replace(filling_ctx.cfg, iterate_cap=cap))
+        base = candidate_classes(split.elliptic)
         for m in range(-4, 5):
             got = [w for w in (translated(ctx, c, m) for c in base)
                    if w is not None]
@@ -269,8 +268,7 @@ class TestTranslationRows:
 
     def test_displacement_table(self, filling_ctx, split):
         rep = displacement_table(filling_ctx, split, 3)
-        base = candidate_classes(split.elliptic, filling_ctx.cfg.cand_len,
-                                 filling_ctx.cfg.cand_cap)
+        base = candidate_classes(split.elliptic)
         assert list(rep["table"]) == list(range(-3, 4))
         for m in range(-3, 4):
             val = W_of_ffs(filling_ctx, split.elliptic,
@@ -281,10 +279,9 @@ class TestTranslationRows:
     def test_divergence_phi_rows(self, filling_ctx, split):
         rep = divergence_check(filling_ctx, identity_map(5), split,
                                l_max=1, band_search=0, phi_range=3)
-        ctx = replace(filling_ctx, cfg=filling_ctx.cfg.with_overrides(
-            iterate_cap=_DIVERGENCE_ORBIT_CAP))
-        base = candidate_classes(split.elliptic, ctx.cfg.cand_len,
-                                 ctx.cfg.cand_cap)
+        ctx = replace(filling_ctx, cfg=replace(
+            filling_ctx.cfg, iterate_cap=_DIVERGENCE_ORBIT_CAP))
+        base = candidate_classes(split.elliptic)
         assert rep["phi_table"] == {
             k: _W_or_none(ctx, split.elliptic, translates_reference(ctx, base, k))
             for k in range(4)}
@@ -299,7 +296,7 @@ class TestEarlyStopOrbits:
                     lengths = iterate_lengths(bm, c, 20_000)
                     for cap in {n - d for n in lengths for d in (0, 1)}:
                         capped = replace(
-                            ctx, cfg=ctx.cfg.with_overrides(iterate_cap=cap))
+                            ctx, cfg=replace(ctx.cfg, iterate_cap=cap))
                         whole = replace(capped, cancellation_bound=None)
                         assert w_of(capped, c) == w_of(whole, c)
                         m = sign * (len(lengths) + 1)
@@ -459,8 +456,8 @@ class TestPowerOrbits:
         # context scans forward too, the other backward only
         for ctx, fixture_classes in early_stop_cases[:2]:
             roots = rank2_roots(3) if ctx.rank == 2 else fixture_classes
-            full, back = (replace(ctx, cfg=ctx.cfg.with_overrides(
-                iterate_cap=cap)) for _ in range(2))
+            full, back = (replace(ctx, cfg=replace(ctx.cfg, iterate_cap=cap))
+                          for _ in range(2))
             for r in roots:
                 for k in range(1, 5):
                     want = unshared_w(full, r * k, True)
@@ -618,7 +615,7 @@ class TestAbelianLookAhead:
         # the rank-2 sweep's two slowest maps
         fired = count_look_aheads(monkeypatch)
         for ctx, _ in early_stop_cases[1:]:
-            capped = replace(ctx, cfg=ctx.cfg.with_overrides(iterate_cap=cap))
+            capped = replace(ctx, cfg=replace(ctx.cfg, iterate_cap=cap))
             for r, k, forward in itertools.product(rank2_roots(2),
                                                    range(1, 5), (True, False)):
                 fresh = replace(capped)
@@ -632,13 +629,13 @@ class TestAbelianLookAhead:
         got = {}
         for cap in (1_000, 2_000, 5_000, 20_000):
             cfg = Config(iterate_cap=cap)
-            got[cap] = classify(fixture(name, cfg), cfg).to_json()
+            got[cap] = classify(fixture(name), cfg).to_json()
         assert fired[0] > 0
         monkeypatch.setattr(wproj_mod._LazyOrbit, "doomed",
                             lambda self, k, hi: False)
         for cap in got:
             cfg = Config(iterate_cap=cap)
-            assert classify(fixture(name, cfg), cfg).to_json() == got[cap]
+            assert classify(fixture(name), cfg).to_json() == got[cap]
 
 
 def count_look_aheads(monkeypatch):
@@ -658,16 +655,14 @@ def count_look_aheads(monkeypatch):
 
 class TestCandidates:
     def test_cyclic_factor(self):
-        got = candidate_classes(ffs_from_generators(2, [FWD[0]]), 3)
+        # CAND_LEN = 4 letters, far below the cap of CAND_CAP = 24 classes
+        got = candidate_classes(ffs_from_generators(2, [FWD[0]]))
         x = FWD[0]
-        assert got == [x, x + x, x + x + x]
-
-    def test_zero_length_empty(self):
-        assert candidate_classes(ffs_from_generators(2, [FWD[0]]), 0) == []
+        assert got == [x, x + x, x + x + x, x + x + x + x]
 
     def test_improper_rejected(self):
         with pytest.raises(InvalidInput):
-            candidate_classes(whole_group(2), 3)
+            candidate_classes(whole_group(2))
 
 
 class TestWOfSystems:
@@ -696,8 +691,7 @@ class TestWOfSystems:
     def test_translated_system_shifts(self, filling_ctx, filling_spec):
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         base = W_of_ffs(filling_ctx, s.elliptic).value
-        cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
-                                  filling_ctx.cfg.cand_cap)
+        cands = candidate_classes(s.elliptic)
         for m in (1, 2):
             moved = [translate_class(filling_ctx, c, -m) for c in cands]
             val = W_of_ffs(filling_ctx, s.elliptic, candidates=moved)
@@ -709,8 +703,7 @@ class TestWOfSystems:
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         base = W_of_ffs(filling_ctx, s.elliptic).value
         moved = remark_splitting(s, filling_spec.f)
-        cands = candidate_classes(s.elliptic, filling_ctx.cfg.cand_len,
-                                  filling_ctx.cfg.cand_cap)
+        cands = candidate_classes(s.elliptic)
         transported = [translate_class(filling_ctx, c, -1) for c in cands]
         val = W_of_ffs(filling_ctx, moved.elliptic, candidates=transported)
         assert val.value == base - 1
@@ -784,8 +777,8 @@ def psi_tables_reference(ctx, psi, t, l_max):
     """The psi transport by raw ``apply_map``: images of up to 20,000
     letters stay alive, those of up to 2,000 are evaluated, under the
     200,000-letter orbit cap of ``divergence_check``."""
-    ctx = replace(ctx, cfg=ctx.cfg.with_overrides(iterate_cap=200_000))
-    base = candidate_classes(t.elliptic, ctx.cfg.cand_len, ctx.cfg.cand_cap)
+    ctx = replace(ctx, cfg=replace(ctx.cfg, iterate_cap=200_000))
+    base = candidate_classes(t.elliptic)
     table, dropped = {}, {}
     alive = list(base)
     for l in range(l_max + 1):
@@ -811,8 +804,7 @@ class TestDivergence:
         assert rep["psi_table"] == table
         assert rep["dropped_candidates"] == dropped
         # the caps are reached: some candidates drop before the last iterate
-        assert 0 < dropped[8] < len(candidate_classes(
-            t.elliptic, filling_ctx.cfg.cand_len, filling_ctx.cfg.cand_cap))
+        assert 0 < dropped[8] < len(candidate_classes(t.elliptic))
 
     def test_identity_constant(self, filling_ctx, filling_spec):
         t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
