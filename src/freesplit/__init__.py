@@ -29,10 +29,10 @@ from .whitehead import (FillsVerdict, fills, free_factor_support,
 from .laminations import (LaminationApprox, lamination_approx,
                           lamination_fills, laminations_jointly_fill,
                           pf_estimate)
-from .pairs import (MarkedGraphPair, OneEdgeSplitting, adjacent,
-                    elliptic_system, equivalent_one_edge, faces,
-                    one_edge_splitting, pair_relation_check, remark_pair,
-                    remark_splitting, splitting_of_pair, validate_pair)
+from .pairs import (MarkedGraphPair, OneEdgeSplitting, elliptic_system,
+                    faces, one_edge_splitting, pair_relation_check,
+                    remark_pair, remark_splitting, splitting_of_pair,
+                    validate_pair)
 from .wproj import (WContext, WValue, build_context, candidate_classes,
                     displacement_table, divergence_check, estimate_M,
                     in_U, lipschitz_check, w_of, W_of_ffs)

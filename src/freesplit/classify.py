@@ -108,14 +108,15 @@ def _inner_power(mg: MarkedGraph, f: GraphMap):
     GL_n(Z/3) is torsion-free (Baumslag-Taylor, Math. Ann. 1968).  So the
     map has finite order exactly when its H_1 matrix has a finite order m
     and the m-th power is inner, and m is then the least inner power: one
-    ``outer_equal`` on f^m decides.  An unreduced power image over
-    ``INNER_POWER_MAX_LETTERS`` letters ends the test with None.
+    ``outer_equal`` on f^m decides.  For m > 1 an unreduced power image
+    over ``INNER_POWER_MAX_LETTERS`` letters ends the test with None; for
+    m = 1 there is nothing to compose, and f itself is tested.
     """
     m = _h1_order(abelianization(mg.induced_rose_map(f)))
     if m is None:
         return None
     try:
-        fm = _power_map(f, m, INNER_POWER_MAX_LETTERS)
+        fm = f if m == 1 else _power_map(f, m, INNER_POWER_MAX_LETTERS)
     except BudgetExhausted:
         return None
     inner = outer_equal(mg.induced_rose_map(fm), identity_map(mg.rank))
@@ -140,23 +141,21 @@ def _h1_order(a) -> int | None:
 
 
 def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
-                            pairs: list[MarkedGraphPair] | None = None):
+                            pairs: list[MarkedGraphPair] | None = None,
+                            relation: GraphMap | None = None):
     """An invariant one-edge splitting with a verified relation map.
 
-    Inner maps fix every splitting (witnessed by the identity relation
-    map); otherwise the one-edge pairs, by default the coordinate pairs of
-    ``mg``, are searched with the map itself.  NotApplicable when nothing
-    is exhibited.
+    The one-edge pairs, by default the coordinate pairs of ``mg``, are
+    searched with the relation map, by default f itself; an inner f fixes
+    every splitting, witnessed by the identity relation map.  NotApplicable
+    when nothing is exhibited.
     """
-    inner = outer_equal(mg.induced_rose_map(f),
-                        identity_map(mg.rank))[0] == "Equal"
-    relation = identity_graph_map(mg.graph) if inner else f
+    relation = f if relation is None else relation
     for pair in _coordinate_pairs(mg) if pairs is None else pairs:
         rel = pair_relation_check(relation, pair, remark_pair(pair, f))
         if rel.holds:
             return splitting_of_pair(pair), rel
-    raise NotApplicable("inner map but no coordinate pair verified" if inner
-                        else "no invariant one-edge splitting was exhibited")
+    raise NotApplicable("no invariant one-edge splitting was exhibited")
 
 
 def _coordinate_pairs(mg: MarkedGraph) -> list[MarkedGraphPair]:
@@ -283,8 +282,6 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
     """
     if power is not None and power < 1:
         raise InvalidInput(f"power must be at least 1, got {power}")
-    if spec.stub:
-        raise InvalidInput("stub fixtures cannot be classified")
     mg, f = spec.mg, spec.f
     notes: dict = {}
     inner = _inner_power(mg, f)
@@ -342,9 +339,11 @@ def _classification(found: _Found | str, p: int,
 def _invariant_splitting(mg: MarkedGraph, fp: GraphMap,
                          pairs: list[MarkedGraphPair],
                          inner_power: int | None) -> _Found | str:
-    """PeriodicVertex on a verified invariant splitting of fp = f^p."""
+    """PeriodicVertex on a verified invariant splitting of fp = f^p; an
+    inner fp is related to its remarking by the identity map."""
+    relation = None if inner_power is None else identity_graph_map(mg.graph)
     try:
-        s, rel = periodic_vertex_witness(mg, fp, pairs)
+        s, rel = periodic_vertex_witness(mg, fp, pairs, relation)
     except NotApplicable:
         return "periodic_vertex_witness"
     witness = {"splitting": s.serialize(), "relation": rel.status}

@@ -209,7 +209,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("w", help="orbit phase of a conjugacy class")
     _common(p, "--config", "--seg-len", "--horizon")
-    p.add_argument("--word", required=True, help="edge tokens, e.g. 'A B'ate'")
+    p.add_argument("--word", required=True, help="edge tokens, e.g. \"A B'\"")
     p.set_defaults(fn=cmd_w)
 
     p = sub.add_parser("leaf", help="print leaf segments of a lamination")

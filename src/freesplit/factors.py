@@ -451,7 +451,7 @@ def _natural_arcs(comp: CoreGraph):
     return arcs, anchors
 
 
-def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int | None = None):
+def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int):
     """Canonical cyclic classes crossing at most max_len natural arcs.
 
     On rose realizations an arc is a single letter, so this is exactly
@@ -488,7 +488,6 @@ def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int | None = Non
                             found[cls] = used
                     grown.append((b, walk, i))
             frontier[2] = grown
-        if cap and len(found) >= cap:
+        if len(found) >= cap:
             break
-    ordered = sorted(found, key=lambda w: (found[w], len(w), w))
-    return ordered[:cap] if cap else ordered
+    return sorted(found, key=lambda w: (found[w], len(w), w))[:cap]

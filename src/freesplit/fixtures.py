@@ -26,7 +26,6 @@ class ExampleSpec:
     params: dict = field(default_factory=dict)
     decomposition: dict | None = None  # K1, K2, J2, J3 -> frozenset of slots
     notes: str = ""
-    stub: bool = False
 
     @property
     def f(self) -> GraphMap:
@@ -251,22 +250,11 @@ def divergence_pair() -> ExampleSpec:
     )
 
 
-def surface_stub() -> ExampleSpec:
-    mg = marked_rose(3)
-    return ExampleSpec(
-        name="surface_example", mg=mg, maps={}, expected=None, stub=True,
-        notes=("stub only: a genus-zero four-boundary pseudo-Anosov induces "
-               "a filling lamination whose nonattracting system has four "
-               "rank-one pieces; no maps are shipped for it"),
-    )
-
-
 _CATALOG = {
     "filling_reducible": filling_reducible,
     "bdd_no_periodic": bdd_no_periodic,
     "linear_example": linear_example,
     "divergence": divergence_pair,
-    "surface_example": surface_stub,
 }
 
 

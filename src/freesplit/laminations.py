@@ -26,8 +26,7 @@ from .graphs import (Filtration, GraphMap, MarkedGraph, close_path, map_path,
                      subgraph_factor_system)
 from .whitehead import (FILLS, MAX_LETTERS, PROPER, UNKNOWN, FillsVerdict,
                         fills)
-from .words import (FWD, _canonical_reduced, count_crossings, invert,
-                    strip_cyclic)
+from .words import FWD, count_crossings, invert
 
 
 @dataclass(frozen=True)
@@ -46,11 +45,8 @@ class LaminationApprox:
     @cached_property
     def closure_classes(self) -> tuple[str, ...]:
         """Basis class of the closed-up segment at each depth 1..depth."""
-        # path_to_rose returns reduced words
-        return tuple(
-            _canonical_reduced(strip_cyclic(
-                self.mg.path_to_rose(close_path(self.mg, seg))))
-            for seg in self.segments[1:])
+        return tuple(self.mg.circuit_to_rose_class(close_path(self.mg, seg))
+                     for seg in self.segments[1:])
 
 
 def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,

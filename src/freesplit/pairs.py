@@ -1,4 +1,4 @@
-"""Marked graph pairs, one-edge splittings, faces and adjacency.
+"""Marked graph pairs, one-edge splittings, faces and sibling splittings.
 
 A pair (G, H) is a marked graph with a natural subgraph whose components
 are noncontractible (H may be empty); collapsing H gives a free splitting
@@ -114,12 +114,6 @@ def splitting_of_pair(pair: MarkedGraphPair) -> OneEdgeSplitting:
 def elliptic_system(pair: MarkedGraphPair) -> FreeFactorSystem:
     """Factor system of the collapsed subgraph, through the marking."""
     return subgraph_factor_system(pair.mg, pair.h_slots)
-
-
-def equivalent_one_edge(s1: OneEdgeSplitting, s2: OneEdgeSplitting) -> bool:
-    """Equality of one-edge splittings via their elliptic systems."""
-    return (s1.elliptic.ambient_rank == s2.elliptic.ambient_rank
-            and s1.elliptic == s2.elliptic)
 
 
 def remark_pair(pair: MarkedGraphPair, f: GraphMap) -> MarkedGraphPair:
@@ -279,50 +273,6 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
             return RelationResult(FAILS, 1, "marking not preserved")
     return RelationResult(
         HOLDS, witness=PairRelationWitness(h, vertex_bij, assignments))
-
-
-# ---------------------------------------------------------------------------
-# Adjacency by common co-edge-2 refinement
-
-
-@dataclass(frozen=True)
-class AdjacencyResult:
-    adjacent: bool
-    refinement: MarkedGraphPair | None = None
-    detail: str = ""
-
-
-def adjacent(s1: OneEdgeSplitting, s2: OneEdgeSplitting) -> AdjacencyResult:
-    """Search co-edge-2 pairs on either underlying graph whose two one-edge
-    collapses are the given splittings."""
-    if equivalent_one_edge(s1, s2):
-        raise InvalidInput("adjacency is between inequivalent splittings")
-    for host in (s1, s2):
-        g = host.mg.graph
-        classes = list(g.natural_classes)
-        for drop in itertools.combinations(range(len(classes)), 2):
-            h2 = set(range(g.n_edges))
-            for idx in drop:
-                h2 -= classes[idx]
-            try:
-                pair = validate_pair(host.mg, h2)
-            except InvalidInput:
-                continue
-            if pair.co_edge != 2:
-                continue
-            try:
-                fs = [splitting_of_pair(fp) for fp in faces(pair)]
-            except InvalidInput:
-                continue
-            if len(fs) != 2:
-                continue
-            found = (
-                (equivalent_one_edge(fs[0], s1) and equivalent_one_edge(fs[1], s2))
-                or (equivalent_one_edge(fs[0], s2) and equivalent_one_edge(fs[1], s1))
-            )
-            if found:
-                return AdjacencyResult(True, pair)
-    return AdjacencyResult(False, detail="NotFoundWithinBudget")
 
 
 def sibling_splittings(pair: MarkedGraphPair):

@@ -23,7 +23,7 @@ from freesplit.graphs import (compose, identity_graph_map, marked_rose,
                               parse_marked_graph, print_marked_graph,
                               realize_rose_endo, rose_map)
 from freesplit.whitehead import FILLS, FillsVerdict
-from freesplit.words import BWD, FWD, strip_cyclic
+from freesplit.words import BWD, FWD, invert, reduce_word, strip_cyclic
 from freesplit.wproj import apply_basis_map_to_ffs
 
 from braids import artin, braid_maps, braid_type
@@ -188,6 +188,21 @@ class TestInnerPower:
         for bm in (("a", "ba"), ("aba", "ab")):
             assert _inner_power(mg, realize_rose_endo(mg, bm)) is None
         assert composed == []
+
+    def test_long_inner_map_is_tested_itself(self):
+        # x -> u x u^-1 with u = (x1 x2)^3000: the images pass
+        # INNER_POWER_MAX_LETTERS, but H_1 order 1 leaves no power to
+        # compose, so the map is found inner and no stratum is examined
+        mg = marked_rose(2)
+        u = (FWD[0] + FWD[1]) * 3000
+        bm = tuple(reduce_word(u + FWD[i] + invert(u)) for i in range(2))
+        assert min(len(w) for w in bm) > INNER_POWER_MAX_LETTERS
+        f = realize_rose_endo(mg, bm)
+        assert inner_order(mg, f) == 1
+        c = classify(ExampleSpec("conjugation", mg, {"f": f}, None))
+        assert c.verdict == "PeriodicVertex"
+        assert c.witness["inner_power"] == 1
+        assert c.notes == {}
 
 
 def companion(coeffs):
@@ -411,6 +426,16 @@ class TestPeriodicWitness:
         s, rel = periodic_vertex_witness(mg, identity_graph_map(mg.graph))
         assert rel.holds
 
+    def test_inner_map_by_identity_relation(self):
+        # conjugation by x2 fixes every splitting; the caller that knows
+        # the map is inner passes the identity as the relation map
+        mg = marked_rose(2)
+        f = realize_rose_endo(mg, (FWD[1] + FWD[0] + BWD[1], FWD[1]))
+        s, rel = periodic_vertex_witness(
+            mg, f, relation=identity_graph_map(mg.graph))
+        assert rel.holds
+        assert rel.witness.map == identity_graph_map(mg.graph)
+
     def test_filling_fixture_not_applicable(self, filling_spec):
         with pytest.raises(NotApplicable):
             periodic_vertex_witness(filling_spec.mg, filling_spec.f)
@@ -490,10 +515,6 @@ class TestClassify:
         c = classify(spec)
         assert c.verdict == "PeriodicVertex"
 
-    def test_stub_rejected(self):
-        with pytest.raises(InvalidInput):
-            classify(fixture("surface_example"))
-
     @pytest.mark.parametrize("power", [0, -2])
     @pytest.mark.parametrize("name", ["rank2_tr3", "rank2_tr0"])
     def test_power_below_one_rejected(self, name, power):
@@ -550,8 +571,7 @@ class TestFixtureCatalog:
     def test_names_listed(self):
         names = fixture_names()
         for expected in ("filling_reducible", "bdd_no_periodic",
-                         "linear_example", "divergence", "surface_example",
-                         "rank2_tr3"):
+                         "linear_example", "divergence", "rank2_tr3"):
             assert expected in names
 
     def test_unknown_rejected(self):
@@ -618,6 +638,17 @@ class TestCLI:
     def test_unknown_fixture_exit_code(self):
         res = run_cli("classify", "--fixture", "nope")
         assert res.returncode == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["classify"], ["report"], ["distance"], ["leaf"],
+        ["fills", "--classes", "x1"], ["w", "--word", "x1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_rejects_a_name_outside_the_catalog(self, argv,
+                                                               capsys):
+        # surface_example is no catalog fixture: an input error, exit 2
+        assert cli.main([*argv, "--fixture", "surface_example"]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown fixture 'surface_example'\n"
 
     @pytest.mark.parametrize("flag", [("--horizon", "2"), ("--horizon", "0"),
                                       ("--seg-len", "0")])

@@ -332,8 +332,7 @@ class TestMarking:
         # and circuit_to_rose_class needs no free reduction
         mg, g, f = frd
         graphs = [mg, mg.remark(f), mg.remark(compose(f, f))]
-        graphs += [fixture(n).mg for n in fixture_names()
-                   if not fixture(n).stub]
+        graphs += [fixture(n).mg for n in fixture_names()]
         for m in graphs:
             assert all(reduce_word(w) == w for w in m.marking_inv)
             loops = [m.rose_to_path(FWD[i]) for i in range(m.rank)]

@@ -78,17 +78,18 @@ UNCALLED = {
 
 
 def _referenced(node, skip=None) -> set:
-    """Names read as a Name or an Attribute anywhere under ``node``,
-    except under ``skip``."""
+    """Names loaded as a Name or an Attribute anywhere under ``node``,
+    except under ``skip``; a stored name, such as a dataclass field of the
+    same name, is not a use."""
     found = set()
     stack = [node]
     while stack:
         n = stack.pop()
         if n is skip:
             continue
-        if isinstance(n, ast.Name):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             found.add(n.id)
-        elif isinstance(n, ast.Attribute):
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             found.add(n.attr)
         stack.extend(ast.iter_child_nodes(n))
     return found

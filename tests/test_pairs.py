@@ -12,11 +12,9 @@ from freesplit.factors import ffs_from_generators
 from freesplit.graphs import (Graph, MarkedGraph, compose, graph_map,
                               identity_graph_map, map_path, marked_rose,
                               realize_rose_endo, rose_map)
-from freesplit.pairs import (adjacent, elliptic_system, equivalent_one_edge,
-                             faces, one_edge_splitting,
+from freesplit.pairs import (elliptic_system, faces, one_edge_splitting,
                              pair_relation_check, remark_pair,
-                             remark_splitting, sibling_splittings,
-                             splitting_of_pair, validate_pair)
+                             remark_splitting, validate_pair)
 from freesplit.words import FWD, invert, slot
 from freesplit.wproj import apply_basis_map_to_ffs
 from test_classify import rank2_products
@@ -129,18 +127,18 @@ class TestEllipticSystem:
         s_rose = one_edge_splitting(rose2, ["x1"])
         bell = dumbbell_marked()
         s_bell = one_edge_splitting(bell, ["p", "t"])
-        assert equivalent_one_edge(s_rose, s_bell)
+        assert s_rose.elliptic == s_bell.elliptic
 
 
 class TestEquivalence:
     def test_reflexive(self, filling_spec):
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        assert equivalent_one_edge(s, s)
+        assert s.elliptic == s.elliptic
 
     def test_coordinate_splittings_differ(self):
         mg = marked_rose(2)
-        assert not equivalent_one_edge(one_edge_splitting(mg, ["x1"]),
-                                       one_edge_splitting(mg, ["x2"]))
+        assert one_edge_splitting(mg, ["x1"]).elliptic != \
+            one_edge_splitting(mg, ["x2"]).elliptic
 
     def test_small_battery_is_equivalence(self):
         mg = marked_rose(3)
@@ -148,12 +146,12 @@ class TestEquivalence:
                       for a, b in itertools.combinations(
                           ("x1", "x2", "x3"), 2)]
         for a in splittings:
-            assert equivalent_one_edge(a, a)
+            assert a.elliptic == a.elliptic
             for b in splittings:
-                assert equivalent_one_edge(a, b) == equivalent_one_edge(b, a)
+                assert (a.elliptic == b.elliptic) == (b.elliptic == a.elliptic)
                 for c in splittings:
-                    if equivalent_one_edge(a, b) and equivalent_one_edge(b, c):
-                        assert equivalent_one_edge(a, c)
+                    if a.elliptic == b.elliptic == c.elliptic:
+                        assert a.elliptic == c.elliptic
 
 
 class TestPairRelation:
@@ -291,29 +289,3 @@ class TestRemark:
         stepwise = remark_pair(remark_pair(pair, f), swap)
         joint = remark_pair(pair, compose(swap, f))
         assert stepwise.mg.marking == joint.mg.marking
-
-
-class TestAdjacency:
-    def test_coordinate_pair_in_rank2(self):
-        mg = marked_rose(2)
-        res = adjacent(one_edge_splitting(mg, ["x1"]),
-                       one_edge_splitting(mg, ["x2"]))
-        assert res.adjacent
-        assert res.refinement.h_slots == frozenset()
-
-    def test_equivalent_inputs_rejected(self, filling_spec):
-        s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        with pytest.raises(InvalidInput):
-            adjacent(s, s)
-
-    def test_siblings_adjacent(self, filling_spec):
-        pair = validate_pair(filling_spec.mg, ["X", "Y", "Z"])
-        s1, s2 = sibling_splittings(pair)
-        res = adjacent(s1, s2)
-        assert res.adjacent
-        got = [splitting_of_pair(fp) for fp in faces(res.refinement)]
-        assert (equivalent_one_edge(got[0], s1)
-                and equivalent_one_edge(got[1], s2)) or \
-               (equivalent_one_edge(got[0], s2)
-                and equivalent_one_edge(got[1], s1))
-
