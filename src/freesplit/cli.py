@@ -111,6 +111,8 @@ def cmd_w(args) -> int:
     cfg = _load_cfg(args)
     spec = _load_spec(args)
     path = _closed_path(spec, args.word)
+    if not spec.mg.circuit_to_rose_class(path):
+        raise InvalidInput(f"class {args.word!r} is trivial")
     ctx = build_context(spec.mg, spec.f, cfg)
     res = w_of(ctx, spec.mg.path_to_rose(path))
     report = make_report(
@@ -153,7 +155,7 @@ def cmd_fills(args) -> int:
                for tokens in args.classes]
     verdict = fills(classes, spec.mg.rank)
     report = make_report("fills", {"name": spec.name, "classes": args.classes},
-                         verdict.to_json(spec.mg.rank), verdict=verdict.kind)
+                         verdict.to_json(), verdict=verdict.kind)
     return _emit(args, report, f"fills: {verdict.kind}")
 
 

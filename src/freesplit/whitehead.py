@@ -8,21 +8,20 @@ end in m: a submodular quadratic in the move's per-letter bits, so one
 minimum cut between m and m^-1 minimizes it exactly (Roig, Ventura and
 Weil, IJAC 2007).  The graph is built once per step and each flow runs
 on a copy of it.  As cap >= 0 the change is at least -deg(m), so a
-multiplier with deg(m) = 0, or with -deg(m) above the least change
-already found, is skipped without a flow.  Minimizers are closed under
-bitwise AND and OR.  The nodes reachable from m after a max flow are the
-least minimizer, below every other one, the move an enumeration of all
-4^(n-1) bit assignments in increasing order keeps first; the nodes that
-cannot reach m^-1 are the greatest.  The move (m^-1, L, R) is
-(m, ∁L, ∁R) followed by conjugation by m, so it gives the same cyclic
-classes and the length change f_{m^-1}(x) = f_m(1 - x): one max flow per
-multiplier letter gives both orientations, the least minimizer for m^-1
-being the complement of the greatest for m.  A move maps a cyclically
-reduced word by one ``str.translate`` to the letters' images and one
-``replace`` of m m^-1, the only pair that cancels, once per maximal run
-of m^{±1}, then a strip of the cyclic ends.  Length changes do not
-depend on the rotation or orientation of a word, so the iterates stay
-cyclically reduced images, and only the minimum is put in canonical
+multiplier with -deg(m) at or above the least change already found is
+skipped without a flow.  Minimizers are closed under bitwise AND and OR.
+The nodes reachable from m after a max flow are the least minimizer,
+below every other one, the move an enumeration of all 4^(n-1) bit
+assignments in increasing order keeps first.  Each step takes the first
+multiplier x_p reaching the least change, with that cut.  The move
+(m^-1, L, R) is (m, ∁L, ∁R) followed by conjugation by m, so it gives
+the same cyclic classes and the length change f_{m^-1}(x) = f_m(1 - x):
+the multipliers x_p alone reach every length change.  A move maps a
+cyclically reduced word by one ``str.translate`` to the letters' images
+and one ``replace`` of m m^-1, the only pair that cancels, once per
+maximal run of m^{±1}, then a strip of the cyclic ends.  Length changes
+do not depend on the rotation or orientation of a word, so the iterates
+stay cyclically reduced images, and only the minimum is put in canonical
 form.
 At the minimum no move shortens the set, and two facts about its
 Whitehead graph follow.  (i) Every component is closed under inversion:
@@ -87,7 +86,7 @@ class Move:
     def inverse(self) -> "Move":
         return Move(invert(self.multiplier), self.left, self.right)
 
-    def to_json(self, rank: int) -> dict:
+    def to_json(self) -> dict:
         if self.multiplier in FWD:
             tok = f"x{FWD.index(self.multiplier) + 1}"
         else:
@@ -148,17 +147,15 @@ def _whitehead_network(rank: int, classes) -> tuple[list[list[int]],
     return cap, adj
 
 
-def _min_cut(cap, adj, s: int, t: int) -> tuple[int, list[int], list[int]]:
+def _min_cut(cap, adj, s: int, t: int) -> tuple[int, list[int]]:
     """Edmonds–Karp max flow from node s to node t of a capacity matrix.
 
     ``cap`` becomes the residual matrix; ``adj`` lists, for each node, the
     nodes joined to it by a nonzero entry in either direction, the only
-    pairs whose residual capacity can be nonzero.  Returns the flow value,
-    the nodes reachable from s in the residual graph and the nodes that
-    reach t in it.  The source sides of the minimum cuts are closed under
-    union and intersection; the first list is the least of them and the
-    complement of the second the greatest, whichever maximum flow was
-    found.  Each augmenting search stops once it reaches t.
+    pairs whose residual capacity can be nonzero.  Returns the flow value
+    and the nodes reachable from s in the residual graph: the source side
+    of the least minimum cut, below every other one, whichever maximum
+    flow was found.  Each augmenting search stops once it reaches t.
     """
     size = len(cap)
     flow = 0
@@ -175,7 +172,7 @@ def _min_cut(cap, adj, s: int, t: int) -> tuple[int, list[int], list[int]]:
             if prev[t] >= 0:
                 break
         if prev[t] < 0:
-            break
+            return flow, queue
         path = []
         v = t
         while v != s:
@@ -186,24 +183,15 @@ def _min_cut(cap, adj, s: int, t: int) -> tuple[int, list[int], list[int]]:
             cap[u][v] -= push
             cap[v][u] += push
         flow += push
-    reach = [False] * size
-    reach[t] = True
-    sink = [t]
-    for v in sink:
-        for u in adj[v]:
-            if cap[u][v] and not reach[u]:
-                reach[u] = True
-                sink.append(u)
-    return flow, queue, sink
 
 
-def _least_moves(rank: int, classes) -> tuple[int, list[tuple[Move, tuple]]]:
-    """Least length change below 0 and the moves reaching it, by one
-    minimum cut per multiplier letter; (0, []) when none shortens.
+def _best_move(rank: int, classes) -> tuple[int, Move | None]:
+    """Most reducing Whitehead move, by one minimum cut per multiplier
+    letter m = x_p; (0, None) when none shortens.
 
-    With m = x_p, put the letter u in A when the move's image of u ends in
-    m: m itself, g when g has the right bit and g^-1 when g has the left
-    bit, never m^-1.  The length change of the move is then
+    Put the letter u in A when the move's image of u ends in m: m itself,
+    g when g has the right bit and g^-1 when g has the left bit, never
+    m^-1.  The length change of the move is then
 
         f_m = cap(A, ∁A) - deg(m)
 
@@ -213,75 +201,27 @@ def _least_moves(rank: int, classes) -> tuple[int, list[tuple[Move, tuple]]]:
     and v^-1 is in A, as a pair m m^-1 cancels, and the deg(m) letters
     m^{±1} of the word itself were there before the move.  So a minimum
     cut between m and m^-1, with "bit = 1 iff source side", minimizes it,
-    and f_m >= -deg(m): a multiplier with deg(m) = 0, or with -deg(m)
-    above the least change found so far, can neither win nor tie and gets
-    no flow.  The move (m^-1, L, R) is (m, ∁L, ∁R)
-    followed by conjugation by m, so it gives the same cyclic classes and
-    f_{m^-1}(x) = f_m(1 - x): both orientations reach the same least
-    change, and the least minimizer for m^-1 is the complement of the
-    greatest one for m.  So one max flow serves both: its least cut gives
-    the move for m, the complement of its greatest cut the one for m^-1,
-    listed in that order per p.  Each move is tagged with p and its cut in
-    the m orientation, which fix the classes it gives; the two tags of a p
-    are equal when its least and greatest cuts coincide.  The graph is
-    built once, and each flow runs on a copy of it.
+    and f_m >= -deg(m): a multiplier with -deg(m) at or above the least
+    change found so far cannot beat it and gets no flow.  The move is the
+    first x_p, in p order, that reaches the least change, with its least
+    cut.  No x_p^-1 move is needed: (m^-1, L, R) is (m, ∁L, ∁R) followed
+    by conjugation by m, so it gives the same cyclic classes and
+    f_{m^-1}(x) = f_m(1 - x).  The graph is built once, and each flow runs
+    on a copy of it.
     """
     cap, adj = _whitehead_network(rank, classes)
-    nodes = frozenset(range(2 * rank))
-    best_delta = 0
-    best: list[tuple[Move, tuple]] = []
+    best_delta, best = 0, None
     for p in range(rank):
         deg = sum(cap[p])
-        if not deg or -deg > best_delta:
+        if -deg >= best_delta:
             continue
-        flow, low, high = _min_cut([row[:] for row in cap], adj, p, rank + p)
-        delta = flow - deg
-        if delta >= 0 or delta > best_delta:
-            continue
-        if delta < best_delta:
-            best_delta, best = delta, []
-        others = [g for g in range(rank) if g != p]
-        least = frozenset(low)
-        # the greatest cut in the m orientation is the complement of high
-        greatest = nodes.difference(high)
-        for ch, side, bits in ((FWD[p], least, least),
-                               (BWD[p], greatest, set(high))):
-            move = Move(ch, frozenset(g for g in others if rank + g in bits),
-                        frozenset(g for g in others if g in bits))
-            best.append((move, (p, side)))
+        flow, low = _min_cut([row[:] for row in cap], adj, p, rank + p)
+        if flow - deg < best_delta:
+            others = [g for g in range(rank) if g != p]
+            best_delta = flow - deg
+            best = Move(FWD[p], frozenset(g for g in others if rank + g in low),
+                        frozenset(g for g in others if g in low))
     return best_delta, best
-
-
-# Tied moves scored per search, in the order found: bounds the scoring work
-# when many multipliers reach the same length change.
-_TIE_CAP = 32
-
-
-def _best_move(rank: int, classes) -> tuple[int, Move | None, tuple | None]:
-    """Most reducing Whitehead move: by :func:`_least_moves`, one max flow
-    per multiplier letter m = x_p; its least cut is the move for m, and the
-    complement of its greatest cut the move for m^-1, which is the m move
-    on the greatest cut followed by conjugation by m.
-
-    Ties go to the least resulting class set.  Each tag (p and the cut in
-    the m orientation) among the first ``_TIE_CAP`` tied moves is scored
-    once; the two orientations of a p with one tag score equal, and the
-    one for m, listed first, wins.  Returns the length change, the move
-    and, when a tie was scored, the canonical sorted class set the winner
-    gives, else None.
-    """
-    best_delta, best = _least_moves(rank, classes)
-    if not best:
-        return 0, None, None
-    tied = best[:_TIE_CAP]
-    if all(tag == tied[0][1] for _, tag in tied):
-        return best_delta, tied[0][0], None
-    images: dict[tuple, tuple[str, ...]] = {}
-    for move, tag in tied:
-        if tag not in images:
-            images[tag] = _canonical_set(_class_images(move, rank, classes))
-    move, tag = min(tied, key=lambda t: tuple(map(sort_key, images[t[1]])))
-    return best_delta, move, images[tag]
 
 
 def _class_set(classes) -> list[str]:
@@ -308,12 +248,12 @@ def whitehead_minimize(classes, rank: int):
     """
     cur = _class_set(classes)
     log: list[Move] = []
-    # ends: the total falls by at least -delta >= 1 per move, and stays >= 1
+    # ends: each move shortens the total by at least 1, which stays >= 1
     while True:
-        delta, move, scored = _best_move(rank, cur)
-        if move is None or delta >= 0:
+        _, move = _best_move(rank, cur)
+        if move is None:
             break
-        cur = list(scored) if scored else _class_images(move, rank, cur)
+        cur = _class_images(move, rank, cur)
         log.append(move)
     minimized = _canonical_set(cur) if log else tuple(cur)
     return minimized, sum(len(w) for w in minimized), log
@@ -348,12 +288,12 @@ class FillsVerdict:
     move_log: tuple = ()
     graph_summary: dict = field(default_factory=dict)
 
-    def to_json(self, rank: int) -> dict:
+    def to_json(self) -> dict:
         return {
             "kind": self.kind,
             "reason": self.reason,
             "minimized_total_length": sum(len(w) for w in self.minimized),
-            "move_log": [mv.to_json(rank) for mv in self.move_log],
+            "move_log": [mv.to_json() for mv in self.move_log],
             "graph_summary": dict(self.graph_summary),
             "witness_ranks": list(self.witness.ranks) if self.witness else None,
         }

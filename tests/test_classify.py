@@ -739,6 +739,16 @@ class TestCLI:
         payload = json.loads(res.stdout)
         assert payload["results"]["status"] == "Defined"
 
+    @pytest.mark.parametrize("name, word", [("rank2_tr3", ""),
+                                            ("filling_reducible", "A A'")])
+    def test_trivial_class_exit_code(self, name, word, capsys):
+        # the empty path and a backtrack are the trivial class, an input
+        # error for w as for fills
+        assert cli.main(["w", "--fixture", name, "--word", word]) == 2
+        assert capsys.readouterr().err == \
+            f"error: class {word!r} is trivial\n"
+        assert cli.main(["fills", "--fixture", name, "--classes", word]) == 2
+
     def test_out_dir(self, tmp_path):
         res = run_cli("classify", "--fixture", "rank2_tr0", "--out",
                       str(tmp_path), "--json")

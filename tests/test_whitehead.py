@@ -11,9 +11,8 @@ from freesplit.automorphisms import MapTables, apply_map, identity_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
-                                 _least_moves, apply_move, fills,
-                                 free_factor_support, whitehead_graph,
-                                 whitehead_minimize)
+                                 apply_move, fills, free_factor_support,
+                                 whitehead_graph, whitehead_minimize)
 from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_reduce, invert,
                              reduce_images, sort_key, strip_cyclic)
 
@@ -170,29 +169,17 @@ def _best_move_enumerated(rank, classes):
                                            if left[i][j]),
                              frozenset(g for j, g in enumerate(others)
                                        if right[i][j])))
-    return _break_ties(rank, classes, best_delta, best)
+    return _break_ties(best_delta, best)
 
 
-def _break_ties(rank, classes, best_delta, best):
-    """Reference tie-break: the first of the first 32 moves whose
-    canonical resulting class set is least."""
-    if not best:
-        return 0, None
-    if len(best) == 1:
-        return best_delta, best[0]
-    scored = []
-    for mv in best[:32]:
-        result = tuple(sorted((apply_move(mv, rank, w) for w in classes),
-                              key=sort_key))
-        scored.append((tuple(sort_key(w) for w in result), mv))
-    scored.sort(key=lambda t: t[0])
-    return best_delta, scored[0][1]
+def _break_ties(best_delta, best):
+    """Reference tie-break: the first move of least change."""
+    return (best_delta, best[0]) if best else (0, None)
 
 
 def _min_cut_matrix(cap):
     """Reference max flow: Edmonds–Karp scanning whole matrix rows;
-    returns the flow, the nodes reachable from 0 in the residual and the
-    nodes that reach 1 in it."""
+    returns the flow and the nodes reachable from 0 in the residual."""
     nodes = range(len(cap))
     flow = 0
     while True:
@@ -205,10 +192,7 @@ def _min_cut_matrix(cap):
                     prev[v] = u
                     queue.append(v)
         if prev[1] < 0:
-            sink = [1]
-            for v in sink:
-                sink += [u for u in nodes if cap[u][v] and u not in sink]
-            return flow, queue, sink
+            return flow, queue
         path = []
         v = 1
         while v:
@@ -263,7 +247,7 @@ def _best_move_two_cuts(rank, classes):
                 elif lin[i] < 0:
                     delta += lin[i]
                     cap[0][i] -= lin[i]
-            flow, side, _ = _min_cut_matrix(cap)
+            flow, side = _min_cut_matrix(cap)
             delta += flow
             if delta >= 0 or delta > best_delta:
                 continue
@@ -284,24 +268,22 @@ def _minimize_canonical(classes, rank):
     cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
     log = []
     while True:
-        delta, move = _break_ties(rank, cur, *_best_move_two_cuts(rank, cur))
+        delta, move = _break_ties(*_best_move_two_cuts(rank, cur))
         if move is None:
             return tuple(cur), sum(len(w) for w in cur), log
         cur = sorted({apply_move(move, rank, w) for w in cur}, key=sort_key)
         log.append(move)
 
 
-def _least_moves_dense(rank, classes):
+def _best_move_dense(rank, classes):
     """Reference move search without the shortcuts: a dense network per
-    multiplier over its left and right bits, every multiplier flowed, both
-    orientations read off one flow's least and greatest cuts; the tags
-    name p and the cut in the m orientation."""
+    multiplier over its left and right bits, every multiplier flowed; the
+    first multiplier of least change, with its least cut."""
     P, occ = _pair_counts(rank, classes)
     dim = 2 * rank
     pairs = [(u, v, 2 * P[u][v]) for u in range(dim) for v in range(dim)
              if P[u][v]]
-    best_delta = 0
-    best = []
+    best_delta, best = 0, None
     for p in range(rank):
         others = [g for g in range(rank) if g != p]
         if not others:
@@ -331,21 +313,14 @@ def _least_moves_dense(rank, classes):
             elif lin[i] < 0:
                 delta += lin[i]
                 cap[0][i] -= lin[i]
-        flow, low, high = _min_cut_matrix(cap)
+        flow, low = _min_cut_matrix(cap)
         delta += flow
-        if delta >= 0 or delta > best_delta:
-            continue
         if delta < best_delta:
-            best_delta, best = delta, []
-        least = frozenset(low) - {0}
-        greatest = frozenset(range(2, size)).difference(high)
-        for ch, side, bits in ((FWD[p], least, least),
-                               (BWD[p], greatest, set(high))):
-            move = Move(ch, frozenset(g for j, g in enumerate(others)
-                                      if 2 + 2 * j in bits),
+            best_delta = delta
+            best = Move(FWD[p], frozenset(g for j, g in enumerate(others)
+                                          if 2 + 2 * j in low),
                         frozenset(g for j, g in enumerate(others)
-                                  if 3 + 2 * j in bits))
-            best.append((move, (p, side)))
+                                  if 3 + 2 * j in low))
     return best_delta, best
 
 
@@ -357,31 +332,15 @@ def _images_by_letter_tables(move, rank, words):
 
 
 def _minimize_dense(classes, rank):
-    """Reference minimizer without the shortcuts: :func:`_least_moves_dense`,
-    ties among the first 32 moves scored once per tag, iterates kept as
-    images under letter tables."""
+    """Reference minimizer without the shortcuts: :func:`_best_move_dense`,
+    iterates kept as images under letter tables."""
     cur = sorted({canonical_cyclic(w) for w in classes}, key=sort_key)
     log = []
     while True:
-        best_delta, best = _least_moves_dense(rank, cur)
-        if not best:
+        _, move = _best_move_dense(rank, cur)
+        if move is None:
             break
-        tied = best[:32]
-        if all(tag == tied[0][1] for _, tag in tied):
-            move, scored = tied[0][0], None
-        else:
-            images = {}
-            for mv, tag in tied:
-                if tag not in images:
-                    images[tag] = tuple(sorted(
-                        map(canonical_cyclic,
-                            _images_by_letter_tables(mv, rank, cur)),
-                        key=sort_key))
-            move, tag = min(tied,
-                            key=lambda t: tuple(map(sort_key, images[t[1]])))
-            scored = images[tag]
-        cur = list(scored) if scored else \
-            _images_by_letter_tables(move, rank, cur)
+        cur = _images_by_letter_tables(move, rank, cur)
         log.append(move)
     minimized = tuple(sorted(map(canonical_cyclic, cur), key=sort_key)) \
         if log else tuple(cur)
@@ -405,7 +364,7 @@ class TestBestMove:
         rank, words = case
         classes = sorted({c for c in map(canonical_cyclic, words) if c},
                          key=sort_key) or [x]
-        assert _best_move(rank, classes)[:2] == \
+        assert _best_move(rank, classes) == \
             _best_move_enumerated(rank, classes)
 
     @pytest.mark.parametrize("rank, classes, every",
@@ -424,17 +383,15 @@ class TestBestMove:
         _, total, log = whitehead_minimize(classes, rank)
         assert total == 2 and len(log) == len(steps) - 1
         for cur, got in steps[::every] + steps[-1:]:
-            assert got[:2] == _best_move_enumerated(rank, cur)
+            assert got == _best_move_enumerated(rank, cur)
 
-    def test_ties_go_to_least_resulting_class_set(self):
-        # x y: four multipliers each reach length 1
-        delta, move = _best_move(2, [x + y])[:2]
-        assert delta == -1 and move == _best_move_enumerated(2, [x + y])[1]
-
-    def test_scored_tie_returns_its_class_set(self):
-        # the winner of the tie on x y gives the class set (x,)
-        _, move, scored = _best_move(2, [x + y])
-        assert scored == (x,) == (apply_move(move, 2, x + y),)
+    def test_ties_go_to_first_multiplier(self):
+        # x y: x, x^-1, y and y^-1 each reach length 1; the move is the
+        # first, x with left bit on y, which takes x y to y
+        move = Move(x, frozenset({1}), frozenset())
+        assert _best_move(2, [x + y]) == (-1, move) == \
+            _best_move_enumerated(2, [x + y])
+        assert apply_move(move, 2, x + y) == y
 
 
 class TestOneFlow:
@@ -452,10 +409,18 @@ class TestOneFlow:
         classes = sorted({c for c in map(canonical_cyclic, words) if c},
                          key=sort_key) or [x]
         delta, moves = _best_move_two_cuts(rank, classes)
-        got_delta, got = _least_moves(rank, classes)
-        assert (got_delta, [mv for mv, _ in got]) == (delta, moves)
-        assert _best_move(rank, classes)[:2] == \
-            _break_ties(rank, classes, delta, moves)
+        # each multiplier reaching the least change reaches it in both
+        # orientations, and (m^-1, L, R) gives the classes of (m, ∁L, ∁R)
+        fwd, bwd = moves[::2], moves[1::2]
+        assert all(mv.multiplier in FWD for mv in fwd)
+        assert [mv.multiplier for mv in bwd] == \
+            [invert(mv.multiplier) for mv in fwd]
+        for f, b in zip(fwd, bwd):
+            others = frozenset(range(rank)) - {FWD.index(f.multiplier)}
+            flipped = Move(f.multiplier, others - b.left, others - b.right)
+            assert replay_move_log(classes, rank, [b]) == \
+                replay_move_log(classes, rank, [flipped])
+        assert _best_move(rank, classes) == _break_ties(delta, moves)
 
     @settings(max_examples=100, deadline=None)
     @given(class_sets())
@@ -472,15 +437,14 @@ class TestOneFlow:
             _minimize_canonical(classes, rank)
 
     def test_equal_orientations_keep_forward_multiplier(self):
-        # x y: y with left bit on x and y^-1 with right bit on x both give
-        # x, the least class set of the tie, with one cut for y
-        delta, got = _least_moves(2, [x + y])
-        fwd, bwd = Move(y, frozenset({0}), frozenset()), \
-            Move(Y, frozenset(), frozenset({0}))
-        tags = dict(got)
-        assert fwd in tags and bwd in tags and tags[fwd] == tags[bwd]
-        assert apply_move(fwd, 2, x + y) == apply_move(bwd, 2, x + y) == x
-        assert _best_move(2, [x + y])[:2] == (delta, fwd) == (-1, fwd)
+        # x y: x with left bit on y and x^-1 with right bit on y both give
+        # y, each with its own least cut; the move kept is the one for x
+        fwd, bwd = Move(x, frozenset({1}), frozenset()), \
+            Move(X, frozenset(), frozenset({1}))
+        delta, moves = _best_move_two_cuts(2, [x + y])
+        assert delta == -1 and moves[:2] == [fwd, bwd]
+        assert apply_move(fwd, 2, x + y) == apply_move(bwd, 2, x + y) == y
+        assert _best_move(2, [x + y]) == (-1, fwd)
 
 
 def cyclically_reduced_words(rank, max_len):
@@ -493,11 +457,11 @@ def cyclically_reduced_words(rank, max_len):
 
 
 class TestStepShortcuts:
-    """Each minimization step skips multipliers that cannot reach the
-    least change, builds one Whitehead graph for all of its flows and maps
-    classes by a translation and one replace; every move, tie and
-    minimized set is that of the dense reference, which flows every
-    multiplier on its own network and maps by letter tables."""
+    """Each minimization step skips multipliers that cannot beat the least
+    change, builds one Whitehead graph for all of its flows and maps
+    classes by a translation and one replace; every move and minimized set
+    is that of the dense reference, which flows every multiplier on its
+    own network and maps by letter tables."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 8).flatmap(lambda rank: st.tuples(
@@ -512,13 +476,7 @@ class TestStepShortcuts:
         rank, words = case
         classes = sorted({c for c in map(canonical_cyclic, words) if c},
                          key=sort_key) or [x]
-        delta, got = _least_moves(rank, classes)
-        ref_delta, ref = _least_moves_dense(rank, classes)
-        assert (delta, [mv for mv, _ in got]) == \
-            (ref_delta, [mv for mv, _ in ref])
-        # tags are equal exactly where the reference's are
-        assert [[a == b for _, b in got] for _, a in got] == \
-            [[a == b for _, b in ref] for _, a in ref]
+        assert _best_move(rank, classes) == _best_move_dense(rank, classes)
         assert whitehead_minimize(classes, rank) == \
             _minimize_dense(classes, rank)
 
@@ -534,11 +492,11 @@ class TestStepShortcuts:
                 cases += len(words)
         assert cases == 428_800
 
-    def test_pruned_multipliers_cannot_reach_the_least_change(
+    def test_pruned_multipliers_cannot_beat_the_least_change(
             self, monkeypatch):
         # a flow from m to m^-1 runs exactly for the multipliers with
-        # deg(m) > 0 and -deg(m) <= the least change so far; each one
-        # skipped has least change >= -deg(m) > that change, or >= 0
+        # -deg(m) below the least change so far; each one skipped has
+        # least change >= -deg(m) >= that change
         flowed = []
         min_cut = whitehead._min_cut
 
@@ -552,26 +510,39 @@ class TestStepShortcuts:
                               + [(3, c) for c in short_class_sets(3, 3, 3)]
                               + [(7, BDD_RANK7), (8, BDD_RANK8)]):
             flowed.clear()
-            _least_moves(rank, classes)
+            _best_move(rank, classes)
             cap, adj = whitehead._whitehead_network(rank, classes)
             best, expected = 0, []
             for p in range(rank):
                 deg = sum(cap[p])
-                flow, _, _ = min_cut([row[:] for row in cap], adj, p,
-                                     rank + p)
+                flow, _ = min_cut([row[:] for row in cap], adj, p, rank + p)
                 delta = flow - deg
                 assert deg == sum(cap[rank + p]) and delta >= -deg
-                if deg and -deg <= best:
+                if -deg < best:
                     expected.append(p)
-                    at_bound += -deg == best < 0
                 else:
-                    assert delta >= 0 or delta > best, (classes, p)
-                if delta < best:
-                    best = delta
+                    assert delta >= best, (classes, p)
+                    at_bound += -deg == best < 0
+                best = min(best, delta)
             assert flowed == expected, classes
-        # multipliers whose bound only ties the least change so far are
-        # flowed, as their moves join the tie
+        # multipliers whose bound only ties the least change so far get no
+        # flow, as the first multiplier to reach it keeps the move
         assert at_bound
+
+    @pytest.mark.parametrize("rank, classes", [(7, BDD_RANK7),
+                                               (8, BDD_RANK8), (2, [x + y])])
+    def test_only_the_minimum_is_put_in_canonical_form(self, monkeypatch,
+                                                       rank, classes):
+        canonical_set = whitehead._canonical_set
+        calls = []
+
+        def counted(words):
+            calls.append(len(words))
+            return canonical_set(words)
+
+        monkeypatch.setattr(whitehead, "_canonical_set", counted)
+        _, _, log = whitehead_minimize(classes, rank)
+        assert log and len(calls) == 1
 
 
 class TestMinimize:
@@ -736,16 +707,15 @@ class TestFills:
 
 
 class TestFillsGolden:
-    """Reports of :func:`fills`, move logs included, as recorded before
-    the step shortcuts."""
+    """Reports of :func:`fills`, move logs included."""
 
     with open(os.path.join(GOLDEN, "whitehead_fills.json")) as fh:
         CASES = json.load(fh)
 
     @pytest.mark.parametrize("case", CASES, ids=[c["case"] for c in CASES])
     def test_report_matches_golden(self, case):
-        rank = case["rank"]
-        assert fills(case["classes"], rank).to_json(rank) == case["report"]
+        assert fills(case["classes"], case["rank"]).to_json() == \
+            case["report"]
 
     @pytest.mark.parametrize("case", [c for c in CASES if "fixture" in c],
                              ids=lambda c: c["case"])
