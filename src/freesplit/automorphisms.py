@@ -15,8 +15,8 @@ from functools import cached_property
 
 from .errors import InvalidInput
 from .factors import _fold, _wedge
-from .words import (FWD, BWD, image_table, invert, is_fwd, reduce_images,
-                    reduce_word, stop_table, strip_cyclic)
+from .words import (FWD, BWD, count_crossings, image_table, invert, is_fwd,
+                    reduce_images, reduce_word, stop_table, strip_cyclic)
 
 BasisMap = tuple[str, ...]
 
@@ -32,7 +32,8 @@ _MEMO_LETTERS = 1 << 21
 
 
 class MapTables(BasisMap):
-    """A basis map with the tables :func:`reduce_images` reads for it.
+    """A map with the tables :func:`reduce_images` reads for it: a basis
+    map, a graph map's edge images or a marking and its inverse.
 
     The tuple is the map's reduced images, so it compares and hashes as the
     plain tuple.  ``images`` and ``stop`` are keyed by the letters and, as a
@@ -42,14 +43,17 @@ class MapTables(BasisMap):
     The memo lives as long as the map, so wrap a map once where it is
     applied many times, as an orbit does.  It is the only thing that
     changes, and it never changes an output; callers must not mutate the
-    tables.
+    tables.  With ``memo=False`` the memo has no room.  Graph maps and
+    markings keep none: they map few long paths, whose blocks seldom
+    repeat, and a marked graph outlives the many maps whose paths it
+    transports, so their memos only held memory.
     """
 
-    def __new__(cls, bm: BasisMap):
+    def __new__(cls, bm: BasisMap, memo: bool = True):
         self = super().__new__(cls, map(reduce_word, bm))
         self.images = image_table(self)
         self.stop = stop_table(self.images)
-        self.room = _MEMO_LETTERS
+        self.room = _MEMO_LETTERS if memo else 0
         return self
 
     def store(self, blocks) -> bool:
@@ -66,6 +70,12 @@ class MapTables(BasisMap):
             images[b] = img
             stop[b] = invert(img[0]) if img else None
         return True
+
+    def unreduced_length(self, word: str) -> int:
+        """Length of the concatenated images of the letters of ``word``,
+        before free reduction; the memo's block keys are not read."""
+        return sum(count_crossings(word, i) * len(w)
+                   for i, w in enumerate(self))
 
     @cached_property
     def abelian(self) -> tuple[tuple[int, ...], ...]:

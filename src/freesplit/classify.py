@@ -94,8 +94,7 @@ def _power_map(f: GraphMap, p: int, cap: int) -> GraphMap:
     image, the intermediate path, would pass ``cap`` letters."""
     out = identity_graph_map(f.source)
     for _ in range(p):
-        if any(sum(w.count(ch) * len(v) for ch, v in f.img.items()) > cap
-               for w in out.edge_images):
+        if any(f.tables.unreduced_length(w) > cap for w in out.edge_images):
             raise BudgetExhausted("power images exceeded the length cap")
         out = compose(f, out)
     return out

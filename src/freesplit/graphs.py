@@ -14,11 +14,11 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import words
-from .automorphisms import BasisMap, apply_map, identity_map, invert_map, outer_equal
+from .automorphisms import (BasisMap, MapTables, apply_map, identity_map,
+                            invert_map, outer_equal)
 from .errors import InvalidInput, NumericalTolerance
 from .factors import FreeFactorSystem, _dedupe, fold, partition, tree_loops
-from .words import (BWD, FWD, image_table, invert, is_fwd, reduce_images,
-                    reduce_word, slot, stop_table)
+from .words import BWD, FWD, invert, is_fwd, reduce_word, slot
 
 
 class Graph:
@@ -150,13 +150,15 @@ class MarkedGraph:
     ``marking[i]`` is the image loop (at ``base``) of basis letter i;
     ``marking_inv[s]`` is an abstract basis word for edge slot s, chosen so
     that marking_inv after marking induces an inner automorphism.  It is
-    computed on first use, for remarked graphs as for any other.
+    computed on first use, for remarked graphs as for any other.  Both are
+    :class:`MapTables` without a block memo, which :meth:`rose_to_path` and
+    :meth:`path_to_rose` apply.
     """
 
     def __init__(self, graph: Graph, base: str, marking):
         self.graph = graph
         self.base = base
-        self.marking = tuple(reduce_word(w) for w in marking)
+        self.marking = MapTables(marking, memo=False)
         self.rank = len(self.marking)
         for v in graph.vertices:
             if graph.valence(v) < 2:
@@ -205,35 +207,21 @@ class MarkedGraph:
         return invert_map(self.loop_marking)
 
     @cached_property
-    def marking_inv(self) -> tuple[str, ...]:
+    def marking_inv(self) -> MapTables:
         """Edge words over the abstract basis: the inverse of the marking
         read in the cotree loops, on cotree edges; empty on tree edges."""
         rho_hat_inv = self.loop_marking_inv
         inv = [""] * self.graph.n_edges
         for i, (s, _, _) in enumerate(self.tree[1]):
             inv[s] = rho_hat_inv[i]
-        return tuple(inv)
-
-    @cached_property
-    def _to_rose(self) -> tuple[dict, dict]:
-        """Image and stop tables of the marking inverse, built on first use."""
-        images = image_table(self.marking_inv)
-        return images, stop_table(images)
-
-    @cached_property
-    def _to_path(self) -> tuple[dict, dict]:
-        """Image and stop tables of the marking."""
-        images = image_table(self.marking)
-        return images, stop_table(images)
+        return MapTables(inv, memo=False)
 
     def path_to_rose(self, path: str) -> str:
         """Abstract basis word of a path, via the stored marking inverse."""
-        images, stop = self._to_rose
-        return reduce_images(images, path, stop)
+        return apply_map(self.marking_inv, path)
 
     def rose_to_path(self, word: str) -> str:
-        images, stop = self._to_path
-        return reduce_images(images, word, stop)
+        return apply_map(self.marking, word)
 
     def circuit_to_rose_class(self, circuit: str) -> str:
         # path_to_rose reduces over reduced images (those of invert_map)
@@ -298,12 +286,10 @@ def realize_rose_endo(mg: MarkedGraph, bm: BasisMap) -> GraphMap:
     of their basis expressions.
     """
     g = mg.graph
-    images = []
-    for s in range(g.n_edges):
-        word = mg.marking_inv[s]
-        images.append(mg.rose_to_path(apply_map(bm, word)))
+    bm = MapTables(bm)
+    images = tuple(mg.rose_to_path(apply_map(bm, w)) for w in mg.marking_inv)
     vmap = {v: mg.base for v in g.vertices}
-    return GraphMap(g, g, vmap, tuple(images))
+    return GraphMap(g, g, vmap, images)
 
 
 def marked_rose(rank: int, names=None) -> MarkedGraph:
@@ -317,7 +303,11 @@ def marked_rose(rank: int, names=None) -> MarkedGraph:
 
 @dataclass(frozen=True)
 class GraphMap:
-    """Homotopy equivalence given by vertex images and edge-path images."""
+    """Homotopy equivalence given by vertex images and edge-path images.
+
+    ``tables`` is the :class:`MapTables` of the edge images, without a
+    block memo, which :func:`map_path` applies.
+    """
 
     source: Graph
     target: Graph
@@ -330,9 +320,10 @@ class GraphMap:
         for v in self.source.vertices:
             if self.vertex_map.get(v) not in self.target.vertices:
                 raise InvalidInput(f"vertex {v} has no valid image")
+        tables = MapTables(self.edge_images, memo=False)
+        if tables != self.edge_images:
+            raise InvalidInput("edge images must be reduced")
         for s, img in enumerate(self.edge_images):
-            if img != reduce_word(img):
-                raise InvalidInput("edge images must be reduced")
             self.target.check_path(img)
             a = self.vertex_map[self.source._init[s]]
             b = self.vertex_map[self.source._term[s]]
@@ -344,8 +335,7 @@ class GraphMap:
                 raise InvalidInput(
                     f"trivial image of edge {self.source.edge_names[s]} "
                     "needs equal vertex images")
-        object.__setattr__(self, "img", image_table(self.edge_images))
-        object.__setattr__(self, "stop", stop_table(self.img))
+        object.__setattr__(self, "tables", tables)
 
     def is_endo(self) -> bool:
         return self.source is self.target
@@ -377,8 +367,7 @@ def rose_map(mg: MarkedGraph, images_by_name) -> GraphMap:
 
 def map_path(f: GraphMap, path: str) -> str:
     """Tightened image of a path (the # operation)."""
-    f.source.check_path(path)
-    return reduce_images(f.img, path, f.stop)
+    return apply_map(f.tables, f.source.check_path(path))
 
 
 def compose(f: GraphMap, g: GraphMap) -> GraphMap:
@@ -602,8 +591,10 @@ def parse_marked_graph(text: str):
             saw.add(line)
             continue
         toks = line.split()
-        if section == "VERTICES":
-            vertices.append(toks[0])
+        if section in ("VERTICES", "H"):
+            if len(toks) != 1:
+                raise InvalidInput(f"one name per {section} line: {line!r}")
+            (vertices if section == "VERTICES" else h_names).append(toks[0])
         elif section == "EDGES":
             if len(toks) != 3:
                 raise InvalidInput(f"bad edge line: {line!r}")
@@ -612,8 +603,6 @@ def parse_marked_graph(text: str):
             marking_rows.append((toks[0], toks[1:]))
         elif section == "MAP":
             map_rows.append((toks[0], toks[1:]))
-        elif section == "H":
-            h_names.append(toks[0])
         else:
             raise InvalidInput(f"content before any section: {line!r}")
     if "VERTICES" not in saw or "EDGES" not in saw or "MARKING" not in saw:

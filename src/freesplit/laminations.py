@@ -66,8 +66,7 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
             break
         # the unreduced image, the intermediate path the cap bounds
         seg = segs[-1]
-        if sum(seg.count(ch) * len(w) for ch, w in f.img.items()) \
-                > cfg.iterate_cap:
+        if f.tables.unreduced_length(seg) > cfg.iterate_cap:
             break
         segs.append(map_path(f, seg))
     return LaminationApprox(mg, f, stratum_index, st.slots, seed,

@@ -50,11 +50,9 @@ class WContext:
     """
 
     mg: MarkedGraph
-    f: GraphMap
     fwd: MapTables  # outer automorphism on the abstract basis
     bwd: MapTables  # its inverse; both carry the orbits' block memos
     lam_plus: LaminationApprox
-    lam_minus: LaminationApprox
     seg_plus: str  # defining segment of the attracting side, basis letters
     seg_minus: str
     cfg: Config
@@ -105,8 +103,8 @@ def build_context(mg: MarkedGraph, f: GraphMap, cfg: Config = DEFAULT,
         if not path_contains(deep, seg):
             raise InvalidInput("defining segment lost in transport")
     bound = max(map(len, fwd)) * max(map(len, bwd))
-    return WContext(mg, f, fwd, bwd, lam_plus, lam_minus, seg_plus, seg_minus,
-                    cfg, cancellation_bound=bound)
+    return WContext(mg, fwd, bwd, lam_plus, seg_plus, seg_minus, cfg,
+                    cancellation_bound=bound)
 
 
 def _filling_lamination(mg: MarkedGraph, f: GraphMap,

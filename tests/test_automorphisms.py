@@ -186,6 +186,16 @@ class TestBlockMemo:
         assert apply_map(t, w) == expected  # now from the memo
 
     @settings(max_examples=100, deadline=None)
+    @given(endo_and_long_word())
+    def test_unreduced_length_counts_letter_images(self, case):
+        bm, w = case
+        t = MapTables(bm)
+        expected = len("".join(image_table(t)[ch] for ch in w))
+        for _ in range(2):  # the second time with the word's blocks stored
+            assert t.unreduced_length(w) == expected
+            apply_map(t, w)
+
+    @settings(max_examples=100, deadline=None)
     @given(automorphism_and_long_word())
     def test_inverse_round_trip(self, case):
         bm, inv, w = case

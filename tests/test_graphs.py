@@ -2,13 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from freesplit.automorphisms import (compose_maps, identity_map, invert_map,
-                                     outer_equal)
+from freesplit.automorphisms import (_BLOCK, compose_maps, identity_map,
+                                     invert_map, outer_equal)
 from freesplit.errors import InvalidInput, NumericalTolerance
 from freesplit.fixtures import RANK2_CATALOG, fixture, fixture_names
-from freesplit.graphs import (Graph, MarkedGraph, TransitionMatrix, compose,
-                              graph_map, identity_graph_map,
+from freesplit.graphs import (Graph, GraphMap, MarkedGraph, TransitionMatrix,
+                              compose, graph_map, identity_graph_map,
                               is_invariant_subgraph, is_nielsen, map_path,
                               marked_rose, minimal_invariant_superset,
                               parse_marked_graph, pf_eigenvalue,
@@ -16,6 +17,7 @@ from freesplit.graphs import (Graph, MarkedGraph, TransitionMatrix, compose,
                               strata, transition_matrix)
 from freesplit.words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
                              reduce_word, slot)
+from test_automorphisms import letter_image
 from test_classify import rank2_products
 
 # Reducible rose automorphisms of rank 3 and 4 (a = x1, b = x2, ...;
@@ -101,6 +103,11 @@ class TestMapPath:
 
         assert map_path(f, reduce_word(p + q)) == \
             reduce_word(map_path(f, p) + map_path(f, q))
+
+    def test_unreduced_edge_image_rejected(self):
+        g = rose(2)
+        with pytest.raises(InvalidInput, match="reduced"):
+            GraphMap(g, g, {"v": "v"}, (FWD[0] + FWD[1] + BWD[1], FWD[1]))
 
 
 class TestCompose:
@@ -278,6 +285,14 @@ class TestSerialization:
         mg2, _, _ = parse_marked_graph(print_marked_graph(mg))
         assert mg2.validate_marking()
 
+    @pytest.mark.parametrize("v, h", [("v w", "x1"), ("v", "x1 x2")])
+    def test_one_name_per_line(self, v, h):
+        text = ("VERTICES\n{v}\nEDGES\nx1 v v\nx2 v v\n"
+                "MARKING\nx1 x1\nx2 x2\nH\n{h}\n")
+        parse_marked_graph(text.format(v="v", h="x1"))
+        with pytest.raises(InvalidInput, match="one name per"):
+            parse_marked_graph(text.format(v=v, h=h))
+
 
 class TestConnectivity:
     def test_loop_counts_twice_towards_valence(self):
@@ -407,6 +422,45 @@ def _marked_graphs():
         out += [mg, mg.remark(f), mg.remark(compose(f, f))]
     spec = fixture("filling_reducible")
     return out + [spec.mg, spec.mg.remark(spec.f)]
+
+
+_FILLING = fixture("filling_reducible")
+_MAPPED_GRAPHS = [_dumbbell(), _theta(), (_FILLING.mg, _FILLING.f)]
+
+
+@st.composite
+def long_paths(draw):
+    """A marked graph with a self-map, a path of 128-400 letters from its
+    base and a basis word of as many letters, long enough that a map with a
+    block memo would apply them by blocks."""
+    mg, f = draw(st.sampled_from(_MAPPED_GRAPHS))
+    g = mg.graph
+    n = draw(st.integers(2 * _BLOCK, 400))
+    path, v = [], mg.base
+    for k in draw(st.lists(st.integers(0, 2 * g.n_edges - 1),
+                           min_size=n, max_size=n)):
+        out = [ch for ch in FWD[:g.n_edges] + BWD[:g.n_edges]
+               if g.init_of(ch) == v]
+        path.append(out[k % len(out)])
+        v = g.term_of(path[-1])
+    basis = FWD[:mg.rank] + BWD[:mg.rank]
+    word = draw(st.lists(st.sampled_from(basis), min_size=n, max_size=n))
+    return mg, f, "".join(path), "".join(word)
+
+
+class TestLongPaths:
+    @settings(max_examples=60, deadline=None)
+    @given(long_paths())
+    def test_block_images_match_letter_images(self, case):
+        mg, f, path, word = case
+        # applying a map leaves nothing that changes a later image
+        for _ in range(2):
+            assert map_path(f, path) == letter_image(f.edge_images, path)
+            assert mg.path_to_rose(path) == letter_image(mg.marking_inv, path)
+            assert mg.rose_to_path(word) == letter_image(mg.marking, word)
+        # graph maps and markings keep no block memo: only letter keys
+        for t in (f.tables, mg.marking, mg.marking_inv):
+            assert len(t.images) == 2 * len(t)
 
 
 def path_valid_reference(g, word):
