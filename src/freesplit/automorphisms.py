@@ -43,16 +43,17 @@ class MapTables(BasisMap):
     The memo lives as long as the map, so wrap a map once where it is
     applied many times, as an orbit does.  It is the only thing that
     changes, and it never changes an output; callers must not mutate the
-    tables.  With ``memo=False`` the memo has no room.  Graph maps and
-    markings keep none: they map few long paths, whose blocks seldom
-    repeat, and a marked graph outlives the many maps whose paths it
-    transports, so their memos only held memory.
+    tables.  With ``memo=False`` the memo has no room and no word is cut
+    into blocks.  Graph maps and markings keep none: they map few long
+    paths, whose blocks seldom repeat, and a marked graph outlives the many
+    maps whose paths it transports, so their memos only held memory.
     """
 
     def __new__(cls, bm: BasisMap, memo: bool = True):
         self = super().__new__(cls, map(reduce_word, bm))
         self.images = image_table(self)
         self.stop = stop_table(self.images)
+        self.memo = memo
         self.room = _MEMO_LETTERS if memo else 0
         return self
 
@@ -97,12 +98,13 @@ def apply_map(bm: BasisMap, word: str) -> str:
     """Reduced image of ``word``.
 
     A plain tuple maps ``word`` letter by letter through tables built for
-    this call, as does a :class:`MapTables` a word shorter than two blocks.
-    A :class:`MapTables` cuts a longer word into blocks of ``_BLOCK``
-    letters, the last one taking the remainder; the reduced image of each
-    block is looked up in the map's memo (computed by the letter kernel on
-    a miss) and the block images are glued by the same kernel, which
-    cancels across each junction.  Free reduction is confluent, so the
+    this call; a :class:`MapTables` built with ``memo=False`` maps every
+    word letter by letter through its own tables, and one with a memo a
+    word shorter than two blocks.  That one cuts a longer word into blocks
+    of ``_BLOCK`` letters, the last one taking the remainder; the reduced
+    image of each block is looked up in the map's memo (computed by the
+    letter kernel on a miss) and the block images are glued by the same
+    kernel, which cancels across each junction.  Free reduction is confluent, so the
     result equals the letter-by-letter image.  Orbit iterates have few
     distinct factors of one length (Pansiot, ICALP 1984), so their blocks
     repeat and each is mapped once.  The memo of a map stops growing at
@@ -115,7 +117,7 @@ def apply_map(bm: BasisMap, word: str) -> str:
     """
     t = _tables(bm)
     n = len(word)
-    if t is not bm or n < 2 * _BLOCK:
+    if t is not bm or not t.memo or n < 2 * _BLOCK:
         return reduce_images(t.images, word, t.stop)
     last = n - n % _BLOCK - _BLOCK
     blocks = [word[i:i + _BLOCK] for i in range(0, last, _BLOCK)]

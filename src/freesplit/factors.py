@@ -9,10 +9,12 @@ words) and :func:`freesplit.automorphisms.invert_map` (domain words)
 share it.  Carrying and co-edge numbers are computed directly on the
 graphs.
 
-The two connectivity routines every graph of the package shares live here
-too: :func:`partition` (connected classes: also the strata of a graph map,
-as edges each in the other's invariant closure) and :func:`tree_loops`
-(BFS spanning-tree paths and the basis loops off the tree).
+The three connectivity routines every graph of the package shares live
+here too: :func:`partition` (connected classes: also the strata of a graph
+map, as edges each in the other's invariant closure), :func:`tree_loops`
+(BFS spanning-tree paths and the basis loops off the tree) and
+:func:`natural_arcs` (natural edges: the pair relation's unit and the
+arcs candidate classes are enumerated over).
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import InvalidInput
-from .words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
-                    reduce_word, reduced_product, slot)
+from .words import (BWD, FWD, _canonical_reduced, invert, is_fwd,
+                    reduce_word, reduced_product, slot, strip_cyclic)
 
 
 def partition(items, links) -> list[frozenset]:
@@ -77,6 +79,40 @@ def tree_loops(edges, root):
     loops = {e: reduce_word(paths[e[1]] + FWD[e[0]] + invert(paths[e[2]]))
              for e in edges if e not in tree and e[1] in paths}
     return paths, loops
+
+
+def natural_arcs(edges) -> list[tuple[str, object, object]]:
+    """Natural edges of a graph of distinct edges ``(slot, init, term)``:
+    the maximal paths whose inner vertices have valence 2.
+
+    Returns each as ``(word, start, end)``: its edge letters and its end
+    vertices (on a core graph, whose slots are labels, the label word).
+    Arcs leave the vertices of valence other than 2 in sorted order, each
+    by its edges in the order given, forward before backward.  A circle
+    component has no such vertex and gives one closed arc at its least
+    vertex.  Every edge lies on exactly one arc, crossed once.
+    """
+    out: dict = {}  # vertex -> its half-edges (letter, edge, far end)
+    for e in edges:
+        lab, a, b = e
+        out.setdefault(a, []).append((FWD[lab], e, b))
+        out.setdefault(b, []).append((BWD[lab], e, a))
+    anchors = {v for v, half in out.items() if len(half) != 2}
+    used = set()
+    arcs = []
+    for v in sorted(anchors) + sorted(out.keys() - anchors):
+        for ch, e, w in out[v]:
+            if e in used:
+                continue
+            anchors.add(v)  # new only at the least vertex of a circle
+            word = ch
+            used.add(e)
+            while w not in anchors:
+                ch, e, w = next(h for h in out[w] if h[1] != e)
+                word += ch
+                used.add(e)
+            arcs.append((word, v, w))
+    return arcs
 
 
 class CoreGraph:
@@ -407,50 +443,6 @@ def whole_group(rank: int) -> FreeFactorSystem:
     return ffs_from_generators(rank, [FWD[i] for i in range(rank)])
 
 
-def _natural_arcs(comp: CoreGraph):
-    """Directed maximal arcs through valence-2 vertices.
-
-    Returns (arcs, branch_vertices); each arc is (word, from, to, arc_id)
-    with the reversed arc carrying the negated id.  A circle component
-    yields a single closed arc anchored at its least vertex.
-    """
-    deg = [0] * comp.n_vertices
-    for _, a, b in comp.edges:
-        deg[a] += 1
-        deg[b] += 1
-    branch = [v for v in range(comp.n_vertices) if deg[v] != 2]
-    anchors = branch if branch else [min(range(comp.n_vertices))]
-    anchor_set = set(anchors)
-    arcs = []
-    seen_starts = set()
-    for v in anchors:
-        for lab in range(comp.rank):
-            for ch in (FWD[lab], BWD[lab]):
-                w = comp.step(v, ch)
-                if w is None or (v, ch) in seen_starts:
-                    continue
-                word = ch
-                cur = w
-                prev_ch = ch
-                while cur not in anchor_set:
-                    nxt = None
-                    for lab2 in range(comp.rank):
-                        for ch2 in (FWD[lab2], BWD[lab2]):
-                            if ch2 == invert(prev_ch):
-                                continue
-                            t = comp.step(cur, ch2)
-                            if t is not None:
-                                nxt = (ch2, t)
-                    word += nxt[0]
-                    prev_ch = nxt[0]
-                    cur = nxt[1]
-                seen_starts.add((v, ch))
-                seen_starts.add((cur, invert(word[-1])))
-                arc_id = len(arcs) + 1
-                arcs.append((word, v, cur, arc_id))
-    return arcs, anchors
-
-
 def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int):
     """Canonical cyclic classes crossing at most max_len natural arcs.
 
@@ -462,17 +454,18 @@ def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int):
     Closed walks grow from every anchor one arc per level, so the level at
     which a class first closes is the fewest arcs it crosses.  Once a
     complete level leaves at least ``cap`` classes, every later class
-    sorts after all of them, so the deeper levels are never built.
+    sorts after all of them, so the deeper levels are never built.  A
+    walk never turns back along an arc, so in a folded graph it is a
+    reduced word and a closed one needs only its cancelling ends stripped.
     """
     found: dict[str, int] = {}
     frontiers = []  # per anchor: [anchor, arcs by start vertex, open walks]
     for comp in ffs.components:
-        arcs, anchors = _natural_arcs(comp)
-        out: dict[int, list] = {}
-        for word, a, b, i in arcs:
+        out: dict[int, list] = {}  # arc i crossed backward reads as -i
+        for i, (word, a, b) in enumerate(natural_arcs(comp.edges), 1):
             out.setdefault(a, []).append((word, b, i))
             out.setdefault(b, []).append((invert(word), a, -i))
-        frontiers += [[start, out, [(start, "", 0)]] for start in anchors]
+        frontiers += [[start, out, [(start, "", 0)]] for start in out]
     for used in range(1, max_len + 1):
         for frontier in frontiers:
             start, out, walks = frontier
@@ -483,8 +476,8 @@ def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int):
                         continue
                     walk = word + aw
                     if b == start:
-                        cls = canonical_cyclic(walk)
-                        if cls and cls not in found:
+                        cls = _canonical_reduced(strip_cyclic(walk))
+                        if cls not in found:
                             found[cls] = used
                     grown.append((b, walk, i))
             frontier[2] = grown

@@ -17,7 +17,8 @@ from . import words
 from .automorphisms import (BasisMap, MapTables, apply_map, identity_map,
                             invert_map, outer_equal)
 from .errors import InvalidInput, NumericalTolerance
-from .factors import FreeFactorSystem, _dedupe, fold, partition, tree_loops
+from .factors import (FreeFactorSystem, _dedupe, fold, natural_arcs,
+                      partition, tree_loops)
 from .words import BWD, FWD, invert, is_fwd, reduce_word, slot
 
 
@@ -112,12 +113,18 @@ class Graph:
         return at
 
     @cached_property
+    def natural_paths(self) -> dict[frozenset[int], str]:
+        """The edge path of each natural edge (:func:`natural_arcs`; a
+        circle component is one), keyed by its slots, in the order of
+        their least slots."""
+        arcs = natural_arcs(self.edges_of(range(self.n_edges)))
+        return dict(sorted(((frozenset(map(slot, w)), w) for w, _, _ in arcs),
+                           key=lambda kw: min(kw[0])))
+
+    @cached_property
     def natural_classes(self) -> tuple[frozenset[int], ...]:
-        """Partition of edge slots into natural edges (chains through
-        valence-2 vertices).  A circle component forms one class."""
-        at = self._incident(range(self.n_edges))
-        return tuple(partition(range(self.n_edges),
-                               (ss for ss in at.values() if len(ss) == 2)))
+        """Partition of edge slots into natural edges."""
+        return tuple(self.natural_paths)
 
     def natural_vertices(self) -> tuple[str, ...]:
         return tuple(v for v in self.vertices if self.valence(v) != 2)

@@ -43,10 +43,17 @@ class LaminationApprox:
         return self.segments[-1]
 
     @cached_property
-    def closure_classes(self) -> tuple[str, ...]:
-        """Basis class of the closed-up segment at each depth 1..depth."""
-        return tuple(self.mg.circuit_to_rose_class(close_path(self.mg, seg))
-                     for seg in self.segments[1:])
+    def _closures(self) -> dict[int, str]:
+        """Depth -> closure class, filled in by :meth:`closure_class`."""
+        return {}
+
+    def closure_class(self, k: int) -> str:
+        """Basis class of the closed-up segment at depth k, 1 <= k <= depth,
+        computed on first use: the stabilization loop seldom reads them all."""
+        if k not in self._closures:
+            self._closures[k] = self.mg.circuit_to_rose_class(
+                close_path(self.mg, self.segments[k]))
+        return self._closures[k]
 
 
 def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
@@ -132,7 +139,8 @@ def lamination_fills(lam: LaminationApprox) -> FillsVerdict:
 
 def _classes_to_depth(lams, depth: int) -> list[str]:
     """Sorted union of the nonempty closure classes at depths 1..depth."""
-    return sorted({c for lam in lams for c in lam.closure_classes[:depth] if c})
+    return sorted({lam.closure_class(k) for lam in lams
+                   for k in range(1, min(depth, lam.depth) + 1)} - {""})
 
 
 def laminations_jointly_fill(lams) -> FillsVerdict:
@@ -157,7 +165,7 @@ def laminations_jointly_fill(lams) -> FillsVerdict:
                    for c in _classes_to_depth(lams, max_depth)):
                 return FillsVerdict(PROPER, witness=witness,
                                     reason="proper invariant subgraph")
-    lists = [_classes_to_depth(lams, k) for k in range(1, max_depth + 1)]
+    lists = (_classes_to_depth(lams, k) for k in range(1, max_depth + 1))
     return _stabilized_fills(lists, mg.rank)
 
 

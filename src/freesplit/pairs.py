@@ -17,7 +17,7 @@ from .errors import InvalidInput
 from .factors import FreeFactorSystem
 from .graphs import (GraphMap, MarkedGraph, map_path, print_marked_graph,
                      subgraph_factor_system)
-from .words import BWD, FWD, invert, slot
+from .words import invert, slot
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,7 @@ class MarkedGraphPair:
 
     @property
     def co_edge(self) -> int:
-        h = self.h_slots
-        return sum(1 for cls in self.graph.natural_classes if not cls <= h)
+        return len(self.complement_classes())
 
     def complement_classes(self):
         return [cls for cls in self.graph.natural_classes
@@ -155,39 +154,6 @@ class RelationResult:
         return self.status == HOLDS
 
 
-def _natural_class_path(graph, cls) -> str:
-    """Edge word of a natural class: a single edge or a chain through
-    valence-2 vertices, oriented from its least slot."""
-    cls = sorted(cls)
-    if len(cls) == 1:
-        return FWD[cls[0]]
-    ends = [v for v in {graph._init[s] for s in cls}
-            | {graph._term[s] for s in cls} if graph.valence(v) != 2]
-    if not ends:
-        raise InvalidInput("circle natural class has no canonical path")
-    start = min(ends)
-    used = set()
-    word = ""
-    v = start
-    while len(used) < len(cls):
-        step = None
-        for s in cls:
-            if s in used:
-                continue
-            if graph._init[s] == v:
-                step = (FWD[s], graph._term[s])
-            elif graph._term[s] == v:
-                step = (BWD[s], graph._init[s])
-            if step:
-                used.add(s)
-                word += step[0]
-                v = step[1]
-                break
-        if step is None:
-            raise InvalidInput("natural class is not a chain")
-    return word
-
-
 def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
                         p2: MarkedGraphPair) -> RelationResult:
     """Check the defining relation between pairs along the map ``h``.
@@ -222,11 +188,11 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
             return RelationResult(
                 FAILS, 3, f"image of collapsed edge "
                 f"{p1.graph.edge_names[s]} leaves the target subgraph")
-    complement2 = {frozenset(c) for c in p2.complement_classes()}
+    complement2 = set(p2.complement_classes())
     assignments = {}
     seen_targets = set()
     for cls in p1.complement_classes():
-        word = map_path(h, _natural_class_path(p1.graph, cls))
+        word = map_path(h, p1.graph.natural_paths[cls])
         i, j = 0, len(word)
         while i < j and slot(word[i]) in h2:
             i += 1
@@ -240,7 +206,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
         if target not in complement2:
             return RelationResult(
                 FAILS, 3, "complement edge image is not flank-edge-flank")
-        expected = _natural_class_path(p2.graph, target)
+        expected = p2.graph.natural_paths[target]
         if core == expected:
             flip = False
         elif core == invert(expected):
@@ -251,7 +217,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
         if target in seen_targets:
             return RelationResult(FAILS, 3, "complement edges not bijective")
         seen_targets.add(target)
-        assignments[frozenset(cls)] = (word[:i], target, word[j:], flip)
+        assignments[cls] = (word[:i], target, word[j:], flip)
     if seen_targets != complement2:
         return RelationResult(FAILS, 3, "complement edges not bijective")
 

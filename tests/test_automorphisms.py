@@ -218,6 +218,16 @@ class TestBlockMemo:
                 for m in (bm, f, inv):
                     assert memo_letters(m) <= cap
 
+    def test_no_memo_maps_letter_by_letter(self, monkeypatch):
+        # a map built without a memo never cuts a long word into blocks
+        def refuse(self, blocks):
+            raise AssertionError("a map without a memo stored blocks")
+
+        monkeypatch.setattr(MapTables, "store", refuse)
+        bm = (x + Y, y + x + Y)
+        w = (x + y + x + Y) * 100
+        assert apply_map(MapTables(bm, memo=False), w) == letter_image(bm, w)
+
     def test_blocks_repeat(self):
         bm = (x + Y, y + x + Y)
         w = (x + y + y) * (3 * _BLOCK)

@@ -3,13 +3,14 @@ from hypothesis import given, settings, strategies as st
 
 from freesplit.automorphisms import apply_map, invert_map
 from freesplit.errors import InvalidInput
-from freesplit.factors import (CoreGraph, _fold, _natural_arcs, _wedge,
-                               carries, co_edge_number, enumerate_classes,
-                               ffs_carried, ffs_from_generators, fold,
+from freesplit.factors import (CoreGraph, _fold, _wedge, carries,
+                               co_edge_number, enumerate_classes, ffs_carried,
+                               ffs_from_generators, fold, natural_arcs,
                                partition, subgroup_carried, tree_loops,
                                whole_group)
+from freesplit.graphs import Graph
 from freesplit.words import (BWD, FWD, canonical_cyclic, invert, is_fwd,
-                             reduce_word)
+                             reduce_word, slot)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -215,6 +216,98 @@ class TestTreeLoops:
         assert paths == {0: ""} and loops == {(0, 0, 0): x}
 
 
+def _lift(edges, word, start):
+    """The edges a word crosses from ``start`` in a graph whose edges at a
+    vertex carry distinct letters, and the vertex it ends at."""
+    step = {}
+    for e in edges:
+        lab, a, b = e
+        step[a, FWD[lab]] = (e, b)
+        step[b, BWD[lab]] = (e, a)
+    crossed, v = [], start
+    for ch in word:
+        e, v = step[v, ch]
+        crossed.append(e)
+    return crossed, v
+
+
+def _natural_classes_reference(edges):
+    """Natural edges as first defined: the classes of edges linked through
+    the vertices of valence 2, a loop counting twice."""
+    at = {}
+    for e in edges:
+        at.setdefault(e[1], []).append(e)
+        at.setdefault(e[2], []).append(e)
+    return partition(edges, (es for es in at.values() if len(es) == 2))
+
+
+@st.composite
+def subdivided_graphs(draw):
+    """A theta graph (k arcs from u to v) or a rose (k loops at u), each
+    arc subdivided into 1-3 edges of drawn orientations, the edges named
+    in a drawn order."""
+    k = draw(st.integers(1, 4))
+    theta = draw(st.booleans())
+    vertices, ends = ["u", "v"] if theta else ["u"], []
+    for i in range(k):
+        inner = [f"w{i}{j}" for j in range(draw(st.integers(0, 2)))]
+        vertices += inner
+        path = ["u", *inner, "v" if theta else "u"]
+        for a, b in zip(path, path[1:]):
+            ends.append((b, a) if draw(st.booleans()) else (a, b))
+    names = draw(st.permutations(range(len(ends))))
+    return Graph(vertices, [(f"e{names[i]:02d}", a, b)
+                            for i, (a, b) in enumerate(ends)])
+
+
+def _core_components():
+    return st.integers(2, 4).flatmap(lambda rank: st.tuples(
+        st.just(rank),
+        st.lists(st.lists(st.sampled_from(FWD[:rank] + BWD[:rank]),
+                          min_size=1, max_size=6).map("".join),
+                 min_size=1, max_size=3)))
+
+
+class TestNaturalArcs:
+    def check_arcs(self, edges):
+        arcs = natural_arcs(edges)
+        classes = []
+        for word, start, end in arcs:
+            crossed, stop = _lift(edges, word, start)  # a path ...
+            assert stop == end  # ... from its start to its end
+            assert len(set(crossed)) == len(crossed)
+            classes.append(frozenset(crossed))
+        assert sorted(e for c in classes for e in c) == sorted(edges)
+        reference = _natural_classes_reference(edges)
+        assert sorted(classes, key=min) == reference
+        return reference
+
+    @settings(max_examples=100, deadline=None)
+    @given(_core_components())
+    def test_core_graphs(self, case):
+        rank, gens = case
+        gens = [w for w in map(reduce_word, gens) if w]
+        if not gens:
+            return
+        for comp in ffs_from_generators(rank, gens).components:
+            self.check_arcs(comp.edges)
+
+    @settings(max_examples=100, deadline=None)
+    @given(subdivided_graphs())
+    def test_subdivided_graphs(self, g):
+        edges = g.edges_of(range(g.n_edges))
+        reference = self.check_arcs(edges)
+        assert g.natural_classes == tuple(
+            frozenset(s for s, _, _ in cls) for cls in reference)
+        for cls, path in g.natural_paths.items():
+            assert g.path_valid(path) and set(map(slot, path)) == cls
+
+    def test_circle_has_one_closed_arc_at_its_least_vertex(self):
+        core = fold(2, [x + y])
+        assert core.n_vertices == 2
+        assert natural_arcs(core.edges) == [(x + y, 0, 0)]
+
+
 class TestCarries:
     def test_powers(self):
         ffs = ffs_from_generators(2, [x])
@@ -323,12 +416,11 @@ def _enumerate_classes_dfs(ffs, max_len, cap=None):
     arcs, depth first, each class kept at the fewest arcs it crosses."""
     found: dict[str, int] = {}
     for comp in ffs.components:
-        arcs, anchors = _natural_arcs(comp)
         directed = []
-        for word, a, b, i in arcs:
+        for i, (word, a, b) in enumerate(natural_arcs(comp.edges), 1):
             directed.append((word, a, b, i))
             directed.append((invert(word), b, a, -i))
-        for start in anchors:
+        for start in {a for _, a, _, _ in directed}:  # the anchors
             stack = [(start, "", 0, 0)]
             while stack:
                 v, word, last_id, used = stack.pop()
