@@ -26,7 +26,13 @@ def identity_map(rank: int) -> BasisMap:
 
 
 # A word of at least two blocks of this many letters is mapped block by block.
+# Blocks of 128 or 256 letters made orbit scans 2-3 times slower: longer
+# blocks repeat less often.
 _BLOCK = 64
+# A new block's image is glued from the memoized images of its grams, runs
+# of this many letters, which repeat more often than blocks; 8 and 32 were
+# both slower on orbit scans.
+_GRAM = 16
 # A map's block memo stops growing once it holds this many letters.
 _MEMO_LETTERS = 1 << 21
 
@@ -38,8 +44,10 @@ class MapTables(BasisMap):
     The tuple is the map's reduced images, so it compares and hashes as the
     plain tuple.  ``images`` and ``stop`` are keyed by the letters and, as a
     memo, by the blocks of the long words :func:`apply_map` has mapped so
-    far: a block has at least ``_BLOCK`` letters, so the keys never clash.
-    ``room`` is how many more letters (block plus image) the memo may store.
+    far and by the grams those blocks were built from: a gram has
+    ``_GRAM`` letters and a block at least ``_BLOCK``, so the keys never
+    clash.  ``room`` is how many more letters (key plus image) the memo
+    may store.
     The memo lives as long as the map, so wrap a map once where it is
     applied many times, as an orbit does.  It is the only thing that
     changes, and it never changes an output; callers must not mutate the
@@ -59,17 +67,33 @@ class MapTables(BasisMap):
 
     def store(self, blocks) -> bool:
         """Memoize the reduced images of ``blocks``; False once the memo is
-        full, with the blocks that did not fit left out."""
-        images, stop = self.images, self.stop
+        full, with the blocks that did not fit left out.
+
+        A block is cut into grams of ``_GRAM`` letters, the last few
+        letters left single; a gram not yet in the memo is mapped letter by
+        letter and stored, and the block's image is the gram and letter
+        images glued by :func:`reduce_images`, which cancels across each
+        junction, so it equals the letter-by-letter image.
+        """
+        images = self.images
         for b in blocks:
-            if len(b) > self.room:
+            cut = len(b) - len(b) % _GRAM
+            keys = [b[i:i + _GRAM] for i in range(0, cut, _GRAM)]
+            for g in set(keys).difference(images):
+                if not self._put(g, reduce_images(images, g, self.stop)):
+                    return False
+            keys += b[cut:]
+            if not self._put(b, reduce_images(images, keys, self.stop)):
                 return False
-            img = reduce_images(images, b, stop)
-            if len(b) + len(img) > self.room:
-                return False
-            self.room -= len(b) + len(img)
-            images[b] = img
-            stop[b] = invert(img[0]) if img else None
+        return True
+
+    def _put(self, key: str, img: str) -> bool:
+        """Store ``img`` as the image of ``key`` if the memo has room."""
+        if len(key) + len(img) > self.room:
+            return False
+        self.room -= len(key) + len(img)
+        self.images[key] = img
+        self.stop[key] = invert(img[0]) if img else None
         return True
 
     def unreduced_length(self, word: str) -> int:

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .errors import InvalidInput
 from .words import (BWD, FWD, _canonical_reduced, invert, is_fwd,
-                    reduce_word, reduced_product, slot, strip_cyclic)
+                    reduce_word, reduced_product, slot)
 
 
 def partition(items, links) -> list[frozenset]:
@@ -397,6 +397,10 @@ def ffs_from_generators(rank: int, *component_generators) -> FreeFactorSystem:
 
 
 def _dedupe(comps):
+    """Components with one per canonical key, sorted by key; a single
+    component is returned as it is, without computing its key."""
+    if len(comps) == 1:
+        return tuple(comps)
     seen = {}
     for c in comps:
         seen.setdefault(c.canonical_key, c)
@@ -451,35 +455,60 @@ def enumerate_classes(ffs: FreeFactorSystem, max_len: int, cap: int):
     long generator loops still appear as short arc words.  Deterministic:
     canonical forms deduped, sorted by (arcs crossed, length, word).
 
-    Closed walks grow from every anchor one arc per level, so the level at
-    which a class first closes is the fewest arcs it crosses.  Once a
-    complete level leaves at least ``cap`` classes, every later class
-    sorts after all of them, so the deeper levels are never built.  A
-    walk never turns back along an arc, so in a folded graph it is a
-    reduced word and a closed one needs only its cancelling ends stripped.
+    Closed walks grow from every anchor one arc per level, as tuples of
+    signed arc ids (arc i crossed backward is -i), so the level at which a
+    class first closes is the fewest arcs it crosses.  Once a complete
+    level leaves at least ``cap`` classes, every later class sorts after
+    all of them, so the deeper levels are never built.
+
+    A walk never turns back along an arc, so in a folded graph it spells a
+    reduced word.  A closed one is cut down to its cyclic arc sequence by
+    stripping cancelling end arcs; the two end letters of that sequence
+    cross different edges, and a folded graph has one edge with a given
+    label at a vertex, so they do not cancel and the sequence spells a
+    cyclically reduced word: one sequence, one class.  The same sequence
+    closes at every anchor it passes, in both directions, so it is spelled
+    and canonicalized only the first time, when its rotations and their
+    reversals are recorded.  Each closed walk is looked up in one
+    orientation only, the one whose first arc id is at most the negated
+    last: its reversal closes at the same anchor and level.
     """
     found: dict[str, int] = {}
     frontiers = []  # per anchor: [anchor, arcs by start vertex, open walks]
+    spell: dict[int, str] = {}  # arc id -> word; ids run on across components
+    seen = set()  # arc sequences spelled, with their rotations and reversals
     for comp in ffs.components:
-        out: dict[int, list] = {}  # arc i crossed backward reads as -i
-        for i, (word, a, b) in enumerate(natural_arcs(comp.edges), 1):
-            out.setdefault(a, []).append((word, b, i))
-            out.setdefault(b, []).append((invert(word), a, -i))
-        frontiers += [[start, out, [(start, "", 0)]] for start in out]
+        out: dict[int, list] = {}
+        for word, a, b in natural_arcs(comp.edges):
+            i = len(spell) // 2 + 1
+            spell[i], spell[-i] = word, invert(word)
+            out.setdefault(a, []).append((b, i))
+            out.setdefault(b, []).append((a, -i))
+        frontiers += [[start, out, [(start, ())]] for start in out]
     for used in range(1, max_len + 1):
         for frontier in frontiers:
             start, out, walks = frontier
             grown = []
-            for v, word, last_id in walks:
-                for aw, b, i in out.get(v, ()):
-                    if i == -last_id:
+            for v, walk in walks:
+                last = walk[-1] if walk else 0
+                for b, i in out.get(v, ()):
+                    if i == -last:
                         continue
-                    walk = word + aw
-                    if b == start:
-                        cls = _canonical_reduced(strip_cyclic(walk))
-                        if cls not in found:
-                            found[cls] = used
-                    grown.append((b, walk, i))
+                    nxt = walk + (i,)
+                    grown.append((b, nxt))
+                    if b != start or nxt[0] > -i:
+                        continue
+                    while len(nxt) > 1 and nxt[0] == -nxt[-1]:
+                        nxt = nxt[1:-1]
+                    if nxt in seen:
+                        continue
+                    back = tuple(-j for j in reversed(nxt))
+                    for k in range(len(nxt)):
+                        seen.add(nxt[k:] + nxt[:k])
+                        seen.add(back[k:] + back[:k])
+                    cls = _canonical_reduced("".join(map(spell.get, nxt)))
+                    if cls not in found:
+                        found[cls] = used
             frontier[2] = grown
         if len(found) >= cap:
             break

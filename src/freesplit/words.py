@@ -146,6 +146,17 @@ def cyclic_reduce(word: str) -> str:
     return strip_cyclic(reduce_word(word))
 
 
+def is_cyclically_reduced(word: str, rank: int) -> bool:
+    """True if no letter of ``word``, a word over the first ``rank`` slots,
+    stands next to its inverse, its last and first letters included.  One
+    substring search per cancelling pair, at C speed, where
+    :func:`cyclic_reduce` loops over the letters."""
+    if len(word) > 1 and word[-1] == _INV[word[0]]:
+        return False
+    return not any(FWD[i] + BWD[i] in word or BWD[i] + FWD[i] in word
+                   for i in range(rank))
+
+
 def primitive_root(s: str) -> str:
     """Shortest ``u`` with ``s == u * d`` for some ``d``: the least ``p >= 1``
     at which ``s`` occurs in ``s + s`` is its least period dividing

@@ -30,8 +30,8 @@ from .laminations import (LaminationApprox, defining_segment,
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
 from .words import (_canonical_reduced, cyclic_contains, cyclic_reduce,
-                    path_contains, primitive_root, reduced_product, sort_key,
-                    strip_cyclic)
+                    is_cyclically_reduced, path_contains, primitive_root,
+                    reduced_product, sort_key, strip_cyclic)
 
 NOT_DEFINED = "NotDefined"
 DEFINED = "Defined"
@@ -302,12 +302,15 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True,
     scanned along its primitive root's orbit.  A loop over classes may
     hand every call the same dict as ``orbits``: it keeps the last root's
     two orbits, which the next powers of that root share, and is freed
-    with the loop.
+    with the loop.  The class is cyclically reduced here, where it
+    enters, unless it already is, as every class the package builds is.
     """
     hit = ctx.w_memo.get(cyclic)
     if hit is not None and (hit[1] or not forward):
         return hit[0] if forward else replace(hit[0], fwd_entry=None)
-    res = _w_scan(ctx, cyclic, forward, orbits)
+    c = cyclic if is_cyclically_reduced(cyclic, ctx.rank) \
+        else cyclic_reduce(cyclic)
+    res = _w_scan(ctx, c, forward, orbits)
     ctx.w_memo[cyclic] = (res, forward or not res.defined)
     return res
 
@@ -364,20 +367,20 @@ def _window_start(member, limit: int, floor: int, s: int,
     return None
 
 
-def _w_scan(ctx: WContext, cyclic: str, forward: bool,
-            orbits: dict | None) -> WResult:
-    """The scans of :func:`w_of`, unmemoized.
+def _w_scan(ctx: WContext, c: str, forward: bool, orbits: dict | None,
+            limit: int | None = None) -> WResult:
+    """The scans of :func:`w_of`, unmemoized, of a cyclically reduced class.
 
     The class c = r^k is scanned along the orbits of its primitive root r.
     Its iterate at step t is x^k, x the root's; when len(x) >= L - 1, L
     the segment length, x + x already holds every length-L window of the
     periodic line of x and x^2k no other, so membership reads x alone.
+    With ``limit`` the backward scan looks only for a window that
+    completes by that step, and NotDefined says there is none.
     """
-    c = cyclic_reduce(cyclic)
     root = primitive_root(c)
     k = len(c) // len(root) if root else 1
-    cfg = ctx.cfg
-    h = cfg.horizon
+    h = ctx.cfg.horizon
     back, fore = _root_orbits(ctx, root, orbits)
     seg_len = {"+": len(ctx.seg_plus), "-": len(ctx.seg_minus)}
 
@@ -390,8 +393,9 @@ def _w_scan(ctx: WContext, cyclic: str, forward: bool,
             word *= k
         return in_U(ctx, word, side)
 
+    top = h if limit is None else min(limit, h)
     try:
-        w = _window_start(lambda t: inside(t, "-"), h, -h, STABILITY,
+        w = _window_start(lambda t: inside(t, "-"), top, -h, STABILITY,
                           partial(back.doomed, k))
     except BudgetExhausted:
         return WResult(BUDGET)
@@ -474,19 +478,7 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
     a sample minimum, within the empirical constant of the true one."""
     if candidates is None:
         candidates = candidate_classes(ffs)
-    best = None
-    n_def = n_budget = 0
-    orbits = {}
-    for c in candidates:
-        res = w_of(ctx, c, forward=False, orbits=orbits)
-        if res.status == BUDGET:
-            n_budget += 1
-            continue
-        if not res.defined:
-            continue
-        n_def += 1
-        if best is None or (res.value, sort_key(c)) < (best[0], sort_key(best[1])):
-            best = (res.value, c)
+    best, n_def, n_budget = _least_phase(ctx, candidates, cut=False)
     if best is None:
         raise NotApplicable("no candidate class has a defined orbit phase")
     return WValue(best[0], best[1], len(candidates), n_def, n_budget)
@@ -495,10 +487,46 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
 def _W_or_none(ctx: WContext, ffs: FreeFactorSystem,
                candidates=None) -> int | None:
     """W_of_ffs's value, None when no candidate has a defined phase."""
-    try:
-        return W_of_ffs(ctx, ffs, candidates).value
-    except NotApplicable:
-        return None
+    if candidates is None:
+        candidates = candidate_classes(ffs)
+    best = _least_phase(ctx, candidates, cut=True)[0]
+    return None if best is None else best[0]
+
+
+def _least_phase(ctx: WContext, candidates, cut: bool):
+    """The candidate loop of :func:`W_of_ffs`: the least (phase, class)
+    over the cyclically reduced ``candidates`` with a defined phase, the
+    least class in sort order among ties, or None; with the numbers of
+    defined and budget-cut candidates.
+
+    With ``cut`` only the least phase is right, not the class or the
+    counts.  Once a phase b is found, a class the context's memo does not
+    hold is scanned only as far as could give a smaller one.  Its first
+    backward window starts at t0 >= 0, and only one with t0 = 0 is pushed
+    down, as a member just before a later t0 would have completed a window
+    a step earlier.  So a phase below b needs a window that completes by
+    max(b - 1, 0) + ``STABILITY``.  A window found by then is the full
+    scan's own; a miss or a budget stop says the full scan gives no
+    smaller phase.  Such scans are not memoized.
+    """
+    best = None
+    n_def = n_budget = 0
+    orbits = {}
+    for c in candidates:
+        if cut and best is not None and c not in ctx.w_memo:
+            res = _w_scan(ctx, c, False, orbits,
+                          max(best[0] - 1, 0) + STABILITY)
+        else:
+            res = w_of(ctx, c, forward=False, orbits=orbits)
+        if res.status == BUDGET:
+            n_budget += 1
+            continue
+        if not res.defined:
+            continue
+        n_def += 1
+        if best is None or (res.value, sort_key(c)) < (best[0], sort_key(best[1])):
+            best = (res.value, c)
+    return best, n_def, n_budget
 
 
 def estimate_M(ctx: WContext, samples) -> int:

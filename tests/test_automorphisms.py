@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import freesplit.automorphisms as automorphisms_mod
-from freesplit.automorphisms import (DISTINCT, EQUAL, _BLOCK, MapTables,
+from freesplit.automorphisms import (DISTINCT, EQUAL, _BLOCK, _GRAM, MapTables,
                                      abelianization, apply_map, compose_maps,
                                      identity_map, invert_map, outer_equal)
 from freesplit.errors import InvalidInput
@@ -187,6 +187,22 @@ class TestBlockMemo:
 
     @settings(max_examples=100, deadline=None)
     @given(endo_and_long_word())
+    def test_memo_holds_letter_images(self, case):
+        # blocks glued from gram images, and the grams themselves, hold
+        # the letter-by-letter images of their keys
+        bm, w = case
+        t = MapTables(bm)
+        apply_map(t, w)
+        memo = {k: v for k, v in t.images.items() if len(k) > 1}
+        assert {len(k) for k in memo} <= {_GRAM} | set(range(_BLOCK, 2 * _BLOCK))
+        if len(w) >= 2 * _BLOCK:
+            assert any(len(k) == _GRAM for k in memo)
+        for k, v in memo.items():
+            assert v == letter_image(bm, k)
+            assert t.stop[k] == (invert(v[0]) if v else None)
+
+    @settings(max_examples=100, deadline=None)
+    @given(endo_and_long_word())
     def test_unreduced_length_counts_letter_images(self, case):
         bm, w = case
         t = MapTables(bm)
@@ -234,7 +250,9 @@ class TestBlockMemo:
         t = MapTables(bm)
         assert apply_map(t, w) == letter_image(bm, w)
         assert 0 < memo_letters(t) < len(w)
-        assert len([k for k in t.images if len(k) > 1]) <= 4
+        # a word of period 3 has 3 blocks and 3 grams, each stored once
+        assert len([k for k in t.images if len(k) >= _BLOCK]) <= 4
+        assert len([k for k in t.images if len(k) == _GRAM]) == 3
 
 
 # ---------------------------------------------------------------------------

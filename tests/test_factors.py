@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import freesplit.factors as factors_mod
 from freesplit.automorphisms import apply_map, invert_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import (CoreGraph, _fold, _wedge, carries,
@@ -409,6 +410,47 @@ class TestEnumerateClasses:
         ffs = ffs_from_generators(rank, *components)
         assert enumerate_classes(ffs, max_len, cap) == \
             _enumerate_classes_dfs(ffs, max_len, cap)
+
+    # stretched and circle components (a circle has no vertex of valence
+    # other than 2), alone and together, and systems of several components
+    SYSTEMS = [
+        (2, [[x + y]]),
+        (2, [[x + x + y + X + Y]]),
+        (3, [[x + y + z]]),
+        (3, [[x], [y + z]]),
+        (3, [[x, y], [z]]),
+        (3, [[x + y, y + z + Y]]),
+        (4, [[x + y + x + Y], [z, FWD[3] + z + z]]),
+        (4, [[x, y + z], [FWD[3] + FWD[3] + z]]),
+    ]
+
+    @pytest.mark.parametrize("rank, components", SYSTEMS)
+    @pytest.mark.parametrize("cap", [1, 3, 7, 24, 10 ** 6])
+    def test_systems_match_reference(self, rank, components, cap):
+        ffs = ffs_from_generators(rank, *components)
+        for max_len in range(6):
+            assert enumerate_classes(ffs, max_len, cap) == \
+                _enumerate_classes_dfs(ffs, max_len, cap)
+
+    @pytest.mark.parametrize("rank, components", [
+        (3, [[x, y]]), (3, [[x, y], [z]]), (4, [[x + y, y + z + Y]]),
+        (4, [[x], [y + z]])])
+    def test_each_class_canonicalized_once(self, rank, components,
+                                           monkeypatch):
+        # a class is spelled once, whatever the anchors and directions of
+        # the closed walks that cross its arcs; the components of a free
+        # factor system carry no class in common
+        spelled = []
+
+        def counted(w):
+            spelled.append(w)
+            return canonical_reduced(w)
+
+        canonical_reduced = factors_mod._canonical_reduced
+        monkeypatch.setattr(factors_mod, "_canonical_reduced", counted)
+        got = enumerate_classes(ffs_from_generators(rank, *components), 4,
+                                10 ** 6)
+        assert len(spelled) == len(got)
 
 
 def _enumerate_classes_dfs(ffs, max_len, cap=None):

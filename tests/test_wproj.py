@@ -118,6 +118,25 @@ class TestWOf:
             cfg=replace(p, horizon=p.horizon * 2))
         assert w_of(doubled, c).value == v1
 
+    def test_unreduced_class_is_reduced(self, filling_ctx, filling_spec,
+                                        monkeypatch):
+        # a class with a cancelling pair inside, or conjugated so that its
+        # ends cancel, is scanned as its cyclic reduction
+        c = rose_class(filling_spec, "A")
+        y, Y = FWD[1], BWD[1]
+        want = w_of(replace(filling_ctx), c + c)
+        scanned = []
+        scan = wproj_mod._w_scan
+
+        def recorded(ctx, cyclic, *args):
+            scanned.append(cyclic)
+            return scan(ctx, cyclic, *args)
+
+        monkeypatch.setattr(wproj_mod, "_w_scan", recorded)
+        for word in (c + y + Y + c, c + Y + y + c, y + c + c + Y):
+            assert w_of(replace(filling_ctx), word) == want
+        assert scanned == [c + c] * 3
+
     def test_memo_lives_on_the_context(self, filling_ctx, filling_spec):
         c = rose_class(filling_spec, "A")
         ctx = replace(filling_ctx)
@@ -805,6 +824,40 @@ class TestDivergence:
         assert rep["dropped_candidates"] == dropped
         # the caps are reached: some candidates drop before the last iterate
         assert 0 < dropped[8] < len(candidate_classes(t.elliptic))
+
+    def test_value_scans_match_full_scans(self, monkeypatch):
+        # _W_or_none scans a candidate only as far as could lower the
+        # minimum; on the divergence fixture's psi and phi rows and the
+        # displacement table's raw spot checks it still gives W_of_ffs's
+        # value, recomputed here on a context with an empty memo
+        spec = fixture("divergence")
+        mg = spec.mg
+        t = one_edge_splitting(mg, spec.params["splitting_h"])
+        ctx = build_context(mg, spec.f)
+        estimate_M(ctx, default_m_samples(ctx, [t]))
+        calls, cut = [], []
+        value_only, scan = wproj_mod._W_or_none, wproj_mod._w_scan
+
+        def recorded(ctx, ffs, candidates=None):
+            calls.append((ctx, ffs, candidates, value_only(ctx, ffs,
+                                                           candidates)))
+            return calls[-1][-1]
+
+        def counted(ctx, c, forward, orbits, limit=None):
+            cut.append(limit is not None)
+            return scan(ctx, c, forward, orbits, limit)
+
+        monkeypatch.setattr(wproj_mod, "_W_or_none", recorded)
+        monkeypatch.setattr(wproj_mod, "_w_scan", counted)
+        divergence_check(ctx, mg.induced_rose_map(spec.maps["psi"]), t)
+        displacement_table(ctx, t, 2)
+        assert len(calls) == 21 + 7 + 2 and any(cut)
+        for c_ctx, ffs, candidates, got in calls:
+            try:
+                want = W_of_ffs(replace(c_ctx), ffs, candidates).value
+            except NotApplicable:
+                want = None
+            assert got == want
 
     def test_identity_constant(self, filling_ctx, filling_spec):
         t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
