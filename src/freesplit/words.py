@@ -170,31 +170,48 @@ def _least_rotation(s: str) -> int:
     The search runs on the primitive root ``u`` of ``s``: ``s`` is a power
     of ``u``, so a rotation of ``u`` by ``i`` is one of ``s``.  Write
     ``R_i`` for the infinite periodic word read from position ``i`` of
-    ``u``; its order is that of the rotations.  The candidates start as the
-    positions of the least letter.  Each round at least doubles ``span``
-    (at most ``len(u)``) and keeps the candidates whose ``span``-letter
-    slice of ``u + u`` is least, compared at C speed.  It then drops every
-    candidate ``j`` at most ``span`` past the candidate ``i`` before it.
-    The two share their first ``span >= j - i`` letters, which start with
-    ``v = u[i:j]``, so ``R_i = v R_j`` and ``R_j = v R_k`` with
-    ``k = j + (j - i)``.  Hence ``R_j < R_i`` implies ``R_k < R_j``, and
-    ``R_j`` is never the least.  Survivors are more than ``span`` apart,
-    so the next round slices O(``len(u)``) letters, also when it stretches
-    ``span`` to ``4 len(u) // len(cands)`` to settle few candidates in few
-    rounds.  There are at most ``log2 len(u)`` rounds, on runs and
-    periodic words too; rotations of ``u`` are distinct, so at
-    ``span == len(u)`` one candidate is left.
+    ``u``; its order is that of the rotations.  The least rotation begins
+    with a longest run of the least letter, at its start: one that began
+    with a shorter run, a larger letter next, would be larger.  So the
+    candidates start as the starts below ``len(u)`` of the longest run
+    ``r`` of the least letter in ``u + u``, found by doubling and then
+    bisecting its length with C-speed substring tests, and ``span`` starts
+    at ``r``.  Each round at least doubles ``span`` (at most ``len(u)``)
+    and keeps the candidates whose ``span``-letter slice of ``u + u`` is
+    least, compared at C speed.  It then drops every candidate ``j`` at
+    most ``span`` past the candidate ``i`` before it.  The two share their
+    first ``span >= j - i`` letters, which start with ``v = u[i:j]``, so
+    ``R_i = v R_j`` and ``R_j = v R_k`` with ``k = j + (j - i)``.  Hence
+    ``R_j < R_i`` implies ``R_k < R_j``, and ``R_j`` is never the least.
+    Survivors are more than ``span`` apart, so the next round slices
+    O(``len(u)``) letters, also when it stretches ``span`` to
+    ``4 len(u) // len(cands)`` to settle few candidates in few rounds.
+    There are at most ``log2 len(u)`` rounds, on runs and periodic words
+    too; rotations of ``u`` are distinct, so at ``span == len(u)`` one
+    candidate is left.
     """
     u = primitive_root(s)
     p = len(u)
     d = u + u
     first = min(u)
+    lo, hi = 1, 2
+    while first * hi in d:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if first * mid in d:
+            lo = mid
+        else:
+            hi = mid
+    # every occurrence of the longest run is a whole run, so the next one
+    # starts more than ``lo`` letters later
+    run = first * lo
     cands = []
-    i = u.find(first)
+    i = d.find(run, 0, p - 1 + lo)
     while i != -1:
         cands.append(i)
-        i = u.find(first, i + 1)
-    span = 1
+        i = d.find(run, i + lo + 1, p - 1 + lo)
+    span = lo
     while len(cands) > 1:
         span = min(max(2 * span, 4 * p // len(cands)), p)
         slices = [d[i:i + span] for i in cands]

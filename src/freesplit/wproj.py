@@ -61,9 +61,11 @@ class WContext:
     # None maps each orbit word whole
     cancellation_bound: int | None = None
     # w_of results keyed by the exact class word (the orbit phase depends on
-    # its rotation), each with whether it is complete: scanned forward too,
-    # or undefined, which has no forward entry
-    w_memo: dict[str, tuple[WResult, bool]] = field(
+    # its rotation), each with its scope: True when complete (scanned
+    # forward too, or undefined, which has no forward entry), False when
+    # defined and scanned backward only, or the limit of a cut scan that
+    # found no window
+    w_memo: dict[str, tuple[WResult, bool | int]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -287,7 +289,7 @@ class _LazyOrbit:
 
 
 def w_of(ctx: WContext, cyclic: str, forward: bool = True,
-         orbits: dict | None = None) -> WResult:
+         orbits: dict | None = None, limit: int | None = None) -> WResult:
     """Smallest w with the backward iterates on [w, w+s] inside the
     repelling neighborhood (s the stability margin ``STABILITY``).
 
@@ -304,14 +306,27 @@ def w_of(ctx: WContext, cyclic: str, forward: bool = True,
     two orbits, which the next powers of that root share, and is freed
     with the loop.  The class is cyclically reduced here, where it
     enters, unless it already is, as every class the package builds is.
+
+    With ``limit`` the backward scan is cut: it looks only for a window
+    that completes by that step.  A window found is the full scan's own
+    and is memoized as a backward-only result.  A miss, NotDefined or
+    BudgetExhausted, says only that no window completes by ``limit``; it
+    is memoized with its limit, which answers a later cut scan at a limit
+    no larger at once.
     """
     hit = ctx.w_memo.get(cyclic)
-    if hit is not None and (hit[1] or not forward):
-        return hit[0] if forward else replace(hit[0], fwd_entry=None)
+    if hit is not None:
+        res, scope = hit
+        if scope is True or not forward and (
+                scope is False or limit is not None and limit <= scope):
+            return res if forward else replace(res, fwd_entry=None)
     c = cyclic if is_cyclically_reduced(cyclic, ctx.rank) \
         else cyclic_reduce(cyclic)
-    res = _w_scan(ctx, c, forward, orbits)
-    ctx.w_memo[cyclic] = (res, forward or not res.defined)
+    res = _w_scan(ctx, c, forward, orbits, limit)
+    if limit is None or res.defined:
+        ctx.w_memo[cyclic] = (res, forward or not res.defined)
+    else:
+        ctx.w_memo[cyclic] = (res, limit)
     return res
 
 
@@ -330,8 +345,8 @@ def _root_orbits(ctx: WContext, root: str,
     return pair
 
 
-def _window_start(member, limit: int, floor: int, s: int,
-                  doomed) -> int | None:
+def _window_start(member, limit: int, floor: int, s: int, doomed,
+                  give_up: bool = False) -> int | None:
     """Start of the first window [t, t+s] of members with t+s <= limit,
     pushed down while membership holds but never below ``floor``.
 
@@ -347,6 +362,11 @@ def _window_start(member, limit: int, floor: int, s: int,
     completing a window, or stop at ``limit`` first.  A yes raises
     BudgetExhausted at once, as testing on would.  The push-down never
     asks.
+
+    With ``give_up`` the scan answers None as soon as t + s - r > limit:
+    no window can complete by ``limit`` any more, though testing on might
+    still raise.  Only a caller to whom a miss and a budget stop are one
+    answer may ask for it; the iterates it skips are an orbit's longest.
     """
     def test(t: int) -> bool:
         m = member(t)
@@ -356,6 +376,8 @@ def _window_start(member, limit: int, floor: int, s: int,
 
     run = 0
     for t in range(limit + 1):
+        if give_up and t + s - run > limit:
+            return None
         if doomed(min(t + s - run, limit)):
             raise BudgetExhausted("iterates exceeded the length cap")
         run = run + 1 if test(t) else 0
@@ -376,7 +398,11 @@ def _w_scan(ctx: WContext, c: str, forward: bool, orbits: dict | None,
     the segment length, x + x already holds every length-L window of the
     periodic line of x and x^2k no other, so membership reads x alone.
     With ``limit`` the backward scan looks only for a window that
-    completes by that step, and NotDefined says there is none.
+    completes by that step, and gives up once none can; NotDefined or
+    BudgetExhausted then says only that there is none.  The forward entry
+    gives up the same way, as a budget stop and a miss both leave it None.
+    The full backward scan tests on to the horizon, where the two are
+    different answers.
     """
     root = primitive_root(c)
     k = len(c) // len(root) if root else 1
@@ -396,7 +422,7 @@ def _w_scan(ctx: WContext, c: str, forward: bool, orbits: dict | None,
     top = h if limit is None else min(limit, h)
     try:
         w = _window_start(lambda t: inside(t, "-"), top, -h, STABILITY,
-                          partial(back.doomed, k))
+                          partial(back.doomed, k), limit is not None)
     except BudgetExhausted:
         return WResult(BUDGET)
     if w is None:
@@ -407,7 +433,7 @@ def _w_scan(ctx: WContext, c: str, forward: bool, orbits: dict | None,
     if forward:
         with suppress(BudgetExhausted):
             entry = _window_start(lambda i: inside(-i, "+"), h, -h,
-                                  STABILITY, partial(fore.doomed, k))
+                                  STABILITY, partial(fore.doomed, k), True)
         if entry == -h:
             entry = None
     return WResult(DEFINED, w, entry)
@@ -472,6 +498,9 @@ class WValue:
     n_budget: int
 
 
+_NO_PHASE = "no candidate class has a defined orbit phase"
+
+
 def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
              candidates=None) -> WValue:
     """Minimum orbit phase over candidate classes carried by the system:
@@ -480,16 +509,18 @@ def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
         candidates = candidate_classes(ffs)
     best, n_def, n_budget = _least_phase(ctx, candidates, cut=False)
     if best is None:
-        raise NotApplicable("no candidate class has a defined orbit phase")
+        raise NotApplicable(_NO_PHASE)
     return WValue(best[0], best[1], len(candidates), n_def, n_budget)
 
 
 def _W_or_none(ctx: WContext, ffs: FreeFactorSystem,
                candidates=None) -> int | None:
-    """W_of_ffs's value, None when no candidate has a defined phase."""
+    """W_of_ffs's value, None when no candidate has a defined phase.  The
+    shortest candidates go first, so that the scans the cut cannot
+    shorten, those up to the first defined phase, are the cheapest."""
     if candidates is None:
         candidates = candidate_classes(ffs)
-    best = _least_phase(ctx, candidates, cut=True)[0]
+    best = _least_phase(ctx, sorted(candidates, key=len), cut=True)[0]
     return None if best is None else best[0]
 
 
@@ -499,32 +530,33 @@ def _least_phase(ctx: WContext, candidates, cut: bool):
     least class in sort order among ties, or None; with the numbers of
     defined and budget-cut candidates.
 
-    With ``cut`` only the least phase is right, not the class or the
-    counts.  Once a phase b is found, a class the context's memo does not
-    hold is scanned only as far as could give a smaller one.  Its first
-    backward window starts at t0 >= 0, and only one with t0 = 0 is pushed
-    down, as a member just before a later t0 would have completed a window
-    a step earlier.  So a phase below b needs a window that completes by
-    max(b - 1, 0) + ``STABILITY``.  A window found by then is the full
-    scan's own; a miss or a budget stop says the full scan gives no
-    smaller phase.  Such scans are not memoized.
+    With ``cut``, once a phase b is found, each later candidate is scanned
+    only as far as could give a smaller one: a cut scan of :func:`w_of`.
+    Its first backward window starts at t0 >= 0, and only one with t0 = 0
+    is pushed down, as a member just before a later t0 would have
+    completed a window a step earlier.  So a phase below b needs a window
+    that completes by max(b - 1, 0) + ``STABILITY``.  A window found by
+    then is the full scan's own; a miss or a budget stop says the full
+    scan gives no smaller phase.  So the least phase is right, and so is
+    the class when the candidates come in sort order: the first to reach
+    the least phase is then the least class among the ties, and a later
+    one matters only with a smaller phase.  The counts are not right.
     """
     best = None
     n_def = n_budget = 0
     orbits = {}
     for c in candidates:
-        if cut and best is not None and c not in ctx.w_memo:
-            res = _w_scan(ctx, c, False, orbits,
-                          max(best[0] - 1, 0) + STABILITY)
-        else:
-            res = w_of(ctx, c, forward=False, orbits=orbits)
+        limit = None if not cut or best is None \
+            else max(best[0] - 1, 0) + STABILITY
+        res = w_of(ctx, c, forward=False, orbits=orbits, limit=limit)
         if res.status == BUDGET:
             n_budget += 1
             continue
         if not res.defined:
             continue
         n_def += 1
-        if best is None or (res.value, sort_key(c)) < (best[0], sort_key(best[1])):
+        if best is None or res.value < best[0] or (
+                res.value == best[0] and sort_key(c) < sort_key(best[1])):
             best = (res.value, c)
     return best, n_def, n_budget
 
@@ -595,7 +627,9 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
 
     Candidates are transported with the translation, making the slope an
     exact integer law; raw re-enumeration at ``RAW_CHECKS`` cross-checks
-    the sample minimum within the empirical constant.
+    the sample minimum within the empirical constant.  Each row is one cut
+    pass of :func:`_least_phase` over its translates in sort order, which
+    gives the value and witness of :func:`W_of_ffs` on the same row.
     """
     base = candidate_classes(s.elliptic)
     if not base:
@@ -606,11 +640,13 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
         rows = _translation_rows(ctx, base, radius, forward=sign < 0)
         for k, row in enumerate(rows):
             if sign * k not in values:
-                values[sign * k] = W_of_ffs(
-                    ctx, s.elliptic,
-                    candidates=[_translate_form(w) for w in row])
-    table = {m: values[m].value for m in sorted(values)}
-    witnesses = {m: values[m].witness for m in sorted(values)}
+                moved = sorted(map(_translate_form, row), key=sort_key)
+                best = _least_phase(ctx, moved, cut=True)[0]
+                if best is None:
+                    raise NotApplicable(_NO_PHASE)
+                values[sign * k] = best
+    table = {m: values[m][0] for m in sorted(values)}
+    witnesses = {m: values[m][1] for m in sorted(values)}
     slope_exact = all(table[m] == table[0] - m for m in table)
     raw = {}
     for m in RAW_CHECKS:

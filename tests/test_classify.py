@@ -770,6 +770,15 @@ class TestCLI:
         assert results["m_hat"] == witness["m_hat"]
         assert results["displacement"]["table"] == witness["table"]
 
+    @pytest.mark.parametrize("name", ["divergence", "filling_reducible",
+                                      "linear_example"])
+    def test_golden_report(self, name, capsys):
+        # pins every witness of the displacement table, byte for byte
+        assert cli.main(["report", "--fixture", name, "--json"]) == 0
+        path = os.path.join(GOLDEN, f"report_{name}.json")
+        with open(path, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
     @pytest.mark.parametrize("name", ["bdd_no_periodic", "filling_reducible"])
     def test_report_independent_of_hash_seed(self, name):
         # set or hash order must not leak into the output

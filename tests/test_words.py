@@ -175,6 +175,16 @@ class TestLeastRotation:
             assert rotation(s, _least_rotation(s)) == \
                 rotation(s, _least_rotation_booth(s))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.integers(1, 6)),
+                    min_size=1, max_size=12), st.integers(1, 3))
+    def test_matches_brute_force_on_runs(self, runs, k):
+        # words of runs, most of them with several longest runs of the
+        # least letter, and their powers
+        s = "".join(a * n for a, n in runs) * k
+        assert rotation(s, _least_rotation(s)) == \
+            min(rotation(s, i) for i in range(len(s)))
+
     @pytest.mark.parametrize("alphabet, max_len", [("ab", 12), ("abc", 7)])
     def test_matches_brute_force_on_every_short_word(self, alphabet, max_len):
         for n in range(1, max_len + 1):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 from dataclasses import replace
 
@@ -13,7 +14,7 @@ from freesplit.classify import classify
 from freesplit.config import STABILITY, Config
 from freesplit.errors import BudgetExhausted, InvalidInput, NotApplicable
 from freesplit.factors import ffs_from_generators, whole_group
-from freesplit.fixtures import fixture
+from freesplit.fixtures import ExampleSpec, fixture
 from freesplit.graphs import close_path, marked_rose, realize_rose_endo, rose_map
 from freesplit.pairs import (one_edge_splitting, remark_splitting,
                              sibling_splittings, validate_pair)
@@ -27,6 +28,9 @@ from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_contains,
                              cyclic_reduce, invert, primitive_root,
                              reduce_word, strip_cyclic)
 from test_classify import rank2_products
+from test_laminations import window_outcome, window_start_reference
+
+classify_mod = importlib.import_module("freesplit.classify")
 
 
 def rose_class(spec, tokens):
@@ -871,3 +875,160 @@ class TestDivergence:
         rep = divergence_check(filling_ctx, filling_ctx.fwd, t,
                                l_max=8, band_search=4, phi_range=4)
         assert rep["verdict"] == "Unbounded"
+
+
+def answer(outcome):
+    """A window start, or None for a miss and a budget stop alike."""
+    return None if outcome == "raise" else outcome
+
+
+class TestGiveUp:
+    """A scan that gives up once no window can complete by its limit
+    answers as one that tests on, a miss and a budget stop taken as one."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.sampled_from((True, False, None)), min_size=14,
+                    max_size=14),
+           st.integers(0, 10), st.integers(-3, 0), st.integers(1, 3),
+           st.booleans())
+    def test_same_answer_as_reference(self, seq, limit, floor, s, exact):
+        nones = [t for t, m in enumerate(seq, floor) if m is None]
+
+        def doomed(hi):
+            return exact and any(0 <= u <= hi for u in nones)
+
+        want, tested = window_outcome(window_start_reference, seq, floor,
+                                      limit, floor, s)
+        got, seen = window_outcome(_window_start, seq, floor, limit, floor,
+                                   s, doomed, True)
+        assert answer(got) == answer(want)
+        assert seen == tested[:len(seen)]
+
+    def test_stops_before_the_last_steps(self):
+        # no member by step 2 leaves no room for a window of 3 by step 4;
+        # testing on would meet the None at step 4
+        seq = (False, False, False, True, None)
+        want, tested = window_outcome(window_start_reference, seq, 0, 4, 0, 2)
+        got, seen = window_outcome(_window_start, seq, 0, 4, 0, 2,
+                                   lambda hi: False, True)
+        assert (want, got) == ("raise", None)
+        assert (tested, seen) == ([0, 1, 2, 3, 4], [0, 1, 2])
+
+
+def displacement_tables(spec):
+    """(context, splitting, radius, table) of every displacement table
+    ``classify`` builds on ``spec``; the table is None where it raised
+    NotApplicable."""
+    real = classify_mod.displacement_table
+    seen = []
+
+    def recorded(ctx, s, radius):
+        seen.append((ctx, s, radius, None))
+        table = real(ctx, s, radius)
+        seen[-1] = (ctx, s, radius, table)
+        return table
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "displacement_table", recorded)
+        classify(spec)
+    return seen
+
+
+def full_scan_rows(ctx, s, radius):
+    """W_of_ffs, or None where no candidate is defined, on every row of
+    the table's translates, on a copy of ``ctx`` with an empty memo."""
+    ref = replace(ctx)
+    base = candidate_classes(s.elliptic)
+    rows = {}
+    for sign in (-1, 1):
+        for k, row in enumerate(wproj_mod._translation_rows(ref, base, radius,
+                                                            sign < 0)):
+            try:
+                rows[sign * k] = W_of_ffs(
+                    ref, s.elliptic, [wproj_mod._translate_form(w) for w in row])
+            except NotApplicable:
+                rows[sign * k] = None
+    return rows
+
+
+class TestCutRows:
+    """Each displacement row, one cut pass in sort order, has the value and
+    witness of the full scans of W_of_ffs."""
+
+    def check(self, spec):
+        tables = displacement_tables(spec)
+        for ctx, s, radius, table in tables:
+            rows = full_scan_rows(ctx, s, radius)
+            if table is None:
+                assert None in rows.values()
+                continue
+            assert None not in rows.values()
+            assert table["table"] == {m: v.value for m, v in sorted(rows.items())}
+            assert table["witnesses"] == \
+                {m: v.witness for m, v in sorted(rows.items())}
+        return tables
+
+    @pytest.mark.parametrize("name", ["divergence", "filling_reducible",
+                                      "linear_example"])
+    def test_fixtures(self, name):
+        assert self.check(fixture(name))
+
+    def test_rank2_maps(self):
+        mg = marked_rose(2)
+        checked = 0
+        for bm in rank2_products(5):
+            spec = ExampleSpec("sweep", mg, {"f": realize_rose_endo(mg, bm)},
+                               None)
+            checked += bool(self.check(spec))
+        assert checked >= 20
+
+
+class TestCutScanMemo:
+    def test_repeated_cut_scan_builds_no_iterate(self, filling_ctx,
+                                                 filling_spec, monkeypatch):
+        c = rose_class(filling_spec, "A")
+        full = w_of(replace(filling_ctx), c, forward=False)
+        assert full.value == 3
+        # the window [3, 3 + s] completes one step past this limit
+        limit = full.value - 1 + STABILITY
+        ctx = replace(filling_ctx)
+        miss = w_of(ctx, c, forward=False, limit=limit)
+        assert not miss.defined and ctx.w_memo[c] == (miss, limit)
+        stepped = []
+        step = wproj_mod._orbit_step
+
+        def counted(*args):
+            stepped.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(wproj_mod, "_orbit_step", counted)
+        for lower in (limit, STABILITY):
+            assert w_of(ctx, c, forward=False, limit=lower) == miss
+        assert not stepped
+        # a larger limit reaches the full scan's own window, memoized as
+        # a backward-only result
+        assert w_of(ctx, c, forward=False, limit=limit + 1) == full
+        assert stepped and ctx.w_memo[c] == (full, False)
+        stepped.clear()
+        assert w_of(ctx, c, forward=False) == full
+        assert not stepped
+        assert w_of(ctx, c) == w_of(replace(filling_ctx), c)
+
+    def test_repeated_value_pass_builds_no_iterate(self, filling_ctx,
+                                                   filling_spec, monkeypatch):
+        # divergence_check's first phi row repeats its first psi row
+        s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
+        ctx = replace(filling_ctx)
+        cands = candidate_classes(s.elliptic)
+        first = _W_or_none(ctx, s.elliptic, cands)
+        assert first == W_of_ffs(replace(filling_ctx), s.elliptic).value
+        stepped = []
+        step = wproj_mod._orbit_step
+
+        def counted(*args):
+            stepped.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(wproj_mod, "_orbit_step", counted)
+        assert _W_or_none(ctx, s.elliptic, cands) == first
+        assert not stepped
