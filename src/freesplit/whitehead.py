@@ -120,10 +120,6 @@ def _canonical_set(words) -> tuple[str, ...]:
     return tuple(sorted(map(_canonical_reduced, words), key=sort_key))
 
 
-def apply_move(move: Move, rank: int, cyclic_word: str) -> str:
-    return _canonical_reduced(_class_images(move, rank, [cyclic_word])[0])
-
-
 def _whitehead_network(rank: int, classes) -> tuple[list[list[int]],
                                                     list[list[int]]]:
     """Whitehead graph of cyclically reduced classes: the symmetric matrix

@@ -494,23 +494,21 @@ class WValue:
     value: int
     witness: str
     n_candidates: int
-    n_defined: int
-    n_budget: int
-
-
-_NO_PHASE = "no candidate class has a defined orbit phase"
 
 
 def W_of_ffs(ctx: WContext, ffs: FreeFactorSystem,
              candidates=None) -> WValue:
-    """Minimum orbit phase over candidate classes carried by the system:
-    a sample minimum, within the empirical constant of the true one."""
+    """Least orbit phase over candidate classes carried by the system, and
+    the least class in sort order that reaches it: a sample minimum,
+    within the empirical constant of the true one.  One cut pass of
+    :func:`_least_phase` over the candidates in ``sort_key`` order."""
     if candidates is None:
         candidates = candidate_classes(ffs)
-    best, n_def, n_budget = _least_phase(ctx, candidates, cut=False)
+    candidates = sorted(candidates, key=sort_key)
+    best = _least_phase(ctx, candidates)
     if best is None:
-        raise NotApplicable(_NO_PHASE)
-    return WValue(best[0], best[1], len(candidates), n_def, n_budget)
+        raise NotApplicable("no candidate class has a defined orbit phase")
+    return WValue(best[0], best[1], len(candidates))
 
 
 def _W_or_none(ctx: WContext, ffs: FreeFactorSystem,
@@ -520,45 +518,35 @@ def _W_or_none(ctx: WContext, ffs: FreeFactorSystem,
     shorten, those up to the first defined phase, are the cheapest."""
     if candidates is None:
         candidates = candidate_classes(ffs)
-    best = _least_phase(ctx, sorted(candidates, key=len), cut=True)[0]
+    best = _least_phase(ctx, sorted(candidates, key=len))
     return None if best is None else best[0]
 
 
-def _least_phase(ctx: WContext, candidates, cut: bool):
-    """The candidate loop of :func:`W_of_ffs`: the least (phase, class)
-    over the cyclically reduced ``candidates`` with a defined phase, the
-    least class in sort order among ties, or None; with the numbers of
-    defined and budget-cut candidates.
+def _least_phase(ctx: WContext, candidates):
+    """The candidate loop of :func:`W_of_ffs`: the least phase over the
+    cyclically reduced ``candidates`` with a defined one, and the first
+    candidate to reach it; None when no candidate has a defined phase.
 
-    With ``cut``, once a phase b is found, each later candidate is scanned
-    only as far as could give a smaller one: a cut scan of :func:`w_of`.
-    Its first backward window starts at t0 >= 0, and only one with t0 = 0
-    is pushed down, as a member just before a later t0 would have
-    completed a window a step earlier.  So a phase below b needs a window
-    that completes by max(b - 1, 0) + ``STABILITY``.  A window found by
-    then is the full scan's own; a miss or a budget stop says the full
-    scan gives no smaller phase.  So the least phase is right, and so is
+    Once a phase b is found, each later candidate is scanned only as far
+    as could give a smaller one: a cut scan of :func:`w_of`.  Its first
+    backward window starts at t0 >= 0, and only one with t0 = 0 is pushed
+    down, as a member just before a later t0 would have completed a window
+    a step earlier.  So a phase below b needs a window that completes by
+    max(b - 1, 0) + ``STABILITY``.  A window found by then is the full
+    scan's own; a miss or a budget stop says the full scan gives no
+    smaller phase.  So the least phase is right in any order, and so is
     the class when the candidates come in sort order: the first to reach
     the least phase is then the least class among the ties, and a later
-    one matters only with a smaller phase.  The counts are not right.
+    one matters only with a smaller phase.
     """
     best = None
-    n_def = n_budget = 0
     orbits = {}
     for c in candidates:
-        limit = None if not cut or best is None \
-            else max(best[0] - 1, 0) + STABILITY
+        limit = None if best is None else max(best[0] - 1, 0) + STABILITY
         res = w_of(ctx, c, forward=False, orbits=orbits, limit=limit)
-        if res.status == BUDGET:
-            n_budget += 1
-            continue
-        if not res.defined:
-            continue
-        n_def += 1
-        if best is None or res.value < best[0] or (
-                res.value == best[0] and sort_key(c) < sort_key(best[1])):
+        if res.defined and (best is None or res.value < best[0]):
             best = (res.value, c)
-    return best, n_def, n_budget
+    return best
 
 
 def estimate_M(ctx: WContext, samples) -> int:
@@ -627,9 +615,8 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
 
     Candidates are transported with the translation, making the slope an
     exact integer law; raw re-enumeration at ``RAW_CHECKS`` cross-checks
-    the sample minimum within the empirical constant.  Each row is one cut
-    pass of :func:`_least_phase` over its translates in sort order, which
-    gives the value and witness of :func:`W_of_ffs` on the same row.
+    the sample minimum within the empirical constant.  Each row is
+    :func:`W_of_ffs` of its translates.
     """
     base = candidate_classes(s.elliptic)
     if not base:
@@ -640,13 +627,10 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
         rows = _translation_rows(ctx, base, radius, forward=sign < 0)
         for k, row in enumerate(rows):
             if sign * k not in values:
-                moved = sorted(map(_translate_form, row), key=sort_key)
-                best = _least_phase(ctx, moved, cut=True)[0]
-                if best is None:
-                    raise NotApplicable(_NO_PHASE)
-                values[sign * k] = best
-    table = {m: values[m][0] for m in sorted(values)}
-    witnesses = {m: values[m][1] for m in sorted(values)}
+                values[sign * k] = W_of_ffs(ctx, s.elliptic,
+                                            map(_translate_form, row))
+    table = {m: values[m].value for m in sorted(values)}
+    witnesses = {m: values[m].witness for m in sorted(values)}
     slope_exact = all(table[m] == table[0] - m for m in table)
     raw = {}
     for m in RAW_CHECKS:
@@ -712,18 +696,26 @@ _DIVERGENCE_EVAL_CAP = 2_000
 # Letter cap for divergence_check's scans and phi translations, in place of
 # iterate_cap (10**6): no one candidate of dozens builds a million letters.
 _DIVERGENCE_ORBIT_CAP = 200_000
+# divergence_check's rows: psi-iterates 0.._PSI_STEPS, phi translates
+# 0.._PHI_STEPS.  Bounded needs _BAND + 1 consecutive psi rows within twice
+# the constant, the first by row _BAND (criterion 8 reads such a band on
+# the divergence fixture), so the search reads rows up to 2 * _BAND; six
+# phi rows show the unit slope, each a pass over longer translates.
+_BAND = 10
+_PSI_STEPS = 2 * _BAND
+_PHI_STEPS = 6
 
 
-def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
-                     l_max: int = 20, band_search: int = 10,
-                     phi_range: int = 6) -> dict:
+def divergence_check(ctx: WContext, psi: BasisMap,
+                     t: OneEdgeSplitting) -> dict:
     """Orbit of a splitting's system under a second automorphism.
 
     The table of W along psi-iterates is Unbounded on a constant unit
-    drift, Bounded when some window of length band_search+1 stays within
-    a band of twice the constant; the table along the context's own
-    automorphism should move with exact unit slope.  Candidates follow psi
-    by ``_orbit_step``; one longer than ``_DIVERGENCE_EVAL_CAP`` is dropped
+    drift, Bounded when some window of ``_BAND`` + 1 rows stays within a
+    band of twice the constant; the table along the context's own
+    automorphism should move with exact unit slope.  Each row is a value
+    pass of :func:`_least_phase`.  Candidates follow psi by
+    ``_orbit_step``; one longer than ``_DIVERGENCE_EVAL_CAP`` is dropped
     for good (recorded).  Only ``_DIVERGENCE_ORBIT_CAP`` bounds phi moves.
     """
     m_hat = ctx.require_m()
@@ -734,7 +726,7 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
     psi_table: dict[int, int | None] = {}
     dropped: dict[int, int] = {}
     alive = base
-    for l in range(l_max + 1):
+    for l in range(_PSI_STEPS + 1):
         if l:
             steps = (_orbit_step(psi, w, _DIVERGENCE_EVAL_CAP, None)
                      for w in alive)
@@ -742,7 +734,7 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
         dropped[l] = len(base) - len(alive)
         psi_table[l] = _W_or_none(ctx, t.elliptic, alive) if alive else None
     phi_table = {}
-    for k, row in enumerate(_translation_rows(ctx, base, phi_range, True)):
+    for k, row in enumerate(_translation_rows(ctx, base, _PHI_STEPS, True)):
         moved = [_translate_form(w) for w in row]
         phi_table[k] = _W_or_none(ctx, t.elliptic, moved) if moved else None
     phi_slope = all(
@@ -758,8 +750,8 @@ def divergence_check(ctx: WContext, psi: BasisMap, t: OneEdgeSplitting,
                             or all(d == -1 for d in diffs)):
         verdict = "Unbounded"
     else:
-        for n0 in range(0, band_search + 1):
-            window = [psi_table.get(l) for l in range(n0, n0 + band_search + 1)]
+        for n0 in range(_BAND + 1):
+            window = [psi_table.get(l) for l in range(n0, n0 + _BAND + 1)]
             if all(v is not None for v in window):
                 if max(window) - min(window) <= 2 * m_hat:
                     verdict = "Bounded"

@@ -282,8 +282,7 @@ def test_criterion_8_divergence(filling_ctx=None):
     assert not path_contains(leaf_psi, ctx.seg_plus)
     assert not path_contains(leaf_phi, ctx_psi.seg_plus)
 
-    rep = divergence_check(ctx, mg.induced_rose_map(psi), t,
-                           l_max=20, band_search=10)
+    rep = divergence_check(ctx, mg.induced_rose_map(psi), t)
     ok_band = rep["verdict"] == "Bounded" and rep["band_start"] is not None \
         and rep["band_start"] <= 10
     window = [rep["psi_table"][l] for l in

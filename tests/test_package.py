@@ -72,8 +72,6 @@ UNCALLED = {
     # reserved for ROADMAP item 2, the search for invariant splittings
     # from free factor supports
     "co_edge_number", "ffs_carried", "free_factor_support",
-    # the reference the Whitehead tests compare the applied moves against
-    "apply_move",
 }
 
 

@@ -11,8 +11,8 @@ from freesplit.automorphisms import MapTables, apply_map, identity_map
 from freesplit.errors import InvalidInput
 from freesplit.factors import carries, ffs_from_generators, whole_group
 from freesplit.whitehead import (FILLS, PROPER, UNKNOWN, Move, _best_move,
-                                 apply_move, fills, free_factor_support,
-                                 whitehead_graph, whitehead_minimize)
+                                 fills, free_factor_support, whitehead_graph,
+                                 whitehead_minimize)
 from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_reduce, invert,
                              reduce_images, sort_key, strip_cyclic)
 
@@ -20,6 +20,12 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
+
+
+def apply_move(move, rank, cyclic_word):
+    """The canonical class of a word's image under a move, read from the
+    move's basis map: the reference for the moves the library applies."""
+    return canonical_cyclic(apply_map(move.basis_map(rank), cyclic_word))
 
 
 def replay_move_log(classes, rank, log):

@@ -26,7 +26,7 @@ from freesplit.wproj import (_DIVERGENCE_ORBIT_CAP, BUDGET, DEFINED,
                              in_U, lipschitz_check, translate_class, w_of)
 from freesplit.words import (BWD, FWD, canonical_cyclic, cyclic_contains,
                              cyclic_reduce, invert, primitive_root,
-                             reduce_word, strip_cyclic)
+                             reduce_word, sort_key, strip_cyclic)
 from test_classify import rank2_products
 from test_laminations import window_outcome, window_start_reference
 
@@ -36,6 +36,31 @@ classify_mod = importlib.import_module("freesplit.classify")
 def rose_class(spec, tokens):
     g = spec.mg.graph
     return spec.mg.circuit_to_rose_class(g.parse_path(tokens))
+
+
+def least_phase_reference(ctx, candidates):
+    """The least (phase, class) over full backward scans of ``candidates``
+    on a copy of ``ctx`` with an empty memo, the least class in sort order
+    among ties; None when no candidate has a defined phase."""
+    ref = replace(ctx)
+    scans = ((w_of(ref, c, forward=False), c) for c in candidates)
+    phases = [(res.value, sort_key(c), c) for res, c in scans if res.defined]
+    if not phases:
+        return None
+    value, _, c = min(phases)
+    return value, c
+
+
+def lipschitz_pairs(spec):
+    """Acceptance criterion 4's splitting pairs: the sibling splittings of
+    every validated pair on three edges, and their remarked translates."""
+    pairs = []
+    for combo in itertools.combinations(spec.mg.graph.edge_names, 3):
+        sibs = sibling_splittings(validate_pair(spec.mg, combo))
+        if len(sibs) == 2:
+            pairs.append(tuple(sibs))
+            pairs.append(tuple(remark_splitting(x, spec.f) for x in sibs))
+    return pairs
 
 
 class TestBuildContext:
@@ -294,20 +319,18 @@ class TestTranslationRows:
         base = candidate_classes(split.elliptic)
         assert list(rep["table"]) == list(range(-3, 4))
         for m in range(-3, 4):
-            val = W_of_ffs(filling_ctx, split.elliptic,
-                           translates_reference(filling_ctx, base, -m))
+            moved = translates_reference(filling_ctx, base, -m)
             assert (rep["table"][m], rep["witnesses"][m]) == \
-                (val.value, val.witness)
+                least_phase_reference(filling_ctx, moved)
 
     def test_divergence_phi_rows(self, filling_ctx, split):
-        rep = divergence_check(filling_ctx, identity_map(5), split,
-                               l_max=1, band_search=0, phi_range=3)
+        rep = divergence_check(filling_ctx, identity_map(5), split)
         ctx = replace(filling_ctx, cfg=replace(
             filling_ctx.cfg, iterate_cap=_DIVERGENCE_ORBIT_CAP))
         base = candidate_classes(split.elliptic)
         assert rep["phi_table"] == {
             k: _W_or_none(ctx, split.elliptic, translates_reference(ctx, base, k))
-            for k in range(4)}
+            for k in range(wproj_mod._PHI_STEPS + 1)}
 
 
 class TestEarlyStopOrbits:
@@ -692,7 +715,9 @@ class TestWOfSystems:
     def test_splitting_value(self, filling_ctx, filling_spec):
         s = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
         val = W_of_ffs(filling_ctx, s.elliptic)
-        assert val.n_defined >= 1
+        assert val.witness in candidate_classes(s.elliptic)
+        assert w_of(replace(filling_ctx), val.witness,
+                    forward=False).value == val.value
         # the witness crosses the growing petal (either orientation)
         mg = filling_spec.mg
         a = mg.path_to_rose(mg.graph.parse_path("A"))
@@ -719,6 +744,20 @@ class TestWOfSystems:
             moved = [translate_class(filling_ctx, c, -m) for c in cands]
             val = W_of_ffs(filling_ctx, s.elliptic, candidates=moved)
             assert val.value == base - m
+
+    def test_candidate_order_does_not_matter(self, filling_ctx,
+                                             filling_spec):
+        # W sorts its candidates, so any order or iterable gives the least
+        # phase and the least class in sort order reaching it
+        for edges in (["X", "Y", "Z", "A"], ["X", "Y", "Z", "B"]):
+            s = one_edge_splitting(filling_spec.mg, edges)
+            cands = candidate_classes(s.elliptic)
+            want = least_phase_reference(filling_ctx, cands)
+            for given in (cands, cands[::-1], iter(cands),
+                          (c for c in reversed(cands))):
+                val = W_of_ffs(replace(filling_ctx), s.elliptic, given)
+                assert (val.value, val.witness) == want
+                assert val.n_candidates == len(cands)
 
     def test_remark_equivariance(self, filling_ctx, filling_spec):
         # the remarked splitting's system is the inverse translate, so its
@@ -795,6 +834,21 @@ class TestLipschitz:
         # two-constant branch applies
         assert rep["pairs"][0]["delta"] <= 2 * filling_ctx.m_hat
 
+    def test_rows_match_full_scans(self, filling_ctx, filling_spec):
+        # the rows of criterion 4, each W one cut pass, are the values of
+        # the full scans
+        pairs = lipschitz_pairs(filling_spec)
+        rep = lipschitz_check(replace(filling_ctx), pairs)
+        want = []
+        for pair in pairs:
+            refs = [least_phase_reference(
+                filling_ctx, candidate_classes(s.elliptic)) for s in pair]
+            if None not in refs:
+                want.append((refs[0][0], refs[1][0]))
+        assert len(want) >= 20
+        assert rep["skipped"] == len(pairs) - len(want)
+        assert [(r["w1"], r["w2"]) for r in rep["pairs"]] == want
+
 
 def psi_tables_reference(ctx, psi, t, l_max):
     """The psi transport by raw ``apply_map``: images of up to 20,000
@@ -807,11 +861,8 @@ def psi_tables_reference(ctx, psi, t, l_max):
     for l in range(l_max + 1):
         cands = [w for w in alive if len(w) <= 2_000]
         dropped[l] = len(base) - len(cands)
-        try:
-            table[l] = W_of_ffs(ctx, t.elliptic, candidates=cands).value \
-                if cands else None
-        except NotApplicable:
-            table[l] = None
+        ref = least_phase_reference(ctx, cands)
+        table[l] = None if ref is None else ref[0]
         images = (apply_map(psi, w) for w in alive)
         alive = [strip_cyclic(m) for m in images if len(m) <= 20_000]
     return table, dropped
@@ -821,9 +872,9 @@ class TestDivergence:
     def test_psi_transport_matches_raw_reference(self, filling_ctx,
                                                  filling_spec):
         t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        rep = divergence_check(filling_ctx, filling_ctx.fwd, t, l_max=8)
+        rep = divergence_check(filling_ctx, filling_ctx.fwd, t)
         table, dropped = psi_tables_reference(filling_ctx, filling_ctx.fwd,
-                                              t, 8)
+                                              t, wproj_mod._PSI_STEPS)
         assert rep["psi_table"] == table
         assert rep["dropped_candidates"] == dropped
         # the caps are reached: some candidates drop before the last iterate
@@ -832,8 +883,8 @@ class TestDivergence:
     def test_value_scans_match_full_scans(self, monkeypatch):
         # _W_or_none scans a candidate only as far as could lower the
         # minimum; on the divergence fixture's psi and phi rows and the
-        # displacement table's raw spot checks it still gives W_of_ffs's
-        # value, recomputed here on a context with an empty memo
+        # displacement table's raw spot checks it still gives the least
+        # phase of the full scans, on a context with an empty memo
         spec = fixture("divergence")
         mg = spec.mg
         t = one_edge_splitting(mg, spec.params["splitting_h"])
@@ -857,23 +908,20 @@ class TestDivergence:
         displacement_table(ctx, t, 2)
         assert len(calls) == 21 + 7 + 2 and any(cut)
         for c_ctx, ffs, candidates, got in calls:
-            try:
-                want = W_of_ffs(replace(c_ctx), ffs, candidates).value
-            except NotApplicable:
-                want = None
-            assert got == want
+            if candidates is None:
+                candidates = candidate_classes(ffs)
+            ref = least_phase_reference(c_ctx, candidates)
+            assert got == (None if ref is None else ref[0])
 
     def test_identity_constant(self, filling_ctx, filling_spec):
         t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        rep = divergence_check(filling_ctx, identity_map(5), t,
-                               l_max=5, band_search=2, phi_range=2)
+        rep = divergence_check(filling_ctx, identity_map(5), t)
         vals = set(rep["psi_table"].values())
         assert len(vals) == 1 and rep["verdict"] == "Bounded"
 
     def test_self_is_unbounded(self, filling_ctx, filling_spec):
         t = one_edge_splitting(filling_spec.mg, ["X", "Y", "Z", "A"])
-        rep = divergence_check(filling_ctx, filling_ctx.fwd, t,
-                               l_max=8, band_search=4, phi_range=4)
+        rep = divergence_check(filling_ctx, filling_ctx.fwd, t)
         assert rep["verdict"] == "Unbounded"
 
 
@@ -935,25 +983,21 @@ def displacement_tables(spec):
 
 
 def full_scan_rows(ctx, s, radius):
-    """W_of_ffs, or None where no candidate is defined, on every row of
-    the table's translates, on a copy of ``ctx`` with an empty memo."""
-    ref = replace(ctx)
+    """The least (phase, class) of the full scans, or None where no
+    candidate is defined, on every row of the table's translates."""
     base = candidate_classes(s.elliptic)
     rows = {}
     for sign in (-1, 1):
-        for k, row in enumerate(wproj_mod._translation_rows(ref, base, radius,
+        for k, row in enumerate(wproj_mod._translation_rows(ctx, base, radius,
                                                             sign < 0)):
-            try:
-                rows[sign * k] = W_of_ffs(
-                    ref, s.elliptic, [wproj_mod._translate_form(w) for w in row])
-            except NotApplicable:
-                rows[sign * k] = None
+            rows[sign * k] = least_phase_reference(
+                ctx, [wproj_mod._translate_form(w) for w in row])
     return rows
 
 
 class TestCutRows:
     """Each displacement row, one cut pass in sort order, has the value and
-    witness of the full scans of W_of_ffs."""
+    witness of the full scans."""
 
     def check(self, spec):
         tables = displacement_tables(spec)
@@ -963,9 +1007,9 @@ class TestCutRows:
                 assert None in rows.values()
                 continue
             assert None not in rows.values()
-            assert table["table"] == {m: v.value for m, v in sorted(rows.items())}
+            assert table["table"] == {m: v[0] for m, v in sorted(rows.items())}
             assert table["witnesses"] == \
-                {m: v.witness for m, v in sorted(rows.items())}
+                {m: v[1] for m, v in sorted(rows.items())}
         return tables
 
     @pytest.mark.parametrize("name", ["divergence", "filling_reducible",
@@ -1021,7 +1065,7 @@ class TestCutScanMemo:
         ctx = replace(filling_ctx)
         cands = candidate_classes(s.elliptic)
         first = _W_or_none(ctx, s.elliptic, cands)
-        assert first == W_of_ffs(replace(filling_ctx), s.elliptic).value
+        assert first == least_phase_reference(filling_ctx, cands)[0]
         stepped = []
         step = wproj_mod._orbit_step
 
