@@ -13,7 +13,7 @@ import string
 
 from .errors import InvalidInput
 
-# 46 slots are plenty: graphs and roses in this library are desk scale.
+# 45 slots are plenty: graphs and roses in this library are desk scale.
 FWD = string.ascii_lowercase + "0123456789!#$%&()*+"
 BWD = string.ascii_uppercase + "<>?@[]^_{}~;:,=|-./"
 MAX_SLOTS = len(FWD)
@@ -23,13 +23,20 @@ _SWAP = str.maketrans(FWD + BWD, BWD + FWD)
 _INV = {**{f: b for f, b in zip(FWD, BWD)}, **{b: f for f, b in zip(FWD, BWD)}}
 _SLOT = {**{c: i for i, c in enumerate(FWD)}, **{c: i for i, c in enumerate(BWD)}}
 # Total order on oriented letters: slot-major, forward before backward.
-_SORT = str.maketrans(
-    {**{FWD[i]: chr(256 + 2 * i) for i in range(MAX_SLOTS)},
-     **{BWD[i]: chr(256 + 2 * i + 1) for i in range(MAX_SLOTS)}}
-)
+# FWD[i] keys as chr(33 + 2i) and BWD[i] as chr(34 + 2i), all ASCII (at
+# most chr(122)), which keeps ``str.translate`` on its ASCII fast path.
+_FWD_KEYS = "".join(chr(33 + 2 * i) for i in range(MAX_SLOTS))
+_BWD_KEYS = "".join(chr(34 + 2 * i) for i in range(MAX_SLOTS))
+_SORT = str.maketrans(FWD + BWD, _FWD_KEYS + _BWD_KEYS)
+# (forward key, backward key) of each slot, in slot order
+_KEY_PAIRS = tuple(zip(_FWD_KEYS, _BWD_KEYS))
+# the two cancelling pairs of slot i, at indices 2i and 2i + 1
+_CANCELLING = tuple(p for f, b in zip(FWD, BWD) for p in (f + b, b + f))
 
 
 def sort_key(word: str) -> str:
+    """Sort key of ``word``: compares as the words do in the letter order
+    above.  Keys are only compared, never stored or printed."""
     return word.translate(_SORT)
 
 
@@ -153,8 +160,10 @@ def is_cyclically_reduced(word: str, rank: int) -> bool:
     :func:`cyclic_reduce` loops over the letters."""
     if len(word) > 1 and word[-1] == _INV[word[0]]:
         return False
-    return not any(FWD[i] + BWD[i] in word or BWD[i] + FWD[i] in word
-                   for i in range(rank))
+    for i in range(2 * rank):
+        if _CANCELLING[i] in word:
+            return False
+    return True
 
 
 def primitive_root(s: str) -> str:
@@ -164,8 +173,9 @@ def primitive_root(s: str) -> str:
     return s[:(s + s).find(s, 1)]
 
 
-def _least_rotation(s: str) -> int:
-    """Index of a least rotation of the nonempty string ``s``.
+def _least_rotation(s: str, first: str) -> int:
+    """Index of a least rotation of the nonempty string ``s``, whose least
+    letter is ``first``.
 
     The search runs on the primitive root ``u`` of ``s``: ``s`` is a power
     of ``u``, so a rotation of ``u`` by ``i`` is one of ``s``.  Write
@@ -188,12 +198,12 @@ def _least_rotation(s: str) -> int:
     ``4 len(u) // len(cands)`` to settle few candidates in few rounds.
     There are at most ``log2 len(u)`` rounds, on runs and periodic words
     too; rotations of ``u`` are distinct, so at ``span == len(u)`` one
-    candidate is left.
+    candidate is left.  The caller passes ``first``: it may know it
+    at lower cost than ``min``'s loop over the letters.
     """
     u = primitive_root(s)
     p = len(u)
     d = u + u
-    first = min(u)
     lo, hi = 1, 2
     while first * hi in d:
         lo, hi = hi, 2 * hi
@@ -237,15 +247,31 @@ def canonical_cyclic(word: str) -> str:
 
 def _canonical_reduced(w: str) -> str:
     """:func:`canonical_cyclic` of a word that is already cyclically
-    reduced, without the free-reduction pass over its letters."""
+    reduced, without the free-reduction pass over its letters.
+
+    The least letter of the sort key is found by testing the key alphabet
+    in order with ``in``, at C speed.  It belongs to the least slot of
+    ``w``, and the inverse word holds the same slots with their
+    orientations flipped.  So when ``w`` holds one orientation of that
+    slot only, the word among ``w`` and its inverse that holds the forward
+    letter has the smaller least letter: its least rotation wins, and only
+    that one is computed.  When ``w`` holds both, both are compared.
+    """
     if not w:
         return ""
     t = sort_key(w)
-    i = _least_rotation(t)
+    for f, b in _KEY_PAIRS:
+        has_f, has_b = f in t, b in t
+        if has_f or has_b:
+            break
+    if has_f:
+        i = _least_rotation(t, f)
+        if not has_b:
+            return w[i:] + w[:i]
     wi = invert(w)
     ti = sort_key(wi)
-    j = _least_rotation(ti)
-    if t[i:] + t[:i] <= ti[j:] + ti[:j]:
+    j = _least_rotation(ti, f)
+    if has_f and t[i:] + t[:i] <= ti[j:] + ti[:j]:
         return w[i:] + w[:i]
     return wi[j:] + wi[:j]
 

@@ -4,11 +4,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from freesplit.errors import InvalidInput
-from freesplit.words import (BWD, FWD, _least_rotation, canonical_cyclic,
+from freesplit.words import (BWD, FWD, MAX_SLOTS, _canonical_reduced,
+                             _least_rotation, canonical_cyclic,
                              cyclic_contains, cyclic_reduce, image_table,
-                             invert, parse_word, print_word, reduce_images,
-                             reduce_word, reduced_product, sort_key,
-                             stop_table)
+                             invert, is_cyclically_reduced, parse_word,
+                             print_word, reduce_images, reduce_word,
+                             reduced_product, sort_key, stop_table)
 
 x, y, z = FWD[0], FWD[1], FWD[2]
 X, Y, Z = BWD[0], BWD[1], BWD[2]
@@ -24,6 +25,30 @@ def brute_canonical(word: str) -> str:
         for i in range(len(u)):
             cands.append(u[i:] + u[:i])
     return min(cands, key=sort_key)
+
+
+# The letter order's earlier key, two-byte characters: a reference that
+# shares no table with the library's ASCII key.
+_OLD_SORT = str.maketrans(
+    {**{FWD[i]: chr(256 + 2 * i) for i in range(MAX_SLOTS)},
+     **{BWD[i]: chr(256 + 2 * i + 1) for i in range(MAX_SLOTS)}})
+
+
+def old_sort_key(word: str) -> str:
+    return word.translate(_OLD_SORT)
+
+
+def brute_canonical_reduced(w: str) -> str:
+    """Least of all rotations of the cyclically reduced ``w`` and of its
+    inverse under the old key."""
+    best = None
+    for u in (w, invert(w)):
+        k = old_sort_key(u)
+        for i in range(len(u)):
+            cand = (k[i:] + k[:i], u[i:] + u[:i])
+            if best is None or cand[0] < best[0]:
+                best = cand
+    return best[1] if best else ""
 
 
 def words_strategy(rank=3, max_len=8, min_len=0):
@@ -165,6 +190,81 @@ class TestCanonicalCyclic:
             assert canonical_cyclic(invert(rotation(r, i))) == c
 
 
+def substitution_iterates(images, max_len):
+    """Cyclically reduced iterates of the letter x under the map with the
+    given slot images, up to ``max_len`` letters."""
+    table = image_table(images)
+    stop = stop_table(table)
+    w, out = x, []
+    while len(w) <= max_len:
+        out.append(cyclic_reduce(w))
+        w = reduce_images(table, w, stop)
+    return out
+
+
+SUBSTITUTIONS = [
+    (x + y, x),  # Fibonacci
+    (x + y, x + z, x),  # tribonacci
+    (x + y + y, Y + x),
+    (x + Y + x, y + x),
+    (y + x, z, x + Y + z),
+    (X + y + x, x + x + Y, x + Z + y),
+]
+
+
+class TestSortKey:
+    def test_ascii(self):
+        # the keys stay on str.translate's ASCII fast path
+        assert sort_key(FWD + BWD).isascii()
+
+    def test_slot_major_forward_first(self):
+        assert sorted(FWD + BWD, key=sort_key) == \
+            [c for f, b in zip(FWD, BWD) for c in (f, b)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, MAX_SLOTS).flatmap(
+        lambda rank: st.lists(words_strategy(rank, 10), max_size=12)))
+    def test_same_order_as_old_key(self, ws):
+        assert sorted(ws, key=sort_key) == sorted(ws, key=old_sort_key)
+
+
+class TestCanonicalReduced:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(lambda rank: st.tuples(
+        words_strategy(rank, 16), st.integers(1, 4))))
+    def test_words_and_powers(self, case):
+        u, k = case
+        w = cyclic_reduce(u) * k
+        assert _canonical_reduced(w) == brute_canonical_reduced(w)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 6).flatmap(lambda rank: st.tuples(
+        *[st.lists(st.sampled_from(FWD[1:rank] + BWD[1:rank]), min_size=1,
+                   max_size=10).map("".join)] * 2, st.integers(1, 3))))
+    def test_both_orientations_of_the_least_letter(self, case):
+        # x u X v with u and v nonempty, reduced and free of x and X: the
+        # branch that compares both least rotations
+        u, v, k = case
+        w = (x + (reduce_word(u) or y) + X + (reduce_word(v) or y)) * k
+        assert is_cyclically_reduced(w, 6)
+        assert _canonical_reduced(w) == brute_canonical_reduced(w)
+
+    @pytest.mark.parametrize("images", SUBSTITUTIONS)
+    def test_substitution_iterates(self, images):
+        ws = substitution_iterates(images, 600)
+        assert len(ws) >= 4
+        for w in ws:
+            assert _canonical_reduced(w) == brute_canonical_reduced(w)
+            assert _canonical_reduced(invert(w)) == _canonical_reduced(w)
+
+    def test_is_cyclically_reduced_on_every_short_word(self):
+        letters = FWD[:3] + BWD[:3]
+        for n in range(7):
+            for p in itertools.product(letters, repeat=n):
+                w = "".join(p)
+                assert is_cyclically_reduced(w, 3) == (cyclic_reduce(w) == w)
+
+
 class TestLeastRotation:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda rank: st.tuples(
@@ -172,7 +272,7 @@ class TestLeastRotation:
     def test_matches_booth_on_words_and_powers(self, case):
         u, k = case
         for s in (sort_key(u), sort_key(u * k)):
-            assert rotation(s, _least_rotation(s)) == \
+            assert rotation(s, _least_rotation(s, min(s))) == \
                 rotation(s, _least_rotation_booth(s))
 
     @settings(max_examples=300, deadline=None)
@@ -182,7 +282,7 @@ class TestLeastRotation:
         # words of runs, most of them with several longest runs of the
         # least letter, and their powers
         s = "".join(a * n for a, n in runs) * k
-        assert rotation(s, _least_rotation(s)) == \
+        assert rotation(s, _least_rotation(s, min(s))) == \
             min(rotation(s, i) for i in range(len(s)))
 
     @pytest.mark.parametrize("alphabet, max_len", [("ab", 12), ("abc", 7)])
@@ -190,7 +290,7 @@ class TestLeastRotation:
         for n in range(1, max_len + 1):
             for letters in itertools.product(alphabet, repeat=n):
                 s = "".join(letters)
-                assert rotation(s, _least_rotation(s)) == \
+                assert rotation(s, _least_rotation(s, min(s))) == \
                     min(rotation(s, i) for i in range(n)), s
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 1000, 100_000])
@@ -206,7 +306,7 @@ class TestLeastRotation:
             "fibonacci", "thue-morse"])
     def test_matches_booth_on_hard_families(self, family, n):
         s = family(n)
-        assert rotation(s, _least_rotation(s)) == \
+        assert rotation(s, _least_rotation(s, min(s))) == \
             rotation(s, _least_rotation_booth(s))
 
 
