@@ -15,17 +15,16 @@ is composed by ``_power_map`` under a letter cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field, replace
 
 from .automorphisms import abelianization, identity_map, mat_mul, outer_equal
 from .config import DEFAULT, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .fixtures import ExampleSpec
 from .graphs import (GraphMap, MarkedGraph, compose, identity_graph_map,
-                     is_invariant_subgraph, restricted_map, strata)
-from .laminations import (LaminationApprox, lamination_approx,
-                          lamination_fills, laminations_jointly_fill)
+                     is_invariant_subgraph, restricted_map)
+from .laminations import (LaminationApprox, lamination_verdicts,
+                          laminations_jointly_fill)
 from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
                     splitting_of_pair, validate_pair)
 from .whitehead import FILLS, UNKNOWN
@@ -158,15 +157,19 @@ def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
 
 
 def _coordinate_pairs(mg: MarkedGraph) -> list[MarkedGraphPair]:
-    """Validated one-edge pairs collapsing all but one natural class."""
+    """The one-edge pairs collapsing all but one natural class, one pair
+    per class.
+
+    ``validate_pair`` accepts each H = G - e: it is a union of natural
+    edges, and e is its only complementary class, so its co-edge number
+    is 1.  A tree component T of H would have two leaves or more, each of
+    valence at least 2 in G (MarkedGraph enforces it), so each an end of
+    e.  Then G would be the circle T + e, whose one natural edge is all of
+    G, and H would be empty.
+    """
     g = mg.graph
-    out = []
-    for cls in g.natural_classes:
-        try:
-            out.append(validate_pair(mg, frozenset(range(g.n_edges)) - cls))
-        except InvalidInput:
-            continue
-    return out
+    return [validate_pair(mg, frozenset(range(g.n_edges)) - cls)
+            for cls in g.natural_classes]
 
 
 @dataclass(frozen=True)
@@ -282,28 +285,23 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
     if power is not None and power < 1:
         raise InvalidInput(f"power must be at least 1, got {power}")
     mg, f = spec.mg, spec.f
-    notes: dict = {}
     inner = _inner_power(mg, f)
     p, fp = inner or (power or 1, f)
     if inner is None and p > 1:
         try:
             fp = _power_map(f, p, cfg.iterate_cap)
         except BudgetExhausted:
-            return _classification("power_map", p, notes)
-    lams, verdicts = [], []
-    if inner is None:  # an inner power fixes every splitting
-        filt = strata(fp)
-        lams = [lamination_approx(mg, fp, idx, cfg, filt)
-                for idx in filt.eg_strata()]
-        verdicts = [lamination_fills(lam) for lam in lams]
-        notes.update(power=p, eg_strata=len(lams),
-                     lamination_verdicts=[v.kind for v in verdicts])
-    filling = next((lam for lam, v in zip(lams, verdicts)
-                    if v.kind == FILLS), None)
-    undecided = any(v.kind == UNKNOWN for v in verdicts)
+            return Classification("Unknown", stage="power_map", power=p)
+    # an inner power fixes every splitting
+    verdicts = [] if inner else list(lamination_verdicts(mg, fp, cfg))
+    notes = {} if inner else {
+        "power": p, "eg_strata": len(verdicts),
+        "lamination_verdicts": [v.kind for _, v in verdicts]}
+    filling = next((lam for lam, v in verdicts if v.kind == FILLS), None)
+    undecided = any(v.kind == UNKNOWN for _, v in verdicts)
     joint = None
-    if lams and filling is None and not undecided:
-        joint = laminations_jointly_fill(lams).kind
+    if verdicts and filling is None and not undecided:
+        joint = laminations_jointly_fill([lam for lam, _ in verdicts]).kind
         notes["joint_verdict"] = joint
     pairs = _coordinate_pairs(mg)
     found = _invariant_splitting(mg, fp, pairs, p if inner else None)
@@ -316,28 +314,14 @@ def classify(spec: ExampleSpec, cfg: Config = DEFAULT,
             found = "laminations_jointly_fill"
         elif joint == FILLS:
             found = _bounded_chain(spec)
-    return _classification(found, p, notes)
-
-
-class _Found(NamedTuple):  # a decider's verdict with its witness
-    verdict: str
-    witness_kind: str
-    witness: dict
-    certificate: LoxodromicCertificate | None = None
-
-
-def _classification(found: _Found | str, p: int,
-                    notes: dict) -> Classification:
-    """The verdict found, or Unknown when ``found`` names a stage."""
     if isinstance(found, str):
-        return Classification("Unknown", stage=found, power=p, notes=notes)
-    return Classification(found.verdict, found.witness_kind, found.witness,
-                          power=p, notes=notes, _certificate=found.certificate)
+        found = Classification("Unknown", stage=found)
+    return replace(found, power=p, notes=notes)
 
 
 def _invariant_splitting(mg: MarkedGraph, fp: GraphMap,
                          pairs: list[MarkedGraphPair],
-                         inner_power: int | None) -> _Found | str:
+                         inner_power: int | None) -> Classification | str:
     """PeriodicVertex on a verified invariant splitting of fp = f^p; an
     inner fp is related to its remarking by the identity map."""
     relation = None if inner_power is None else identity_graph_map(mg.graph)
@@ -348,19 +332,18 @@ def _invariant_splitting(mg: MarkedGraph, fp: GraphMap,
     witness = {"splitting": s.serialize(), "relation": rel.status}
     if inner_power is not None:
         witness["inner_power"] = inner_power
-    return _Found("PeriodicVertex", "invariant-splitting", witness)
+    return Classification("PeriodicVertex", "invariant-splitting", witness)
 
 
 def _loxodromic(mg: MarkedGraph, fp: GraphMap, lam: LaminationApprox,
-                pairs: list[MarkedGraphPair], cfg: Config) -> _Found | str:
+                pairs: list[MarkedGraphPair],
+                cfg: Config) -> Classification | str:
     """Loxodromic on a displacement table of exact unit slope."""
     try:
         ctx = build_context(mg, fp, cfg, lam_plus=lam)
-    except InvalidInput as exc:
+    except NotApplicable as exc:
         return f"build_context: {exc}"
     splittings = [splitting_of_pair(pair) for pair in pairs]
-    if not splittings:
-        return "no coordinate splitting"
     try:
         estimate_M(ctx, default_m_samples(ctx, splittings[:2]))
     except NotApplicable:
@@ -371,20 +354,20 @@ def _loxodromic(mg: MarkedGraph, fp: GraphMap, lam: LaminationApprox,
         except NotApplicable:
             continue
         if table["slope_exact"] and table["raw_within_m_hat"]:
-            return _Found(
+            return Classification(
                 "Loxodromic", "displacement-table",
                 {"splitting": s.serialize(), "table": table["table"],
                  "m_hat": ctx.m_hat, "slope_exact": True,
                  "raw_spot_checks": table["raw_spot_checks"],
                  "distance_rate_lower_bound":
                      table["distance_rate_lower_bound"]},
-                LoxodromicCertificate(ctx, table))
+                _certificate=LoxodromicCertificate(ctx, table))
     return "displacement witness"
 
 
-def _bounded_chain(spec: ExampleSpec) -> _Found | str:
+def _bounded_chain(spec: ExampleSpec) -> Classification | str:
     """BoundedOrbits on the chain, which needs decomposition data."""
     if not spec.decomposition:
         return "bounded_path_witness"
-    return _Found("BoundedOrbits", "length-4-chain",
-                  bounded_path_witness(spec, CHAIN_K).to_json())
+    return Classification("BoundedOrbits", "length-4-chain",
+                          bounded_path_witness(spec, CHAIN_K).to_json())

@@ -148,9 +148,6 @@ class CoreGraph:
     def graph_rank(self) -> int:
         return self.n_edges - self.n_vertices + 1
 
-    def step(self, v: int, ch: str) -> int | None:
-        return self._out.get((v, ch))
-
     def lifts_closed(self, word: str, start: int) -> bool:
         v = start
         for ch in word:
@@ -217,10 +214,10 @@ class CoreGraph:
                 pos += len(piece)
         return "".join(pieces)
 
-    def basis_words(self, base: int = 0) -> list[str]:
+    def basis_words(self) -> list[str]:
         """Words (in ambient letters) of a free basis of the represented
-        subgroup, read off a spanning tree at ``base``."""
-        return list(tree_loops(self.edges, base)[1].values())
+        subgroup, read off a spanning tree at vertex 0."""
+        return list(tree_loops(self.edges, 0)[1].values())
 
 
 def _fold(raw_edges, words) -> dict[tuple[int, int, int], str]:

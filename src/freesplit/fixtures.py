@@ -14,7 +14,7 @@ from .errors import FixtureInvalid, InvalidInput
 from .graphs import (GraphMap, MarkedGraph, compose, is_invariant_subgraph,
                      map_path, marked_rose, restricted_map, rose_map, strata)
 from .whitehead import FILLS, fills
-from .words import BWD, FWD, invert, is_fwd, reduce_word, slot
+from .words import BWD, FWD, invert, reduce_word, slot
 
 
 @dataclass(frozen=True)
@@ -223,21 +223,9 @@ def divergence_pair() -> ExampleSpec:
     the two laminations are distinct by construction.
     """
     base = filling_reducible(3)
-    mg, g = base.mg, base.mg.graph
-    swap = {"X": "A", "A": "X", "Y": "B", "B": "Y", "Z": "Z"}
-    f = base.f
-
-    def conj_image(name: str) -> str:
-        pre = g.parse_path(swap[name])
-        mid = map_path(f, pre)
-        return "".join(
-            g.fwd_char(swap[g.edge_names[slot(ch)]]) if is_fwd(ch)
-            else invert(g.fwd_char(swap[g.edge_names[slot(ch)]]))
-            for ch in mid
-        )
-
-    psi = GraphMap(g, g, {v: v for v in g.vertices},
-                   tuple(conj_image(n) for n in g.edge_names))
+    mg, g, f = base.mg, base.mg.graph, base.f
+    swap = rose_map(mg, {"X": "A", "A": "X", "Y": "B", "B": "Y", "Z": "Z"})
+    psi = compose(swap, compose(f, swap))
     _require(psi.edge_images[g.slot_of["Z"]] == g.parse_path("Z"),
              "conjugated map should fix the third petal")
     _require(psi.edge_images[g.slot_of["A"]] == g.parse_path("A"),

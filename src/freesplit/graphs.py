@@ -62,9 +62,6 @@ class Graph:
     def n_edges(self) -> int:
         return len(self.edge_names)
 
-    def fwd_char(self, name: str) -> str:
-        return FWD[self.slot_of[name]]
-
     def init_of(self, ch: str) -> str:
         s = slot(ch)
         return self._init[s] if is_fwd(ch) else self._term[s]
@@ -444,8 +441,12 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
     )
 
 
-def pf_eigenvalue(tm: TransitionMatrix, *, tol: float = 1e-9,
-                 iter_cap: int = 10**5) -> float:
+# Collatz-Wielandt gap at which pf_eigenvalue stops: two orders below the
+# 1e-9 its callers compare the Perron root to.
+PF_TOLERANCE = 1e-11
+
+
+def pf_eigenvalue(tm: TransitionMatrix, *, iter_cap: int = 10**5) -> float:
     """Perron root of an irreducible nonnegative integer block.
 
     Power iteration on M + I with Collatz-Wielandt bounds; the shift makes
@@ -465,7 +466,7 @@ def pf_eigenvalue(tm: TransitionMatrix, *, tol: float = 1e-9,
         lo, hi = min(ratios), max(ratios)
         scale = max(w)
         v = [x / scale for x in w]
-        if hi - lo <= tol * 1e-2:
+        if hi - lo <= PF_TOLERANCE:
             return (lo + hi) / 2.0 - 1.0
     raise NumericalTolerance("power iteration did not converge")
 

@@ -28,12 +28,16 @@ from .whitehead import (FILLS, MAX_LETTERS, PROPER, UNKNOWN, FillsVerdict,
                         fills)
 from .words import FWD, count_crossings, invert
 
+# _stabilized_fills accepts a verdict only when the closures at two
+# consecutive depths agree, so a lamination is grown to depth 2 at least
+# before it is cut at the length target, and a shallower one is Unknown.
+VERDICT_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class LaminationApprox:
     mg: MarkedGraph
     f: GraphMap
-    stratum_index: int
     stratum: frozenset[int]
     seed: int
     segments: tuple[str, ...]  # segments[k] = k-fold tightened image of seed
@@ -69,15 +73,24 @@ def lamination_approx(mg: MarkedGraph, f: GraphMap, stratum_index: int,
     segs = [FWD[seed]]
     while len(segs) - 1 < cfg.lam_depth_cap:
         if (len(segs[-1]) >= cfg.lam_len_target
-                and len(segs) >= 3):
+                and len(segs) > VERDICT_DEPTH):
             break
         # the unreduced image, the intermediate path the cap bounds
         seg = segs[-1]
         if f.tables.unreduced_length(seg) > cfg.iterate_cap:
             break
         segs.append(map_path(f, seg))
-    return LaminationApprox(mg, f, stratum_index, st.slots, seed,
-                            tuple(segs), len(segs) - 1)
+    return LaminationApprox(mg, f, st.slots, seed, tuple(segs), len(segs) - 1)
+
+
+def lamination_verdicts(mg: MarkedGraph, f: GraphMap, cfg: Config = DEFAULT):
+    """Each EG stratum's lamination with its :func:`lamination_fills`
+    verdict, bottom up.  A generator: a caller after the first filling
+    lamination approximates no stratum above it."""
+    filt = strata(f)
+    for idx in filt.eg_strata():
+        lam = lamination_approx(mg, f, idx, cfg, filt)
+        yield lam, lamination_fills(lam)
 
 
 def defining_segment(lam: LaminationApprox, seg_len: int) -> str:
@@ -132,7 +145,7 @@ def lamination_fills(lam: LaminationApprox) -> FillsVerdict:
     exactly.  Otherwise the stabilized Whitehead support of the accumulated
     segment closures decides, or reports Unknown.
     """
-    if lam.depth < 2:
+    if lam.depth < VERDICT_DEPTH:
         return FillsVerdict(UNKNOWN, reason="needs at least two depths")
     return laminations_jointly_fill([lam])
 

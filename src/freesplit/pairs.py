@@ -88,10 +88,6 @@ class OneEdgeSplitting:
     pair: MarkedGraphPair
     elliptic: FreeFactorSystem = field(compare=False)
 
-    @property
-    def mg(self):
-        return self.pair.mg
-
     def serialize(self) -> str:
         return self.pair.serialize()
 
@@ -138,7 +134,6 @@ FAILS = "FailsClause"
 @dataclass(frozen=True)
 class PairRelationWitness:
     map: GraphMap
-    vertex_bijection: dict
     edge_assignments: dict  # natural class of source -> (mu, class, nu, flip)
 
 
@@ -180,7 +175,6 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
     images = [h.vertex_map[v] for v in nv1]
     if len(set(images)) != len(images) or set(images) != nv2:
         return RelationResult(FAILS, 2, "no bijection on complement vertices")
-    vertex_bij = dict(zip(nv1, images))
 
     h2 = p2.h_slots
     for s in p1.h_slots:
@@ -238,7 +232,7 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
         if verdict != "Equal":
             return RelationResult(FAILS, 1, "marking not preserved")
     return RelationResult(
-        HOLDS, witness=PairRelationWitness(h, vertex_bij, assignments))
+        HOLDS, witness=PairRelationWitness(h, assignments))
 
 
 def sibling_splittings(pair: MarkedGraphPair):

@@ -24,9 +24,9 @@ from .automorphisms import (BasisMap, MapTables, abelian_vector, apply_map,
 from .config import DEFAULT, STABILITY, Config
 from .errors import BudgetExhausted, InvalidInput, NotApplicable
 from .factors import FreeFactorSystem, _dedupe, enumerate_classes, fold
-from .graphs import GraphMap, MarkedGraph, realize_rose_endo, strata
+from .graphs import GraphMap, MarkedGraph, realize_rose_endo
 from .laminations import (LaminationApprox, defining_segment,
-                          lamination_approx, lamination_fills)
+                          lamination_verdicts)
 from .pairs import OneEdgeSplitting
 from .whitehead import FILLS
 from .words import (_canonical_reduced, cyclic_contains, cyclic_reduce,
@@ -85,39 +85,32 @@ def build_context(mg: MarkedGraph, f: GraphMap, cfg: Config = DEFAULT,
     ``lam_plus`` is a filling lamination of ``f`` the caller has already
     certified; without it the first filling one is searched for.  The
     inverse is read off the exact fold of :func:`invert_map`, which raises
-    unless it inverts ``f`` on the nose.
+    unless it inverts ``f`` on the nose.  NotApplicable when either side
+    has no certified filling lamination or its leaf yields no defining
+    segment.
     """
     if lam_plus is None:
-        lam_plus = _filling_lamination(mg, f, cfg)
+        lam_plus = next((lam for lam, v in lamination_verdicts(mg, f, cfg)
+                         if v.kind == FILLS), None)
     if lam_plus is None:
-        raise InvalidInput("no certified filling lamination for this map")
+        raise NotApplicable("no certified filling lamination for this map")
 
     fwd = MapTables(mg.induced_rose_map(f))
     bwd = MapTables(invert_map(fwd))
-    lam_minus = _filling_lamination(mg, realize_rose_endo(mg, bwd), cfg)
+    lam_minus = next((lam for lam, v in lamination_verdicts(
+        mg, realize_rose_endo(mg, bwd), cfg) if v.kind == FILLS), None)
     if lam_minus is None:
-        raise InvalidInput("no certified filling lamination for the inverse")
+        raise NotApplicable("no certified filling lamination for the inverse")
 
     seg_plus = _rose_segment(mg, lam_plus, cfg.seg_len)
     seg_minus = _rose_segment(mg, lam_minus, cfg.seg_len)
     for seg, lam in ((seg_plus, lam_plus), (seg_minus, lam_minus)):
         deep = mg.path_to_rose(lam.deepest())
         if not path_contains(deep, seg):
-            raise InvalidInput("defining segment lost in transport")
+            raise NotApplicable("defining segment lost in transport")
     bound = max(map(len, fwd)) * max(map(len, bwd))
     return WContext(mg, fwd, bwd, lam_plus, seg_plus, seg_minus, cfg,
                     cancellation_bound=bound)
-
-
-def _filling_lamination(mg: MarkedGraph, f: GraphMap,
-                        cfg: Config) -> LaminationApprox | None:
-    """Lamination of the first EG stratum of f that certifiably fills."""
-    filt = strata(f)
-    for idx in filt.eg_strata():
-        lam = lamination_approx(mg, f, idx, cfg, filt)
-        if lamination_fills(lam).kind == FILLS:
-            return lam
-    return None
 
 
 def _rose_segment(mg: MarkedGraph, lam: LaminationApprox, seg_len: int) -> str:
@@ -126,7 +119,7 @@ def _rose_segment(mg: MarkedGraph, lam: LaminationApprox, seg_len: int) -> str:
     if len(word) < seg_len:
         word = mg.path_to_rose(lam.deepest())
     if len(word) < seg_len:
-        raise InvalidInput("leaf too short for the requested segment length")
+        raise NotApplicable("leaf too short for the requested segment length")
     mid = (len(word) - seg_len) // 2
     return word[mid : mid + seg_len]
 
@@ -608,6 +601,10 @@ def apply_basis_map_to_ffs(bm: BasisMap, ffs: FreeFactorSystem) -> FreeFactorSys
 
 # translations at which displacement_table re-enumerates raw candidates
 RAW_CHECKS = (2, -2)
+# The paper's coarse Lipschitz factor: adjacent one-edge splittings have W
+# within LIPSCHITZ_FACTOR * M-hat, so W moves at least 1 / (LIPSCHITZ_FACTOR
+# * M-hat) per unit of distance in the free splitting complex.
+LIPSCHITZ_FACTOR = 8
 
 
 def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
@@ -653,14 +650,14 @@ def displacement_table(ctx: WContext, s: OneEdgeSplitting, radius: int) -> dict:
         "raw_within_m_hat": raw_ok,
         "m_hat": m_hat,
         "distance_rate_lower_bound": (
-            None if not m_hat else 1.0 / (8.0 * m_hat)),
+            None if not m_hat else 1.0 / (LIPSCHITZ_FACTOR * m_hat)),
     }
 
 
 def lipschitz_check(ctx: WContext, splitting_pairs) -> dict:
     """Coarse Lipschitz law of W on the free splitting complex: adjacent
-    one-edge splittings S1, S2 have |W(S1) - W(S2)| <= 8 * M-hat.
-    Acceptance criterion 4 checks it on translated sibling pairs."""
+    one-edge splittings S1, S2 have |W(S1) - W(S2)| <= LIPSCHITZ_FACTOR *
+    M-hat.  Acceptance criterion 4 checks it on translated sibling pairs."""
     m_hat = ctx.require_m()
     rows = []
     violations = 0
@@ -674,14 +671,14 @@ def lipschitz_check(ctx: WContext, splitting_pairs) -> dict:
             skipped += 1
             continue
         delta = abs(w1.value - w2.value)
-        ok = delta <= 8 * m_hat
+        ok = delta <= LIPSCHITZ_FACTOR * m_hat
         if not ok:
             violations += 1
         max_ratio = max(max_ratio, delta / m_hat)
         rows.append({"w1": w1.value, "w2": w2.value, "delta": delta, "ok": ok})
     return {
         "m_hat": m_hat,
-        "bound": 8 * m_hat,
+        "bound": LIPSCHITZ_FACTOR * m_hat,
         "pairs": rows,
         "n_pairs": len(rows),
         "skipped": skipped,

@@ -7,11 +7,11 @@ import sys
 
 import pytest
 
-from freesplit import cli, whitehead
+from freesplit import cli, laminations, whitehead
 from freesplit.automorphisms import (MapTables, abelianization, compose_maps,
                                      identity_map, mat_mul, outer_equal)
-from freesplit.classify import (INNER_POWER_MAX_LETTERS, _h1_order,
-                                _inner_power, _power_map,
+from freesplit.classify import (INNER_POWER_MAX_LETTERS, _coordinate_pairs,
+                                _h1_order, _inner_power, _power_map,
                                 bounded_path_witness, classify,
                                 periodic_vertex_witness, rank2_classify)
 from freesplit.config import Config
@@ -22,7 +22,7 @@ from freesplit.fixtures import ExampleSpec, fixture, fixture_names
 from freesplit.graphs import (compose, identity_graph_map, marked_rose,
                               parse_marked_graph, print_marked_graph,
                               realize_rose_endo, rose_map)
-from freesplit.whitehead import FILLS, FillsVerdict
+from freesplit.whitehead import FILLS, UNKNOWN, FillsVerdict
 from freesplit.words import BWD, FWD, invert, reduce_word, strip_cyclic
 from freesplit.wproj import apply_basis_map_to_ffs
 
@@ -43,6 +43,11 @@ ROSE2_SHEAR = ("VERTICES\nv\nEDGES\nx1 v v\nx2 v v\n"
 # with the identity map; the edge b alone is an open path.
 THETA = ("VERTICES\nu\nv\nEDGES\na u v\nb u v\nc u v\n"
          "MARKING\nx1 a b'\nx2 a c'\nMAP\na a\nb b\nc c\n")
+
+# The theta graph with its arc from u to v through w cut into a and b, so
+# that one natural edge has two edges; the map swaps c and d.
+SUB_THETA = ("VERTICES\nu\nv\nw\nEDGES\na u w\nb w v\nc u v\nd u v\n"
+             "MARKING\nx1 a b c'\nx2 a b d'\nMAP\na a\nb b\nc d\nd c\n")
 
 
 class TestRank2Classify:
@@ -440,6 +445,18 @@ class TestPeriodicWitness:
         with pytest.raises(NotApplicable):
             periodic_vertex_witness(filling_spec.mg, filling_spec.f)
 
+    def test_one_coordinate_pair_per_natural_class(self):
+        # validate_pair accepts the complement of every natural edge (the
+        # proof is in _coordinate_pairs), so no class is dropped
+        texts = [THETA, SUB_THETA] + [theta_text(k, r) for k in range(3, 12)
+                                      for r in (False, True)]
+        graphs = ([fixture(name).mg for name in fixture_names()]
+                  + [parse_marked_graph(t)[0] for t in texts])
+        for mg in graphs:
+            pairs = _coordinate_pairs(mg)
+            assert [p.complement_classes() for p in pairs] == \
+                [[cls] for cls in mg.graph.natural_classes]
+
 
 class TestBoundedChain:
     @pytest.mark.parametrize("k", [0, 1, 2])
@@ -493,11 +510,20 @@ class TestClassify:
         assert c.witness_kind is None and c.witness == {}
         assert c.notes["joint_verdict"] == "Fills"
 
+    def test_joint_unknown_is_unknown(self, bdd_spec, monkeypatch):
+        # neither lamination fills alone, so an undecided joint verdict
+        # leaves the map Unknown at that stage
+        monkeypatch.setattr(classify_mod, "laminations_jointly_fill",
+                            lambda lams: FillsVerdict(UNKNOWN))
+        c = classify(bdd_spec)
+        assert (c.verdict, c.stage) == ("Unknown", "laminations_jointly_fill")
+        assert c.notes["joint_verdict"] == UNKNOWN
+
     def test_invariant_splitting_decides_before_filling_lamination(
             self, monkeypatch):
         # x1 -> x1 x2, x2 -> x1, x3 -> x3 fixes <x1, x2> * <x3>; even with
         # a lamination said to fill, the verified splitting decides
-        monkeypatch.setattr(classify_mod, "lamination_fills",
+        monkeypatch.setattr(laminations, "lamination_fills",
                             lambda lam: FillsVerdict(FILLS))
         mg = marked_rose(3)
         f = rose_map(mg, {"x1": "x1 x2", "x2": "x1", "x3": "x3"})

@@ -493,7 +493,7 @@ def _canonical_key_full(core):
             row = []
             for lab in range(core.rank):
                 for ch in (FWD[lab], BWD[lab]):
-                    w = core.step(v, ch)
+                    w = core._out.get((v, ch))
                     if w is None:
                         row.append(".")
                         continue

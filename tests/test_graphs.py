@@ -9,8 +9,9 @@ from freesplit.automorphisms import (_BLOCK, compose_maps, identity_map,
 from freesplit.errors import InvalidInput, NumericalTolerance
 from freesplit.fixtures import RANK2_CATALOG, fixture, fixture_names
 from freesplit.graphs import (Graph, GraphMap, MarkedGraph, TransitionMatrix,
-                              compose, graph_map, identity_graph_map,
-                              is_invariant_subgraph, is_nielsen, map_path,
+                              close_path, compose, graph_map,
+                              identity_graph_map, is_invariant_subgraph,
+                              is_nielsen, map_path,
                               marked_rose, minimal_invariant_superset,
                               parse_marked_graph, pf_eigenvalue,
                               print_marked_graph, realize_rose_endo, rose,
@@ -206,6 +207,18 @@ class TestStrata:
         assert len(filt.strata) == 1
         assert filt.strata[0].label == "FIXED"
 
+    def test_collapsed_arc_is_zero(self):
+        # collapsing the dumbbell's arc t onto u, with q carried around
+        # it, is a homotopy equivalence; t's empty image crosses nothing
+        mg, _ = _dumbbell()
+        g = mg.graph
+        collapse = graph_map(g, g, {"u": "u", "v": "u"},
+                             {"p": ["p"], "q": ["t", "q", "t'"], "t": []})
+        assert mg.induced_rose_map(collapse) == (FWD[0], FWD[1])
+        got = [(sorted(g.edge_names[s] for s in st.slots), st.label)
+               for st in strata(collapse).strata]
+        assert got == [(["p"], "FIXED"), (["t"], "ZERO"), (["q"], "NEG")]
+
     @pytest.mark.parametrize("case", FILTRATION_CASES, ids=_case_id)
     def test_eg_iff_pf_above_threshold(self, case):
         # the crossing count agrees with the Perron root of the block,
@@ -330,6 +343,16 @@ class TestMarking:
         mg, g, f = frd
         assert mg.validate_marking()
 
+    def test_close_path_returns_along_the_tree(self):
+        # the spanning tree at u is a from u to w and c from u to v, so an
+        # open path is closed through c' and a; a tree edge closes to 1
+        mg, _ = _theta()
+        g = mg.graph
+        assert mg.tree[0] == {"u": "", "w": "a", "v": "c"}
+        assert close_path(mg, g.parse_path("b")) == g.parse_path("b c' a")
+        assert close_path(mg, g.parse_path("d")) == g.parse_path("d c")
+        assert close_path(mg, g.parse_path("a")) == ""
+
     @pytest.mark.parametrize("names", [["x1", "x2", "x3"], ["c", "a", "b"],
                                        ["B", "A", "Y", "X", "Z"],
                                        ["x7", "x2", "x10", "x1"]])
@@ -393,7 +416,7 @@ def _dumbbell():
     """Loops p at u and q at v joined by the arc t, marked at u, with the
     map swapping the two ends, which moves the base to v."""
     g = Graph(["u", "v"], [("p", "u", "u"), ("q", "v", "v"), ("t", "u", "v")])
-    p, q, t = (g.fwd_char(n) for n in "pqt")
+    p, q, t = (FWD[g.slot_of[n]] for n in "pqt")
     mg = MarkedGraph(g, "u", [p, t + q + invert(t)])
     swap = graph_map(g, g, {"u": "v", "v": "u"},
                      {"p": ["q"], "q": ["p"], "t": ["t'"]})
@@ -406,7 +429,7 @@ def _theta():
     g = Graph(["u", "v", "w"], [("a", "u", "w"), ("b", "w", "v"),
                                 ("c", "u", "v"), ("d", "v", "u"),
                                 ("e", "u", "u")])
-    a, b, c, d, e = (g.fwd_char(n) for n in "abcde")
+    a, b, c, d, e = (FWD[g.slot_of[n]] for n in "abcde")
     mg = MarkedGraph(g, "u", [e, a + b + d, c + d])
     slide = graph_map(g, g, {v: v for v in g.vertices},
                       {"a": ["a"], "b": ["b"], "c": ["e", "c"], "d": ["d"],

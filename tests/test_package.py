@@ -116,3 +116,22 @@ def test_every_public_name_has_a_caller():
             name in _referenced(tree, defs.get(name))
             for tree in trees.values()))
     assert uncalled == sorted(UNCALLED)
+
+
+def test_every_field_is_read():
+    # an annotated class field that no attribute load reads, in the
+    # library, its tests or the bench harness, is state kept for nothing
+    def trees(folder):
+        return [ast.parse(p.read_text(encoding="utf-8"))
+                for p in sorted(folder.glob("*.py"))]
+    fields = [f"{cls.name}.{node.target.id}"
+              for tree in trees(SRC) for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.AnnAssign)
+              and isinstance(node.target, ast.Name)]
+    read = {node.attr
+            for folder in (SRC, TESTS, TESTS.parent / "bench")
+            for tree in trees(folder) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert [f for f in fields if f.split(".")[1] not in read] == []

@@ -24,7 +24,7 @@ def dumbbell_marked():
     """Two loops joined by an arc, marked from the rank-2 rose."""
     g = Graph(["u", "v"],
               [("p", "u", "u"), ("q", "v", "v"), ("t", "u", "v")])
-    p, q, t = (g.fwd_char(n) for n in ("p", "q", "t"))
+    p, q, t = (FWD[g.slot_of[n]] for n in ("p", "q", "t"))
 
     marking = [p, t + q + invert(t)]
     return MarkedGraph(g, "u", marking)
@@ -58,7 +58,7 @@ class TestValidatePair:
                    [("p", "u", "u"), ("q", "v", "v"),
                     ("t1", "u", "w"), ("t2", "w", "v")])
 
-        t1, t2, p, q = (g2.fwd_char(n) for n in ("t1", "t2", "p", "q"))
+        t1, t2, p, q = (FWD[g2.slot_of[n]] for n in ("t1", "t2", "p", "q"))
         mg2 = MarkedGraph(g2, "u", [p, t1 + t2 + q + invert(t2) + invert(t1)])
         with pytest.raises(InvalidInput):
             validate_pair(mg2, ["t1", "p"])

@@ -670,9 +670,9 @@ class TestFills:
         # load-time assertion made this true; re-run through the public op
         mg, g = filling_spec.mg, filling_spec.mg.graph
         sig = g.parse_path(filling_spec.params["sigma"])
-        down = str.maketrans({g.fwd_char(n): FWD[i]
+        down = str.maketrans({FWD[g.slot_of[n]]: FWD[i]
                               for i, n in enumerate(("X", "Y", "Z"))}
-                             | {invert(g.fwd_char(n)): BWD[i]
+                             | {BWD[g.slot_of[n]]: BWD[i]
                                 for i, n in enumerate(("X", "Y", "Z"))})
         assert fills([sig.translate(down)], 3).kind == FILLS
 

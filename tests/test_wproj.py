@@ -72,7 +72,7 @@ class TestBuildContext:
     def test_no_eg_stratum_rejected(self):
         mg = marked_rose(2)
         f = rose_map(mg, {"x1": "x1", "x2": "x2 x1"})
-        with pytest.raises(InvalidInput):
+        with pytest.raises(NotApplicable):
             build_context(mg, f)
 
     def test_certified_lamination_reused(self, filling_spec, filling_ctx):
