@@ -25,8 +25,8 @@ from .graphs import (GraphMap, MarkedGraph, compose, identity_graph_map,
                      is_invariant_subgraph, restricted_map)
 from .laminations import (LaminationApprox, lamination_verdicts,
                           laminations_jointly_fill)
-from .pairs import (MarkedGraphPair, pair_relation_check, remark_pair,
-                    splitting_of_pair, validate_pair)
+from .pairs import (MarkedGraphPair, pair_relation_check, splitting_of_pair,
+                    validate_pair)
 from .whitehead import FILLS, UNKNOWN
 from .wproj import (WContext, build_context, default_m_samples,
                     displacement_table, estimate_M)
@@ -110,14 +110,16 @@ def _inner_power(mg: MarkedGraph, f: GraphMap):
     over ``INNER_POWER_MAX_LETTERS`` letters ends the test with None; for
     m = 1 there is nothing to compose, and f itself is tested.
     """
-    m = _h1_order(abelianization(mg.induced_rose_map(f)))
+    bm = mg.induced_rose_map(f)
+    m = _h1_order(abelianization(bm))
     if m is None:
         return None
     try:
         fm = f if m == 1 else _power_map(f, m, INNER_POWER_MAX_LETTERS)
     except BudgetExhausted:
         return None
-    inner = outer_equal(mg.induced_rose_map(fm), identity_map(mg.rank))
+    bm = bm if m == 1 else mg.induced_rose_map(fm)
+    inner = outer_equal(bm, identity_map(mg.rank))
     return (m, fm) if inner[0] == "Equal" else None
 
 
@@ -143,14 +145,20 @@ def periodic_vertex_witness(mg: MarkedGraph, f: GraphMap,
                             relation: GraphMap | None = None):
     """An invariant one-edge splitting with a verified relation map.
 
-    The one-edge pairs, by default the coordinate pairs of ``mg``, are
+    The one-edge pairs over ``mg``, by default its coordinate pairs, are
     searched with the relation map, by default f itself; an inner f fixes
-    every splitting, witnessed by the identity relation map.  NotApplicable
-    when nothing is exhibited.
+    every splitting, witnessed by the identity relation map.  f moves every
+    pair (G, H) to (G.f, H) on one re-marked graph G.f.  NotApplicable when
+    nothing is exhibited.
     """
     relation = f if relation is None else relation
-    for pair in _coordinate_pairs(mg) if pairs is None else pairs:
-        rel = pair_relation_check(relation, pair, remark_pair(pair, f))
+    pairs = _coordinate_pairs(mg) if pairs is None else pairs
+    if any(pair.mg is not mg for pair in pairs):
+        raise InvalidInput("every pair must be over the marked graph")
+    target = mg.remark(f)
+    for pair in pairs:
+        rel = pair_relation_check(relation, pair,
+                                  MarkedGraphPair(target, pair.h_slots))
         if rel.holds:
             return splitting_of_pair(pair), rel
     raise NotApplicable("no invariant one-edge splitting was exhibited")
@@ -202,20 +210,16 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
     k1, k2 = frozenset(dec["K1"]), frozenset(dec["K2"])
     j2, j3 = frozenset(dec["J2"]), frozenset(dec["J3"])
 
-    if k1 | k2 != frozenset(range(g.n_edges)):
+    every = frozenset(range(g.n_edges))
+    if k1 | k2 != every:
         raise InvalidInput("decomposition clause 1: subgraphs do not cover")
-    frontier = {v for s in k1 for v in (g._init[s], g._term[s])} & \
-               {v for s in set(range(g.n_edges)) - k1
-                for v in (g._init[s], g._term[s])}
-    for comp in g.subgraph_components(k1):
-        if not g.component_has_cycle(comp):
-            raise InvalidInput("decomposition clause 2: first subgraph not core")
+    if not g.every_component_has_cycle(k1):
+        raise InvalidInput("decomposition clause 2: first subgraph not core")
+    frontier = g.vertices_of(k1) & g.vertices_of(every - k1)
     if any(f.vertex_map[v] != v for v in frontier):
         raise InvalidInput("decomposition clause 2: frontier vertex moves")
-    for comp in g.subgraph_components(k2):
-        if not g.component_has_cycle(comp):
-            raise InvalidInput(
-                "decomposition clause 3: contractible component")
+    if not g.every_component_has_cycle(k2):
+        raise InvalidInput("decomposition clause 3: contractible component")
     if not (is_invariant_subgraph(f, j2) and j2 <= k2):
         raise InvalidInput("decomposition clause 4: inner core not invariant")
     for s in k2 - j2:
@@ -230,7 +234,7 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
         raise InvalidInput("inner subgraph must sit inside the intersection")
 
     f1 = restricted_map(f, k1)
-    f2 = restricted_map(f, frozenset(range(g.n_edges)) - k1)
+    f2 = restricted_map(f, every - k1)
     if compose(f2, f1).edge_images != f.edge_images:
         raise InvalidInput("restricted maps do not compose to the map")
     f1k, f2k, fk = (_power_map(m, k, cfg.iterate_cap) for m in (f1, f2, f))
@@ -238,11 +242,10 @@ def bounded_path_witness(spec: ExampleSpec, k: int,
         raise InvalidInput("restricted powers do not compose to the power")
 
     v1, v2, p_j2 = (validate_pair(mg, h) for h in (j3, k1, j2))
-    v2b = remark_pair(v2, f1k)
-    v3 = remark_pair(v1, f1k)
-    v4 = remark_pair(p_j2, f1k)
-    v4b = remark_pair(p_j2, fk)
-    v5 = remark_pair(v1, fk)
+    # the chain's other vertices are pairs on G.f1^k and G.f^k
+    mg1k, mgk = mg.remark(f1k), mg.remark(fk)
+    v2b, v3, v4 = (MarkedGraphPair(mg1k, h) for h in (k1, j3, j2))
+    v4b, v5 = (MarkedGraphPair(mgk, h) for h in (j2, j3))
 
     rel_k1 = pair_relation_check(f1k, v2, v2b)
     if not rel_k1.holds:

@@ -255,8 +255,11 @@ def main(argv=None) -> int:
     except (InvalidInput, FixtureInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (BudgetExhausted, NotApplicable) as exc:
+    except BudgetExhausted as exc:
         print(f"budget: {exc}", file=sys.stderr)
+        return 3
+    except NotApplicable as exc:
+        print(f"not applicable: {exc}", file=sys.stderr)
         return 3
 
 

@@ -25,7 +25,6 @@ class ExampleSpec:
     expected: str | None
     params: dict = field(default_factory=dict)
     decomposition: dict | None = None  # K1, K2, J2, J3 -> frozenset of slots
-    notes: str = ""
 
     @property
     def f(self) -> GraphMap:
@@ -43,6 +42,13 @@ def _g1_names(m: int) -> list[str]:
 
 def _sigma_default(names: list[str]) -> str:
     return " ".join(f"{n} {n}" for n in names)
+
+
+def _petal_images(a: str, b: str, sigma: str) -> dict[str, str]:
+    """Images of two petals growing over the base word: a -> a sigma b'
+    sigma b and b -> b sigma a sigma b' sigma b."""
+    return {a: f"{a} {sigma} {b}' {sigma} {b}",
+            b: f"{b} {sigma} {a} {sigma} {b}' {sigma} {b}"}
 
 
 def _check_sigma_fills(mg: MarkedGraph, g1_names: list[str], sigma_path: str):
@@ -77,8 +83,7 @@ def filling_reducible(m: int = 3, sigma: str | None = None) -> ExampleSpec:
     _require(all(g.edge_names[slot(ch)] in g1 for ch in sig),
              "base word must lie in the invariant rose")
     images = {n: n for n in g1}
-    images["A"] = f"A {sigma_tokens} B' {sigma_tokens} B"
-    images["B"] = f"B {sigma_tokens} A {sigma_tokens} B' {sigma_tokens} B"
+    images.update(_petal_images("A", "B", sigma_tokens))
     f = rose_map(mg, images)
     filt = strata(f)
     labels = [(tuple(sorted(st.slots)), st.label) for st in filt.strata]
@@ -92,7 +97,6 @@ def filling_reducible(m: int = 3, sigma: str | None = None) -> ExampleSpec:
     return ExampleSpec(
         name="filling_reducible", mg=mg, maps={"f": f},
         expected="Loxodromic", params={"m": m, "sigma": sigma_tokens},
-        notes="reducible, one exponential stratum, lamination fills",
     )
 
 
@@ -105,10 +109,8 @@ def bdd_no_periodic(m: int = 3, sigma: str | None = None) -> ExampleSpec:
     g = mg.graph
     sigma_tokens = sigma or _sigma_default(g1)
     images = {n: n for n in g1}
-    images["A"] = f"A {sigma_tokens} B' {sigma_tokens} B"
-    images["B"] = f"B {sigma_tokens} A {sigma_tokens} B' {sigma_tokens} B"
-    images["A2"] = f"A2 {sigma_tokens} B2' {sigma_tokens} B2"
-    images["B2"] = f"B2 {sigma_tokens} A2 {sigma_tokens} B2' {sigma_tokens} B2"
+    images.update(_petal_images("A", "B", sigma_tokens))
+    images.update(_petal_images("A2", "B2", sigma_tokens))
     f = rose_map(mg, images)
 
     slots = {n: g.slot_of[n] for n in names}
@@ -133,7 +135,6 @@ def bdd_no_periodic(m: int = 3, sigma: str | None = None) -> ExampleSpec:
         expected="BoundedOrbits",
         params={"m": m, "sigma": sigma_tokens},
         decomposition=decomposition,
-        notes="jointly filling lamination pair, no single one fills",
     )
 
 
@@ -168,8 +169,7 @@ def linear_example(i: int = 1, j: int = 1, w: str | None = None) -> ExampleSpec:
             _require(map_path(gen, loop) == loop,
                      "generator does not fix a declared loop")
     images = {"X": "X", "Y": "Y", "Z": "Z",
-              "A": f"A {sigma_tokens} B' {sigma_tokens} B",
-              "B": f"B {sigma_tokens} A {sigma_tokens} B' {sigma_tokens} B"}
+              **_petal_images("A", "B", sigma_tokens)}
     f = rose_map(mg, images)
     _check_sigma_fills(mg, ["X", "Y", "Z"], sig)
     return ExampleSpec(
@@ -177,7 +177,6 @@ def linear_example(i: int = 1, j: int = 1, w: str | None = None) -> ExampleSpec:
         maps={"f": f, "theta": th, "theta_10": th10, "theta_01": th01},
         expected="Loxodromic",
         params={"i": i, "j": j, "w": w_tokens, "sigma": sigma_tokens},
-        notes="ambient exponential map with commuting linear stabilizers",
     )
 
 
@@ -211,8 +210,7 @@ def rank2_fixture(key: str) -> ExampleSpec:
     trace = matrix[0][0] + matrix[1][1]
     expected = "Loxodromic" if abs(trace) > 2 else None
     return ExampleSpec(name=key, mg=mg, maps={"f": f}, expected=expected,
-                       params={"matrix": matrix, "trace": trace},
-                       notes="rank-2 battery member (determinant +1)")
+                       params={"matrix": matrix, "trace": trace})
 
 
 def divergence_pair() -> ExampleSpec:
@@ -234,7 +232,6 @@ def divergence_pair() -> ExampleSpec:
         name="divergence", mg=mg, maps={"f": f, "psi": psi},
         expected="Loxodromic",
         params={"m": 3, "splitting_h": ["X", "Y", "Z", "A"]},
-        notes="pair with distinct filling laminations on disjoint letters",
     )
 
 

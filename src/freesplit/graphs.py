@@ -101,14 +101,6 @@ class Graph:
         """``(slot, init, term)`` of each slot, as :func:`tree_loops` takes."""
         return [(s, self._init[s], self._term[s]) for s in slots]
 
-    def _incident(self, slots) -> dict[str, list[int]]:
-        """Vertex -> the slots touching it, a loop listed twice (valence)."""
-        at: dict[str, list[int]] = {}
-        for s in slots:
-            at.setdefault(self._init[s], []).append(s)
-            at.setdefault(self._term[s], []).append(s)
-        return at
-
     @cached_property
     def natural_paths(self) -> dict[frozenset[int], str]:
         """The edge path of each natural edge (:func:`natural_arcs`; a
@@ -129,14 +121,21 @@ class Graph:
     def subgraph_components(self, slots) -> list[frozenset[int]]:
         """Connected components of the subgraph spanned by ``slots``."""
         slots = set(slots)
-        return partition(slots, self._incident(slots).values())
+        at: dict[str, list[int]] = {}
+        for s in slots:
+            at.setdefault(self._init[s], []).append(s)
+            at.setdefault(self._term[s], []).append(s)
+        return partition(slots, at.values())
 
-    def component_has_cycle(self, comp_slots) -> bool:
-        verts = set()
-        for s in comp_slots:
-            verts.add(self._init[s])
-            verts.add(self._term[s])
-        return len(comp_slots) >= len(verts)  # E >= V means a cycle
+    def vertices_of(self, slots) -> set[str]:
+        """The endpoints of the edges in ``slots``."""
+        return {v for s in slots for v in (self._init[s], self._term[s])}
+
+    def every_component_has_cycle(self, slots) -> bool:
+        """No component of the subgraph spanned by ``slots`` is a tree:
+        each has at least as many edges as vertices."""
+        return all(len(comp) >= len(self.vertices_of(comp))
+                   for comp in self.subgraph_components(slots))
 
 
 def rose(rank: int, names=None) -> Graph:
@@ -262,13 +261,11 @@ def subgraph_factor_system(mg: MarkedGraph, edge_slots):
     g = mg.graph
     comps = []
     for comp in g.subgraph_components(edge_slots):
-        if not g.component_has_cycle(comp):
-            continue
         edges = g.edges_of(sorted(comp))
-        _, loops = tree_loops(edges, min(v for _, a, b in edges for v in (a, b)))
+        _, loops = tree_loops(edges, min(g.vertices_of(comp)))
         gens = [mg.path_to_rose(w) for w in loops.values()]
         gens = [w for w in gens if w]
-        if gens:
+        if gens:  # a tree component has no loops
             comps.append(fold(mg.rank, gens))
     return FreeFactorSystem(mg.rank, _dedupe(tuple(comps)))
 
@@ -444,9 +441,13 @@ def transition_matrix(f: GraphMap) -> TransitionMatrix:
 # Collatz-Wielandt gap at which pf_eigenvalue stops: two orders below the
 # 1e-9 its callers compare the Perron root to.
 PF_TOLERANCE = 1e-11
+# Power iterations before pf_eigenvalue gives up: the gap shrinks by the
+# ratio r of the two largest eigenvalue moduli of M + I a step, so from a
+# gap of order one the cap is reached only when r > 1 - 3e-4.
+PF_ITER_CAP = 10**5
 
 
-def pf_eigenvalue(tm: TransitionMatrix, *, iter_cap: int = 10**5) -> float:
+def pf_eigenvalue(tm: TransitionMatrix) -> float:
     """Perron root of an irreducible nonnegative integer block.
 
     Power iteration on M + I with Collatz-Wielandt bounds; the shift makes
@@ -460,7 +461,7 @@ def pf_eigenvalue(tm: TransitionMatrix, *, iter_cap: int = 10**5) -> float:
     if n == 1:
         return float(m[0][0])
     v = [1.0] * n
-    for _ in range(iter_cap):
+    for _ in range(PF_ITER_CAP):
         w = [sum(m[i][j] * v[j] for j in range(n)) + v[i] for i in range(n)]
         ratios = [w[i] / v[i] for i in range(n)]
         lo, hi = min(ratios), max(ratios)

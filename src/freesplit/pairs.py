@@ -53,9 +53,8 @@ def validate_pair(mg: MarkedGraph, h_edges) -> MarkedGraphPair:
     for cls in g.natural_classes:
         if (cls & h) and not cls <= h:
             raise InvalidInput("H is not a union of natural edges")
-    for comp in g.subgraph_components(h):
-        if not g.component_has_cycle(comp):
-            raise InvalidInput("H has a contractible component")
+    if not g.every_component_has_cycle(h):
+        raise InvalidInput("H has a contractible component")
     pair = MarkedGraphPair(mg, h)
     if pair.co_edge < 1:
         raise InvalidInput("co-edge number must be at least 1")
@@ -166,12 +165,8 @@ def pair_relation_check(h: GraphMap, p1: MarkedGraphPair,
         raise InvalidInput("map endpoints do not match the pairs")
     # The structural clauses (2) and (3) are cheap; the marking clause (1)
     # may invert a marking, so it runs last.
-    h1_verts = {v for s in p1.h_slots
-                for v in (p1.graph._init[s], p1.graph._term[s])}
-    h2_verts = {v for s in p2.h_slots
-                for v in (p2.graph._init[s], p2.graph._term[s])}
-    nv1 = [v for v in p1.graph.natural_vertices() if v not in h1_verts]
-    nv2 = {v for v in p2.graph.natural_vertices() if v not in h2_verts}
+    nv1 = set(p1.graph.natural_vertices()) - p1.graph.vertices_of(p1.h_slots)
+    nv2 = set(p2.graph.natural_vertices()) - p2.graph.vertices_of(p2.h_slots)
     images = [h.vertex_map[v] for v in nv1]
     if len(set(images)) != len(images) or set(images) != nv2:
         return RelationResult(FAILS, 2, "no bijection on complement vertices")

@@ -19,9 +19,9 @@ from freesplit.errors import (BudgetExhausted, FixtureInvalid, InvalidInput,
                               NotApplicable)
 from freesplit.factors import co_edge_number
 from freesplit.fixtures import ExampleSpec, fixture, fixture_names
-from freesplit.graphs import (compose, identity_graph_map, marked_rose,
-                              parse_marked_graph, print_marked_graph,
-                              realize_rose_endo, rose_map)
+from freesplit.graphs import (MarkedGraph, compose, identity_graph_map,
+                              marked_rose, parse_marked_graph,
+                              print_marked_graph, realize_rose_endo, rose_map)
 from freesplit.whitehead import FILLS, UNKNOWN, FillsVerdict
 from freesplit.words import BWD, FWD, invert, reduce_word, strip_cyclic
 from freesplit.wproj import apply_basis_map_to_ffs
@@ -48,6 +48,23 @@ THETA = ("VERTICES\nu\nv\nEDGES\na u v\nb u v\nc u v\n"
 # that one natural edge has two edges; the map swaps c and d.
 SUB_THETA = ("VERTICES\nu\nv\nw\nEDGES\na u w\nb w v\nc u v\nd u v\n"
              "MARKING\nx1 a b c'\nx2 a b d'\nMAP\na a\nb b\nc d\nd c\n")
+
+
+@pytest.fixture
+def map_calls(monkeypatch):
+    """``map_calls(name)`` wraps the MarkedGraph method ``name``, which
+    takes a graph map, and returns the list of the maps it is called with."""
+    def wrap(name):
+        seen = []
+        method = getattr(MarkedGraph, name)
+
+        def counted(self, f):
+            seen.append(f)
+            return method(self, f)
+
+        monkeypatch.setattr(MarkedGraph, name, counted)
+        return seen
+    return wrap
 
 
 class TestRank2Classify:
@@ -193,6 +210,13 @@ class TestInnerPower:
         for bm in (("a", "ba"), ("aba", "ab")):
             assert _inner_power(mg, realize_rose_endo(mg, bm)) is None
         assert composed == []
+
+    def test_order_one_builds_the_basis_map_once(self, map_calls):
+        built = map_calls("induced_rose_map")
+        mg = marked_rose(2)
+        f = identity_graph_map(mg.graph)
+        assert _inner_power(mg, f) == (1, f)
+        assert built == [f]
 
     def test_long_inner_map_is_tested_itself(self):
         # x -> u x u^-1 with u = (x1 x2)^3000: the images pass
@@ -377,12 +401,12 @@ class TestPowerOne:
 
 
 class TestBraids:
-    """The 115 maps of the 3-braid words of length at most four, against
+    """The 577 maps of the 3-braid words of length at most six, against
     the trace oracle of ``braids``."""
 
     def test_slice_matches_trace_oracle(self):
-        maps = braid_maps(4)
-        assert len(maps) == 115
+        maps = braid_maps(6)
+        assert len(maps) == 577
         assert braid_type((1, -2)) == "pseudo-Anosov"  # s1 s2^-1, trace 3
         assert (1, -2) in maps
         allowed = {"pseudo-Anosov": {"Loxodromic", "Unknown"},
@@ -445,6 +469,23 @@ class TestPeriodicWitness:
         with pytest.raises(NotApplicable):
             periodic_vertex_witness(filling_spec.mg, filling_spec.f)
 
+    def test_pair_over_another_marked_graph_rejected(self):
+        # f acts on every pair through the one graph mg.f, so a pair over
+        # another marking of the same graph is an input error
+        mg = marked_rose(2)
+        f = rose_map(mg, {"x1": "x1 x2", "x2": "x2"})
+        other = _coordinate_pairs(mg.remark(f))
+        with pytest.raises(InvalidInput):
+            periodic_vertex_witness(mg, f, other)
+
+    def test_pairs_share_one_remarked_graph(self, filling_spec, map_calls):
+        remarked = map_calls("remark")
+        mg, f = filling_spec.mg, filling_spec.f
+        assert len(_coordinate_pairs(mg)) > 1
+        with pytest.raises(NotApplicable):
+            periodic_vertex_witness(mg, f)
+        assert remarked == [f]
+
     def test_one_coordinate_pair_per_natural_class(self):
         # validate_pair accepts the complement of every natural edge (the
         # proof is in _coordinate_pairs), so no class is dropped
@@ -473,6 +514,13 @@ class TestBoundedChain:
         assert chain.k == k
         with pytest.raises(BudgetExhausted):
             bounded_path_witness(bdd_spec, k, Config(iterate_cap=cap - 1))
+
+    def test_one_remarked_graph_per_map(self, bdd_spec, map_calls):
+        # the chain's vertices lie on mg, mg.f1^k and mg.f^k
+        remarked = map_calls("remark")
+        bounded_path_witness(bdd_spec, 1)
+        assert [f.edge_images for f in remarked] == [
+            bdd_spec.maps["f1"].edge_images, bdd_spec.f.edge_images]
 
     def test_no_decomposition_rejected(self, filling_spec):
         with pytest.raises(InvalidInput):
@@ -692,6 +740,16 @@ class TestCLI:
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
         assert err == "error: unknown config key 'whitehead_max_letters'\n"
+
+    @pytest.mark.parametrize("argv, err", [
+        (["w", "--fixture", "rank2_tr2_shear", "--word", "x1"],
+         "not applicable: no certified filling lamination for this map\n"),
+        (["distance", "--fixture", "bdd_no_periodic", "--k", "9"],
+         "budget: power images exceeded the length cap\n"),
+    ], ids=["not-applicable", "budget"])
+    def test_exit_3_names_its_cause(self, argv, err, capsys):
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == err
 
     def test_fixture_fills_check_names_its_reason(self, monkeypatch, capsys):
         # a budget below the base word's length leaves its verdict Unknown

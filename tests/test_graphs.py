@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from freesplit import graphs
 from freesplit.automorphisms import (_BLOCK, compose_maps, identity_map,
                                      invert_map, outer_equal)
 from freesplit.errors import InvalidInput, NumericalTolerance
@@ -181,10 +182,11 @@ class TestPFEigenvalue:
         tm = TransitionMatrix(("a", "b"), ((0, 1), (1, 0)))
         assert abs(pf_eigenvalue(tm) - 1.0) < 1e-9
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(graphs, "PF_ITER_CAP", 1)
         tm = TransitionMatrix(("a", "b"), ((1, 1), (2, 3)))
         with pytest.raises(NumericalTolerance):
-            pf_eigenvalue(tm, iter_cap=1)
+            pf_eigenvalue(tm)
 
 
 class TestStrata:
@@ -336,6 +338,14 @@ class TestConnectivity:
                                                     frozenset({3})]
         assert g.subgraph_components([3, 1, 4, 0]) == [frozenset({0, 1, 3, 4})]
         assert g.subgraph_components([]) == []
+        assert g.vertices_of([4, 0]) == {"u", "w"}
+        assert g.vertices_of([]) == set()
+        assert g.every_component_has_cycle([4, 0, 3])
+        assert g.every_component_has_cycle([0, 1, 3])
+        # the edge b beside the loop e, and the path a b, are trees
+        assert not g.every_component_has_cycle([4, 1])
+        assert not g.every_component_has_cycle([0, 1])
+        assert g.every_component_has_cycle([])
 
 
 class TestMarking:
